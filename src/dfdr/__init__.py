@@ -8,7 +8,7 @@ measures the realized frequentist error rates of both rules.
 
 from dfdr.data import DataMatrix, load_labels, load_matrix, preprocess, signed_log1p
 from dfdr.decision import (
-    CurvePoint,
+    Curve,
     DecisionResult,
     Subset,
     SubsetDecision,

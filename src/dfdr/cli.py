@@ -218,7 +218,7 @@ def _write_decision_outputs(
     stem: str = "",
 ) -> None:
     suffix = f"_{stem}" if stem else ""
-    rejected = result.rejected
+    rejected, curve = result.rejected, result.curve
     _write_rows(
         outdir / f"tests{suffix}.csv",
         ["feature_id", "statistic", "rejected"],
@@ -230,26 +230,41 @@ def _write_decision_outputs(
     _write_rows(
         outdir / f"curve{suffix}.csv",
         ["tau", "desirability", "dfdr", "discoveries"],
-        ((p.tau, p.desirability, p.dfdr, p.discoveries) for p in result.curve),
+        zip(
+            curve.tau.tolist(),
+            curve.desirability.tolist(),
+            curve.dfdr.tolist(),
+            curve.discoveries.tolist(),
+        ),
     )
     _write_summary(outdir / f"summary{suffix}.txt", summary_fields)
+
+
+def _read_table(path, header: list[str]) -> list[tuple[int, list[str]]]:
+    """(row number, fields) for each row of a tab-separated file after its header."""
+    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
+    expected = "<TAB>".join(header)
+    if not lines:
+        raise ParseError(f"{path}: empty file, expected the header {expected!r}")
+    if [c.strip() for c in lines[0].split("\t")] != header:
+        raise ParseError(f"{path}: header must be {expected!r}")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = [c.strip() for c in line.split("\t")]
+        if len(fields) != len(header):
+            raise ParseError(
+                f"{path}: row {lineno}: expected {len(header)} fields, got {len(fields)}"
+            )
+        rows.append((lineno, fields))
+    return rows
 
 
 def _load_subsets(path, matrix: DataMatrix, min_size: int) -> SubsetPartition:
     """Subsets file: feature_id, subset, group_a, group_b, benefit, cost."""
     rows: dict[str, dict] = {}
     feature_index = {fid: i for i, fid in enumerate(matrix.feature_ids)}
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = [c.strip() for c in lines[0].split("\t")]
-    expected = ["feature_id", "subset", "group_a", "group_b", "benefit", "cost"]
-    if header != expected:
-        raise ParseError(f"{path}: header must be {chr(9).join(expected)!r}")
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = [c.strip() for c in line.split("\t")]
-        if len(fields) != 6:
-            raise ParseError(f"{path}: row {lineno}: expected 6 fields, got {len(fields)}")
-        fid, name, ga, gb, b, c = fields
+    header = ["feature_id", "subset", "group_a", "group_b", "benefit", "cost"]
+    for lineno, (fid, name, ga, gb, b, c) in _read_table(path, header):
         if fid not in feature_index:
             raise ValidationError(f"{path}: row {lineno}: unknown feature id {fid!r}")
         try:
@@ -263,40 +278,26 @@ def _load_subsets(path, matrix: DataMatrix, min_size: int) -> SubsetPartition:
             )
         entry["features"].append(feature_index[fid])
     subsets = tuple(
-        Subset(
-            name=name,
-            feature_indices=tuple(entry["features"]),
-            group_a=entry["params"][0],
-            group_b=entry["params"][1],
-            benefit=entry["params"][2],
-            cost=entry["params"][3],
-        )
-        for name, entry in rows.items()
+        Subset(name, tuple(entry["features"]), *entry["params"]) for name, entry in rows.items()
     )
     return SubsetPartition(subsets=subsets, min_size=min_size)
 
 
 def _load_weights(path, matrix: DataMatrix) -> CostBenefit:
     """Weights file: feature_id, benefit, cost (tab-separated, one header row)."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = [c.strip() for c in lines[0].split("\t")]
-    if header != ["feature_id", "benefit", "cost"]:
-        raise ParseError(f"{path}: header must be 'feature_id<TAB>benefit<TAB>cost'")
-    by_id: dict[str, tuple[float, float]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = [c.strip() for c in line.split("\t")]
-        if len(fields) != 3:
-            raise ParseError(f"{path}: row {lineno}: expected 3 fields, got {len(fields)}")
+    by_id: dict[str, tuple[int, float, float]] = {}
+    for lineno, (fid, b, c) in _read_table(path, ["feature_id", "benefit", "cost"]):
+        if fid in by_id:
+            raise ParseError(f"{path}: rows {by_id[fid][0]} and {lineno} both give feature {fid!r}")
         try:
-            by_id[fields[0]] = (float(fields[1]), float(fields[2]))
+            by_id[fid] = (lineno, float(b), float(c))
         except ValueError:
             raise ParseError(f"{path}: row {lineno}: non-numeric benefit or cost") from None
     missing = [fid for fid in matrix.feature_ids if fid not in by_id]
     if missing:
         raise ValidationError(f"{path}: no weights for feature {missing[0]!r}")
-    benefits = np.array([by_id[fid][0] for fid in matrix.feature_ids])
-    costs = np.array([by_id[fid][1] for fid in matrix.feature_ids])
+    benefits = np.array([by_id[fid][1] for fid in matrix.feature_ids])
+    costs = np.array([by_id[fid][2] for fid in matrix.feature_ids])
     return CostBenefit.per_test(benefits, costs)
 
 

@@ -10,6 +10,11 @@ maximizing the weighted desirability.
 Candidate thresholds are exactly the observed statistic values, plus +inf as
 the implicit "reject nothing" option whose desirability is 0. Ties in the
 objective break toward the largest threshold (fewest rejections).
+
+Every route, p-values included, is one pass over sorted values: the distinct
+candidates and their discovery counts come from where the runs of ties start
+in the sorted observed values, the null shares from the estimators' exceedance
+engine, and the whole candidate curve is kept as parallel arrays.
 """
 
 from __future__ import annotations
@@ -23,25 +28,29 @@ from dfdr.errors import ValidationError
 from dfdr.estimators import (
     CostBenefit,
     Pi0Estimate,
+    checked_weights,
     choose_lambda,
-    dfdr_values_at,
-    estimate_dfdr_at_pvalue,
+    dfdr_from_counts,
     estimate_pi0_weighted,
-    inherited_null_weights,
+    exceedances,
     resolve_pi0,
+    weight_exceedances,
 )
 from dfdr.resampling import PermutationPlan, build_statistic_set
 from dfdr.stats import PValueSet, StatisticSet
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """One evaluated candidate threshold."""
+@dataclass(frozen=True, eq=False)
+class Curve:
+    """Every evaluated candidate threshold, as parallel arrays in ascending tau."""
 
-    tau: float
-    dfdr: float
-    desirability: float
-    discoveries: int
+    tau: np.ndarray
+    dfdr: np.ndarray
+    desirability: np.ndarray
+    discoveries: np.ndarray
+
+    def __len__(self) -> int:
+        return self.tau.size
 
 
 @dataclass(frozen=True)
@@ -58,7 +67,7 @@ class DecisionResult:
     dfdr: float
     desirability: float
     pi0: Pi0Estimate
-    curve: tuple[CurvePoint, ...]
+    curve: Curve
 
     @property
     def n_rejected(self) -> int:
@@ -123,50 +132,53 @@ class SubsetDecision:
     result: DecisionResult
 
 
-def _candidate_taus(observed: np.ndarray) -> np.ndarray:
-    taus = np.unique(observed)
-    if not np.isposinf(taus[-1]):
-        taus = np.append(taus, np.inf)
-    return taus
+def _candidates(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values plus +inf, each with how many values lie below it.
+
+    The count below a distinct value is where its run of ties starts.
+    """
+    n = sorted_values.size
+    starts = np.flatnonzero(np.concatenate(([True], sorted_values[1:] != sorted_values[:-1])))
+    if np.isposinf(sorted_values[-1]):
+        return sorted_values[starts], starts
+    return np.append(sorted_values[starts], np.inf), np.append(starts, n)
 
 
-def _best_index(desirability: np.ndarray) -> int:
-    # ties toward the largest threshold: last index among the maxima
-    return int(np.flatnonzero(desirability == desirability.max())[-1])
+def _curve(taus, discoveries, null_share, pi0: Pi0Estimate, n_tests: int, benefit, ratio) -> Curve:
+    dfdr = dfdr_from_counts(pi0.value, null_share, discoveries, n_tests)
+    desirability = benefit * (1.0 - (1.0 + ratio) * dfdr) * discoveries
+    return Curve(taus, dfdr, desirability, discoveries)
 
 
-def _result_at(
-    stats: StatisticSet,
-    pi0: Pi0Estimate,
-    taus: np.ndarray,
-    dfdr: np.ndarray,
-    desirability: np.ndarray,
-    counts: np.ndarray,
-    pick: int,
-) -> DecisionResult:
-    tau = float(taus[pick])
-    rejected = frozenset(int(i) for i in np.flatnonzero(stats.observed >= tau))
-    curve = tuple(
-        CurvePoint(float(t), float(d), float(g), int(c))
-        for t, d, g, c in zip(taus, dfdr, desirability, counts)
-    )
+def _scan(stats: StatisticSet, pi0: Pi0Estimate, benefit: float, ratio: float) -> Curve:
+    taus, below = _candidates(stats.sorted_observed)
+    null_share = exceedances(stats.sorted_null, taus) / stats.n_null
+    return _curve(taus, stats.n_tests - below, null_share, pi0, stats.n_tests, benefit, ratio)
+
+
+def _scan_p(pvals: PValueSet, pi0: Pi0Estimate, benefit: float, ratio: float) -> Curve:
+    # Cutoffs are -inf ("reject nothing") and the distinct p-values. p <= the
+    # j-th distinct value holds exactly for the p-values below the next one,
+    # and the uniform null share of a cutoff is the cutoff itself.
+    values, below = _candidates(pvals.sorted_pvalues)
+    cutoffs = np.append(-np.inf, values[:-1])
+    return _curve(cutoffs, below, cutoffs, pi0, pvals.n_tests, benefit, ratio)
+
+
+def _result(pi0: Pi0Estimate, curve: Curve, pick: int, rejects) -> DecisionResult:
+    tau = float(curve.tau[pick])
     return DecisionResult(
         tau=tau,
-        rejected=rejected,
-        dfdr=float(dfdr[pick]),
-        desirability=float(desirability[pick]),
+        rejected=frozenset(np.flatnonzero(rejects(tau)).tolist()),
+        dfdr=float(curve.dfdr[pick]),
+        desirability=float(curve.desirability[pick]),
         pi0=pi0,
         curve=curve,
     )
 
 
-def _scan(stats: StatisticSet, pi0: Pi0Estimate, benefit: float, ratio: float):
-    taus = _candidate_taus(stats.observed)
-    sorted_obs = np.sort(stats.observed)
-    counts = stats.n_tests - np.searchsorted(sorted_obs, taus, side="left")
-    dfdr = dfdr_values_at(stats, pi0, taus)
-    desirability = benefit * (1.0 - (1.0 + ratio) * dfdr) * counts
-    return taus, dfdr, desirability, counts
+def _maxima(desirability: np.ndarray) -> np.ndarray:
+    return np.flatnonzero(desirability == desirability.max())
 
 
 def maximize_desirability(
@@ -177,9 +189,10 @@ def maximize_desirability(
     When every nonempty rejection region has negative estimated desirability,
     the empty region (desirability 0) wins and nothing is rejected.
     """
-    b1, ratio = cost_benefit.homogeneous()
-    taus, dfdr, desirability, counts = _scan(stats, pi0, b1, ratio)
-    return _result_at(stats, pi0, taus, dfdr, desirability, counts, _best_index(desirability))
+    curve = _scan(stats, pi0, *cost_benefit.homogeneous())
+    # ties toward the largest threshold: last index among the maxima
+    pick = int(_maxima(curve.desirability)[-1])
+    return _result(pi0, curve, pick, lambda tau: stats.observed >= tau)
 
 
 def control_dfdr(
@@ -192,19 +205,24 @@ def control_dfdr(
 
     Picks the smallest candidate threshold whose dFDR estimate is within the
     bound; discovery counts only shrink as the threshold grows, so this
-    maximizes discoveries. With no feasible candidate nothing is rejected.
+    maximizes discoveries. With no feasible candidate the threshold is +inf:
+    nothing is rejected but the +inf sentinels, which every region holds (and
+    whose estimate can exceed alpha only when the nulls hold +inf as well).
     The reported desirability uses ``cost_benefit`` if given, otherwise the
     ratio 1/alpha - 1 matching the bound.
     """
+    curve = _scan(stats, pi0, *_control_terms(alpha, cost_benefit))
+    feasible = np.flatnonzero(curve.dfdr <= alpha)
+    pick = int(feasible[0]) if feasible.size else len(curve) - 1
+    return _result(pi0, curve, pick, lambda tau: stats.observed >= tau)
+
+
+def _control_terms(alpha: float, cost_benefit: CostBenefit | None) -> tuple[float, float]:
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha!r}")
     if cost_benefit is None:
         cost_benefit = CostBenefit.from_probability(alpha)
-    b1, ratio = cost_benefit.homogeneous()
-    taus, dfdr, desirability, counts = _scan(stats, pi0, b1, ratio)
-    feasible = np.flatnonzero(dfdr <= alpha)
-    pick = int(feasible[0])  # +inf candidate has dfdr 0, so feasible is never empty
-    return _result_at(stats, pi0, taus, dfdr, desirability, counts, pick)
+    return cost_benefit.homogeneous()
 
 
 def per_subset_optimize(
@@ -226,9 +244,7 @@ def per_subset_optimize(
         sub = matrix.select_features(subset.feature_indices)
         stats = build_statistic_set(sub, subset.group_a, subset.group_b, plan)
         pi0 = resolve_pi0(stats, pi0_mode)
-        cb = CostBenefit(
-            benefits=np.array([subset.benefit]), costs=np.array([subset.cost])
-        )
+        cb = CostBenefit.per_test([subset.benefit], [subset.cost])
         out.append(SubsetDecision(subset=subset, result=maximize_desirability(stats, pi0, cb)))
     return tuple(out)
 
@@ -246,39 +262,26 @@ def common_threshold_weighted(
     each inheriting its generating test's weight. With uniform weights this
     selects the same threshold as maximize_desirability.
     """
-    w = np.asarray(weights, dtype=float).ravel()
+    w = checked_weights(weights, stats.n_tests)
     b = np.asarray(benefits, dtype=float).ravel()
-    if w.size != stats.n_tests or b.size != stats.n_tests:
-        raise ValidationError("weights and benefits must each have one value per test")
-    if np.any(w < 0.0) or np.any(b < 0.0):
-        raise ValidationError("weights and benefits must be nonnegative")
-    if not np.any(w > 0.0):
-        raise ValidationError("weights must not all be zero")
-    if np.any(b > w):
-        raise ValidationError("each benefit must not exceed its weight (cost >= 0)")
-
-    taus = _candidate_taus(stats.observed)
-    counts = stats.n_tests - np.searchsorted(np.sort(stats.observed), taus, side="left")
-
-    w_obs_ge = _suffix_weight_sums(stats.observed, w, taus)
-    b_obs_ge = _suffix_weight_sums(stats.observed, b, taus)
-    w_null = inherited_null_weights(w, stats.n_permutations)
-    w_null_ge = _suffix_weight_sums(stats.null_stats, w_null, taus)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dfdr = (
-            pi0_weighted.value
-            * (w_null_ge / stats.n_null)
-            / (w_obs_ge / stats.n_tests)
+    if b.size != w.size or np.any(b < 0.0) or np.any(b > w):
+        raise ValidationError(
+            "need one nonnegative benefit per test, none to exceed its weight (cost >= 0)"
         )
-    dfdr = np.where(w_obs_ge == 0.0, 0.0, dfdr)
-    desirability = b_obs_ge - dfdr * w_obs_ge
-    return _result_at(stats, pi0_weighted, taus, dfdr, desirability, counts, _best_index(desirability))
+
+    taus, below = _candidates(stats.sorted_observed)
+    w_obs_ge = weight_exceedances(stats.observed, stats.sorted_observed, w, taus)
+    b_obs_ge = weight_exceedances(stats.observed, stats.sorted_observed, b, taus)
+    w_null_ge = weight_exceedances(stats.null_stats, stats.sorted_null, w, taus)
+    dfdr = dfdr_from_counts(pi0_weighted.value, w_null_ge / stats.n_null, w_obs_ge, stats.n_tests)
+    curve = Curve(taus, dfdr, b_obs_ge - dfdr * w_obs_ge, stats.n_tests - below)
+    pick = int(_maxima(curve.desirability)[-1])
+    return _result(pi0_weighted, curve, pick, lambda tau: stats.observed >= tau)
 
 
 def weighted_pi0_for(stats: StatisticSet, weights) -> Pi0Estimate:
     """Convenience: tuning threshold plus weighted pi0 estimate for pooled stats."""
-    lam = choose_lambda(stats.null_stats)
+    lam = choose_lambda(stats.sorted_null)
     return estimate_pi0_weighted(stats.observed, stats.null_stats, weights, lam)
 
 
@@ -291,10 +294,9 @@ def maximize_desirability_pvalues(
     encoded as the cutoff -inf. Ties break toward the smaller cutoff (fewest
     rejections).
     """
-    b1, ratio = cost_benefit.homogeneous()
-    cutoffs, dfdr, desirability, counts = _scan_pvalues(pvals, pi0, b1, ratio)
-    best = int(np.flatnonzero(desirability == desirability.max())[0])
-    return _pvalue_result_at(pvals, pi0, cutoffs, dfdr, desirability, counts, best)
+    curve = _scan_p(pvals, pi0, *cost_benefit.homogeneous())
+    pick = int(_maxima(curve.desirability)[0])
+    return _result(pi0, curve, pick, lambda cutoff: pvals.pvalues <= cutoff)
 
 
 def control_dfdr_pvalues(
@@ -304,48 +306,6 @@ def control_dfdr_pvalues(
     cost_benefit: CostBenefit | None = None,
 ) -> DecisionResult:
     """Largest p-value cutoff with estimated dFDR <= alpha."""
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if cost_benefit is None:
-        cost_benefit = CostBenefit.from_probability(alpha)
-    b1, ratio = cost_benefit.homogeneous()
-    cutoffs, dfdr, desirability, counts = _scan_pvalues(pvals, pi0, b1, ratio)
-    feasible = np.flatnonzero(dfdr <= alpha)
-    pick = int(feasible[-1])  # larger cutoff rejects more; -inf is always feasible
-    return _pvalue_result_at(pvals, pi0, cutoffs, dfdr, desirability, counts, pick)
-
-
-def _scan_pvalues(pvals: PValueSet, pi0: Pi0Estimate, benefit: float, ratio: float):
-    cutoffs = np.concatenate([[-np.inf], np.unique(pvals.pvalues)])
-    estimates = [estimate_dfdr_at_pvalue(pvals, pi0, c) if c >= 0.0 else None for c in cutoffs]
-    dfdr = np.array([0.0 if e is None else e.value for e in estimates])
-    counts = np.array([0 if e is None else e.discoveries for e in estimates])
-    desirability = benefit * (1.0 - (1.0 + ratio) * dfdr) * counts
-    return cutoffs, dfdr, desirability, counts
-
-
-def _pvalue_result_at(pvals, pi0, cutoffs, dfdr, desirability, counts, pick) -> DecisionResult:
-    cutoff = float(cutoffs[pick])
-    rejected = frozenset(int(i) for i in np.flatnonzero(pvals.pvalues <= cutoff))
-    curve = tuple(
-        CurvePoint(float(t), float(d), float(g), int(c))
-        for t, d, g, c in zip(cutoffs, dfdr, desirability, counts)
-    )
-    return DecisionResult(
-        tau=cutoff,
-        rejected=rejected,
-        dfdr=float(dfdr[pick]),
-        desirability=float(desirability[pick]),
-        pi0=pi0,
-        curve=curve,
-    )
-
-
-def _suffix_weight_sums(values: np.ndarray, weights: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """Sum of weights over entries with value >= tau, for each tau."""
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    w_sorted = weights[order]
-    suffix = np.concatenate([np.cumsum(w_sorted[::-1])[::-1], [0.0]])
-    idx = np.searchsorted(sorted_vals, taus, side="left")
-    return suffix[idx]
+    curve = _scan_p(pvals, pi0, *_control_terms(alpha, cost_benefit))
+    pick = int(np.flatnonzero(curve.dfdr <= alpha)[-1])  # -inf is always feasible
+    return _result(pi0, curve, pick, lambda cutoff: pvals.pvalues <= cutoff)

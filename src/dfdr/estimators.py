@@ -6,6 +6,13 @@ expected false discoveries to expected discoveries for the rejection region
 the exceedance proportion of the resampled null statistics with that of the
 observed statistics, scaled by an estimate of the true-null proportion pi0.
 
+Every estimate here is pi0 * (null share) / (discoveries / m) over
+exceedance counts, so one engine serves them all: ``exceedances`` and
+``weight_exceedances`` count by binary search in arrays sorted once per
+StatisticSet, and ``dfdr_from_counts`` turns the counts into estimates, for
+one threshold or for every candidate at once. The p-value route uses the
+same formula with the analytic uniform null share, the cutoff itself.
+
 All threshold comparisons are inclusive: a test is rejected when its
 statistic is >= tau (for p-values, <= the cutoff). Rejection regions are
 single intervals; the +inf sentinel statistic lies inside every region.
@@ -47,6 +54,11 @@ class Pi0Estimate:
             raise ValidationError(f"pi0 must lie in [0, 1], got {self.value!r}")
         if self.mode not in ("estimated", "fixed-one", "user-supplied"):
             raise ValidationError(f"unknown pi0 mode {self.mode!r}")
+
+    @classmethod
+    def estimated(cls, raw: float, lam: float) -> "Pi0Estimate":
+        """Quantile-matching estimate; a raw ratio outside [0, 1] is clamped."""
+        return cls(value=min(1.0, max(0.0, raw)), lam=lam, mode="estimated")
 
     @classmethod
     def fixed_one(cls) -> "Pi0Estimate":
@@ -142,22 +154,59 @@ def p_to_cost_ratio(p: float) -> float:
     return 1.0 / p - 1.0
 
 
+def exceedances(sorted_values: np.ndarray, taus) -> np.ndarray:
+    """How many of the ascending ``sorted_values`` are >= each tau."""
+    return sorted_values.size - np.searchsorted(sorted_values, taus, side="left")
+
+
+def weight_exceedances(values: np.ndarray, sorted_values: np.ndarray, weights, taus) -> np.ndarray:
+    """Sum of weights over the values >= each tau; ``sorted_values`` is ``values`` ascending.
+
+    Value j carries ``weights[j % weights.size]``: a null statistic inherits
+    its test's weight, with one argsort and no tiling. Sums run from the top.
+    """
+    top = np.cumsum(weights[np.argsort(values) % weights.size][::-1])
+    k = exceedances(sorted_values, taus)
+    return np.where(k > 0, top[k - 1], 0.0)
+
+
+def dfdr_from_counts(pi0: float, null_share, discoveries, n_tests: int) -> np.ndarray:
+    """pi0 * null_share / (discoveries / n_tests), or 0 where nothing is discovered.
+
+    The null share is a count or weight sum over n_null, or for uniform
+    p-values the cutoff itself.
+    """
+    discoveries = np.asarray(discoveries)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = pi0 * null_share / (discoveries / n_tests)
+    return np.where(discoveries == 0, 0.0, values)
+
+
 def choose_lambda(null_stats) -> float:
     """Tuning threshold for the pi0 estimate.
 
     Picks, among the null statistic values themselves plus +inf, the value
     whose empirical proportion of null statistics strictly below it is
     closest to CENTRAL_BAND_MASS. Ties break toward the smaller value.
+    Input that is already ascending (``StatisticSet.sorted_null``) is not
+    sorted again.
     """
-    nulls = np.sort(np.asarray(null_stats, dtype=float).ravel())
+    nulls = np.asarray(null_stats, dtype=float).ravel()
     if nulls.size < 1:
         raise ValidationError("need at least one null statistic")
-    candidates = np.unique(nulls)
-    if not np.isposinf(candidates[-1]):
-        candidates = np.append(candidates, np.inf)
-    below = np.searchsorted(nulls, candidates, side="left") / nulls.size
-    distance = np.abs(below - CENTRAL_BAND_MASS)
-    return float(candidates[int(np.argmin(distance))])
+    if not np.all(nulls[:-1] <= nulls[1:]):
+        nulls = np.sort(nulls)
+    n = nulls.size
+    # The share below a value is where its run of ties starts and grows with
+    # the value, so the closest share is at the run holding rank k or the next
+    # (+inf past the end, share 1, never wins). int() floors exactly for n <
+    # 1e11: the mass is 15317/40000, so mass * n is an integer or 1/40000 off.
+    k = int(CENTRAL_BAND_MASS * n)
+    start = np.searchsorted(nulls, nulls[k], side="left")
+    end = np.searchsorted(nulls, nulls[k], side="right")
+    distance = np.abs(np.array([start, end]) / n - CENTRAL_BAND_MASS)
+    nearest = start if end == n or distance[0] <= distance[1] else end  # ties: smaller
+    return float(nulls[nearest])
 
 
 def estimate_pi0(observed, null_stats, lam: float) -> Pi0Estimate:
@@ -170,23 +219,17 @@ def estimate_pi0(observed, null_stats, lam: float) -> Pi0Estimate:
     """
     obs = np.asarray(observed, dtype=float).ravel()
     nulls = np.asarray(null_stats, dtype=float).ravel()
-    null_below = int(np.count_nonzero(nulls < lam))
-    if null_below == 0:
-        raise UndefinedEstimateError(
-            f"no null statistic below lambda={lam!r}; "
-            "consider the conservative mode pi0 = 1"
-        )
-    obs_below = int(np.count_nonzero(obs < lam))
-    raw = (obs_below / obs.size) / (null_below / nulls.size)
-    return Pi0Estimate(value=min(1.0, max(0.0, raw)), lam=lam, mode="estimated")
+    below = (np.count_nonzero(obs < lam), np.count_nonzero(nulls < lam))
+    return _quantile_matched(*below, obs.size, nulls.size, lam, "null statistic")
 
 
 def estimate_pi0_weighted(observed, null_stats, weights, lam: float) -> Pi0Estimate:
     """Weighted pi0 estimate: indicator counts replaced by weight sums.
 
     Each null statistic inherits the weight of the test that generated it
-    (null ordering is permutation-major). Reduces to estimate_pi0 when all
-    weights are equal.
+    (null ordering is permutation-major), so the null weight below lam is
+    the per-test count below lam times that test's weight. Reduces to
+    estimate_pi0 when all weights are equal.
     """
     obs = np.asarray(observed, dtype=float).ravel()
     nulls = np.asarray(null_stats, dtype=float).ravel()
@@ -194,17 +237,18 @@ def estimate_pi0_weighted(observed, null_stats, weights, lam: float) -> Pi0Estim
         raise ValidationError(
             f"{nulls.size} null statistics cannot inherit weights from {obs.size} tests"
         )
-    w = _checked_weights(weights, obs.size)
-    w_null = inherited_null_weights(w, nulls.size // obs.size)
-    null_below = float(np.sum(w_null[nulls < lam]))
-    if null_below == 0.0:
+    w = checked_weights(weights, obs.size)
+    per_test = np.count_nonzero((nulls < lam).reshape(-1, obs.size), axis=0)
+    below = (float(np.sum(w[obs < lam])), float(per_test @ w))
+    return _quantile_matched(*below, obs.size, nulls.size, lam, "positive null weight")
+
+
+def _quantile_matched(obs_below, null_below, n_obs, n_null, lam, counted) -> Pi0Estimate:
+    if null_below == 0:
         raise UndefinedEstimateError(
-            f"no positive null weight below lambda={lam!r}; "
-            "consider the conservative mode pi0 = 1"
+            f"no {counted} below lambda={lam!r}; consider the conservative mode pi0 = 1"
         )
-    obs_below = float(np.sum(w[obs < lam]))
-    raw = (obs_below / obs.size) / (null_below / nulls.size)
-    return Pi0Estimate(value=min(1.0, max(0.0, raw)), lam=lam, mode="estimated")
+    return Pi0Estimate.estimated((obs_below / n_obs) / (null_below / n_null), lam)
 
 
 def estimate_pi0_from_pvalues(pvals: PValueSet) -> Pi0Estimate:
@@ -214,10 +258,7 @@ def estimate_pi0_from_pvalues(pvals: PValueSet) -> Pi0Estimate:
     share CENTRAL_BAND_MASS, clamped into [0, 1].
     """
     frac = np.count_nonzero(pvals.pvalues > PVALUE_BAND_THRESHOLD) / pvals.n_tests
-    raw = frac / CENTRAL_BAND_MASS
-    return Pi0Estimate(
-        value=min(1.0, max(0.0, raw)), lam=PVALUE_BAND_THRESHOLD, mode="estimated"
-    )
+    return Pi0Estimate.estimated(frac / CENTRAL_BAND_MASS, PVALUE_BAND_THRESHOLD)
 
 
 def resolve_pi0(stats: StatisticSet, mode) -> Pi0Estimate:
@@ -225,55 +266,38 @@ def resolve_pi0(stats: StatisticSet, mode) -> Pi0Estimate:
     if mode == "one":
         return Pi0Estimate.fixed_one()
     if mode == "estimate":
-        lam = choose_lambda(stats.null_stats)
+        lam = choose_lambda(stats.sorted_null)
         return estimate_pi0(stats.observed, stats.null_stats, lam)
     if isinstance(mode, (int, float)) and not isinstance(mode, bool):
         return Pi0Estimate.user(float(mode))
     raise ValidationError(f"unknown pi0 mode {mode!r}")
 
 
-def _dfdr_scalar(k_null: int, k_obs: int, n_null: int, n_tests: int, pi0: float) -> float:
-    if k_obs == 0:
-        return 0.0
-    return pi0 * (k_null / n_null) / (k_obs / n_tests)
-
-
-def dfdr_values_at(stats: StatisticSet, pi0: Pi0Estimate, taus) -> np.ndarray:
-    """Vectorized dFDR estimates at each threshold in taus."""
-    taus = np.asarray(taus, dtype=float)
-    sorted_obs = np.sort(stats.observed)
-    sorted_null = np.sort(stats.null_stats)
-    k_obs = stats.n_tests - np.searchsorted(sorted_obs, taus, side="left")
-    k_null = stats.n_null - np.searchsorted(sorted_null, taus, side="left")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = pi0.value * (k_null / stats.n_null) / (k_obs / stats.n_tests)
-    return np.where(k_obs == 0, 0.0, values)
-
-
 def estimate_dfdr_at_tau(stats: StatisticSet, pi0: Pi0Estimate, tau: float) -> DfdrEstimate:
     """dFDR estimate for the rejection region [tau, inf)."""
-    k_obs = int(np.count_nonzero(stats.observed >= tau))
-    k_null = int(np.count_nonzero(stats.null_stats >= tau))
-    value = _dfdr_scalar(k_null, k_obs, stats.n_null, stats.n_tests, pi0.value)
-    return DfdrEstimate(tau=float(tau), value=value, discoveries=k_obs, null_exceedances=k_null)
+    k_obs = exceedances(stats.sorted_observed, tau)
+    k_null = exceedances(stats.sorted_null, tau)
+    value = dfdr_from_counts(pi0.value, k_null / stats.n_null, k_obs, stats.n_tests)
+    return DfdrEstimate(
+        tau=float(tau), value=float(value), discoveries=int(k_obs), null_exceedances=int(k_null)
+    )
 
 
 def estimate_dfdr_at_pvalue(pvals: PValueSet, pi0: Pi0Estimate, cutoff: float) -> DfdrEstimate:
     """dFDR estimate when rejecting every p-value <= cutoff.
 
-    Uses the uniform null distribution of p-values directly, so no resampled
-    nulls are needed; the null exceedance count reported is the expected
-    count m * cutoff rounded to the nearest integer.
+    Uses the uniform null distribution of p-values directly (null share =
+    cutoff), so no resampled nulls are needed; the null exceedance count
+    reported is the expected count m * cutoff rounded to the nearest integer.
     """
     if not 0.0 <= cutoff <= 1.0:
         raise ValidationError(f"p-value cutoff must lie in [0, 1], got {cutoff!r}")
     m = pvals.n_tests
-    k = int(np.count_nonzero(pvals.pvalues <= cutoff))
-    value = 0.0 if k == 0 else pi0.value * cutoff / (k / m)
+    k = np.searchsorted(pvals.sorted_pvalues, cutoff, side="right")
     return DfdrEstimate(
         tau=float(cutoff),
-        value=value,
-        discoveries=k,
+        value=float(dfdr_from_counts(pi0.value, cutoff, k, m)),
+        discoveries=int(k),
         null_exceedances=int(round(m * cutoff)),
     )
 
@@ -290,11 +314,6 @@ def estimate_desirability(
     return b1 * (1.0 - (1.0 + ratio) * est.value) * est.discoveries
 
 
-def inherited_null_weights(weights: np.ndarray, n_permutations: int) -> np.ndarray:
-    """Weights for null statistics: each inherits its generating test's weight."""
-    return np.tile(weights, n_permutations)
-
-
 def estimate_weighted_dfdr(stats: StatisticSet, pi0: Pi0Estimate, weights, tau: float) -> float:
     """Weighted dFDR estimate at tau with nonnegative per-test weights.
 
@@ -302,13 +321,10 @@ def estimate_weighted_dfdr(stats: StatisticSet, pi0: Pi0Estimate, weights, tau: 
     estimate_dfdr_at_tau to machine precision. Zero when no rejected test
     carries positive weight.
     """
-    w = _checked_weights(weights, stats.n_tests)
-    w_null = inherited_null_weights(w, stats.n_permutations)
-    denom = float(np.sum(w[stats.observed >= tau]))
-    if denom == 0.0:
-        return 0.0
-    num = float(np.sum(w_null[stats.null_stats >= tau]))
-    return pi0.value * (num / stats.n_null) / (denom / stats.n_tests)
+    w = checked_weights(weights, stats.n_tests)
+    denom = weight_exceedances(stats.observed, stats.sorted_observed, w, tau)
+    num = weight_exceedances(stats.null_stats, stats.sorted_null, w, tau)
+    return float(dfdr_from_counts(pi0.value, num / stats.n_null, denom, stats.n_tests))
 
 
 def dfdr_from_cdfs(pi0: float, null_cdf_at_tau: float, marginal_cdf_at_tau: float) -> float:
@@ -338,7 +354,7 @@ def weighted_dfdr_from_cdfs(pi0: float, null_cdfs_at_tau, marginal_cdfs_at_tau, 
     return pi0 * float(np.sum(w * (1.0 - f0))) / denom
 
 
-def _checked_weights(weights, n_tests: int) -> np.ndarray:
+def checked_weights(weights, n_tests: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float).ravel()
     if w.size != n_tests:
         raise ValidationError(f"{w.size} weights for {n_tests} tests")

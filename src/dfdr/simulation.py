@@ -22,10 +22,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from dfdr.data import DataMatrix
-from dfdr.decision import DecisionResult, control_dfdr, maximize_desirability
+from dfdr.decision import Curve, DecisionResult, control_dfdr, maximize_desirability
 from dfdr.errors import ValidationError
 from dfdr.estimators import (
     CostBenefit,
@@ -227,7 +226,7 @@ class FixedThresholdRule:
             dfdr=est.value,
             desirability=math.nan,
             pi0=pi0,
-            curve=(),
+            curve=Curve(*[np.empty(0)] * 4),  # no candidates scanned
         )
 
 
@@ -363,8 +362,11 @@ def analytic_statistic_cdfs(config: SimulationConfig):
     coincides with the pooled two-sample t: the null distribution is a folded
     central t and the alternative a folded noncentral t with noncentrality
     effect * sqrt(n/2). The marginal mixes them with the realized null
-    proportion (exact in fixed truth mode).
+    proportion (exact in fixed truth mode). scipy is imported here, its only
+    use, so that importing dfdr does not pay for it.
     """
+    from scipy import stats as sps
+
     if config.n_a != config.n_b:
         raise ValidationError("closed-form CDFs require equal group sizes")
     df = config.n_a + config.n_b - 2

@@ -10,6 +10,7 @@ falls inside every threshold region.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,9 @@ class StatisticSet:
 
     ``null_stats`` holds n_tests * n_permutations values ordered by
     permutation index, then feature index; the null value at flat index j was
-    generated by the test j % n_tests.
+    generated by the test j % n_tests. Ascending copies of both arrays are
+    sorted on first use and kept: every exceedance count is a binary search
+    in them.
     """
 
     observed: np.ndarray
@@ -56,6 +59,14 @@ class StatisticSet:
     def n_null(self) -> int:
         return self.null_stats.size
 
+    @cached_property
+    def sorted_observed(self) -> np.ndarray:
+        return np.sort(self.observed)
+
+    @cached_property
+    def sorted_null(self) -> np.ndarray:
+        return np.sort(self.null_stats)
+
 
 @dataclass(frozen=True)
 class PValueSet:
@@ -72,6 +83,10 @@ class PValueSet:
     @property
     def n_tests(self) -> int:
         return self.pvalues.size
+
+    @cached_property
+    def sorted_pvalues(self) -> np.ndarray:
+        return np.sort(self.pvalues)
 
 
 def validate_pvalues(raw) -> PValueSet:

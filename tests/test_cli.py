@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -262,6 +267,39 @@ class TestAnalyzeSubsetsAndWeights:
             "--out", str(tmp_path / "o"),
         ])
         assert rc == 1
+
+    def run_with(self, tmp_path, flag, text):
+        rng = np.random.default_rng(104)
+        mpath, lpath = write_fixture(tmp_path, rng, m=10)
+        path = tmp_path / "table.tsv"
+        path.write_text(text)
+        return main([
+            "analyze", "--matrix", str(mpath), "--labels", str(lpath),
+            "--group-a", "A", "--group-b", "B", flag, str(path),
+            "--permutations", "5", "--out", str(tmp_path / "o"),
+        ])
+
+    @pytest.mark.parametrize("flag", ["--weights", "--subsets"])
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank-lines"])
+    def test_empty_table_is_data_error(self, tmp_path, capsys, flag, text):
+        assert self.run_with(tmp_path, flag, text) == 2
+        assert "empty file" in capsys.readouterr().err
+
+    def test_duplicate_weights_row_is_data_error(self, tmp_path, capsys):
+        rows = ["feature_id\tbenefit\tcost"] + [f"g{i:03d}\t1\t19" for i in range(10)]
+        rows.insert(6, "g002\t2\t19")
+        assert self.run_with(tmp_path, "--weights", "\n".join(rows) + "\n") == 2
+        assert "rows 4 and 7 both give feature 'g002'" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is needed only by the analytic CDFs of the simulation oracle
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, dfdr.cli; print('scipy.stats' in sys.modules, 'scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "False"]
 
 
 class TestSimulate:

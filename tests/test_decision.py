@@ -76,8 +76,8 @@ class TestMaximizeDesirability:
         assert result.rejected == frozenset({0, 1, 2})
         assert result.dfdr == 0.0
         assert result.desirability == 3.0
-        finite = [p for p in result.curve if math.isfinite(p.tau)]
-        assert [p.desirability for p in finite] == [-16.0, 3.0, 2.0, 1.0]
+        finite = np.isfinite(result.curve.tau)
+        assert result.curve.desirability[finite].tolist() == [-16.0, 3.0, 2.0, 1.0]
 
     def test_huge_cost_rejects_nothing(self, pi0_one):
         rng = np.random.default_rng(21)
@@ -93,7 +93,7 @@ class TestMaximizeDesirability:
 
     def test_curve_is_sorted_and_complete(self, four_test_stats, pi0_one):
         result = maximize_desirability(four_test_stats, pi0_one, CostBenefit.from_ratio(19.0))
-        taus = [p.tau for p in result.curve]
+        taus = result.curve.tau.tolist()
         assert taus == sorted(taus)
         assert set(taus) == {0.5, 1.0, 2.0, 3.0, math.inf}
 
@@ -112,7 +112,7 @@ class TestMaximizeDesirability:
             stats = random_statistic_set(rng)
             pi0 = Pi0Estimate.user(float(rng.uniform(0.2, 1.0)))
             result = maximize_desirability(stats, pi0, CostBenefit.from_ratio(19.0))
-            assert all(result.desirability >= p.desirability for p in result.curve)
+            assert np.all(result.desirability >= result.curve.desirability)
 
     def test_benefit_scaling_leaves_rejection_unchanged(self):
         rng = np.random.default_rng(24)
@@ -163,6 +163,17 @@ class TestControlDfdr:
         result = control_dfdr(stats, pi0_one, 0.01)
         assert result.rejected == frozenset()
         assert result.tau == math.inf
+
+    def test_infeasible_sentinels_reject_only_themselves(self, pi0_one):
+        # +inf in both observed and null statistics: even tau = +inf has
+        # dfdr (1/4) / (1/2) = 0.5, so no candidate meets the bound
+        stats = StatisticSet(
+            observed=[0.0, np.inf], null_stats=[0.0, 0.0, 0.0, np.inf], n_permutations=2
+        )
+        result = control_dfdr(stats, pi0_one, 0.01)
+        assert result.tau == math.inf
+        assert result.rejected == frozenset({1})
+        assert result.dfdr == 0.5
 
     def test_alpha_validation(self, four_test_stats, pi0_one):
         with pytest.raises(ValidationError):
