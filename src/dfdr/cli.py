@@ -42,7 +42,7 @@ from dfdr.estimators import (
     estimate_pi0_from_pvalues,
     resolve_pi0,
 )
-from dfdr.resampling import PermutationPlan, build_statistic_set
+from dfdr.resampling import PermutationPlan, build_statistic_set, check_null_fits
 from dfdr.simulation import (
     DesirabilityRule,
     DfdrControlRule,
@@ -51,7 +51,7 @@ from dfdr.simulation import (
     measure_error_rates,
     measure_local_dfdr,
 )
-from dfdr.stats import two_sample_abs_t, validate_pvalues
+from dfdr.stats import validate_pvalues
 
 GOLUB_GUIDANCE = """\
 The reference reproduction needs the public Golub et al. (1999) ALL/AML
@@ -350,15 +350,13 @@ def run_analyze(args) -> int:
         if args.cost_ratio is not None or args.p_threshold is not None or args.alpha is not None:
             raise UsageError("--subsets takes costs and benefits from the subsets file")
         partition = _load_subsets(args.subsets, matrix, args.min_subset_size)
+        # one null per comparison, plus one subset's slice and its sort
+        comparisons = {(s.group_a, s.group_b) for s in partition.subsets}
+        check_null_fits(matrix, plan, len(comparisons) + 2)
         decisions = per_subset_optimize(partition, matrix, plan, pi0_mode)
         for sd in decisions:
             subset, result = sd.subset, sd.result
             sub_ids = [matrix.feature_ids[i] for i in subset.feature_indices]
-            sub_values = two_sample_abs_t(
-                matrix.select_features(subset.feature_indices),
-                subset.group_a,
-                subset.group_b,
-            )
             fields = _summary_common(
                 args,
                 base_fields
@@ -371,9 +369,11 @@ def run_analyze(args) -> int:
                 ],
                 result,
             )
-            _write_decision_outputs(outdir, sub_ids, sub_values, result, fields, stem=subset.name)
+            _write_decision_outputs(outdir, sub_ids, sd.observed, result, fields, stem=subset.name)
         return 0
 
+    # the null and its sort; with weights also the argsort and gathered weights
+    check_null_fits(matrix, plan, 2 if args.weights is None else 4)
     stats = build_statistic_set(matrix, args.group_a, args.group_b, plan)
     group_fields = [("group_a", args.group_a), ("group_b", args.group_b)]
 
@@ -567,6 +567,9 @@ def run_reproduce(args) -> int:
 
     matrix = preprocess(load_matrix(args.matrix, args.labels))
     plan = PermutationPlan(n_permutations=args.permutations, seed=args.seed)
+    # the null and its sort, kept while --group-t builds one more null with
+    # its slice and the slice's sort
+    check_null_fits(matrix, plan, 2 if args.group_t is None else 5)
     stats = build_statistic_set(matrix, args.group_a, args.group_b, plan)
 
     rows: list[tuple] = []
@@ -591,15 +594,14 @@ def run_reproduce(args) -> int:
             compare(name, "dfdr", result.dfdr, ref["dfdr"])
 
     if args.group_t is not None:
-        m = matrix.n_features
+        # Per-subset thresholds for two comparisons: the first (benefit 1,
+        # cost 19) is maximize/pi0=estimate above, so only the second needs
+        # its own null, pi0 and threshold.
+        rows_all = tuple(range(matrix.n_features))
         partition = SubsetPartition(
-            subsets=(
-                Subset("first", tuple(range(m)), args.group_a, args.group_b, 1.0, 19.0),
-                Subset("second", tuple(range(m)), args.group_a, args.group_t, 2.0, 19.0),
-            )
+            subsets=(Subset("second", rows_all, args.group_a, args.group_t, 2.0, 19.0),)
         )
-        decisions = per_subset_optimize(partition, matrix, plan, "estimate")
-        second = decisions[1].result
+        second = per_subset_optimize(partition, matrix, plan, "estimate")[0].result
         compare("second-comparison", "tau", second.tau, REFERENCE_SECOND["tau"])
         compare("second-comparison", "discoveries", second.n_rejected, REFERENCE_SECOND["discoveries"])
         compare("second-comparison", "dfdr", second.dfdr, REFERENCE_SECOND["dfdr"])

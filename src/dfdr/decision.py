@@ -126,10 +126,13 @@ class SubsetPartition:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsetDecision:
+    """One subset's decision and its observed statistics, in subset order."""
+
     subset: Subset
     result: DecisionResult
+    observed: np.ndarray
 
 
 def _candidates(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,19 +236,33 @@ def per_subset_optimize(
 ) -> tuple[SubsetDecision, ...]:
     """Desirability maximization run independently on each subset of tests.
 
-    Each subset gets its own null statistics (generated from that subset's
-    rows only), its own pi0 estimate and tuning threshold, and its own cost
-    and benefit. For a single subset covering all rows this reduces exactly
-    to maximize_desirability on the whole problem.
+    Each subset gets its own null statistics (its rows of the permutation
+    null), its own pi0 estimate and tuning threshold, and its own cost and
+    benefit. The statistics of each comparison are built once on the whole
+    matrix and sliced per subset; the statistic of a row does not depend on
+    the other rows, so the slices equal a build on the subset's rows alone,
+    bit for bit. For a single subset covering all rows this reduces exactly to
+    maximize_desirability on the whole problem.
     """
     partition.validate_sizes()
+    last_use = {(s.group_a, s.group_b): i for i, s in enumerate(partition.subsets)}
+    built: dict[tuple[str, str], StatisticSet] = {}
     out = []
-    for subset in partition.subsets:
-        sub = matrix.select_features(subset.feature_indices)
-        stats = build_statistic_set(sub, subset.group_a, subset.group_b, plan)
+    for i, subset in enumerate(partition.subsets):
+        key = (subset.group_a, subset.group_b)
+        if key not in built:
+            built[key] = build_statistic_set(matrix, *key, plan)
+        full = built.pop(key) if last_use[key] == i else built[key]
+        rows = np.asarray(subset.feature_indices, dtype=np.intp)
+        stats = StatisticSet(
+            observed=full.observed[rows],
+            null_stats=full.null_stats.reshape(plan.n_permutations, -1)[:, rows],
+            n_permutations=plan.n_permutations,
+        )
         pi0 = resolve_pi0(stats, pi0_mode)
         cb = CostBenefit.per_test([subset.benefit], [subset.cost])
-        out.append(SubsetDecision(subset=subset, result=maximize_desirability(stats, pi0, cb)))
+        result = maximize_desirability(stats, pi0, cb)
+        out.append(SubsetDecision(subset=subset, result=result, observed=stats.observed))
     return tuple(out)
 
 

@@ -1,10 +1,15 @@
 """Per-test observed statistics and p-value intake.
 
 The default statistic is the absolute two-sample t with unequal-variance
-(Welch) standard error and n-1 sample variances. When a feature has zero
-pooled standard error, the statistic is 0 for a zero mean difference and the
-+inf sentinel otherwise; the sentinel ranks above every finite statistic and
-falls inside every threshold region.
+(Welch) standard error and n-1 sample variances. One kernel, ``welch_abs_t``,
+computes it for the observed labels and for every permutation alike: group
+sums are exact 0/1 matrix products of an error-free hi/lo split of each row
+(see its docstring), so a statistic depends only on the values that fall in
+each group. When both groups of a feature have zero spread, the statistic is
+0 if their means are equal (an exactly constant feature) and the +inf
+sentinel otherwise; the sentinel ranks above every finite statistic and falls
+inside every threshold region. A positive spread (above 2^-500 of the row's
+range) never gives a sentinel.
 """
 
 from __future__ import annotations
@@ -99,19 +104,213 @@ def validate_pvalues(raw) -> PValueSet:
     return PValueSet(pvalues=p)
 
 
+# Rows per block and splits per matrix product in welch_abs_t. The
+# statistics do not depend on either; they size the temporaries.
+ROWS = 256
+CHUNK = 64
+# The one-pass spread sum(y^2) - sum(y)^2 / k of a group is off by at most
+# about 2^-50 of sum(y^2) plus one lo-grid step per member. A spread that does
+# not exceed that bound by this factor is recomputed with two passes.
+_MARGIN = 2.0**40
+# Multiply-adds per BLAS call (see _product).
+_BLAS_SIZE = 2**18
+
+
+def welch_abs_t(values: np.ndarray, pool, n_a: int, splits, out=None) -> np.ndarray:
+    """Absolute Welch t of every row of ``values[:, pool]`` for each split.
+
+    A split (row of ``splits``) is a permutation of the pool positions
+    ``0..n-1``: its first ``n_a`` entries form group A, the rest group B.
+    Returns shape (len(splits), n_rows).
+
+    Each row is centred on its midrange ``(min + max) / 2`` (exactly, as a
+    rounded difference plus its rounding error), scaled by a power of two to
+    magnitude below 1, and split into a hi part on the grid 2^-p and a lo part
+    on the grid 2^-2p, p = 52 - n.bit_length(); its square is split the same
+    way. Every sum of at most n such parts is then an integer multiple of the
+    grid below 2^52, so the 0/1 matrix product that forms group A's sums is
+    exact on any BLAS, in any blocking or thread count, and group B's sums are
+    the totals minus group A's, also exact. The statistic of a split depends
+    only on the row and on which values fall in each group: not on the order
+    of the split or of the columns, nor on which other rows and splits are
+    evaluated with it, and swapping the groups changes no bit.
+
+    From the exact sums the Welch step uses the one-pass form
+    ``sum(y^2) - sum(y)^2 / k``. Where that keeps less than 2^-10 of a group's
+    sum of squares (or the sum of squares is so small that the lo grid limits
+    it), the group's spread is recomputed with two passes over its values in
+    sorted order; a group whose values are all equal has spread exactly 0.
+    Sentinels: a row with zero spread in both groups gives +inf when the
+    group means differ and 0 when they are equal (an exactly constant row);
+    any spread above 2^-500 of the row's range gives a finite statistic
+    (squares of smaller deviations underflow).
+    """
+    pool = np.asarray(pool, dtype=np.intp)
+    splits = np.asarray(splits, dtype=np.intp)
+    if n_a < 2 or pool.size - n_a < 2:
+        raise ValidationError("both groups need at least two members")
+    count, m = splits.shape[0], values.shape[0]
+    if out is None:
+        out = np.empty((count, m))
+    members = np.zeros((count, pool.size))
+    members[np.arange(count)[:, None], splits[:, :n_a]] = 1.0
+    for r in range(0, m, ROWS):
+        rows = _Rows(values[r : r + ROWS, pool], n_a)
+        for c in range(0, count, CHUNK):
+            chunk = slice(c, c + CHUNK)
+            rows.abs_t(members[chunk], splits[chunk], out[chunk, r : r + ROWS])
+    return out
+
+
+class _Rows:
+    """The split parts of a block of rows, and the Welch step on them."""
+
+    def __init__(self, x: np.ndarray, n_a: int) -> None:
+        m, n = x.shape
+        self.n_a, self.n_b = n_a, n - n_a
+        lo, hi = x.min(axis=1), x.max(axis=1)
+        self.constant = np.flatnonzero(lo == hi)
+        center = 0.5 * lo + 0.5 * hi
+        # 2^-e > every |x - center|; e >= -1021 keeps 2^-e finite
+        e = np.frexp(np.maximum(hi - center, center - lo))[1]
+        scale = np.ldexp(1.0, -np.maximum(e, -1021))[:, None]
+        center = center[:, None]
+        # parts[k * m + i, j]: hi, lo, square hi, square lo (k = 0..3) of row i
+        # at position j
+        self.parts = parts = np.empty((4 * m, n))
+        y_hi, y_lo, sq_hi, sq_lo = parts.reshape(4, m, n)
+        # centred value s + err == x - center exactly (TwoSum; s is kept in
+        # sq_lo and err in x until both are split)
+        s = np.subtract(x, center, out=sq_lo)
+        np.subtract(s, x, out=y_lo)
+        np.subtract(s, y_lo, out=sq_hi)
+        x -= sq_hi
+        y_lo += center
+        x -= y_lo
+        s *= scale
+        x *= scale
+        p = 52 - n.bit_length()
+        self.lo_step = 2.0 ** (-2 * p)
+        _round(s, 2.0**-p, out=y_hi)
+        s -= y_hi
+        s += x
+        _round(s, self.lo_step, out=y_lo)
+        np.add(y_hi, y_lo, out=sq_lo)
+        sq_lo *= sq_lo
+        _round(sq_lo, 2.0**-p, out=sq_hi)
+        sq_lo -= sq_hi
+        _round(sq_lo, self.lo_step, out=sq_lo)
+        self.totals = (parts @ np.ones(n)).reshape(4, m)
+
+    def abs_t(self, members, splits, out) -> None:
+        """|t| per split and row into ``out``, working in place in ``out``
+        and in the product that gives group A's sums."""
+        c, m = out.shape
+        n_a, n_b = self.n_a, self.n_b
+        sums = _product(members, self.parts)
+        y_hi, y_lo, sq_hi, sq_lo = sums.reshape(c, 4, m).transpose(1, 0, 2)
+        t_hi, t_lo, tsq_hi, tsq_lo = self.totals
+        s1a = np.add(y_hi, y_lo, out=out)
+        s1b = _rest(t_hi, y_hi, t_lo, y_lo)
+        s2a = np.add(sq_hi, sq_lo, out=y_lo)
+        s2b = _rest(tsq_hi, sq_hi, tsq_lo, sq_lo)
+        mean_a = np.divide(s1a, n_a, out=sq_lo)
+        ss_a = self._spread(s1a, s2a, mean_a, splits[:, :n_a])
+        mean_b = np.divide(s1b, n_b, out=s2a)
+        ss_b = self._spread(s1b, s2b, mean_b, splits[:, n_a:])
+        # se = sqrt(ss_a / (n_a (n_a - 1)) + ss_b / (n_b (n_b - 1)))
+        ss_a *= 1.0 / (n_a * (n_a - 1))
+        ss_b *= 1.0 / (n_b * (n_b - 1))
+        ss_a += ss_b
+        se = np.sqrt(ss_a, out=ss_a)
+        mean_a -= mean_b
+        diff = np.abs(mean_a, out=mean_a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(diff, se, out=out)
+        if self.constant.size:
+            out[:, self.constant] = 0.0
+
+    def _spread(self, s1, s2, mean, members) -> np.ndarray:
+        """Sum of squared deviations per (split, row), in place of ``s1``.
+
+        Overwrites ``s2``.
+        """
+        k = members.shape[1]
+        s1 *= mean
+        ss = np.subtract(s2, s1, out=s1)
+        s2 *= _MARGIN * 2.0**-50
+        s2 += k * _MARGIN * self.lo_step
+        redo = ss <= s2
+        if redo.any():
+            redo[:, self.constant] = False
+            split, row = np.nonzero(redo)
+            ss[split, row] = self._two_pass(row, members[split], mean[split, row])
+        return ss
+
+    def _two_pass(self, rows, members, mean) -> np.ndarray:
+        """Spread of each listed group from its values, summed in sorted order."""
+        m = self.totals.shape[1]
+        hi = self.parts[rows[:, None], members]
+        lo = self.parts[rows[:, None] + m, members]
+        order = np.lexsort((lo, hi), axis=-1)
+        hi = np.take_along_axis(hi, order, axis=-1)
+        lo = np.take_along_axis(lo, order, axis=-1)
+        dev = hi - mean[:, None]
+        dev += lo
+        dev -= (np.cumsum(dev, axis=-1)[:, -1] / members.shape[1])[:, None]
+        dev *= dev
+        ss = np.cumsum(dev, axis=-1)[:, -1]
+        constant = (hi[:, 0] == hi[:, -1]) & (lo[:, 0] == lo[:, -1])
+        ss[constant] = 0.0
+        return ss
+
+
+def _product(members: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``members @ rows.T``, as products of at most _BLAS_SIZE multiply-adds.
+
+    OpenBLAS runs a product that small on the calling thread. A larger one
+    wakes worker threads, which then spin between calls: over the many small
+    products of ``dfdr simulate`` that doubled the CPU time on two CPUs.
+    """
+    c, n = members.shape
+    width = max(1, _BLAS_SIZE // (c * n))
+    whole = rows.shape[0] // width * width
+    out = np.empty((c, rows.shape[0]))
+    np.matmul(
+        members,
+        rows[:whole].reshape(-1, width, n).transpose(0, 2, 1),
+        out=out[:, :whole].reshape(c, -1, width).transpose(1, 0, 2),
+    )
+    np.matmul(members, rows[whole:].T, out=out[:, whole:])
+    return out
+
+
+def _rest(total_hi, hi, total_lo, lo) -> np.ndarray:
+    """The other group's sum, (total_hi - hi) + (total_lo - lo), into ``hi``.
+
+    Both differences are exact; only their sum rounds. Overwrites ``lo``.
+    """
+    np.subtract(total_lo, lo, out=lo)
+    np.subtract(total_hi, hi, out=hi)
+    hi += lo
+    return hi
+
+
+def _round(values: np.ndarray, step: float, out: np.ndarray) -> None:
+    """Round to the nearest multiple of ``step`` = 2^-q, for |values| <= 1.
+
+    Adding 1.5 * 2^52 * step leaves a sum whose last bit is worth ``step``,
+    so the addition rounds and the subtraction is exact.
+    """
+    shift = 1.5 * 2.0**52 * step
+    np.add(values, shift, out=out)
+    out -= shift
+
+
 def abs_t_from_columns(values: np.ndarray, cols_a, cols_b) -> np.ndarray:
     """Absolute Welch t statistics for every row, given two column index sets."""
-    cols_a = np.asarray(cols_a, dtype=np.intp)
-    cols_b = np.asarray(cols_b, dtype=np.intp)
-    if cols_a.size < 2 or cols_b.size < 2:
-        raise ValidationError("both groups need at least two members")
-    a = values[:, cols_a]
-    b = values[:, cols_b]
-    diff = np.abs(a.mean(axis=1) - b.mean(axis=1))
-    se2 = a.var(axis=1, ddof=1) / cols_a.size + b.var(axis=1, ddof=1) / cols_b.size
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = diff / np.sqrt(se2)
-    return np.where(se2 > 0.0, t, np.where(diff == 0.0, 0.0, np.inf))
+    pool = np.concatenate([np.asarray(cols_a, np.intp), np.asarray(cols_b, np.intp)])
+    return welch_abs_t(values, pool, len(cols_a), np.arange(pool.size)[None, :])[0]
 
 
 def two_sample_abs_t(matrix: DataMatrix, group_a: str, group_b: str) -> np.ndarray:

@@ -302,6 +302,45 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.split() == ["False", "False"]
 
 
+class TestMemoryCheck:
+    def test_null_too_large_for_memory_is_a_data_error(self, tmp_path, monkeypatch, capsys):
+        import dfdr.resampling
+
+        rng = np.random.default_rng(120)
+        mpath, lpath = write_fixture(tmp_path, rng, m=40)
+        args = [
+            "analyze", "--matrix", str(mpath), "--labels", str(lpath),
+            "--group-a", "A", "--group-b", "B", "--permutations", "100",
+            "--out", str(tmp_path / "out"),
+        ]
+        # 40 tests x 100 permutations: null and sort are 64000 bytes, plus
+        # 16000 for the permutations and their membership matrix
+        monkeypatch.setattr(dfdr.resampling, "physical_memory", lambda: 79_999)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "physical memory" in err and "--permutations" in err
+        assert not (tmp_path / "out" / "summary.txt").exists()
+        monkeypatch.setattr(dfdr.resampling, "physical_memory", lambda: 80_000)
+        assert main(args) == 0
+
+    def test_weights_count_the_argsort_and_gathered_weights(self, tmp_path, monkeypatch):
+        import dfdr.resampling
+
+        rng = np.random.default_rng(121)
+        mpath, lpath = write_fixture(tmp_path, rng, m=40)
+        wpath = tmp_path / "weights.tsv"
+        wpath.write_text(
+            "feature_id\tbenefit\tcost\n" + "".join(f"g{i:03d}\t1\t19\n" for i in range(40))
+        )
+        monkeypatch.setattr(dfdr.resampling, "physical_memory", lambda: 100_000)
+        rc = main([
+            "analyze", "--matrix", str(mpath), "--labels", str(lpath),
+            "--group-a", "A", "--group-b", "B", "--permutations", "100",
+            "--weights", str(wpath), "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+
+
 class TestSimulate:
     def test_report_written_with_verdicts(self, tmp_path):
         out = tmp_path / "sim"
@@ -415,3 +454,42 @@ class TestReproduce:
             "--permutations", "10", "--seed", "2", "--out", str(out2),
         ]) == 0
         assert (out / "comparison.csv").read_bytes() == (out2 / "comparison.csv").read_bytes()
+
+    def test_group_t_second_comparison_matches_two_subset_run(self, tmp_path):
+        from dfdr import (
+            PermutationPlan, Subset, SubsetPartition, load_matrix, per_subset_optimize, preprocess,
+        )
+
+        rng = np.random.default_rng(105)
+        values = np.abs(rng.normal(2.0, 0.5, size=(60, 15))) + 0.5
+        values[:10, 6:] *= 2.0
+        mpath, lpath = tmp_path / "m.tsv", tmp_path / "l.tsv"
+        subjects = [f"s{j}" for j in range(15)]
+        tags = ["ALL"] * 6 + ["AML"] * 5 + ["TALL"] * 4
+        lines = ["\t".join(["feature_id"] + subjects)]
+        lines += ["\t".join([f"g{i}"] + [repr(float(v)) for v in values[i]]) for i in range(60)]
+        mpath.write_text("\n".join(lines) + "\n")
+        lpath.write_text("".join(f"{s}\t{t}\n" for s, t in zip(subjects, tags)))
+        out = tmp_path / "rep"
+        assert main([
+            "reproduce", "--matrix", str(mpath), "--labels", str(lpath), "--group-t", "TALL",
+            "--permutations", "10", "--seed", "3", "--out", str(out),
+        ]) == 0
+        second = {
+            row.split(",")[1]: row.split(",")[2]
+            for row in (out / "comparison.csv").read_text().splitlines()
+            if row.startswith("second-comparison,")
+        }
+        # the per-subset run over both comparisons, as first defined
+        matrix = preprocess(load_matrix(mpath, lpath))
+        rows = tuple(range(60))
+        partition = SubsetPartition(subsets=(
+            Subset("first", rows, "ALL", "AML", 1.0, 19.0),
+            Subset("second", rows, "ALL", "TALL", 2.0, 19.0),
+        ))
+        expected = per_subset_optimize(partition, matrix, PermutationPlan(10, 3))[1].result
+        assert second == {
+            "tau": format(expected.tau, ".12g"),
+            "discoveries": str(expected.n_rejected),
+            "dfdr": format(expected.dfdr, ".12g"),
+        }

@@ -271,6 +271,52 @@ class TestPerSubsetOptimize:
         assert decisions[0].result.rejected == direct.rejected
         assert decisions[0].result.desirability == direct.desirability
 
+    def test_single_subset_reproduces_whole_problem_bitwise(self):
+        rng = np.random.default_rng(33)
+        matrix = two_group_matrix(rng, m=60, shift_rows=range(10))
+        plan = PermutationPlan(n_permutations=7, seed=2)
+        partition = SubsetPartition(
+            subsets=(Subset("all", tuple(range(60)), "A", "B", 1.0, 19.0),),
+            min_size=10,
+        )
+        (decision,) = per_subset_optimize(partition, matrix, plan)
+        stats = build_statistic_set(matrix, "A", "B", plan)
+        pi0 = resolve_pi0(stats, "estimate")
+        direct = maximize_desirability(stats, pi0, CostBenefit.from_ratio(19.0))
+        result = decision.result
+        np.testing.assert_array_equal(decision.observed, stats.observed)
+        assert result.pi0 == pi0
+        assert (result.tau, result.dfdr, result.desirability) == (
+            direct.tau, direct.dfdr, direct.desirability
+        )
+        assert result.rejected == direct.rejected
+        for name in ("tau", "dfdr", "desirability", "discoveries"):
+            np.testing.assert_array_equal(getattr(result.curve, name), getattr(direct.curve, name))
+
+    def test_subset_slices_equal_builds_on_subset_rows(self):
+        # one null per comparison, sliced: each subset must get exactly what a
+        # build on its own rows gives, for either group order
+        rng = np.random.default_rng(34)
+        matrix = two_group_matrix(rng, m=40, shift_rows=range(0, 40, 3))
+        plan = PermutationPlan(n_permutations=6, seed=8)
+        odd = tuple(range(39, 0, -2))
+        partition = SubsetPartition(
+            subsets=(
+                Subset("odd", odd, "A", "B", 1.0, 9.0),
+                Subset("even", tuple(range(0, 40, 2)), "A", "B", 2.0, 9.0),
+                Subset("swapped", odd, "B", "A", 1.0, 4.0),
+            ),
+            min_size=10,
+        )
+        for d in per_subset_optimize(partition, matrix, plan):
+            sub = matrix.select_features(d.subset.feature_indices)
+            stats = build_statistic_set(sub, d.subset.group_a, d.subset.group_b, plan)
+            np.testing.assert_array_equal(d.observed, stats.observed)
+            cb = CostBenefit.per_test([d.subset.benefit], [d.subset.cost])
+            direct = maximize_desirability(stats, resolve_pi0(stats, "estimate"), cb)
+            assert (d.result.tau, d.result.dfdr) == (direct.tau, direct.dfdr)
+            assert d.result.rejected == direct.rejected
+
     def test_identical_subsets_get_identical_thresholds(self):
         rng = np.random.default_rng(30)
         block = rng.normal(size=(30, 10))
