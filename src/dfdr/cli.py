@@ -4,6 +4,11 @@ the reference analysis of the public ALL/AML leukemia dataset.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 All randomness flows from --seed; repeated runs with identical flags and seed
 produce byte-identical output files.
+
+Every output file prints a float with 12 significant digits (``%.12g``),
+infinities as ``inf``/``-inf`` and NaN as ``nan``; integers print bare and
+booleans as ``true``/``false``. ``tests.csv`` and ``curve.csv`` are formatted
+a whole row at a time, from the same ``NUMBER`` spec as every other value.
 """
 
 from __future__ import annotations
@@ -73,15 +78,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# The one number format of every output file: 12 significant digits, with
+# inf, -inf and nan spelled so (never "-nan"); integers print bare.
+NUMBER = "%.12g"
+TESTS_ROW = f"%s,{NUMBER},%d\n"
+CURVE_ROW = f"{NUMBER},{NUMBER},{NUMBER},%d\n"
+
+
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return format(x, ".12g")
+        return NUMBER % x
     return str(x)
 
 
@@ -95,6 +105,11 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
     _write_atomic(path, "\n".join(lines) + "\n")
+
+
+def _table(header: str, row_format: str, columns) -> str:
+    """The header line, then ``row_format % row`` for each row of the zipped columns."""
+    return header + "\n" + "".join(map(row_format.__mod__, zip(*columns)))
 
 
 def _write_summary(path: Path, items: list[tuple[str, object]]) -> None:
@@ -218,24 +233,16 @@ def _write_decision_outputs(
     stem: str = "",
 ) -> None:
     suffix = f"_{stem}" if stem else ""
-    rejected, curve = result.rejected, result.curve
-    _write_rows(
-        outdir / f"tests{suffix}.csv",
-        ["feature_id", "statistic", "rejected"],
-        (
-            (ids[i], float(values[i]), 1 if i in rejected else 0)
-            for i in range(len(ids))
-        ),
+    flags = np.zeros(len(ids), dtype=np.int8)
+    flags[np.fromiter(result.rejected, dtype=np.intp, count=len(result.rejected))] = 1
+    tests = (ids, np.asarray(values, dtype=float).tolist(), flags.tolist())
+    c = result.curve
+    curve = [a.tolist() for a in (c.tau, c.desirability, c.dfdr, c.discoveries)]
+    _write_atomic(
+        outdir / f"tests{suffix}.csv", _table("feature_id,statistic,rejected", TESTS_ROW, tests)
     )
-    _write_rows(
-        outdir / f"curve{suffix}.csv",
-        ["tau", "desirability", "dfdr", "discoveries"],
-        zip(
-            curve.tau.tolist(),
-            curve.desirability.tolist(),
-            curve.dfdr.tolist(),
-            curve.discoveries.tolist(),
-        ),
+    _write_atomic(
+        outdir / f"curve{suffix}.csv", _table("tau,desirability,dfdr,discoveries", CURVE_ROW, curve)
     )
     _write_summary(outdir / f"summary{suffix}.txt", summary_fields)
 
@@ -408,19 +415,26 @@ def run_analyze(args) -> int:
     return 0
 
 
+def _read_pvalues(path) -> list[float]:
+    """The values of the non-blank lines; row numbers in errors count every line."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        return list(map(float, filter(str.strip, lines)))
+    except ValueError:
+        # name the first non-blank line that float() rejects
+        for lineno, line in enumerate(lines, start=1):
+            if line.strip():
+                try:
+                    float(line)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: row {lineno}: non-numeric p-value {line.strip()!r}"
+                    ) from None
+        raise
+
+
 def _analyze_pvalues(args, outdir: Path, pi0_mode) -> int:
-    raw = []
-    text = Path(args.pvalues).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            raw.append(float(line.strip()))
-        except ValueError:
-            raise ParseError(
-                f"{args.pvalues}: row {lineno}: non-numeric p-value {line.strip()!r}"
-            ) from None
-    pvals = validate_pvalues(raw)
+    pvals = validate_pvalues(_read_pvalues(args.pvalues))
     if pi0_mode == "estimate":
         pi0 = estimate_pi0_from_pvalues(pvals)
     elif pi0_mode == "one":
@@ -446,7 +460,7 @@ def _analyze_pvalues(args, outdir: Path, pi0_mode) -> int:
         fields = base_fields + [("alpha", alpha)]
 
     digits = len(str(pvals.n_tests))
-    ids = [f"p{i:0{digits}d}" for i in range(pvals.n_tests)]
+    ids = list(map(f"p%0{digits}d".__mod__, range(pvals.n_tests)))
     _write_decision_outputs(
         outdir, ids, pvals.pvalues, result, _summary_common(args, fields, result)
     )

@@ -3,7 +3,9 @@
 The expected on-disk layout is a tab-separated matrix file (header row of
 subject identifiers, one leading feature-identifier column) plus a two-column
 labels file mapping each subject to a group tag. Missing values are not
-supported; a blank or non-numeric cell is a parse error.
+supported: a blank, NA or NaN cell, a cell float() cannot read and an
+infinite cell are parse errors, and the error names the first bad row or cell
+in file order.
 """
 
 from __future__ import annotations
@@ -123,50 +125,20 @@ def load_matrix(matrix_path, labels_path) -> DataMatrix:
     entries for unknown subjects are ignored.
     """
     label_map = load_labels(labels_path)
-    text = Path(matrix_path).read_text(encoding="utf-8")
-    lines = [line for line in text.splitlines()]
+    lines = Path(matrix_path).read_text(encoding="utf-8").splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if len(lines) < 2:
         raise ParseError(f"{matrix_path}: need a header row and at least one feature row")
 
-    header = lines[0].rstrip("\n").split("\t")
+    header = lines[0].split("\t")
     subject_ids = [cell.strip() for cell in header[1:]]
     if len(subject_ids) < 2:
         raise ParseError(f"{matrix_path}: header row names fewer than two subjects")
-    n = len(subject_ids)
-
-    feature_ids: list[str] = []
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) != n + 1:
-            raise ParseError(
-                f"{matrix_path}: row {lineno}: expected {n + 1} fields, "
-                f"got {len(fields)}"
-            )
-        feature_ids.append(fields[0].strip())
-        row = []
-        for col, cell in enumerate(fields[1:], start=2):
-            cell = cell.strip()
-            if not cell or cell.upper() in ("NA", "NAN"):
-                raise ParseError(
-                    f"{matrix_path}: row {lineno}, column {col}: missing value"
-                )
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{matrix_path}: row {lineno}, column {col}: "
-                    f"non-numeric cell {cell!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise ParseError(
-                    f"{matrix_path}: row {lineno}, column {col}: "
-                    f"non-finite cell {cell!r}"
-                )
-            row.append(value)
-        rows.append(row)
+    parsed = _parse_rows(lines[1:], len(subject_ids))
+    if parsed is None:
+        _raise_first_bad_cell(matrix_path, lines[1:], len(subject_ids))
+    feature_ids, values = parsed
 
     missing = [s for s in subject_ids if s not in label_map]
     if missing:
@@ -174,11 +146,60 @@ def load_matrix(matrix_path, labels_path) -> DataMatrix:
             f"{labels_path}: no group label for subject {missing[0]!r}"
         )
     return DataMatrix(
-        values=np.asarray(rows, dtype=float),
+        values=values,
         feature_ids=tuple(feature_ids),
         subject_ids=tuple(subject_ids),
         labels=tuple(label_map[s] for s in subject_ids),
     )
+
+
+def _parse_rows(lines: list[str], n: int) -> tuple[list[str], np.ndarray] | None:
+    """Feature ids and values of the matrix rows, one float() pass per row.
+
+    None when a row does not have n + 1 fields or a cell is not a finite
+    number; ``_raise_first_bad_cell`` then names the first such row or cell.
+    """
+    feature_ids: list[str] = []
+    rows: list[list[float]] = []
+    for line in lines:
+        fields = line.split("\t")
+        if len(fields) != n + 1:
+            return None
+        feature_ids.append(fields[0].strip())
+        try:
+            rows.append(list(map(float, fields[1:])))
+        except ValueError:
+            return None
+    values = np.array(rows, dtype=float)
+    return (feature_ids, values) if np.isfinite(values).all() else None
+
+
+def _raise_first_bad_cell(path, lines: list[str], n: int) -> None:
+    """Raise the ParseError for the first ragged row or bad cell, in file order.
+
+    A blank, NA or NaN cell is a missing value; any other cell must give a
+    finite float().
+    """
+    for lineno, line in enumerate(lines, start=2):
+        fields = line.split("\t")
+        if len(fields) != n + 1:
+            raise ParseError(
+                f"{path}: row {lineno}: expected {n + 1} fields, got {len(fields)}"
+            )
+        for col, cell in enumerate(fields[1:], start=2):
+            cell = cell.strip()
+            if not cell or cell.upper() in ("NA", "NAN"):
+                raise ParseError(f"{path}: row {lineno}, column {col}: missing value")
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: row {lineno}, column {col}: non-numeric cell {cell!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"{path}: row {lineno}, column {col}: non-finite cell {cell!r}"
+                )
 
 
 def signed_log1p(x):

@@ -53,7 +53,8 @@ class StatisticSet:
                 f"{observed.size} tests x {self.n_permutations} permutations"
             )
         for name, arr in (("observed", observed), ("null", null_stats)):
-            if np.any(np.isnan(arr)) or np.any(np.isneginf(arr)):
+            # one reduction, no temporaries: the minimum is NaN if any value is
+            if not arr.min() > -np.inf:
                 raise ValidationError(f"{name} statistics must be finite or +inf")
 
     @property

@@ -210,6 +210,24 @@ class TestAnalyzePvalues:
         rc = main(["analyze", "--pvalues", str(ppath), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_non_numeric_pvalue_row_counts_blank_lines(self, tmp_path, capsys):
+        ppath = tmp_path / "p.txt"
+        ppath.write_text("0.1\n\n   \n0.2\n abc \n0.3\n")
+        rc = main(["analyze", "--pvalues", str(ppath), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"data error: {ppath}: row 5: non-numeric p-value 'abc'\n"
+        )
+
+    def test_nan_pvalue_is_out_of_range_at_its_index(self, tmp_path, capsys):
+        ppath = tmp_path / "p.txt"
+        ppath.write_text("0.1\n\n0.2\nnan\n0.3\n")
+        rc = main(["analyze", "--pvalues", str(ppath), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: p-value out of [0, 1] at index 2: ")
+        assert "nan" in err
+
 
 class TestAnalyzeSubsetsAndWeights:
     def test_subsets_run_per_subset(self, tmp_path):

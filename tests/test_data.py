@@ -98,6 +98,75 @@ class TestLoadMatrix:
         with pytest.raises(ParseError, match="non-numeric"):
             load_matrix(mpath, lpath)
 
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            ("inf", "non-finite cell 'inf'"),
+            ("-inf", "non-finite cell '-inf'"),
+            ("nan", "missing value"),
+            ("NaN", "missing value"),
+            ("NA", "missing value"),
+        ],
+    )
+    def test_bad_cell_names_row_and_column(self, matrix_files, cell, message):
+        mpath, lpath = matrix_files
+        mpath.write_text(mpath.read_text().replace("6.0", cell))
+        with pytest.raises(ParseError) as err:
+            load_matrix(mpath, lpath)
+        assert str(err.value) == f"{mpath}: row 3, column 3: {message}"
+
+    @pytest.mark.parametrize(
+        "edits, expected",
+        [
+            ({3: "nan", 5: "high"}, "row 3, column 4: missing value"),
+            ({3: "high", 5: "nan"}, "row 3, column 4: non-numeric cell 'high'"),
+            ({3: "inf", 5: "RAGGED"}, "row 3, column 4: non-finite cell 'inf'"),
+            ({3: "RAGGED", 5: "inf"}, "row 3: expected 5 fields, got 2"),
+            ({5: "-inf"}, "row 5, column 4: non-finite cell '-inf'"),
+        ],
+    )
+    def test_first_bad_row_in_file_order_is_reported(self, tmp_path, edits, expected):
+        mpath, lpath = tmp_path / "m.tsv", tmp_path / "l.tsv"
+        rows = [[f"g{i}", 1.5, 2.5, 3.5, 4.5] for i in range(5)]
+        for lineno, cell in edits.items():
+            row = rows[lineno - 2]
+            if cell == "RAGGED":
+                del row[2:]
+            else:
+                row[3] = cell
+        write_tsv(mpath, ["id", "s1", "s2", "s3", "s4"], rows)
+        write_labels(lpath, [("s1", "A"), ("s2", "A"), ("s3", "B"), ("s4", "B")])
+        with pytest.raises(ParseError) as err:
+            load_matrix(mpath, lpath)
+        assert str(err.value) == f"{mpath}: {expected}"
+
+    @pytest.mark.parametrize(
+        "cells, expected",
+        [
+            (["inf", "high"], "column 2: non-finite cell 'inf'"),
+            (["high", "inf"], "column 2: non-numeric cell 'high'"),
+            (["1e999", ""], "column 2: non-finite cell '1e999'"),
+            (["", "1e999"], "column 2: missing value"),
+        ],
+    )
+    def test_first_bad_cell_of_a_row_is_reported(self, tmp_path, cells, expected):
+        mpath, lpath = tmp_path / "m.tsv", tmp_path / "l.tsv"
+        write_tsv(mpath, ["id", "s1", "s2", "s3", "s4"], [["g0", 1, 2, 3, 4], ["g1", cells[0], 2, cells[1], 4]])
+        write_labels(lpath, [("s1", "A"), ("s2", "A"), ("s3", "B"), ("s4", "B")])
+        with pytest.raises(ParseError) as err:
+            load_matrix(mpath, lpath)
+        assert str(err.value) == f"{mpath}: row 3, {expected}"
+
+    def test_cells_parse_like_float(self, tmp_path):
+        mpath, lpath = tmp_path / "m.tsv", tmp_path / "l.tsv"
+        cells = [" 1.5 ", "-0.0", "1_000", "5e-324"]
+        write_tsv(mpath, ["id", "s1", "s2", "s3", "s4"], [[" g0 "] + cells])
+        write_labels(lpath, [("s1", "A"), ("s2", "A"), ("s3", "B"), ("s4", "B")])
+        matrix = load_matrix(mpath, lpath)
+        assert matrix.feature_ids == ("g0",)
+        assert matrix.values[0].tolist() == [1.5, -0.0, 1000.0, 5e-324]
+        assert math.copysign(1.0, matrix.values[0, 1]) == -1.0
+
     def test_extra_label_entries_are_ignored(self, matrix_files, tmp_path):
         mpath, _ = matrix_files
         lpath = tmp_path / "extra.tsv"

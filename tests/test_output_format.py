@@ -1,0 +1,170 @@
+"""Byte identity of tests.csv and curve.csv with the per-cell reference writer.
+
+The CLI formats whole rows with one ``%`` template per file; the reference
+(``reference_writer``) formats each cell with ``format(x, ".12g")``. Both must
+give the same bytes for every float, NaN and infinities included, and for
+every route that writes decision files.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dfdr import cli
+from dfdr.cli import CURVE_ROW, TESTS_ROW, _fmt, _table, main
+from reference_writer import decision_files, fmt, rows_text
+from test_cli import write_fixture
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
+
+SPECIAL = [
+    math.nan,
+    -math.nan,
+    math.copysign(math.nan, -1.0),
+    math.inf,
+    -math.inf,
+    0.0,
+    -0.0,
+    5e-324,
+    -2.2250738585072014e-308,
+    2.225073858507201e-308,
+    1e16,
+    -1e16,
+    1e16 + 2.0,
+    2.0**53,
+    123456789012.0,
+    1234567890123.0,
+    999999999999.5,
+    0.1,
+    1.0 / 3.0,
+    1e-5,
+    1e-4,
+    1.7976931348623157e308,
+]
+floats = st.one_of(
+    st.sampled_from(SPECIAL),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(-(10**17), 10**17).map(float),
+)
+ints = st.integers(-(10**20), 10**20)
+ids = st.text(max_size=8)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(ids, floats, ints), max_size=20))
+def test_tests_rows_match_reference(rows):
+    header = ["feature_id", "statistic", "rejected"]
+    assert _table(",".join(header), TESTS_ROW, list(zip(*rows))) == rows_text(header, rows)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(floats, floats, floats, ints), max_size=20))
+def test_curve_rows_match_reference(rows):
+    header = ["tau", "desirability", "dfdr", "discoveries"]
+    assert _table(",".join(header), CURVE_ROW, list(zip(*rows))) == rows_text(header, rows)
+
+
+@PROPERTY
+@given(st.one_of(floats, ints, st.booleans(), ids))
+def test_fmt_matches_reference(x):
+    assert _fmt(x) == fmt(x)
+
+
+@pytest.fixture
+def written(monkeypatch):
+    """Every call the CLI makes to write decision files, with its inputs."""
+    calls = []
+    real = cli._write_decision_outputs
+
+    def spy(outdir, ids, values, result, summary_fields, stem=""):
+        calls.append((outdir, list(ids), np.array(values), result, stem))
+        real(outdir, ids, values, result, summary_fields, stem)
+
+    monkeypatch.setattr(cli, "_write_decision_outputs", spy)
+    return calls
+
+
+def assert_reference_bytes(calls, n_calls=1):
+    assert len(calls) == n_calls
+    for outdir, ids, values, result, stem in calls:
+        suffix = f"_{stem}" if stem else ""
+        for name, text in decision_files(ids, values, result).items():
+            assert (outdir / f"{name}{suffix}.csv").read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("mode", ["maximize", "control"])
+def test_pvalue_route(tmp_path, written, mode):
+    rng = np.random.default_rng(11)
+    p = np.concatenate([rng.uniform(size=900), rng.beta(0.2, 1.0, size=200)])
+    p[:40] = np.round(p[:40], 2)  # ties
+    text = "\n".join(map(repr, p.tolist())) + "\n0\n1\n5e-324\n\n0.5\n"
+    ppath = tmp_path / "p.txt"
+    ppath.write_text(text)
+    out = tmp_path / "out"
+    assert main(["analyze", "--pvalues", str(ppath), "--mode", mode, "--out", str(out)]) == 0
+    assert_reference_bytes(written)
+    n = len(p) + 4
+    assert written[0][1] == [f"p{i:04d}" for i in range(n)]
+
+
+def test_statistic_route_with_sentinel_rows(tmp_path, written):
+    mpath, lpath = write_fixture(tmp_path, np.random.default_rng(12), m=60)
+    with mpath.open("a") as fh:
+        fh.write("g%d\t" + "\t".join(["0.1"] * 10) + "\n")  # constant: t = 0
+        fh.write("split1\t" + "\t".join(["1.5"] * 5 + ["2.5"] * 5) + "\n")  # +inf
+        fh.write("split2\t" + "\t".join(["-3"] * 5 + ["7"] * 5) + "\n")  # +inf
+    out = tmp_path / "out"
+    rc = main([
+        "analyze", "--matrix", str(mpath), "--labels", str(lpath),
+        "--group-a", "A", "--group-b", "B", "--permutations", "30", "--seed", "3",
+        "--out", str(out),
+    ])
+    assert rc == 0
+    assert_reference_bytes(written)
+    statistics = written[0][2]
+    assert np.isposinf(statistics).sum() == 2
+    assert "split1,inf,1\n" in (out / "tests.csv").read_text()
+    assert (out / "curve.csv").read_text().splitlines()[-1].startswith("inf,")
+
+
+def test_weights_route(tmp_path, written):
+    m = 50
+    mpath, lpath = write_fixture(tmp_path, np.random.default_rng(13), m=m)
+    rng = np.random.default_rng(14)
+    wpath = tmp_path / "weights.tsv"
+    rows = ["feature_id\tbenefit\tcost"]
+    rows += [f"g{i:03d}\t{rng.uniform(0.1, 3.0)!r}\t{rng.uniform(1.0, 30.0)!r}" for i in range(m)]
+    wpath.write_text("\n".join(rows) + "\n")
+    rc = main([
+        "analyze", "--matrix", str(mpath), "--labels", str(lpath),
+        "--group-a", "A", "--group-b", "B", "--weights", str(wpath),
+        "--permutations", "20", "--seed", "4", "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 0
+    assert_reference_bytes(written)
+
+
+def test_subsets_route(tmp_path, written):
+    m = 40
+    mpath, lpath = write_fixture(tmp_path, np.random.default_rng(15), m=m)
+    spath = tmp_path / "subsets.tsv"
+    rows = ["feature_id\tsubset\tgroup_a\tgroup_b\tbenefit\tcost"]
+    rows += [
+        f"g{i:03d}\t{'low' if i < 20 else 'high'}\tA\tB\t{1.0 if i < 20 else 2.5}\t19.0"
+        for i in range(m)
+    ]
+    spath.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    rc = main([
+        "analyze", "--matrix", str(mpath), "--labels", str(lpath),
+        "--group-a", "A", "--group-b", "B", "--subsets", str(spath),
+        "--min-subset-size", "10", "--permutations", "15", "--seed", "5",
+        "--out", str(out),
+    ])
+    assert rc == 0
+    assert_reference_bytes(written, n_calls=2)
+    assert sorted(stem for *_, stem in written) == ["high", "low"]
+    assert (out / "tests_low.csv").exists() and (out / "curve_high.csv").exists()

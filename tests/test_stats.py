@@ -98,6 +98,14 @@ class TestStatisticSet:
         with pytest.raises(ValidationError):
             StatisticSet(observed=[1.0, np.nan], null_stats=[1.0, 2.0], n_permutations=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    @pytest.mark.parametrize("where", ["observed", "null"])
+    def test_rejects_nan_and_minus_inf(self, bad, where):
+        arrays = {"observed": [1.0, 2.0, np.inf], "null": [0.5, np.inf, 0.2, 0.1, 3.0, 0.0]}
+        arrays[where][1] = bad
+        with pytest.raises(ValidationError, match=f"^{where} statistics must be finite or \\+inf$"):
+            StatisticSet(observed=arrays["observed"], null_stats=arrays["null"], n_permutations=2)
+
     def test_accepts_inf_sentinel(self):
         s = StatisticSet(observed=[np.inf, 1.0], null_stats=[0.5, 0.2], n_permutations=1)
         assert s.n_tests == 2
