@@ -78,8 +78,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# The one number format of every output file: 12 significant digits, with
-# inf, -inf and nan spelled so (never "-nan"); integers print bare.
+# The one float format of every output file; the row templates and _fmt are
+# built from it so they cannot drift apart. It prints every NaN as "nan".
 NUMBER = "%.12g"
 TESTS_ROW = f"%s,{NUMBER},%d\n"
 CURVE_ROW = f"{NUMBER},{NUMBER},{NUMBER},%d\n"
@@ -235,7 +235,7 @@ def _write_decision_outputs(
     suffix = f"_{stem}" if stem else ""
     flags = np.zeros(len(ids), dtype=np.int8)
     flags[np.fromiter(result.rejected, dtype=np.intp, count=len(result.rejected))] = 1
-    tests = (ids, np.asarray(values, dtype=float).tolist(), flags.tolist())
+    tests = (ids, values.tolist(), flags.tolist())
     c = result.curve
     curve = [a.tolist() for a in (c.tau, c.desirability, c.dfdr, c.discoveries)]
     _write_atomic(
