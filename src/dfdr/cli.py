@@ -379,8 +379,9 @@ def run_analyze(args) -> int:
             _write_decision_outputs(outdir, sub_ids, sd.observed, result, fields, stem=subset.name)
         return 0
 
-    # the null and its sort; with weights also the argsort and gathered weights
-    check_null_fits(matrix, plan, 2 if args.weights is None else 4)
+    # the null and its sort; with weights, the null and the copy choose_lambda
+    # partitions (the weight sums need one block at a time)
+    check_null_fits(matrix, plan, 2)
     stats = build_statistic_set(matrix, args.group_a, args.group_b, plan)
     group_fields = [("group_a", args.group_a), ("group_b", args.group_b)]
 

@@ -287,9 +287,9 @@ def common_threshold_weighted(
         )
 
     taus, below = _candidates(stats.sorted_observed)
-    w_obs_ge = weight_exceedances(stats.observed, stats.sorted_observed, w, taus)
-    b_obs_ge = weight_exceedances(stats.observed, stats.sorted_observed, b, taus)
-    w_null_ge = weight_exceedances(stats.null_stats, stats.sorted_null, w, taus)
+    w_obs_ge = weight_exceedances(stats.observed, w, taus)
+    b_obs_ge = weight_exceedances(stats.observed, b, taus)
+    w_null_ge = weight_exceedances(stats.null_stats, w, taus)
     dfdr = dfdr_from_counts(pi0_weighted.value, w_null_ge / stats.n_null, w_obs_ge, stats.n_tests)
     curve = Curve(taus, dfdr, b_obs_ge - dfdr * w_obs_ge, stats.n_tests - below)
     pick = int(_maxima(curve.desirability)[-1])
@@ -298,7 +298,7 @@ def common_threshold_weighted(
 
 def weighted_pi0_for(stats: StatisticSet, weights) -> Pi0Estimate:
     """Convenience: tuning threshold plus weighted pi0 estimate for pooled stats."""
-    lam = choose_lambda(stats.sorted_null)
+    lam = choose_lambda(stats.null_stats)
     return estimate_pi0_weighted(stats.observed, stats.null_stats, weights, lam)
 
 

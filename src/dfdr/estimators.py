@@ -7,11 +7,14 @@ the exceedance proportion of the resampled null statistics with that of the
 observed statistics, scaled by an estimate of the true-null proportion pi0.
 
 Every estimate here is pi0 * (null share) / (discoveries / m) over
-exceedance counts, so one engine serves them all: ``exceedances`` and
-``weight_exceedances`` count by binary search in arrays sorted once per
-StatisticSet, and ``dfdr_from_counts`` turns the counts into estimates, for
-one threshold or for every candidate at once. The p-value route uses the
-same formula with the analytic uniform null share, the cutoff itself.
+exceedance counts, so one engine serves them all: ``exceedances`` counts by
+binary search in an array sorted once per StatisticSet, ``weight_exceedances``
+sums weights block by block (each block of whole permutations argsorted on
+its own, so the null is never sorted as a whole), and ``dfdr_from_counts``
+turns the counts into estimates, for one threshold or for every candidate at
+once. The p-value route uses the same formula with the analytic uniform null
+share, the cutoff itself. ``choose_lambda`` needs one order statistic of the
+nulls and finds it by selection, not by sorting.
 
 All threshold comparisons are inclusive: a test is rejected when its
 statistic is >= tau (for p-values, <= the cutoff). Rejection regions are
@@ -31,6 +34,10 @@ from dfdr.stats import PValueSet, StatisticSet
 # P(|Z| < 1/2) for a standard normal Z: the target proportion of null
 # statistics below the pi0 tuning threshold lambda.
 CENTRAL_BAND_MASS = 0.382925
+
+# Values per block of weight_exceedances, rounded down to whole permutations
+# (at least one): the block's argsort and gathered weights stay cache-sized.
+BLOCK = 2**16
 
 # Null p-values are uniform, so the tuning threshold needs no resampling:
 # the null share of p-values above 1 - CENTRAL_BAND_MASS is CENTRAL_BAND_MASS.
@@ -159,15 +166,28 @@ def exceedances(sorted_values: np.ndarray, taus) -> np.ndarray:
     return sorted_values.size - np.searchsorted(sorted_values, taus, side="left")
 
 
-def weight_exceedances(values: np.ndarray, sorted_values: np.ndarray, weights, taus) -> np.ndarray:
-    """Sum of weights over the values >= each tau; ``sorted_values`` is ``values`` ascending.
+def weight_exceedances(values: np.ndarray, weights, taus) -> np.ndarray:
+    """Sum of weights over the values >= each tau.
 
     Value j carries ``weights[j % weights.size]``: a null statistic inherits
-    its test's weight, with one argsort and no tiling. Sums run from the top.
+    its test's weight, since the nulls are permutation-major. Whole
+    permutations go in blocks of about BLOCK values; each block is argsorted
+    on its own, its weights summed from the top and read at each tau by binary
+    search, and the block sums are added into one accumulator. Extra memory is
+    O(BLOCK + len(taus)), whatever the size of ``values``.
     """
-    top = np.cumsum(weights[np.argsort(values) % weights.size][::-1])
-    k = exceedances(sorted_values, taus)
-    return np.where(k > 0, top[k - 1], 0.0)
+    m = weights.size
+    rows = values.reshape(-1, m)
+    per = max(1, BLOCK // m)
+    tiled = np.tile(weights, per)  # covers any block: no % m per value
+    total = np.zeros(np.shape(taus))
+    for start in range(0, rows.shape[0], per):
+        block = rows[start : start + per].ravel()
+        order = np.argsort(block)
+        top = np.cumsum(tiled[order][::-1])
+        k = exceedances(block[order], taus)
+        total += np.where(k > 0, top[k - 1], 0.0)
+    return total
 
 
 def dfdr_from_counts(pi0: float, null_share, discoveries, n_tests: int) -> np.ndarray:
@@ -187,26 +207,26 @@ def choose_lambda(null_stats) -> float:
 
     Picks, among the null statistic values themselves plus +inf, the value
     whose empirical proportion of null statistics strictly below it is
-    closest to CENTRAL_BAND_MASS. Ties break toward the smaller value.
-    Input that is already ascending (``StatisticSet.sorted_null``) is not
-    sorted again.
+    closest to CENTRAL_BAND_MASS. Ties break toward the smaller value. Found
+    by selection in a partitioned copy, O(N), with no sort; input that is
+    already ascending (``StatisticSet.sorted_null``) is read in place.
     """
     nulls = np.asarray(null_stats, dtype=float).ravel()
     if nulls.size < 1:
         raise ValidationError("need at least one null statistic")
-    if not np.all(nulls[:-1] <= nulls[1:]):
-        nulls = np.sort(nulls)
     n = nulls.size
     # The share below a value is where its run of ties starts and grows with
     # the value, so the closest share is at the run holding rank k or the next
     # (+inf past the end, share 1, never wins). int() floors exactly for n <
     # 1e11: the mass is 15317/40000, so mass * n is an integer or 1/40000 off.
     k = int(CENTRAL_BAND_MASS * n)
-    start = np.searchsorted(nulls, nulls[k], side="left")
-    end = np.searchsorted(nulls, nulls[k], side="right")
+    part = nulls if np.all(nulls[:-1] <= nulls[1:]) else np.partition(nulls, k)
+    v = part[k]
+    start, end = np.count_nonzero(part < v), np.count_nonzero(part <= v)
     distance = np.abs(np.array([start, end]) / n - CENTRAL_BAND_MASS)
-    nearest = start if end == n or distance[0] <= distance[1] else end  # ties: smaller
-    return float(nulls[nearest])
+    if end == n or distance[0] <= distance[1]:  # ties: smaller
+        return float(v)
+    return float(np.min(part, where=part > v, initial=np.inf))  # the next run
 
 
 def estimate_pi0(observed, null_stats, lam: float) -> Pi0Estimate:
@@ -266,6 +286,7 @@ def resolve_pi0(stats: StatisticSet, mode) -> Pi0Estimate:
     if mode == "one":
         return Pi0Estimate.fixed_one()
     if mode == "estimate":
+        # every caller scans the sorted null next, so the sort is not extra
         lam = choose_lambda(stats.sorted_null)
         return estimate_pi0(stats.observed, stats.null_stats, lam)
     if isinstance(mode, (int, float)) and not isinstance(mode, bool):
@@ -322,8 +343,8 @@ def estimate_weighted_dfdr(stats: StatisticSet, pi0: Pi0Estimate, weights, tau: 
     carries positive weight.
     """
     w = checked_weights(weights, stats.n_tests)
-    denom = weight_exceedances(stats.observed, stats.sorted_observed, w, tau)
-    num = weight_exceedances(stats.null_stats, stats.sorted_null, w, tau)
+    denom = weight_exceedances(stats.observed, w, tau)
+    num = weight_exceedances(stats.null_stats, w, tau)
     return float(dfdr_from_counts(pi0.value, num / stats.n_null, denom, stats.n_tests))
 
 

@@ -62,7 +62,8 @@ def check_null_fits(matrix: DataMatrix, plan: PermutationPlan, arrays: int) -> N
     """Refuse, before allocating, a null that cannot fit in physical memory.
 
     ``arrays`` counts the null and the copies of it the analysis holds at
-    once (the sort; for weights also the argsort and the gathered weights),
+    once (the sort; with weights only the partitioned copy that
+    ``choose_lambda`` selects from, since the weight sums go block by block),
     each n_tests * n_permutations 8-byte values; the permutations and their
     0/1 membership matrix add at most 2 * n_permutations * n_subjects values.
     """

@@ -18,6 +18,7 @@ true null.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -163,17 +164,18 @@ def generate_instance(config: SimulationConfig, replicate: int) -> tuple[DataMat
     values = noise
     values[h == 1, n_a:] += config.effect
 
+    feature_ids, subject_ids, labels = _matrix_ids(m, n_a, n_b)
+    return DataMatrix(values, feature_ids, subject_ids, labels), h
+
+
+@functools.lru_cache(maxsize=8)
+def _matrix_ids(m: int, n_a: int, n_b: int) -> tuple[tuple[str, ...], ...]:
+    """Feature ids, subject ids and labels, built once per shape, not per replicate."""
     digits = len(str(m))
     return (
-        DataMatrix(
-            values=values,
-            feature_ids=tuple(f"f{i:0{digits}d}" for i in range(m)),
-            subject_ids=tuple(
-                [f"a{j:02d}" for j in range(n_a)] + [f"b{j:02d}" for j in range(n_b)]
-            ),
-            labels=tuple(["A"] * n_a + ["B"] * n_b),
-        ),
-        h,
+        tuple(f"f{i:0{digits}d}" for i in range(m)),
+        tuple([f"a{j:02d}" for j in range(n_a)] + [f"b{j:02d}" for j in range(n_b)]),
+        tuple(["A"] * n_a + ["B"] * n_b),
     )
 
 

@@ -30,8 +30,9 @@ class StatisticSet:
     ``null_stats`` holds n_tests * n_permutations values ordered by
     permutation index, then feature index; the null value at flat index j was
     generated by the test j % n_tests. Ascending copies of both arrays are
-    sorted on first use and kept: every exceedance count is a binary search
-    in them.
+    sorted on first use and kept: every unweighted exceedance count is a
+    binary search in them. The weighted route never asks for ``sorted_null``,
+    so it holds no sorted copy of the null.
     """
 
     observed: np.ndarray
@@ -101,7 +102,7 @@ def validate_pvalues(raw) -> PValueSet:
     bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
     if bad.size:
         i = int(bad[0])
-        raise ValidationError(f"p-value out of [0, 1] at index {i}: {p[i]!r}")
+        raise ValidationError(f"p-value out of [0, 1] at index {i}: {float(p[i])}")
     return PValueSet(pvalues=p)
 
 

@@ -225,8 +225,7 @@ class TestAnalyzePvalues:
         rc = main(["analyze", "--pvalues", str(ppath), "--out", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error: p-value out of [0, 1] at index 2: ")
-        assert "nan" in err
+        assert err == "data error: p-value out of [0, 1] at index 2: nan\n"
 
 
 class TestAnalyzeSubsetsAndWeights:
@@ -341,7 +340,7 @@ class TestMemoryCheck:
         monkeypatch.setattr(dfdr.resampling, "physical_memory", lambda: 80_000)
         assert main(args) == 0
 
-    def test_weights_count_the_argsort_and_gathered_weights(self, tmp_path, monkeypatch):
+    def test_weights_count_the_null_and_its_partitioned_copy(self, tmp_path, monkeypatch):
         import dfdr.resampling
 
         rng = np.random.default_rng(121)
@@ -350,13 +349,17 @@ class TestMemoryCheck:
         wpath.write_text(
             "feature_id\tbenefit\tcost\n" + "".join(f"g{i:03d}\t1\t19\n" for i in range(40))
         )
-        monkeypatch.setattr(dfdr.resampling, "physical_memory", lambda: 100_000)
-        rc = main([
+        args = [
             "analyze", "--matrix", str(mpath), "--labels", str(lpath),
             "--group-a", "A", "--group-b", "B", "--permutations", "100",
             "--weights", str(wpath), "--out", str(tmp_path / "out"),
-        ])
-        assert rc == 2
+        ]
+        # the null and the copy choose_lambda partitions, 64000 bytes, plus
+        # 16000 for the permutations; the weight sums add one block only
+        monkeypatch.setattr(dfdr.resampling, "physical_memory", lambda: 79_999)
+        assert main(args) == 2
+        monkeypatch.setattr(dfdr.resampling, "physical_memory", lambda: 80_000)
+        assert main(args) == 0
 
 
 class TestSimulate:

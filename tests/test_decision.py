@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -444,6 +445,28 @@ class TestCommonThresholdWeighted:
         pi0 = weighted_pi0_for(stats, np.full(stats.n_tests, 3.0))
         plain = resolve_pi0(stats, "estimate")
         assert pi0.value == pytest.approx(plain.value, abs=1e-12)
+
+    def test_weighted_route_holds_no_copy_of_the_null(self):
+        # the block engine's temporaries scale with a block, not with the null:
+        # a whole-null argsort (8 bytes per value) alone would break the bound
+        rng = np.random.default_rng(36)
+        m, b = 4000, 1000
+        stats = StatisticSet(
+            observed=np.abs(rng.normal(size=m)),
+            null_stats=np.abs(rng.normal(size=m * b)),
+            n_permutations=b,
+        )
+        weights = rng.integers(2, 21, size=m).astype(float)
+        tracemalloc.start()
+        try:
+            pi0 = weighted_pi0_for(stats, weights)
+            tracemalloc.reset_peak()
+            common_threshold_weighted(stats, weights, np.ones(m), pi0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stats.null_stats.nbytes / 4
+        assert "sorted_null" not in vars(stats)  # the null was never sorted
 
 
 class TestPvalueDecisions:

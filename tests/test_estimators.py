@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from dfdr import (
     validate_pvalues,
     weighted_dfdr_from_cdfs,
 )
+from dfdr import estimators
 from conftest import random_statistic_set
 
 
@@ -310,6 +312,76 @@ class TestWeightedDfdr:
     def test_all_zero_weights_rejected(self, four_test_stats, pi0_one):
         with pytest.raises(ValidationError):
             estimate_weighted_dfdr(four_test_stats, pi0_one, [0, 0, 0, 0], 0.4)
+
+
+def weight_sums_oracle(values, weights, taus):
+    """Exact weight sums over values >= tau, value j carrying weights[j % m]."""
+    m = len(weights)
+    return [
+        sum((Fraction(weights[j % m]) for j, v in enumerate(values) if v >= tau), Fraction(0))
+        for tau in taus
+    ]
+
+
+class TestWeightExceedances:
+    """The block engine, with blocks of 1 and of 3 whole permutations."""
+
+    @pytest.fixture(params=[1, 3])
+    def perms_per_block(self, request, monkeypatch):
+        # BLOCK counts values, so the block size follows m: patched per test
+        def use(m):
+            monkeypatch.setattr(estimators, "BLOCK", request.param * m)
+            return request.param
+
+        return use
+
+    @staticmethod
+    def random_problem(rng, m, b):
+        values = np.round(np.abs(rng.normal(0.8, 0.8, size=m * b)), 1)
+        values[rng.random(values.size) < 0.05] = np.inf
+        taus = np.concatenate([np.unique(values), [-1.0, 0.05, np.inf]])
+        return values, np.sort(taus)
+
+    def test_integer_weights_equal_brute_force(self, perms_per_block):
+        rng = np.random.default_rng(40)
+        for _ in range(30):
+            m = int(rng.integers(1, 10))
+            perms_per_block(m)
+            values, taus = self.random_problem(rng, m, b=7)  # 7: not a whole number of blocks
+            weights = rng.integers(0, 6, size=m).astype(float)
+            got = estimators.weight_exceedances(values, weights, taus)
+            expected = weight_sums_oracle(values.tolist(), weights.tolist(), taus.tolist())
+            assert got.tolist() == [float(e) for e in expected]
+
+    def test_real_weights_within_summation_bound(self, perms_per_block):
+        # Each sum is a running sum inside a block of `per * m` values plus one
+        # addition per block, all terms nonnegative: relative error at most
+        # (per * m + blocks) * 2^-53.
+        rng = np.random.default_rng(41)
+        m, b = 60, 7
+        per = perms_per_block(m)
+        bound = (per * m + -(-b // per)) * 2.0**-53
+        for _ in range(5):
+            values, taus = self.random_problem(rng, m, b)
+            weights = rng.uniform(0.1, 3.0, size=m) + rng.uniform(0.0, 30.0, size=m)
+            got = estimators.weight_exceedances(values, weights, taus)
+            exact = weight_sums_oracle(values.tolist(), weights.tolist(), taus.tolist())
+            for g, e in zip(got.tolist(), exact):
+                if e == 0:
+                    assert g == 0.0
+                else:
+                    assert abs(Fraction(g) - e) <= bound * e
+
+    def test_inf_values_and_taus_at_values_count_inclusively(self, perms_per_block):
+        perms_per_block(2)
+        values = np.array([1.0, np.inf, 2.0, 1.0, np.inf, 0.0, 0.5, 2.0])  # B = 4
+        weights = np.array([1.0, 10.0])
+        taus = np.array([0.0, 0.5, 1.0, 2.0, 3.0, np.inf])
+        got = estimators.weight_exceedances(values, weights, taus)
+        assert got.tolist() == [44.0, 34.0, 33.0, 22.0, 11.0, 11.0]
+        # a scalar tau gives a 0-d result with the same value
+        assert float(estimators.weight_exceedances(values, weights, 2.0)) == 22.0
+        assert float(estimators.weight_exceedances(values, weights, np.inf)) == 11.0
 
 
 class TestWeightedPi0:

@@ -5,6 +5,7 @@ evaluates every candidate threshold directly, one count at a time.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from dfdr import (
     maximize_desirability_pvalues,
     validate_pvalues,
 )
+from dfdr import estimators
 from test_decision import brute_force_candidates, brute_force_curve, brute_force_maximize
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
@@ -127,6 +129,20 @@ def test_weighted_matches_brute_force(data, stats, pi0):
 
 
 @PROPERTY
+@given(st.data(), statistic_sets(max_b=7), pi0s, st.sampled_from([1, 3]))
+def test_weighted_matches_brute_force_in_small_blocks(data, stats, pi0, perms_per_block):
+    # blocks of 1 or 3 permutations, B often not a whole number of blocks
+    weights, benefits = data.draw(integer_weights(stats.n_tests))
+    with mock.patch.object(estimators, "BLOCK", perms_per_block * stats.n_tests):
+        result = common_threshold_weighted(stats, weights, benefits, Pi0Estimate.user(pi0))
+    expected = brute_force_weighted(
+        stats.observed.tolist(), stats.null_stats.tolist(), weights.tolist(),
+        benefits.tolist(), pi0,
+    )
+    assert (result.tau, result.rejected, result.dfdr, result.desirability) == expected
+
+
+@PROPERTY
 @given(statistic_sets(), pi0s, ratios, st.floats(0.1, 10.0))
 def test_constant_weights_give_unweighted_decision(stats, pi0, ratio, scale):
     m = stats.n_tests
@@ -146,11 +162,12 @@ def test_constant_weights_give_unweighted_decision(stats, pi0, ratio, scale):
 
 
 @PROPERTY
-@given(st.lists(stat_values, min_size=1, max_size=300))
-def test_choose_lambda_matches_unique_definition(nulls):
+@given(st.data(), st.lists(stat_values, min_size=1, max_size=300))
+def test_choose_lambda_matches_unique_definition(data, nulls):
     expected = lambda_by_unique(nulls)
     assert choose_lambda(nulls) == expected
     assert choose_lambda(np.sort(nulls)) == expected
+    assert choose_lambda(data.draw(st.permutations(nulls))) == expected
 
 
 @PROPERTY
@@ -162,7 +179,9 @@ def test_choose_lambda_with_long_runs_of_ties(runs, n_inf):
     # long runs put the target rank inside a run, next to run boundaries
     values = sorted(runs)
     nulls = np.repeat(values + [math.inf], [runs[v] for v in values] + [n_inf])
-    assert choose_lambda(nulls) == lambda_by_unique(nulls)
+    expected = lambda_by_unique(nulls)
+    assert choose_lambda(nulls) == expected
+    assert choose_lambda(np.random.default_rng(nulls.size).permutation(nulls)) == expected
 
 
 @PROPERTY
