@@ -19,7 +19,6 @@ from dfdr.decision import (
     maximize_desirability,
     maximize_desirability_pvalues,
     per_subset_optimize,
-    weighted_pi0_for,
 )
 from dfdr.errors import (
     DfdrError,
@@ -32,17 +31,11 @@ from dfdr.errors import (
 from dfdr.estimators import (
     CENTRAL_BAND_MASS,
     CostBenefit,
-    DfdrEstimate,
     Pi0Estimate,
     choose_lambda,
     dfdr_from_cdfs,
-    estimate_desirability,
-    estimate_dfdr_at_pvalue,
-    estimate_dfdr_at_tau,
     estimate_pi0,
     estimate_pi0_from_pvalues,
-    estimate_pi0_weighted,
-    estimate_weighted_dfdr,
     p_to_cost_ratio,
     resolve_pi0,
     weighted_dfdr_from_cdfs,
@@ -50,14 +43,13 @@ from dfdr.estimators import (
 from dfdr.resampling import (
     PermutationPlan,
     build_statistic_set,
-    null_from_permutations,
     permutation_null,
+    two_sample_abs_t,
 )
 from dfdr.simulation import (
     DesirabilityRule,
     DfdrControlRule,
     ErrorRateReport,
-    FixedThresholdRule,
     LocalBin,
     ReplicateOutcome,
     SimulationConfig,
@@ -72,8 +64,6 @@ from dfdr.simulation import (
 from dfdr.stats import (
     PValueSet,
     StatisticSet,
-    abs_t_from_columns,
-    two_sample_abs_t,
     validate_pvalues,
 )
 

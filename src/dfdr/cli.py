@@ -33,7 +33,6 @@ from dfdr.decision import (
     maximize_desirability,
     maximize_desirability_pvalues,
     per_subset_optimize,
-    weighted_pi0_for,
 )
 from dfdr.errors import (
     DfdrError,
@@ -45,6 +44,7 @@ from dfdr.estimators import (
     CostBenefit,
     Pi0Estimate,
     estimate_pi0_from_pvalues,
+    p_to_cost_ratio,
     resolve_pi0,
 )
 from dfdr.resampling import PermutationPlan, build_statistic_set, check_null_fits
@@ -83,6 +83,7 @@ class _Parser(argparse.ArgumentParser):
 NUMBER = "%.12g"
 TESTS_ROW = f"%s,{NUMBER},%d\n"
 CURVE_ROW = f"{NUMBER},{NUMBER},{NUMBER},%d\n"
+COMPARISON_ROW = f"%s,%s,{NUMBER},{NUMBER},{NUMBER}\n"
 
 
 def _fmt(x) -> str:
@@ -101,19 +102,9 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_rows(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    _write_atomic(path, "\n".join(lines) + "\n")
-
-
 def _table(header: str, row_format: str, columns) -> str:
     """The header line, then ``row_format % row`` for each row of the zipped columns."""
     return header + "\n" + "".join(map(row_format.__mod__, zip(*columns)))
-
-
-def _write_summary(path: Path, items: list[tuple[str, object]]) -> None:
-    _write_atomic(path, "".join(f"{k}\t{_fmt(v)}\n" for k, v in items))
 
 
 def build_parser() -> _Parser:
@@ -185,43 +176,70 @@ def _parse_pi0_mode(text: str):
         ) from None
 
 
-def _cost_benefit_from_args(args) -> CostBenefit:
-    if args.mode == "control":
-        if args.cost_ratio is not None or args.p_threshold is not None:
-            raise UsageError("--cost-ratio/--p-threshold apply to maximize mode only")
-        return CostBenefit.from_probability(args.alpha if args.alpha is not None else 0.05)
-    if args.alpha is not None:
-        raise UsageError("--alpha applies to control mode only")
-    if args.cost_ratio is not None and args.p_threshold is not None:
-        raise UsageError("give only one of --cost-ratio and --p-threshold")
-    if args.cost_ratio is not None:
-        if args.cost_ratio < 0:
-            raise UsageError("--cost-ratio must be nonnegative")
-        return CostBenefit.from_ratio(args.cost_ratio)
-    p = args.p_threshold if args.p_threshold is not None else 0.05
-    if not 0.0 < p <= 1.0:
-        raise UsageError("--p-threshold must lie in (0, 1]")
-    return CostBenefit.from_probability(p)
+# analyze flags of the matrix route, which --pvalues replaces
+MATRIX_FLAGS = ("matrix", "labels", "group_a", "group_b", "subsets", "weights", "preprocess")
+# The range of each numeric flag, checked wherever the flag is given.
+RANGES = {
+    "cost_ratio": (lambda v: 0.0 <= v < math.inf, "must be nonnegative and finite"),
+    "p_threshold": (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+    "alpha": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "replicates": (lambda v: v >= 1, "must be >= 1"),
+    "boundary_fraction": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+}
 
 
-def _alpha_from_args(args) -> float:
-    alpha = args.alpha if args.alpha is not None else 0.05
-    if not 0.0 < alpha < 1.0:
-        raise UsageError("--alpha must lie in (0, 1)")
-    return alpha
+def _opt(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
-def _summary_common(args, mode_fields: list[tuple[str, object]], result: DecisionResult):
-    pi0 = result.pi0
-    return mode_fields + [
-        ("pi0_mode", pi0.mode),
-        ("lambda", pi0.lam),
-        ("pi0", pi0.value),
-        ("tau", result.tau),
-        ("discoveries", result.n_rejected),
-        ("dfdr", result.dfdr),
-        ("desirability", result.desirability),
+def _check_flags(args) -> None:
+    """Raise the UsageError of the first rule in the table that the flags break.
+
+    One table of flag rules for analyze and simulate, checked before any
+    input is read or output written. A flag is given unless it is None, or
+    False for a switch.
+    """
+    given = {k for k, v in vars(args).items() if v is not None and v is not False}
+    matrix_route = args.command == "analyze" and "pvalues" not in given
+    table = "subsets" if "subsets" in given else "weights"
+    costs = {"cost_ratio", "p_threshold"}
+    rules = [
+        *((f in given and "pvalues" in given, f"{_opt(f)} cannot be combined with --pvalues")
+          for f in MATRIX_FLAGS),
+        (matrix_route and not {"matrix", "labels"} <= given,
+         "analyze needs --matrix and --labels (or --pvalues)"),
+        (matrix_route and not {"group_a", "group_b"} <= given,
+         "analyze needs --group-a and --group-b"),
+        ({"subsets", "weights"} <= given, "give only one of --subsets and --weights"),
+        (matrix_route and args.permutations < 1, "--permutations must be >= 1"),
+        (table in given and args.mode != "maximize", f"--{table} supports maximize mode only"),
+        (table in given and given & (costs | {"alpha"}),
+         f"--{table} takes costs and benefits from the {table} file"),
+        (args.mode == "control" and given & costs,
+         "--cost-ratio/--p-threshold apply to maximize mode only"),
+        (args.mode == "maximize" and "alpha" in given, "--alpha applies to control mode only"),
+        (costs <= given, "give only one of --cost-ratio and --p-threshold"),
+        *((f in given and not ok(getattr(args, f)), f"{_opt(f)} {why}")
+          for f, (ok, why) in RANGES.items()),
     ]
+    for broken, message in rules:
+        if broken:
+            raise UsageError(message)
+
+
+def _rule_from_args(args) -> tuple[float, list[tuple[str, object]]]:
+    """The decision rule's parameter, with its summary field.
+
+    Maximize: the cost ratio, --cost-ratio or 1/p - 1 for --p-threshold p
+    (default p = 0.05). Control: the dFDR bound --alpha (default 0.05).
+    """
+    if args.mode == "control":
+        alpha = 0.05 if args.alpha is None else args.alpha
+        return alpha, [("alpha", alpha)]
+    ratio = args.cost_ratio
+    if ratio is None:
+        ratio = p_to_cost_ratio(0.05 if args.p_threshold is None else args.p_threshold)
+    return ratio, [("cost_ratio", ratio)]
 
 
 def _write_decision_outputs(
@@ -229,9 +247,10 @@ def _write_decision_outputs(
     ids: list[str],
     values: np.ndarray,
     result: DecisionResult,
-    summary_fields: list[tuple[str, object]],
+    fields: list[tuple[str, object]],
     stem: str = "",
 ) -> None:
+    """tests, curve and summary of one decision; ``fields`` open the summary."""
     suffix = f"_{stem}" if stem else ""
     flags = np.zeros(len(ids), dtype=np.int8)
     flags[np.fromiter(result.rejected, dtype=np.intp, count=len(result.rejected))] = 1
@@ -244,7 +263,17 @@ def _write_decision_outputs(
     _write_atomic(
         outdir / f"curve{suffix}.csv", _table("tau,desirability,dfdr,discoveries", CURVE_ROW, curve)
     )
-    _write_summary(outdir / f"summary{suffix}.txt", summary_fields)
+    pi0 = result.pi0
+    fields = fields + [
+        ("pi0_mode", pi0.mode),
+        ("lambda", pi0.lam),
+        ("pi0", pi0.value),
+        ("tau", result.tau),
+        ("discoveries", result.n_rejected),
+        ("dfdr", result.dfdr),
+        ("desirability", result.desirability),
+    ]
+    _write_atomic(outdir / f"summary{suffix}.txt", "".join(f"{k}\t{_fmt(v)}\n" for k, v in fields))
 
 
 def _read_table(path, header: list[str]) -> list[tuple[int, list[str]]]:
@@ -305,37 +334,16 @@ def _load_weights(path, matrix: DataMatrix) -> CostBenefit:
         raise ValidationError(f"{path}: no weights for feature {missing[0]!r}")
     benefits = np.array([by_id[fid][1] for fid in matrix.feature_ids])
     costs = np.array([by_id[fid][2] for fid in matrix.feature_ids])
-    return CostBenefit.per_test(benefits, costs)
+    return CostBenefit(benefits, costs)
 
 
 def run_analyze(args) -> int:
+    _check_flags(args)
+    pi0_mode = _parse_pi0_mode(args.pi0)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    pi0_mode = _parse_pi0_mode(args.pi0)
-
     if args.pvalues is not None:
-        for flag, name in (
-            (args.matrix, "--matrix"),
-            (args.labels, "--labels"),
-            (args.group_a, "--group-a"),
-            (args.group_b, "--group-b"),
-            (args.subsets, "--subsets"),
-            (args.weights, "--weights"),
-        ):
-            if flag is not None:
-                raise UsageError(f"{name} cannot be combined with --pvalues")
-        if args.preprocess:
-            raise UsageError("--preprocess cannot be combined with --pvalues")
         return _analyze_pvalues(args, outdir, pi0_mode)
-
-    if args.matrix is None or args.labels is None:
-        raise UsageError("analyze needs --matrix and --labels (or --pvalues)")
-    if args.group_a is None or args.group_b is None:
-        raise UsageError("analyze needs --group-a and --group-b")
-    if args.subsets is not None and args.weights is not None:
-        raise UsageError("give only one of --subsets and --weights")
-    if args.permutations < 1:
-        raise UsageError("--permutations must be >= 1")
 
     matrix = load_matrix(args.matrix, args.labels)
     if args.preprocess:
@@ -352,10 +360,6 @@ def run_analyze(args) -> int:
     ]
 
     if args.subsets is not None:
-        if args.mode != "maximize":
-            raise UsageError("--subsets supports maximize mode only")
-        if args.cost_ratio is not None or args.p_threshold is not None or args.alpha is not None:
-            raise UsageError("--subsets takes costs and benefits from the subsets file")
         partition = _load_subsets(args.subsets, matrix, args.min_subset_size)
         # one null per comparison, plus one subset's slice and its sort
         comparisons = {(s.group_a, s.group_b) for s in partition.subsets}
@@ -364,18 +368,13 @@ def run_analyze(args) -> int:
         for sd in decisions:
             subset, result = sd.subset, sd.result
             sub_ids = [matrix.feature_ids[i] for i in subset.feature_indices]
-            fields = _summary_common(
-                args,
-                base_fields
-                + [
-                    ("subset", subset.name),
-                    ("group_a", subset.group_a),
-                    ("group_b", subset.group_b),
-                    ("benefit", subset.benefit),
-                    ("cost", subset.cost),
-                ],
-                result,
-            )
+            fields = base_fields + [
+                ("subset", subset.name),
+                ("group_a", subset.group_a),
+                ("group_b", subset.group_b),
+                ("benefit", subset.benefit),
+                ("cost", subset.cost),
+            ]
             _write_decision_outputs(outdir, sub_ids, sd.observed, result, fields, stem=subset.name)
         return 0
 
@@ -383,35 +382,21 @@ def run_analyze(args) -> int:
     # partitions (the weight sums need one block at a time)
     check_null_fits(matrix, plan, 2)
     stats = build_statistic_set(matrix, args.group_a, args.group_b, plan)
-    group_fields = [("group_a", args.group_a), ("group_b", args.group_b)]
+    base_fields += [("group_a", args.group_a), ("group_b", args.group_b)]
 
     if args.weights is not None:
-        if args.mode != "maximize":
-            raise UsageError("--weights supports maximize mode only")
-        if args.cost_ratio is not None or args.p_threshold is not None or args.alpha is not None:
-            raise UsageError("--weights takes costs and benefits from the weights file")
         cb = _load_weights(args.weights, matrix)
-        weights = cb.weights
-        if pi0_mode == "estimate":
-            pi0 = weighted_pi0_for(stats, weights)
-        else:
-            pi0 = resolve_pi0(stats, pi0_mode)
-        result = common_threshold_weighted(stats, weights, cb.benefits, pi0)
-        fields = _summary_common(args, base_fields + group_fields + [("weighted", True)], result)
-        _write_decision_outputs(outdir, list(matrix.feature_ids), stats.observed, result, fields)
-        return 0
-
-    pi0 = resolve_pi0(stats, pi0_mode)
-    if args.mode == "maximize":
-        cb = _cost_benefit_from_args(args)
-        result = maximize_desirability(stats, pi0, cb)
-        mode_fields = base_fields + group_fields + [("cost_ratio", cb.homogeneous()[1])]
+        pi0 = resolve_pi0(stats, pi0_mode, cb.weights)
+        result = common_threshold_weighted(stats, cb.weights, cb.benefits, pi0)
+        fields = base_fields + [("weighted", True)]
     else:
-        _cost_benefit_from_args(args)  # flag validation only
-        alpha = _alpha_from_args(args)
-        result = control_dfdr(stats, pi0, alpha)
-        mode_fields = base_fields + group_fields + [("alpha", alpha)]
-    fields = _summary_common(args, mode_fields, result)
+        pi0 = resolve_pi0(stats, pi0_mode)
+        value, rule_fields = _rule_from_args(args)
+        if args.mode == "maximize":
+            result = maximize_desirability(stats, pi0, CostBenefit.from_ratio(value))
+        else:
+            result = control_dfdr(stats, pi0, value)
+        fields = base_fields + rule_fields
     _write_decision_outputs(outdir, list(matrix.feature_ids), stats.observed, result, fields)
     return 0
 
@@ -438,41 +423,28 @@ def _analyze_pvalues(args, outdir: Path, pi0_mode) -> int:
     pvals = validate_pvalues(_read_pvalues(args.pvalues))
     if pi0_mode == "estimate":
         pi0 = estimate_pi0_from_pvalues(pvals)
-    elif pi0_mode == "one":
-        pi0 = Pi0Estimate.fixed_one()
     else:
-        pi0 = Pi0Estimate.user(pi0_mode)
-
-    base_fields = [
+        pi0 = resolve_pi0(pvals, pi0_mode)
+    value, rule_fields = _rule_from_args(args)
+    if args.mode == "maximize":
+        result = maximize_desirability_pvalues(pvals, pi0, CostBenefit.from_ratio(value))
+    else:
+        result = control_dfdr_pvalues(pvals, pi0, value)
+    fields = [
         ("command", "analyze"),
         ("mode", args.mode),
         ("input", "pvalues"),
         ("m", pvals.n_tests),
         ("seed", args.seed),
     ]
-    if args.mode == "maximize":
-        cb = _cost_benefit_from_args(args)
-        result = maximize_desirability_pvalues(pvals, pi0, cb)
-        fields = base_fields + [("cost_ratio", cb.homogeneous()[1])]
-    else:
-        _cost_benefit_from_args(args)
-        alpha = _alpha_from_args(args)
-        result = control_dfdr_pvalues(pvals, pi0, alpha)
-        fields = base_fields + [("alpha", alpha)]
-
     digits = len(str(pvals.n_tests))
     ids = list(map(f"p%0{digits}d".__mod__, range(pvals.n_tests)))
-    _write_decision_outputs(
-        outdir, ids, pvals.pvalues, result, _summary_common(args, fields, result)
-    )
+    _write_decision_outputs(outdir, ids, pvals.pvalues, result, fields + rule_fields)
     return 0
 
 
 def run_simulate(args) -> int:
-    if args.replicates < 1:
-        raise UsageError("--replicates must be >= 1")
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    _check_flags(args)
     pi0_mode = _parse_pi0_mode(args.pi0)
 
     config = SimulationConfig(
@@ -488,18 +460,15 @@ def run_simulate(args) -> int:
         block_size=args.block_size,
         block_rho=args.block_rho,
     )
+    value, rule_fields = _rule_from_args(args)
     if args.mode == "maximize":
-        cb = _cost_benefit_from_args(args)
-        _, ratio = cb.homogeneous()
-        bound = cb.probability
-        rule = DesirabilityRule(cost_ratio=ratio, pi0_mode=pi0_mode)
-        rule_fields = [("rule", "maximize"), ("cost_ratio", ratio), ("bound", bound)]
+        bound = 1.0 / (1.0 + value)
+        rule = DesirabilityRule(cost_ratio=value, pi0_mode=pi0_mode)
     else:
-        _cost_benefit_from_args(args)
-        bound = _alpha_from_args(args)
-        rule = DfdrControlRule(alpha=bound, pi0_mode=pi0_mode)
-        rule_fields = [("rule", "control"), ("alpha", bound), ("bound", bound)]
-
+        bound = value
+        rule = DfdrControlRule(alpha=value, pi0_mode=pi0_mode)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     report = measure_error_rates(config, rule)
 
     lines: list[tuple[str, object]] = [
@@ -516,7 +485,7 @@ def run_simulate(args) -> int:
         ("block_size", config.block_size),
         ("block_rho", config.block_rho),
     ]
-    lines += rule_fields
+    lines += [("rule", args.mode), *rule_fields, ("bound", bound)]
     lines += [
         ("fdr", report.fdr),
         ("fdr_se", report.fdr_se),
@@ -529,11 +498,10 @@ def run_simulate(args) -> int:
         ("replicates_with_rejections", report.replicates_with_rejections),
     ]
 
-    checks: list[tuple[str, float, float, bool]] = []
+    # (check, realized rate, rejections behind it): a rate passes within three
+    # binomial standard errors of the bound; with no rejection the rate is 0
+    checks = [("pooled_bound", report.dfdr, report.total_rejections)]
     if report.total_rejections > 0:
-        se = math.sqrt(bound * (1.0 - bound) / report.total_rejections)
-        limit = bound + 3.0 * se
-        checks.append(("pooled_bound", report.dfdr, limit, report.dfdr <= limit))
         try:
             h = boundary_offset(report.outcomes, args.boundary_fraction)
         except ValidationError:
@@ -548,15 +516,12 @@ def run_simulate(args) -> int:
                 ("boundary_rate", boundary.rate),
             ]
             if boundary.rejections > 0:
-                se_b = math.sqrt(bound * (1.0 - bound) / boundary.rejections)
-                limit_b = bound + 3.0 * se_b
-                checks.append(("boundary_bound", boundary.rate, limit_b, boundary.rate <= limit_b))
-    else:
-        checks.append(("pooled_bound", 0.0, bound, True))
+                checks.append(("boundary_bound", boundary.rate, boundary.rejections))
 
     text = "".join(f"{k}\t{_fmt(v)}\n" for k, v in lines)
-    for name, actual, limit, ok in checks:
-        verdict = "PASS" if ok else "FAIL"
+    for name, actual, n in checks:
+        limit = bound + 3.0 * math.sqrt(bound * (1.0 - bound) / n) if n else bound
+        verdict = "PASS" if actual <= limit else "FAIL"
         text += f"check\t{name}\t{verdict}\tactual={_fmt(actual)}\tlimit={_fmt(limit)}\n"
     _write_atomic(outdir / "report.txt", text)
     print(text, end="")
@@ -587,13 +552,14 @@ def run_reproduce(args) -> int:
     check_null_fits(matrix, plan, 2 if args.group_t is None else 5)
     stats = build_statistic_set(matrix, args.group_a, args.group_b, plan)
 
-    rows: list[tuple] = []
-
-    def compare(config_name: str, metric: str, actual: float, reference: float):
-        rows.append((config_name, metric, actual, reference, actual - reference))
-
     pi0_by_mode = {"estimate": resolve_pi0(stats, "estimate"), "one": Pi0Estimate.fixed_one()}
-    compare("pi0", "pi0", pi0_by_mode["estimate"].value, REFERENCE_PI0)
+    pi0 = pi0_by_mode["estimate"].value
+    rows: list[tuple] = [("pi0", "pi0", pi0, REFERENCE_PI0, pi0 - REFERENCE_PI0)]
+
+    def compare(name: str, result: DecisionResult, reference: dict) -> None:
+        actuals = (("tau", result.tau), ("discoveries", result.n_rejected), ("dfdr", result.dfdr))
+        for metric, actual in actuals:
+            rows.append((name, metric, actual, reference[metric], actual - reference[metric]))
 
     for mode in ("maximize", "control"):
         for pi0_mode in ("estimate", "one"):
@@ -602,11 +568,7 @@ def run_reproduce(args) -> int:
                 result = maximize_desirability(stats, pi0, CostBenefit.from_ratio(19.0))
             else:
                 result = control_dfdr(stats, pi0, 0.05)
-            name = f"{mode}/pi0={pi0_mode}"
-            ref = REFERENCE_RESULTS[(mode, pi0_mode)]
-            compare(name, "tau", result.tau, ref["tau"])
-            compare(name, "discoveries", result.n_rejected, ref["discoveries"])
-            compare(name, "dfdr", result.dfdr, ref["dfdr"])
+            compare(f"{mode}/pi0={pi0_mode}", result, REFERENCE_RESULTS[(mode, pi0_mode)])
 
     if args.group_t is not None:
         # Per-subset thresholds for two comparisons: the first (benefit 1,
@@ -617,12 +579,10 @@ def run_reproduce(args) -> int:
             subsets=(Subset("second", rows_all, args.group_a, args.group_t, 2.0, 19.0),)
         )
         second = per_subset_optimize(partition, matrix, plan, "estimate")[0].result
-        compare("second-comparison", "tau", second.tau, REFERENCE_SECOND["tau"])
-        compare("second-comparison", "discoveries", second.n_rejected, REFERENCE_SECOND["discoveries"])
-        compare("second-comparison", "dfdr", second.dfdr, REFERENCE_SECOND["dfdr"])
+        compare("second-comparison", second, REFERENCE_SECOND)
 
     header = ["configuration", "metric", "actual", "reference", "deviation"]
-    _write_rows(outdir / "comparison.csv", header, rows)
+    _write_atomic(outdir / "comparison.csv", _table(",".join(header), COMPARISON_ROW, zip(*rows)))
     widths = [24, 12, 14, 12, 12]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     for row in rows:

@@ -51,12 +51,9 @@ class DataMatrix:
                 f"{len(self.subject_ids)} subject ids / {len(self.labels)} labels "
                 f"for {n} columns"
             )
-        dup = _first_duplicate(self.feature_ids)
-        if dup is not None:
-            raise ValidationError(f"duplicate feature id {dup!r}")
-        dup = _first_duplicate(self.subject_ids)
-        if dup is not None:
-            raise ValidationError(f"duplicate subject id {dup!r}")
+        for kind, ids in (("feature", self.feature_ids), ("subject", self.subject_ids)):
+            if len(set(ids)) != len(ids):  # walk the ids only to name the repeat
+                raise ValidationError(f"duplicate {kind} id {_first_duplicate(ids)!r}")
         if not np.all(np.isfinite(values)):
             raise ValidationError("matrix contains non-finite values")
 
@@ -68,28 +65,11 @@ class DataMatrix:
     def n_subjects(self) -> int:
         return self.values.shape[1]
 
-    def groups(self) -> dict[str, tuple[int, ...]]:
-        """Column indices per group tag, in order of first appearance."""
-        out: dict[str, list[int]] = {}
-        for j, tag in enumerate(self.labels):
-            out.setdefault(tag, []).append(j)
-        return {tag: tuple(cols) for tag, cols in out.items()}
-
     def group_columns(self, tag: str) -> np.ndarray:
         cols = [j for j, label in enumerate(self.labels) if label == tag]
         if not cols:
             raise ValidationError(f"group {tag!r} not present in labels")
         return np.asarray(cols, dtype=np.intp)
-
-    def select_features(self, indices) -> "DataMatrix":
-        """New matrix restricted to the given feature rows (order preserved)."""
-        idx = np.asarray(indices, dtype=np.intp)
-        return DataMatrix(
-            values=self.values[idx],
-            feature_ids=tuple(self.feature_ids[i] for i in idx),
-            subject_ids=self.subject_ids,
-            labels=self.labels,
-        )
 
 
 def load_labels(path) -> dict[str, str]:

@@ -29,10 +29,9 @@ from dfdr.estimators import (
     CostBenefit,
     Pi0Estimate,
     checked_weights,
-    choose_lambda,
     dfdr_from_counts,
-    estimate_pi0_weighted,
     exceedances,
+    p_to_cost_ratio,
     resolve_pi0,
     weight_exceedances,
 )
@@ -202,7 +201,6 @@ def control_dfdr(
     stats: StatisticSet,
     pi0: Pi0Estimate,
     alpha: float,
-    cost_benefit: CostBenefit | None = None,
 ) -> DecisionResult:
     """Reject as many hypotheses as possible with estimated dFDR <= alpha.
 
@@ -211,21 +209,19 @@ def control_dfdr(
     maximizes discoveries. With no feasible candidate the threshold is +inf:
     nothing is rejected but the +inf sentinels, which every region holds (and
     whose estimate can exceed alpha only when the nulls hold +inf as well).
-    The reported desirability uses ``cost_benefit`` if given, otherwise the
-    ratio 1/alpha - 1 matching the bound.
+    The reported desirability uses the ratio 1/alpha - 1 matching the bound.
     """
-    curve = _scan(stats, pi0, *_control_terms(alpha, cost_benefit))
+    curve = _scan(stats, pi0, *_control_terms(alpha))
     feasible = np.flatnonzero(curve.dfdr <= alpha)
     pick = int(feasible[0]) if feasible.size else len(curve) - 1
     return _result(pi0, curve, pick, lambda tau: stats.observed >= tau)
 
 
-def _control_terms(alpha: float, cost_benefit: CostBenefit | None) -> tuple[float, float]:
+def _control_terms(alpha: float) -> tuple[float, float]:
+    """Benefit 1 and the cost ratio 1/alpha - 1 matching the bound."""
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if cost_benefit is None:
-        cost_benefit = CostBenefit.from_probability(alpha)
-    return cost_benefit.homogeneous()
+    return 1.0, p_to_cost_ratio(alpha)
 
 
 def per_subset_optimize(
@@ -260,7 +256,7 @@ def per_subset_optimize(
             n_permutations=plan.n_permutations,
         )
         pi0 = resolve_pi0(stats, pi0_mode)
-        cb = CostBenefit.per_test([subset.benefit], [subset.cost])
+        cb = CostBenefit([subset.benefit], [subset.cost])
         result = maximize_desirability(stats, pi0, cb)
         out.append(SubsetDecision(subset=subset, result=result, observed=stats.observed))
     return tuple(out)
@@ -296,12 +292,6 @@ def common_threshold_weighted(
     return _result(pi0_weighted, curve, pick, lambda tau: stats.observed >= tau)
 
 
-def weighted_pi0_for(stats: StatisticSet, weights) -> Pi0Estimate:
-    """Convenience: tuning threshold plus weighted pi0 estimate for pooled stats."""
-    lam = choose_lambda(stats.null_stats)
-    return estimate_pi0_weighted(stats.observed, stats.null_stats, weights, lam)
-
-
 def maximize_desirability_pvalues(
     pvals: PValueSet, pi0: Pi0Estimate, cost_benefit: CostBenefit
 ) -> DecisionResult:
@@ -320,9 +310,8 @@ def control_dfdr_pvalues(
     pvals: PValueSet,
     pi0: Pi0Estimate,
     alpha: float,
-    cost_benefit: CostBenefit | None = None,
 ) -> DecisionResult:
     """Largest p-value cutoff with estimated dFDR <= alpha."""
-    curve = _scan_p(pvals, pi0, *_control_terms(alpha, cost_benefit))
+    curve = _scan_p(pvals, pi0, *_control_terms(alpha))
     pick = int(np.flatnonzero(curve.dfdr <= alpha)[-1])  # -inf is always feasible
     return _result(pi0, curve, pick, lambda cutoff: pvals.pvalues <= cutoff)

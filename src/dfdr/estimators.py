@@ -112,20 +112,9 @@ class CostBenefit:
         """Homogeneous case from a probability threshold p = (1 + c/b)^-1."""
         return cls.from_ratio(p_to_cost_ratio(p))
 
-    @classmethod
-    def per_test(cls, benefits, costs) -> "CostBenefit":
-        return cls(benefits=np.asarray(benefits, float), costs=np.asarray(costs, float))
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return bool(
-            np.all(self.benefits == self.benefits[0])
-            and np.all(self.costs == self.costs[0])
-        )
-
     def homogeneous(self) -> tuple[float, float]:
         """(benefit, cost/benefit ratio); requires equal per-test values and benefit > 0."""
-        if not self.is_homogeneous:
+        if np.any(self.benefits != self.benefits[0]) or np.any(self.costs != self.costs[0]):
             raise ValidationError("costs and benefits differ between tests")
         b1 = float(self.benefits[0])
         if b1 <= 0.0:
@@ -142,16 +131,6 @@ class CostBenefit:
     def weights(self) -> np.ndarray:
         """Per-test weights benefit + cost, as used by the weighted dFDR."""
         return self.benefits + self.costs
-
-
-@dataclass(frozen=True)
-class DfdrEstimate:
-    """dFDR estimate at one threshold, with the counts behind it."""
-
-    tau: float
-    value: float
-    discoveries: int
-    null_exceedances: int
 
 
 def p_to_cost_ratio(p: float) -> float:
@@ -229,46 +208,36 @@ def choose_lambda(null_stats) -> float:
     return float(np.min(part, where=part > v, initial=np.inf))  # the next run
 
 
-def estimate_pi0(observed, null_stats, lam: float) -> Pi0Estimate:
+def estimate_pi0(observed, null_stats, lam: float, weights=None) -> Pi0Estimate:
     """Quantile-matching pi0 estimate at tuning threshold lam.
 
     The raw ratio (share of observed statistics below lam) / (share of null
     statistics below lam) is clamped into [0, 1]; raw values above 1 are
-    meaningless as a proportion. Raises UndefinedEstimateError when no null
-    statistic falls below lam.
+    meaningless as a proportion. With per-test ``weights`` the counts become
+    weight sums: each null statistic inherits the weight of the test that
+    generated it (nulls are permutation-major), so the null weight below lam
+    is the per-test count below lam times that test's weight, and equal
+    weights give the unweighted estimate. Raises UndefinedEstimateError when
+    no null statistic (no positive null weight) falls below lam.
     """
     obs = np.asarray(observed, dtype=float).ravel()
     nulls = np.asarray(null_stats, dtype=float).ravel()
-    below = (np.count_nonzero(obs < lam), np.count_nonzero(nulls < lam))
-    return _quantile_matched(*below, obs.size, nulls.size, lam, "null statistic")
-
-
-def estimate_pi0_weighted(observed, null_stats, weights, lam: float) -> Pi0Estimate:
-    """Weighted pi0 estimate: indicator counts replaced by weight sums.
-
-    Each null statistic inherits the weight of the test that generated it
-    (null ordering is permutation-major), so the null weight below lam is
-    the per-test count below lam times that test's weight. Reduces to
-    estimate_pi0 when all weights are equal.
-    """
-    obs = np.asarray(observed, dtype=float).ravel()
-    nulls = np.asarray(null_stats, dtype=float).ravel()
-    if nulls.size == 0 or nulls.size % obs.size != 0:
-        raise ValidationError(
-            f"{nulls.size} null statistics cannot inherit weights from {obs.size} tests"
-        )
-    w = checked_weights(weights, obs.size)
-    per_test = np.count_nonzero((nulls < lam).reshape(-1, obs.size), axis=0)
-    below = (float(np.sum(w[obs < lam])), float(per_test @ w))
-    return _quantile_matched(*below, obs.size, nulls.size, lam, "positive null weight")
-
-
-def _quantile_matched(obs_below, null_below, n_obs, n_null, lam, counted) -> Pi0Estimate:
+    if weights is None:
+        obs_below, null_below = np.count_nonzero(obs < lam), np.count_nonzero(nulls < lam)
+    else:
+        if nulls.size == 0 or nulls.size % obs.size != 0:
+            raise ValidationError(
+                f"{nulls.size} null statistics cannot inherit weights from {obs.size} tests"
+            )
+        w = checked_weights(weights, obs.size)
+        per_test = np.count_nonzero((nulls < lam).reshape(-1, obs.size), axis=0)
+        obs_below, null_below = float(np.sum(w[obs < lam])), float(per_test @ w)
     if null_below == 0:
+        counted = "null statistic" if weights is None else "positive null weight"
         raise UndefinedEstimateError(
             f"no {counted} below lambda={lam!r}; consider the conservative mode pi0 = 1"
         )
-    return Pi0Estimate.estimated((obs_below / n_obs) / (null_below / n_null), lam)
+    return Pi0Estimate.estimated((obs_below / obs.size) / (null_below / nulls.size), lam)
 
 
 def estimate_pi0_from_pvalues(pvals: PValueSet) -> Pi0Estimate:
@@ -281,71 +250,23 @@ def estimate_pi0_from_pvalues(pvals: PValueSet) -> Pi0Estimate:
     return Pi0Estimate.estimated(frac / CENTRAL_BAND_MASS, PVALUE_BAND_THRESHOLD)
 
 
-def resolve_pi0(stats: StatisticSet, mode) -> Pi0Estimate:
-    """Build a Pi0Estimate from a mode: "estimate", "one", or a number."""
+def resolve_pi0(stats: StatisticSet, mode, weights=None) -> Pi0Estimate:
+    """Build a Pi0Estimate from a mode: "estimate", "one", or a number.
+
+    Only "estimate" reads ``stats``, so the other modes serve the p-value
+    route too, whose estimate is ``estimate_pi0_from_pvalues``. With per-test
+    ``weights`` the estimate is weighted and lambda is selected from the
+    unsorted null, which the weighted scan never sorts; the unweighted scans
+    sort the null anyway, so lambda reads that sorted copy.
+    """
     if mode == "one":
         return Pi0Estimate.fixed_one()
     if mode == "estimate":
-        # every caller scans the sorted null next, so the sort is not extra
-        lam = choose_lambda(stats.sorted_null)
-        return estimate_pi0(stats.observed, stats.null_stats, lam)
+        null = stats.sorted_null if weights is None else stats.null_stats
+        return estimate_pi0(stats.observed, stats.null_stats, choose_lambda(null), weights)
     if isinstance(mode, (int, float)) and not isinstance(mode, bool):
         return Pi0Estimate.user(float(mode))
     raise ValidationError(f"unknown pi0 mode {mode!r}")
-
-
-def estimate_dfdr_at_tau(stats: StatisticSet, pi0: Pi0Estimate, tau: float) -> DfdrEstimate:
-    """dFDR estimate for the rejection region [tau, inf)."""
-    k_obs = exceedances(stats.sorted_observed, tau)
-    k_null = exceedances(stats.sorted_null, tau)
-    value = dfdr_from_counts(pi0.value, k_null / stats.n_null, k_obs, stats.n_tests)
-    return DfdrEstimate(
-        tau=float(tau), value=float(value), discoveries=int(k_obs), null_exceedances=int(k_null)
-    )
-
-
-def estimate_dfdr_at_pvalue(pvals: PValueSet, pi0: Pi0Estimate, cutoff: float) -> DfdrEstimate:
-    """dFDR estimate when rejecting every p-value <= cutoff.
-
-    Uses the uniform null distribution of p-values directly (null share =
-    cutoff), so no resampled nulls are needed; the null exceedance count
-    reported is the expected count m * cutoff rounded to the nearest integer.
-    """
-    if not 0.0 <= cutoff <= 1.0:
-        raise ValidationError(f"p-value cutoff must lie in [0, 1], got {cutoff!r}")
-    m = pvals.n_tests
-    k = np.searchsorted(pvals.sorted_pvalues, cutoff, side="right")
-    return DfdrEstimate(
-        tau=float(cutoff),
-        value=float(dfdr_from_counts(pi0.value, cutoff, k, m)),
-        discoveries=int(k),
-        null_exceedances=int(round(m * cutoff)),
-    )
-
-
-def estimate_desirability(
-    stats: StatisticSet, pi0: Pi0Estimate, cost_benefit: CostBenefit, tau: float
-) -> float:
-    """Estimated expected net desirability of rejecting all statistics >= tau.
-
-    benefit * (1 - (1 + cost/benefit) * dFDR(tau)) * (number of discoveries).
-    """
-    b1, ratio = cost_benefit.homogeneous()
-    est = estimate_dfdr_at_tau(stats, pi0, tau)
-    return b1 * (1.0 - (1.0 + ratio) * est.value) * est.discoveries
-
-
-def estimate_weighted_dfdr(stats: StatisticSet, pi0: Pi0Estimate, weights, tau: float) -> float:
-    """Weighted dFDR estimate at tau with nonnegative per-test weights.
-
-    Indicator counts become weight sums; with constant weights this equals
-    estimate_dfdr_at_tau to machine precision. Zero when no rejected test
-    carries positive weight.
-    """
-    w = checked_weights(weights, stats.n_tests)
-    denom = weight_exceedances(stats.observed, w, tau)
-    num = weight_exceedances(stats.null_stats, w, tau)
-    return float(dfdr_from_counts(pi0.value, num / stats.n_null, denom, stats.n_tests))
 
 
 def dfdr_from_cdfs(pi0: float, null_cdf_at_tau: float, marginal_cdf_at_tau: float) -> float:

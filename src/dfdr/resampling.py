@@ -78,26 +78,6 @@ def check_null_fits(matrix: DataMatrix, plan: PermutationPlan, arrays: int) -> N
         )
 
 
-def null_from_permutations(
-    matrix: DataMatrix,
-    group_a: str,
-    group_b: str,
-    permutations,
-) -> np.ndarray:
-    """Null statistics for an explicit sequence of label permutations.
-
-    Each permutation reassigns the pooled columns of the two groups to the
-    group slots while keeping group sizes fixed. Useful for forcing specific
-    permutations (e.g. the identity) in tests.
-    """
-    values, pool, n_a = _comparison(matrix, group_a, group_b)
-    perms = [np.asarray(perm, dtype=np.intp) for perm in permutations]
-    for b, perm in enumerate(perms):
-        if perm.shape != pool.shape or not np.array_equal(np.sort(perm), np.arange(pool.size)):
-            raise ValidationError(f"permutation {b} is not a permutation of the pooled columns")
-    return welch_abs_t(values, pool, n_a, np.reshape(perms, (len(perms), pool.size))).ravel()
-
-
 def permutation_null(
     matrix: DataMatrix,
     group_a: str,
@@ -136,7 +116,15 @@ def build_statistic_set(
     )
 
 
+def two_sample_abs_t(matrix: DataMatrix, group_a: str, group_b: str) -> np.ndarray:
+    """Absolute two-sample t statistic per feature for the two named groups."""
+    values, pool, n_a = _comparison(matrix, group_a, group_b)
+    return welch_abs_t(values, pool, n_a, np.arange(pool.size)[None, :])[0]
+
+
 def _comparison(matrix: DataMatrix, group_a: str, group_b: str):
     """Values, pooled columns (group A's, then B's) and group A's size."""
+    if group_a == group_b:
+        raise ValidationError(f"group {group_a!r} cannot be compared with itself")
     cols_a = matrix.group_columns(group_a)
     return matrix.values, np.concatenate([cols_a, matrix.group_columns(group_b)]), cols_a.size

@@ -25,12 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from dfdr.data import DataMatrix
-from dfdr.decision import Curve, DecisionResult, control_dfdr, maximize_desirability
+from dfdr.decision import DecisionResult, control_dfdr, maximize_desirability
 from dfdr.errors import ValidationError
 from dfdr.estimators import (
     CostBenefit,
     dfdr_from_cdfs,
-    estimate_dfdr_at_tau,
     resolve_pi0,
 )
 from dfdr.resampling import PermutationPlan, build_statistic_set
@@ -66,6 +65,8 @@ class SimulationConfig:
             raise ValidationError("pi0 must lie in [0, 1]")
         if self.replicates < 1:
             raise ValidationError("replicates must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be a nonnegative integer")
         if self.n_a < 2 or self.n_b < 2:
             raise ValidationError("both groups need at least two subjects")
         if not math.isfinite(self.effect):
@@ -211,69 +212,37 @@ class DfdrControlRule:
         return control_dfdr(stats, pi0, self.alpha)
 
 
-@dataclass(frozen=True)
-class FixedThresholdRule:
-    """Decision rule: reject every statistic >= tau, no optimization."""
-
-    tau: float
-    pi0_mode: object = "one"
-
-    def __call__(self, stats: StatisticSet) -> DecisionResult:
-        pi0 = resolve_pi0(stats, self.pi0_mode)
-        est = estimate_dfdr_at_tau(stats, pi0, self.tau)
-        rejected = frozenset(int(i) for i in np.flatnonzero(stats.observed >= self.tau))
-        return DecisionResult(
-            tau=float(self.tau),
-            rejected=rejected,
-            dfdr=est.value,
-            desirability=math.nan,
-            pi0=pi0,
-            curve=Curve(*[np.empty(0)] * 4),  # no candidates scanned
-        )
-
-
 def measure_error_rates(config: SimulationConfig, rule) -> ErrorRateReport:
     """Run the full pipeline per replicate and pool the realized error rates."""
     outcomes = []
-    fractions = []  # V/R per replicate, 0 when R == 0
-    rejecting = []  # V/R over replicates with R > 0
-    total_v = 0
-    total_r = 0
-    for r in range(config.replicates):
-        stats, h = build_replicate_stats(config, r)
+    for replicate in range(config.replicates):
+        stats, h = build_replicate_stats(config, replicate)
         decision = rule(stats)
         idx = np.fromiter(decision.rejected, dtype=int, count=len(decision.rejected))
-        n_rejected = idx.size
-        is_null = h[idx] == 0 if n_rejected else np.zeros(0, dtype=bool)
-        n_false = int(np.count_nonzero(is_null))
-        order = np.argsort(stats.observed[idx]) if n_rejected else np.zeros(0, dtype=int)
+        is_null = h[idx] == 0
+        order = np.argsort(stats.observed[idx])
         outcomes.append(
             ReplicateOutcome(
                 tau=decision.tau,
                 dfdr_estimate=decision.dfdr,
                 pi0_value=decision.pi0.value,
-                n_rejected=n_rejected,
-                n_false=n_false,
+                n_rejected=idx.size,
+                n_false=int(np.count_nonzero(is_null)),
                 rejected_stats=stats.observed[idx][order],
                 rejected_is_null=is_null[order],
             )
         )
-        total_v += n_false
-        total_r += n_rejected
-        if n_rejected > 0:
-            q = n_false / n_rejected
-            fractions.append(q)
-            rejecting.append(q)
-        else:
-            fractions.append(0.0)
 
     n = config.replicates
-    fractions_arr = np.asarray(fractions)
-    fdr = float(fractions_arr.mean())
-    fdr_se = float(fractions_arr.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
+    n_false = np.array([o.n_false for o in outcomes])
+    n_rejected = np.array([o.n_rejected for o in outcomes])
+    fractions = np.divide(n_false, n_rejected, out=np.zeros(n), where=n_rejected > 0)  # V/R or 0
+    rej = fractions[n_rejected > 0]  # V/R over replicates with R > 0
+    total_v, total_r = int(n_false.sum()), int(n_rejected.sum())
+    fdr = float(fractions.mean())
+    fdr_se = float(fractions.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
 
-    if rejecting:
-        rej = np.asarray(rejecting)
+    if rej.size:
         pfdr = float(rej.mean())
         pfdr_se = float(rej.std(ddof=1) / math.sqrt(rej.size)) if rej.size > 1 else math.nan
         pooled = total_v / total_r
@@ -296,7 +265,7 @@ def measure_error_rates(config: SimulationConfig, rule) -> ErrorRateReport:
         conditional_prob=conditional,
         total_rejections=total_r,
         total_false_rejections=total_v,
-        replicates_with_rejections=len(rejecting),
+        replicates_with_rejections=rej.size,
         replicates=n,
         outcomes=tuple(outcomes),
     )
@@ -315,17 +284,14 @@ def measure_local_dfdr(outcomes, offsets) -> tuple[LocalBin, ...]:
         raise ValidationError("offsets must be positive and increasing")
     edges = [0.0] + offsets + [math.inf]
 
+    # every rejection's offset above its replicate's threshold, and its truth
+    rel = np.concatenate([np.zeros(0)] + [o.rejected_stats - o.tau for o in outcomes])
+    is_null = np.concatenate([np.zeros(0, dtype=bool)] + [o.rejected_is_null for o in outcomes])
     bins = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        rejections = 0
-        false_rejections = 0
-        for outcome in outcomes:
-            if outcome.n_rejected == 0:
-                continue
-            rel = outcome.rejected_stats - outcome.tau
-            in_bin = (rel >= lo) & (rel < hi)
-            rejections += int(np.count_nonzero(in_bin))
-            false_rejections += int(np.count_nonzero(outcome.rejected_is_null[in_bin]))
+        in_bin = (rel >= lo) & (rel < hi)
+        rejections = int(np.count_nonzero(in_bin))
+        false_rejections = int(np.count_nonzero(is_null[in_bin]))
         rate = false_rejections / rejections if rejections else 0.0
         bins.append(
             LocalBin(
@@ -364,8 +330,10 @@ def analytic_statistic_cdfs(config: SimulationConfig):
     coincides with the pooled two-sample t: the null distribution is a folded
     central t and the alternative a folded noncentral t with noncentrality
     effect * sqrt(n/2). The marginal mixes them with the realized null
-    proportion (exact in fixed truth mode). scipy is imported here, its only
-    use, so that importing dfdr does not pay for it.
+    proportion (exact in fixed truth mode). Needs scipy, the one use of it
+    and not a runtime dependency: install the ``oracle`` extra
+    (``pip install 'dfdr[oracle]'``). It is imported here, so that importing
+    dfdr neither needs nor pays for it.
     """
     from scipy import stats as sps
 
@@ -373,10 +341,7 @@ def analytic_statistic_cdfs(config: SimulationConfig):
         raise ValidationError("closed-form CDFs require equal group sizes")
     df = config.n_a + config.n_b - 2
     ncp = config.effect * math.sqrt(config.n_a / 2.0)
-    if config.truth_mode == "fixed":
-        pi0 = math.floor(config.pi0 * config.n_tests + 1e-9) / config.n_tests
-    else:
-        pi0 = config.pi0
+    pi0 = _realized_pi0(config)
 
     def null_cdf(tau):
         tau = np.asarray(tau, dtype=float)
@@ -395,8 +360,11 @@ def analytic_statistic_cdfs(config: SimulationConfig):
 def analytic_dfdr(config: SimulationConfig, tau: float) -> float:
     """True dFDR of the region [tau, inf) under the generative model."""
     null_cdf, _, marginal_cdf = analytic_statistic_cdfs(config)
+    return dfdr_from_cdfs(_realized_pi0(config), float(null_cdf(tau)), float(marginal_cdf(tau)))
+
+
+def _realized_pi0(config: SimulationConfig) -> float:
+    """The true-null proportion of a replicate, exact in fixed truth mode."""
     if config.truth_mode == "fixed":
-        pi0 = math.floor(config.pi0 * config.n_tests + 1e-9) / config.n_tests
-    else:
-        pi0 = config.pi0
-    return dfdr_from_cdfs(pi0, float(null_cdf(tau)), float(marginal_cdf(tau)))
+        return math.floor(config.pi0 * config.n_tests + 1e-9) / config.n_tests
+    return config.pi0

@@ -19,7 +19,6 @@ from functools import cached_property
 
 import numpy as np
 
-from dfdr.data import DataMatrix
 from dfdr.errors import ValidationError
 
 
@@ -308,17 +307,3 @@ def _round(values: np.ndarray, step: float, out: np.ndarray) -> None:
     np.add(values, shift, out=out)
     out -= shift
 
-
-def abs_t_from_columns(values: np.ndarray, cols_a, cols_b) -> np.ndarray:
-    """Absolute Welch t statistics for every row, given two column index sets."""
-    pool = np.concatenate([np.asarray(cols_a, np.intp), np.asarray(cols_b, np.intp)])
-    return welch_abs_t(values, pool, len(cols_a), np.arange(pool.size)[None, :])[0]
-
-
-def two_sample_abs_t(matrix: DataMatrix, group_a: str, group_b: str) -> np.ndarray:
-    """Absolute two-sample t statistic per feature for the two named groups."""
-    return abs_t_from_columns(
-        matrix.values,
-        matrix.group_columns(group_a),
-        matrix.group_columns(group_b),
-    )

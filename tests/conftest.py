@@ -1,7 +1,12 @@
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from dfdr import DataMatrix, Pi0Estimate, StatisticSet
+from dfdr import DataMatrix, DecisionResult, Pi0Estimate, StatisticSet, resolve_pi0
+from dfdr.decision import Curve
+from dfdr.estimators import dfdr_from_counts, exceedances, weight_exceedances
 
 
 @pytest.fixture
@@ -45,3 +50,33 @@ def random_statistic_set(rng: np.random.Generator, max_m: int = 50, max_b: int =
     if rng.random() < 0.1:
         observed[rng.integers(0, m)] = np.inf
     return StatisticSet(observed=observed, null_stats=nulls, n_permutations=b)
+
+
+def dfdr_at(stats: StatisticSet, pi0: Pi0Estimate, tau: float, weights=None):
+    """(dFDR, discoveries, null exceedances) of [tau, inf), from the engine's counts."""
+    if weights is None:
+        obs, null = exceedances(stats.sorted_observed, tau), exceedances(stats.sorted_null, tau)
+    else:
+        w = np.asarray(weights, dtype=float)
+        obs, null = (weight_exceedances(v, w, tau) for v in (stats.observed, stats.null_stats))
+    value = dfdr_from_counts(pi0.value, null / stats.n_null, obs, stats.n_tests)
+    return float(value), obs, null
+
+
+@dataclass(frozen=True)
+class FixedThresholdRule:
+    """Decision rule for measure_error_rates: reject every statistic >= tau."""
+
+    tau: float
+    pi0_mode: object = "one"
+
+    def __call__(self, stats: StatisticSet) -> DecisionResult:
+        pi0 = resolve_pi0(stats, self.pi0_mode)
+        return DecisionResult(
+            tau=float(self.tau),
+            rejected=frozenset(np.flatnonzero(stats.observed >= self.tau).tolist()),
+            dfdr=dfdr_at(stats, pi0, self.tau)[0],
+            desirability=math.nan,
+            pi0=pi0,
+            curve=Curve(*[np.empty(0)] * 4),  # no candidates scanned
+        )

@@ -22,10 +22,9 @@ from dfdr import (
     analytic_dfdr,
     boundary_offset,
     build_replicate_stats,
+    common_threshold_weighted,
     control_dfdr,
     dfdr_from_cdfs,
-    estimate_dfdr_at_tau,
-    estimate_weighted_dfdr,
     maximize_desirability,
     measure_error_rates,
     measure_local_dfdr,
@@ -33,7 +32,7 @@ from dfdr import (
     weighted_dfdr_from_cdfs,
 )
 from dfdr.cli import main as cli_main
-from conftest import random_statistic_set
+from conftest import FixedThresholdRule, random_statistic_set
 from test_decision import brute_force_control, brute_force_maximize
 
 BOUND_P = 0.05  # probability threshold matching cost ratio 19
@@ -148,10 +147,11 @@ def test_criterion_4_estimator_identities():
         pi0 = Pi0Estimate.user(float(rng.uniform(0.2, 1.0)))
         scale = float(rng.uniform(0.5, 4.0))
         weights = np.full(stats.n_tests, scale)
-        for tau in np.unique(stats.observed):
-            weighted = estimate_weighted_dfdr(stats, pi0, weights, float(tau))
-            plain = estimate_dfdr_at_tau(stats, pi0, float(tau)).value
-            worst_uniform = max(worst_uniform, abs(weighted - plain))
+        # both curves hold every observed value as a candidate tau
+        weighted = common_threshold_weighted(stats, weights, np.zeros(stats.n_tests), pi0).curve
+        plain = maximize_desirability(stats, pi0, CostBenefit.from_ratio(19.0)).curve
+        assert weighted.tau.tolist() == plain.tau.tolist()
+        worst_uniform = max(worst_uniform, float(np.max(np.abs(weighted.dfdr - plain.dfdr))))
     uniform_ok = worst_uniform <= 1e-12
 
     from scipy.stats import norm
@@ -198,8 +198,6 @@ def test_criterion_5_conservative_estimation():
         replicates=200,
         seed=505,
     )
-    from dfdr import FixedThresholdRule
-
     details = []
     all_ok = True
     for tau in (1.5, 2.5, 3.5):
@@ -260,8 +258,8 @@ def test_criterion_7_benefit_scaling_invariance():
     for _ in range(100):
         stats = random_statistic_set(rng, max_m=50, max_b=5)
         pi0 = Pi0Estimate.user(float(rng.uniform(0.2, 1.0)))
-        base = maximize_desirability(stats, pi0, CostBenefit.per_test([1.0], [19.0]))
-        scaled = maximize_desirability(stats, pi0, CostBenefit.per_test([10.0], [190.0]))
+        base = maximize_desirability(stats, pi0, CostBenefit([1.0], [19.0]))
+        scaled = maximize_desirability(stats, pi0, CostBenefit([10.0], [190.0]))
         if base.rejected != scaled.rejected:
             all_ok = False
             break
@@ -273,8 +271,8 @@ def test_criterion_7_benefit_scaling_invariance():
     for r in range(config.replicates):
         stats, _ = build_replicate_stats(config, r)
         pi0 = resolve_pi0(stats, "estimate")
-        base = maximize_desirability(stats, pi0, CostBenefit.per_test([1.0], [19.0]))
-        scaled = maximize_desirability(stats, pi0, CostBenefit.per_test([10.0], [190.0]))
+        base = maximize_desirability(stats, pi0, CostBenefit([1.0], [19.0]))
+        scaled = maximize_desirability(stats, pi0, CostBenefit([10.0], [190.0]))
         if base.rejected != scaled.rejected:
             all_ok = False
             break

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -307,6 +308,94 @@ class TestAnalyzeSubsetsAndWeights:
         rows.insert(6, "g002\t2\t19")
         assert self.run_with(tmp_path, "--weights", "\n".join(rows) + "\n") == 2
         assert "rows 4 and 7 both give feature 'g002'" in capsys.readouterr().err
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "--m", "50", "--replicates", "2", "--boundary-fraction", "2"],
+             "--boundary-fraction"),
+            (["simulate", "--m", "50", "--replicates", "2", "--mode", "control", "--alpha", "nan"],
+             "--alpha"),
+            (["simulate", "--m", "50", "--replicates", "2", "--cost-ratio", "nan"], "--cost-ratio"),
+            (["analyze", "--mode", "control", "--alpha", "nan"], "--alpha"),
+            (["analyze", "--cost-ratio", "nan"], "--cost-ratio"),
+            (["analyze", "--cost-ratio", "inf"], "--cost-ratio"),
+            (["analyze", "--p-threshold", "nan"], "--p-threshold"),
+        ],
+        ids=["sim-fraction", "sim-alpha-nan", "sim-cost-nan", "alpha-nan", "cost-nan", "cost-inf",
+             "p-nan"],
+    )
+    def test_bad_value_is_usage_error_before_any_output(self, fixture_paths, tmp_path, capsys,
+                                                        argv, flag):
+        mpath, lpath = fixture_paths
+        if argv[0] == "analyze":
+            argv = argv + ["--matrix", str(mpath), "--labels", str(lpath),
+                           "--group-a", "A", "--group-b", "B", "--permutations", "5"]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {flag} ")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_negative_simulate_seed_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--seed", "-3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "data error: seed must be a nonnegative integer\n"
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_group_compared_with_itself_is_data_error(self, fixture_paths, tmp_path, capsys):
+        mpath, lpath = fixture_paths
+        out = tmp_path / "out"
+        assert main([
+            "analyze", "--matrix", str(mpath), "--labels", str(lpath),
+            "--group-a", "A", "--group-b", "A", "--permutations", "5", "--out", str(out),
+        ]) == 2
+        assert "'A' cannot be compared with itself" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    def test_subset_compared_with_itself_is_data_error(self, fixture_paths, tmp_path, capsys):
+        mpath, lpath = fixture_paths
+        spath = tmp_path / "subsets.tsv"
+        rows = ["feature_id\tsubset\tgroup_a\tgroup_b\tbenefit\tcost"]
+        rows += [f"g{i:03d}\tlow\tA\tB\t1\t19" for i in range(20)]
+        rows += [f"g{i:03d}\tsame\tB\tB\t1\t19" for i in range(20, 40)]
+        spath.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        assert main([
+            "analyze", "--matrix", str(mpath), "--labels", str(lpath),
+            "--group-a", "A", "--group-b", "B", "--subsets", str(spath),
+            "--min-subset-size", "10", "--permutations", "5", "--out", str(out),
+        ]) == 2
+        assert "'B' cannot be compared with itself" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+
+def test_cli_runs_with_scipy_blocked(fixture_paths, tmp_path):
+    # numpy is the one runtime dependency: analyze and simulate run with
+    # every import of scipy failing
+    mpath, lpath = fixture_paths
+    runs = [
+        ["analyze", "--matrix", str(mpath), "--labels", str(lpath), "--group-a", "A",
+         "--group-b", "B", "--permutations", "10", "--out", str(tmp_path / "analyze")],
+        ["simulate", "--m", "100", "--replicates", "3", "--permutations", "5",
+         "--out", str(tmp_path / "simulate")],
+    ]
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import dfdr.cli\n"
+        "sys.exit(max(dfdr.cli.main(argv) for argv in json.loads(sys.argv[1])))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs)], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "analyze" / "summary.txt").exists()
+    assert (tmp_path / "simulate" / "report.txt").exists()
 
 
 def test_import_leaves_scipy_unloaded():

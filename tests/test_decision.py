@@ -22,7 +22,6 @@ from dfdr import (
     per_subset_optimize,
     resolve_pi0,
     validate_pvalues,
-    weighted_pi0_for,
 )
 from conftest import random_statistic_set
 
@@ -121,10 +120,10 @@ class TestMaximizeDesirability:
             stats = random_statistic_set(rng)
             pi0 = Pi0Estimate.user(float(rng.uniform(0.2, 1.0)))
             base = maximize_desirability(
-                stats, pi0, CostBenefit.per_test([1.0], [19.0])
+                stats, pi0, CostBenefit([1.0], [19.0])
             )
             scaled = maximize_desirability(
-                stats, pi0, CostBenefit.per_test([10.0], [190.0])
+                stats, pi0, CostBenefit([10.0], [190.0])
             )
             assert base.rejected == scaled.rejected
             assert base.tau == scaled.tau
@@ -310,10 +309,16 @@ class TestPerSubsetOptimize:
             min_size=10,
         )
         for d in per_subset_optimize(partition, matrix, plan):
-            sub = matrix.select_features(d.subset.feature_indices)
+            rows = list(d.subset.feature_indices)
+            sub = DataMatrix(
+                matrix.values[rows],
+                tuple(matrix.feature_ids[i] for i in rows),
+                matrix.subject_ids,
+                matrix.labels,
+            )
             stats = build_statistic_set(sub, d.subset.group_a, d.subset.group_b, plan)
             np.testing.assert_array_equal(d.observed, stats.observed)
-            cb = CostBenefit.per_test([d.subset.benefit], [d.subset.cost])
+            cb = CostBenefit([d.subset.benefit], [d.subset.cost])
             direct = maximize_desirability(stats, resolve_pi0(stats, "estimate"), cb)
             assert (d.result.tau, d.result.dfdr) == (direct.tau, direct.dfdr)
             assert d.result.rejected == direct.rejected
@@ -427,7 +432,7 @@ class TestCommonThresholdWeighted:
                 sub = StatisticSet(
                     observed=obs[lo:hi], null_stats=nulls[lo:hi], n_permutations=1
                 )
-                r = maximize_desirability(sub, pi0_one, CostBenefit.per_test([b], [c]))
+                r = maximize_desirability(sub, pi0_one, CostBenefit([b], [c]))
                 total += r.desirability
             assert total >= common.desirability - 1e-9
 
@@ -442,7 +447,7 @@ class TestCommonThresholdWeighted:
     def test_weighted_pi0_helper(self):
         rng = np.random.default_rng(35)
         stats = random_statistic_set(rng, max_m=30, max_b=3)
-        pi0 = weighted_pi0_for(stats, np.full(stats.n_tests, 3.0))
+        pi0 = resolve_pi0(stats, "estimate", np.full(stats.n_tests, 3.0))
         plain = resolve_pi0(stats, "estimate")
         assert pi0.value == pytest.approx(plain.value, abs=1e-12)
 
@@ -459,7 +464,7 @@ class TestCommonThresholdWeighted:
         weights = rng.integers(2, 21, size=m).astype(float)
         tracemalloc.start()
         try:
-            pi0 = weighted_pi0_for(stats, weights)
+            pi0 = resolve_pi0(stats, "estimate", weights)
             tracemalloc.reset_peak()
             common_threshold_weighted(stats, weights, np.ones(m), pi0)
             peak = tracemalloc.get_traced_memory()[1]

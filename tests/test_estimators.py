@@ -12,20 +12,18 @@ from dfdr import (
     UndefinedEstimateError,
     ValidationError,
     choose_lambda,
+    common_threshold_weighted,
     dfdr_from_cdfs,
-    estimate_desirability,
-    estimate_dfdr_at_pvalue,
-    estimate_dfdr_at_tau,
     estimate_pi0,
     estimate_pi0_from_pvalues,
-    estimate_pi0_weighted,
-    estimate_weighted_dfdr,
+    maximize_desirability,
+    maximize_desirability_pvalues,
     p_to_cost_ratio,
     validate_pvalues,
     weighted_dfdr_from_cdfs,
 )
 from dfdr import estimators
-from conftest import random_statistic_set
+from conftest import dfdr_at, random_statistic_set
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +63,18 @@ def weighted_dfdr_oracle(observed, nulls, weights, pi0, tau):
         return 0.0
     num = sum(weights[j % m] for j, v in enumerate(nulls) if v >= tau)
     return pi0 * (num / len(nulls)) / (denom / m)
+
+
+def curve_at(curve, tau) -> int:
+    """Index of the candidate threshold tau in a decision curve."""
+    i = int(np.searchsorted(curve.tau, tau))
+    assert curve.tau[i] == tau
+    return i
+
+
+def scan(stats, pi0, ratio=19.0):
+    """The candidate curve of the unweighted scan."""
+    return maximize_desirability(stats, pi0, CostBenefit.from_ratio(ratio)).curve
 
 
 class TestChooseLambda:
@@ -136,18 +146,19 @@ class TestEstimatePi0:
 
 class TestDfdrAtTau(object):
     def test_counting_example(self, four_test_stats, pi0_one):
-        est = estimate_dfdr_at_tau(four_test_stats, pi0_one, 0.4)
-        assert est.value == 0.5
-        assert est.discoveries == 4
-        assert est.null_exceedances == 2
+        assert dfdr_at(four_test_stats, pi0_one, 0.4) == (0.5, 4, 2)
 
     def test_zero_null_exceedances(self, four_test_stats, pi0_one):
-        assert estimate_dfdr_at_tau(four_test_stats, pi0_one, 1.0).value == 0.0
+        assert dfdr_at(four_test_stats, pi0_one, 1.0)[0] == 0.0
+        curve = scan(four_test_stats, pi0_one)
+        assert curve.dfdr[curve_at(curve, 1.0)] == 0.0
 
     def test_zero_branch_above_max_observed(self, four_test_stats, pi0_one):
-        est = estimate_dfdr_at_tau(four_test_stats, pi0_one, 10.0)
-        assert est.value == 0.0
-        assert est.discoveries == 0
+        value, discoveries, _ = dfdr_at(four_test_stats, pi0_one, 10.0)
+        assert value == 0.0
+        assert discoveries == 0
+        curve = scan(four_test_stats, pi0_one)  # the +inf candidate
+        assert (curve.dfdr[-1], curve.discoveries[-1]) == (0.0, 0)
 
     def test_matches_oracle_on_random_inputs(self):
         rng = np.random.default_rng(12)
@@ -158,11 +169,12 @@ class TestDfdrAtTau(object):
             expected = dfdr_oracle(
                 stats.observed.tolist(), stats.null_stats.tolist(), pi0.value, tau
             )
-            assert estimate_dfdr_at_tau(stats, pi0, tau).value == expected
+            curve = scan(stats, pi0)
+            assert curve.dfdr[curve_at(curve, tau)] == expected
 
     def test_proportional_to_pi0(self, four_test_stats):
-        a = estimate_dfdr_at_tau(four_test_stats, Pi0Estimate.user(1.0), 0.4).value
-        b = estimate_dfdr_at_tau(four_test_stats, Pi0Estimate.user(0.25), 0.4).value
+        a = dfdr_at(four_test_stats, Pi0Estimate.user(1.0), 0.4)[0]
+        b = dfdr_at(four_test_stats, Pi0Estimate.user(0.25), 0.4)[0]
         assert b == pytest.approx(0.25 * a, rel=1e-15)
 
     def test_nonnegative_and_zero_conditions(self):
@@ -171,46 +183,43 @@ class TestDfdrAtTau(object):
             stats = random_statistic_set(rng)
             pi0 = Pi0Estimate.user(float(rng.uniform(0.1, 1.0)))
             for tau in np.unique(stats.observed):
-                est = estimate_dfdr_at_tau(stats, pi0, float(tau))
-                assert est.value >= 0.0
-                if est.value == 0.0:
-                    assert est.null_exceedances == 0 or est.discoveries == 0
+                value, discoveries, null_exceedances = dfdr_at(stats, pi0, float(tau))
+                assert value >= 0.0
+                if value == 0.0:
+                    assert null_exceedances == 0 or discoveries == 0
 
     def test_discovery_count_non_increasing_in_tau(self):
         rng = np.random.default_rng(14)
         stats = random_statistic_set(rng)
-        pi0 = Pi0Estimate.fixed_one()
-        taus = np.sort(np.unique(stats.observed))
-        counts = [estimate_dfdr_at_tau(stats, pi0, float(t)).discoveries for t in taus]
+        counts = scan(stats, Pi0Estimate.fixed_one()).discoveries.tolist()
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_inf_sentinel_inside_every_region(self):
         stats = StatisticSet(
             observed=[np.inf, 1.0], null_stats=[0.2, 0.1], n_permutations=1
         )
-        est = estimate_dfdr_at_tau(stats, Pi0Estimate.fixed_one(), 5.0)
-        assert est.discoveries == 1  # only the sentinel
+        assert dfdr_at(stats, Pi0Estimate.fixed_one(), 5.0)[1] == 1  # only the sentinel
 
 
 class TestDfdrAtPvalue:
+    def pvalue_scan(self, p):
+        cb = CostBenefit.from_ratio(19.0)
+        return maximize_desirability_pvalues(validate_pvalues(p), Pi0Estimate.fixed_one(), cb).curve
+
     def test_counting_example(self):
-        pvals = validate_pvalues([0.01, 0.04, 0.2, 0.9])
-        est = estimate_dfdr_at_pvalue(pvals, Pi0Estimate.fixed_one(), 0.05)
-        assert est.value == pytest.approx(0.1, abs=1e-15)
-        assert est.discoveries == 2
+        # the cutoff 0.04: uniform null share 0.04 over 2 of 4 discoveries
+        curve = self.pvalue_scan([0.01, 0.04, 0.2, 0.9])
+        i = curve_at(curve, 0.04)
+        assert curve.dfdr[i] == pytest.approx(0.08, abs=1e-15)
+        assert curve.discoveries[i] == 2
 
     def test_zero_cutoff_with_zero_pvalues(self):
-        pvals = validate_pvalues([0.0, 0.5])
-        assert estimate_dfdr_at_pvalue(pvals, Pi0Estimate.fixed_one(), 0.0).value == 0.0
+        curve = self.pvalue_scan([0.0, 0.5])
+        assert curve.dfdr[curve_at(curve, 0.0)] == 0.0
 
     def test_zero_branch_below_min_pvalue(self):
-        pvals = validate_pvalues([0.2, 0.9])
-        assert estimate_dfdr_at_pvalue(pvals, Pi0Estimate.fixed_one(), 0.1).value == 0.0
-
-    def test_cutoff_out_of_range(self):
-        pvals = validate_pvalues([0.2])
-        with pytest.raises(ValidationError):
-            estimate_dfdr_at_pvalue(pvals, Pi0Estimate.fixed_one(), 1.2)
+        curve = self.pvalue_scan([0.2, 0.9])  # the -inf cutoff rejects nothing
+        assert (curve.tau[0], curve.dfdr[0], curve.discoveries[0]) == (-math.inf, 0.0, 0)
 
 
 class TestDesirability:
@@ -219,8 +228,8 @@ class TestDesirability:
         stats = StatisticSet(
             observed=[3.0, 2.0, 1.0, 0.5], null_stats=[0.5, 0.4, 0.3, 0.2], n_permutations=1
         )
-        d = estimate_desirability(stats, pi0_one, CostBenefit.from_ratio(19.0), 1.0)
-        assert d == 3.0
+        curve = scan(stats, pi0_one)
+        assert curve.desirability[curve_at(curve, 1.0)] == 3.0
 
     def test_boundary_factor_zero(self):
         # dfdr exactly 0.05 at ratio 19 zeroes the factor regardless of count
@@ -231,13 +240,12 @@ class TestDesirability:
         assert 1.0 * (1.0 - 20.0 * 0.0125) * 910 == pytest.approx(682.5)
 
     def test_zero_when_no_discoveries(self, four_test_stats, pi0_one):
-        d = estimate_desirability(four_test_stats, pi0_one, CostBenefit.from_ratio(19.0), 99.0)
-        assert d == 0.0
+        assert scan(four_test_stats, pi0_one).desirability[-1] == 0.0  # the +inf candidate
 
     def test_requires_positive_benefit(self, four_test_stats, pi0_one):
         cb = CostBenefit(benefits=np.array([0.0]), costs=np.array([1.0]))
         with pytest.raises(ValidationError):
-            estimate_desirability(four_test_stats, pi0_one, cb, 1.0)
+            maximize_desirability(four_test_stats, pi0_one, cb)
 
 
 class TestPToCostRatio:
@@ -264,14 +272,14 @@ class TestPToCostRatio:
 class TestWeightedDfdr:
     def test_uniform_weights_match_unweighted(self, four_test_stats, pi0_one):
         for tau in [0.2, 0.4, 1.0, 3.0]:
-            w = estimate_weighted_dfdr(four_test_stats, pi0_one, [1.0] * 4, tau)
-            u = estimate_dfdr_at_tau(four_test_stats, pi0_one, tau).value
+            w = dfdr_at(four_test_stats, pi0_one, tau, [1.0] * 4)[0]
+            u = dfdr_at(four_test_stats, pi0_one, tau)[0]
             assert w == pytest.approx(u, abs=1e-15)
 
     def test_hand_computed_weighted_example(self, four_test_stats, pi0_one):
         # weights (2,1,1,1); nulls inherit by feature: (0.5,0.4,0.3,0.2)
         # tau 0.4: null weight sum 3, observed weight sum 5 -> (3/4)/(5/4) = 0.6
-        value = estimate_weighted_dfdr(four_test_stats, pi0_one, [2.0, 1.0, 1.0, 1.0], 0.4)
+        value = dfdr_at(four_test_stats, pi0_one, 0.4, [2.0, 1.0, 1.0, 1.0])[0]
         assert value == pytest.approx(0.6, abs=1e-15)
         oracle = weighted_dfdr_oracle(
             four_test_stats.observed.tolist(),
@@ -297,21 +305,23 @@ class TestWeightedDfdr:
                 pi0.value,
                 tau,
             )
-            got = estimate_weighted_dfdr(stats, pi0, weights, tau)
+            curve = common_threshold_weighted(stats, weights, np.zeros(stats.n_tests), pi0).curve
+            got = curve.dfdr[curve_at(curve, tau)]
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_zero_weight_on_all_rejected_gives_zero(self, four_test_stats, pi0_one):
         # weights vanish on every test with statistic >= 2
-        value = estimate_weighted_dfdr(four_test_stats, pi0_one, [0.0, 0.0, 1.0, 1.0], 2.0)
-        assert value == 0.0
+        weights = [0.0, 0.0, 1.0, 1.0]
+        curve = common_threshold_weighted(four_test_stats, weights, [0.0] * 4, pi0_one).curve
+        assert curve.dfdr[curve_at(curve, 2.0)] == 0.0
 
     def test_negative_weight_rejected(self, four_test_stats, pi0_one):
         with pytest.raises(ValidationError):
-            estimate_weighted_dfdr(four_test_stats, pi0_one, [1, 1, -1, 1], 0.4)
+            common_threshold_weighted(four_test_stats, [1, 1, -1, 1], [0] * 4, pi0_one)
 
     def test_all_zero_weights_rejected(self, four_test_stats, pi0_one):
         with pytest.raises(ValidationError):
-            estimate_weighted_dfdr(four_test_stats, pi0_one, [0, 0, 0, 0], 0.4)
+            common_threshold_weighted(four_test_stats, [0, 0, 0, 0], [0] * 4, pi0_one)
 
 
 def weight_sums_oracle(values, weights, taus):
@@ -391,14 +401,14 @@ class TestWeightedPi0:
         nulls = np.abs(rng.normal(size=36))
         lam = float(np.median(nulls))
         plain = estimate_pi0(obs, nulls, lam).value
-        weighted = estimate_pi0_weighted(obs, nulls, np.full(12, 2.5), lam).value
+        weighted = estimate_pi0(obs, nulls, lam, weights=np.full(12, 2.5)).value
         assert weighted == pytest.approx(plain, abs=1e-12)
 
     def test_zero_weighted_nulls_error(self):
         obs = np.array([0.1, 5.0])
         nulls = np.array([0.2, 9.0])
         with pytest.raises(UndefinedEstimateError):
-            estimate_pi0_weighted(obs, nulls, [0.0, 1.0], lam=1.0)
+            estimate_pi0(obs, nulls, lam=1.0, weights=[0.0, 1.0])
 
 
 class TestPvaluePi0:

@@ -6,7 +6,6 @@ import pytest
 from dfdr import (
     CostBenefit,
     DesirabilityRule,
-    FixedThresholdRule,
     SimulationConfig,
     ValidationError,
     analytic_dfdr,
@@ -19,6 +18,7 @@ from dfdr import (
     measure_local_dfdr,
     resolve_pi0,
 )
+from conftest import FixedThresholdRule
 
 
 def small_config(**overrides):
@@ -172,8 +172,8 @@ class TestMeasureErrorRates:
         for r in range(config.replicates):
             stats, _ = build_replicate_stats(config, r)
             pi0 = resolve_pi0(stats, "estimate")
-            base = maximize_desirability(stats, pi0, CostBenefit.per_test([1.0], [19.0]))
-            scaled = maximize_desirability(stats, pi0, CostBenefit.per_test([2.0], [38.0]))
+            base = maximize_desirability(stats, pi0, CostBenefit([1.0], [19.0]))
+            scaled = maximize_desirability(stats, pi0, CostBenefit([2.0], [38.0]))
             assert base.rejected == scaled.rejected
 
 
