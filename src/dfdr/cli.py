@@ -361,9 +361,9 @@ def run_analyze(args) -> int:
 
     if args.subsets is not None:
         partition = _load_subsets(args.subsets, matrix, args.min_subset_size)
-        # one null per comparison, plus one subset's slice and its sort
+        # one null per comparison, plus one subset's slice
         comparisons = {(s.group_a, s.group_b) for s in partition.subsets}
-        check_null_fits(matrix, plan, len(comparisons) + 2)
+        check_null_fits(matrix.values.shape, args.permutations, len(comparisons) + 1)
         decisions = per_subset_optimize(partition, matrix, plan, pi0_mode)
         for sd in decisions:
             subset, result = sd.subset, sd.result
@@ -378,9 +378,8 @@ def run_analyze(args) -> int:
             _write_decision_outputs(outdir, sub_ids, sd.observed, result, fields, stem=subset.name)
         return 0
 
-    # the null and its sort; with weights, the null and the copy choose_lambda
-    # partitions (the weight sums need one block at a time)
-    check_null_fits(matrix, plan, 2)
+    # the null alone: lambda, counts and weight sums need one block at a time
+    check_null_fits(matrix.values.shape, args.permutations, 1)
     stats = build_statistic_set(matrix, args.group_a, args.group_b, plan)
     base_fields += [("group_a", args.group_a), ("group_b", args.group_b)]
 
@@ -460,6 +459,8 @@ def run_simulate(args) -> int:
         block_size=args.block_size,
         block_rho=args.block_rho,
     )
+    # one replicate's matrix and null at a time
+    check_null_fits((config.n_tests, config.n_a + config.n_b), config.n_permutations, 1)
     value, rule_fields = _rule_from_args(args)
     if args.mode == "maximize":
         bound = 1.0 / (1.0 + value)
@@ -547,9 +548,8 @@ def run_reproduce(args) -> int:
 
     matrix = preprocess(load_matrix(args.matrix, args.labels))
     plan = PermutationPlan(n_permutations=args.permutations, seed=args.seed)
-    # the null and its sort, kept while --group-t builds one more null with
-    # its slice and the slice's sort
-    check_null_fits(matrix, plan, 2 if args.group_t is None else 5)
+    # the null, kept while --group-t builds one more null and its slice
+    check_null_fits(matrix.values.shape, args.permutations, 1 if args.group_t is None else 3)
     stats = build_statistic_set(matrix, args.group_a, args.group_b, plan)
 
     pi0_by_mode = {"estimate": resolve_pi0(stats, "estimate"), "one": Pi0Estimate.fixed_one()}

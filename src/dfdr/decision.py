@@ -13,7 +13,7 @@ objective break toward the largest threshold (fewest rejections).
 
 Every route, p-values included, is one pass over sorted values: the distinct
 candidates and their discovery counts come from where the runs of ties start
-in the sorted observed values, the null shares from the estimators' exceedance
+in the sorted observed values, the null shares from the estimators' block
 engine, and the whole candidate curve is kept as parallel arrays.
 """
 
@@ -30,7 +30,6 @@ from dfdr.estimators import (
     Pi0Estimate,
     checked_weights,
     dfdr_from_counts,
-    exceedances,
     p_to_cost_ratio,
     resolve_pi0,
     weight_exceedances,
@@ -137,7 +136,8 @@ class SubsetDecision:
 def _candidates(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct values plus +inf, each with how many values lie below it.
 
-    The count below a distinct value is where its run of ties starts.
+    The count below a distinct value is where its run of ties starts, so it
+    also indexes the value's entry in ``StatisticSet.null_exceedances``.
     """
     n = sorted_values.size
     starts = np.flatnonzero(np.concatenate(([True], sorted_values[1:] != sorted_values[:-1])))
@@ -154,7 +154,7 @@ def _curve(taus, discoveries, null_share, pi0: Pi0Estimate, n_tests: int, benefi
 
 def _scan(stats: StatisticSet, pi0: Pi0Estimate, benefit: float, ratio: float) -> Curve:
     taus, below = _candidates(stats.sorted_observed)
-    null_share = exceedances(stats.sorted_null, taus) / stats.n_null
+    null_share = stats.null_exceedances[below] / stats.n_null
     return _curve(taus, stats.n_tests - below, null_share, pi0, stats.n_tests, benefit, ratio)
 
 

@@ -7,14 +7,13 @@ the exceedance proportion of the resampled null statistics with that of the
 observed statistics, scaled by an estimate of the true-null proportion pi0.
 
 Every estimate here is pi0 * (null share) / (discoveries / m) over
-exceedance counts, so one engine serves them all: ``exceedances`` counts by
-binary search in an array sorted once per StatisticSet, ``weight_exceedances``
-sums weights block by block (each block of whole permutations argsorted on
-its own, so the null is never sorted as a whole), and ``dfdr_from_counts``
-turns the counts into estimates, for one threshold or for every candidate at
-once. The p-value route uses the same formula with the analytic uniform null
-share, the cutoff itself. ``choose_lambda`` needs one order statistic of the
-nulls and finds it by selection, not by sorting.
+exceedance counts, so one engine serves them all: ``weight_exceedances``
+counts or weighs the values >= each tau, sorting block by block (never the
+null as a whole), and ``dfdr_from_counts`` turns the counts into estimates,
+for one threshold or for every candidate at once. The p-value route uses the
+same formula with the analytic uniform null share, the cutoff itself.
+``choose_lambda`` finds one order statistic of the nulls by counting over a
+bracket, never copying, sorting or partitioning the null.
 
 All threshold comparisons are inclusive: a test is rejected when its
 statistic is >= tau (for p-values, <= the cutoff). Rejection regions are
@@ -35,9 +34,12 @@ from dfdr.stats import PValueSet, StatisticSet
 # statistics below the pi0 tuning threshold lambda.
 CENTRAL_BAND_MASS = 0.382925
 
-# Values per block of weight_exceedances, rounded down to whole permutations
-# (at least one): the block's argsort and gathered weights stay cache-sized.
+# Values per block of every pass over a null (weight_exceedances rounds it
+# down to whole permutations), and about the size of choose_lambda's sample.
 BLOCK = 2**16
+# choose_lambda's bracket: sample ranks on each side of the target, about 8
+# standard errors of the target's rank in a random sample of BLOCK values.
+MARGIN = 2**10
 
 # Null p-values are uniform, so the tuning threshold needs no resampling:
 # the null share of p-values above 1 - CENTRAL_BAND_MASS is CENTRAL_BAND_MASS.
@@ -140,31 +142,29 @@ def p_to_cost_ratio(p: float) -> float:
     return 1.0 / p - 1.0
 
 
-def exceedances(sorted_values: np.ndarray, taus) -> np.ndarray:
-    """How many of the ascending ``sorted_values`` are >= each tau."""
-    return sorted_values.size - np.searchsorted(sorted_values, taus, side="left")
-
-
 def weight_exceedances(values: np.ndarray, weights, taus) -> np.ndarray:
-    """Sum of weights over the values >= each tau.
+    """Sum of weights over the values >= each tau; with ``weights`` None, their count.
 
     Value j carries ``weights[j % weights.size]``: a null statistic inherits
     its test's weight, since the nulls are permutation-major. Whole
-    permutations go in blocks of about BLOCK values; each block is argsorted
-    on its own, its weights summed from the top and read at each tau by binary
-    search, and the block sums are added into one accumulator. Extra memory is
-    O(BLOCK + len(taus)), whatever the size of ``values``.
+    permutations go in blocks of about BLOCK values; each block is sorted on
+    its own and read at each tau by binary search, its weights summed from the
+    top, and the block results are added up (integer counts exactly). Extra
+    memory is O(BLOCK + len(taus)), whatever the size of ``values``.
     """
-    m = weights.size
+    m = 1 if weights is None else weights.size
     rows = values.reshape(-1, m)
     per = max(1, BLOCK // m)
-    tiled = np.tile(weights, per)  # covers any block: no % m per value
-    total = np.zeros(np.shape(taus))
+    tiled = None if weights is None else np.tile(weights, per)  # no % m per value
+    total = np.zeros(np.shape(taus), dtype=np.intp if tiled is None else float)
     for start in range(0, rows.shape[0], per):
         block = rows[start : start + per].ravel()
+        if tiled is None:
+            total += block.size - np.searchsorted(np.sort(block), taus)
+            continue
         order = np.argsort(block)
+        k = block.size - np.searchsorted(block[order], taus)  # values >= each tau
         top = np.cumsum(tiled[order][::-1])
-        k = exceedances(block[order], taus)
         total += np.where(k > 0, top[k - 1], 0.0)
     return total
 
@@ -186,9 +186,15 @@ def choose_lambda(null_stats) -> float:
 
     Picks, among the null statistic values themselves plus +inf, the value
     whose empirical proportion of null statistics strictly below it is
-    closest to CENTRAL_BAND_MASS. Ties break toward the smaller value. Found
-    by selection in a partitioned copy, O(N), with no sort; input that is
-    already ascending (``StatisticSet.sorted_null``) is read in place.
+    closest to CENTRAL_BAND_MASS. Ties break toward the smaller value.
+
+    Needs the value at one rank k, its run of ties and the next run, and
+    finds them without copying the null: a sorted strided sample of about
+    BLOCK values brackets rank k by MARGIN sample ranks each side, and a
+    counting pass checks the bracket. A miss, or a bracket of over four blocks,
+    is narrowed by further rounds, each of which excludes values. Then the
+    values in the bracket are selected from, or a bracket of one value is a
+    run of ties known by its counts. Each pass takes one block at a time.
     """
     nulls = np.asarray(null_stats, dtype=float).ravel()
     if nulls.size < 1:
@@ -199,13 +205,59 @@ def choose_lambda(null_stats) -> float:
     # (+inf past the end, share 1, never wins). int() floors exactly for n <
     # 1e11: the mass is 15317/40000, so mass * n is an integer or 1/40000 off.
     k = int(CENTRAL_BAND_MASS * n)
-    part = nulls if np.all(nulls[:-1] <= nulls[1:]) else np.partition(nulls, k)
-    v = part[k]
-    start, end = np.count_nonzero(part < v), np.count_nonzero(part <= v)
+    # rank k lies in [lo, hi], which holds `inside` values; `below` lie under lo
+    lo, hi, below, inside = -np.inf, np.inf, 0, n
+    margin = MARGIN
+    while inside > 4 * BLOCK and lo < hi:
+        sample = np.sort(_within(nulls, lo, hi, inside // BLOCK))
+        j = (k - below) * sample.size // inside
+        new_lo = sample[j - margin] if j >= margin else lo
+        new_hi = sample[j + margin] if j + margin < sample.size else hi
+        n_lo, n_hi = _bracket_counts(nulls, new_lo, new_hi)
+        was = inside
+        if k < n_lo:
+            hi, inside = np.nextafter(new_lo, -np.inf), n_lo - below
+        elif k >= n_hi:
+            lo, below, inside = np.nextafter(new_hi, np.inf), n_hi, below + inside - n_hi
+        else:
+            lo, hi, below, inside = new_lo, new_hi, n_lo, n_hi - n_lo
+        # a round that excluded nothing (ties at both ends) splits at one pivot
+        margin = MARGIN if inside < was else 0
+    if lo == hi:
+        v, start, end = lo, below, below + inside
+    else:
+        part = np.partition(_within(nulls, lo, hi), k - below)
+        v = part[k - below]
+        start, end = below + np.count_nonzero(part < v), below + np.count_nonzero(part <= v)
     distance = np.abs(np.array([start, end]) / n - CENTRAL_BAND_MASS)
     if end == n or distance[0] <= distance[1]:  # ties: smaller
         return float(v)
-    return float(np.min(part, where=part > v, initial=np.inf))  # the next run
+    if end < below + inside:  # the next run, in the bracket
+        part.partition(end - below)  # a gathered copy, never the null
+        return float(part[end - below])
+    return float(min(np.where(b > hi, b, np.inf).min() for b in _blocks(nulls)))
+
+
+def _blocks(values: np.ndarray):
+    return (values[i : i + BLOCK] for i in range(0, values.size, BLOCK))
+
+
+def _within(values: np.ndarray, lo, hi, step: int = 1) -> np.ndarray:
+    """Every step-th value in [lo, hi], in storage order, gathered block by block."""
+    if lo == -np.inf and hi == np.inf:
+        return values[::step]  # the same values, without masks
+    parts, skip = [], 0
+    for block in _blocks(values):
+        kept = block[(block >= lo) & (block <= hi)]
+        parts.append(kept[skip::step])
+        skip = (skip - kept.size) % step
+    return np.concatenate(parts)
+
+
+def _bracket_counts(values: np.ndarray, lo, hi) -> tuple[int, int]:
+    """How many values lie below lo, and how many at or below hi."""
+    counts = [(np.count_nonzero(b < lo), np.count_nonzero(b <= hi)) for b in _blocks(values)]
+    return tuple(map(sum, zip(*counts)))
 
 
 def estimate_pi0(observed, null_stats, lam: float, weights=None) -> Pi0Estimate:
@@ -255,15 +307,14 @@ def resolve_pi0(stats: StatisticSet, mode, weights=None) -> Pi0Estimate:
 
     Only "estimate" reads ``stats``, so the other modes serve the p-value
     route too, whose estimate is ``estimate_pi0_from_pvalues``. With per-test
-    ``weights`` the estimate is weighted and lambda is selected from the
-    unsorted null, which the weighted scan never sorts; the unweighted scans
-    sort the null anyway, so lambda reads that sorted copy.
+    ``weights`` the estimate is weighted. Lambda is selected from the null as
+    generated, on every route.
     """
     if mode == "one":
         return Pi0Estimate.fixed_one()
     if mode == "estimate":
-        null = stats.sorted_null if weights is None else stats.null_stats
-        return estimate_pi0(stats.observed, stats.null_stats, choose_lambda(null), weights)
+        lam = choose_lambda(stats.null_stats)
+        return estimate_pi0(stats.observed, stats.null_stats, lam, weights)
     if isinstance(mode, (int, float)) and not isinstance(mode, bool):
         return Pi0Estimate.user(float(mode))
     raise ValidationError(f"unknown pi0 mode {mode!r}")

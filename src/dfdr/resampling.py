@@ -58,22 +58,22 @@ def physical_memory() -> int | None:
         return None
 
 
-def check_null_fits(matrix: DataMatrix, plan: PermutationPlan, arrays: int) -> None:
+def check_null_fits(shape: tuple[int, int], n_permutations: int, arrays: int) -> None:
     """Refuse, before allocating, a null that cannot fit in physical memory.
 
-    ``arrays`` counts the null and the copies of it the analysis holds at
-    once (the sort; with weights only the partitioned copy that
-    ``choose_lambda`` selects from, since the weight sums go block by block),
-    each n_tests * n_permutations 8-byte values; the permutations and their
-    0/1 membership matrix add at most 2 * n_permutations * n_subjects values.
+    ``shape`` is the data matrix's (tests, subjects); ``arrays`` counts the
+    nulls held at once, one per comparison plus a subset's slice of one, each
+    tests * n_permutations 8-byte values (nothing copies a null: its counts,
+    weight sums and lambda go block by block). The permutations and their 0/1
+    membership matrix add at most 2 * n_permutations * subjects values.
     """
-    m, b = matrix.n_features, plan.n_permutations
-    need = 8 * b * (arrays * m + 2 * matrix.n_subjects)
+    (m, n), b = shape, n_permutations
+    need = 8 * (b * (arrays * m + 2 * n) + m * n)
     have = physical_memory()
     if have is not None and need > have:
         raise ValidationError(
             f"the permutation null needs about {need / 2**20:.0f} MiB "
-            f"({arrays} arrays of {m} tests x {b} permutations), more than "
+            f"({arrays} x {m} tests x {b} permutations), more than "
             f"the {have / 2**20:.0f} MiB of physical memory; lower --permutations"
         )
 

@@ -309,9 +309,7 @@ def boundary_offset(outcomes, fraction: float = 0.05) -> float:
     """Offset h so that [tau*, tau* + h) captures about ``fraction`` of rejections."""
     if not 0.0 < fraction < 1.0:
         raise ValidationError("fraction must lie in (0, 1)")
-    rel = np.concatenate(
-        [o.rejected_stats - o.tau for o in outcomes if o.n_rejected > 0]
-    )
+    rel = np.concatenate([np.zeros(0)] + [o.rejected_stats - o.tau for o in outcomes])
     if rel.size == 0:
         raise ValidationError("no rejections recorded; boundary bin undefined")
     h = float(np.quantile(rel, fraction))

@@ -28,10 +28,9 @@ class StatisticSet:
 
     ``null_stats`` holds n_tests * n_permutations values ordered by
     permutation index, then feature index; the null value at flat index j was
-    generated by the test j % n_tests. Ascending copies of both arrays are
-    sorted on first use and kept: every unweighted exceedance count is a
-    binary search in them. The weighted route never asks for ``sorted_null``,
-    so it holds no sorted copy of the null.
+    generated by the test j % n_tests. ``null_stats`` is the only copy of the
+    null: the unweighted scans need only ``null_exceedances``, counted in one
+    pass over blocks of the null and kept, as is ``sorted_observed``.
     """
 
     observed: np.ndarray
@@ -70,8 +69,10 @@ class StatisticSet:
         return np.sort(self.observed)
 
     @cached_property
-    def sorted_null(self) -> np.ndarray:
-        return np.sort(self.null_stats)
+    def null_exceedances(self) -> np.ndarray:
+        """How many nulls are >= each of ``sorted_observed`` and +inf: m + 1 counts."""
+        from dfdr.estimators import weight_exceedances  # the engine imports this module
+        return weight_exceedances(self.null_stats, None, np.append(self.sorted_observed, np.inf))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import pytest
 
 from dfdr import DataMatrix, DecisionResult, Pi0Estimate, StatisticSet, resolve_pi0
 from dfdr.decision import Curve
-from dfdr.estimators import dfdr_from_counts, exceedances, weight_exceedances
+from dfdr.estimators import dfdr_from_counts, weight_exceedances
 
 
 @pytest.fixture
@@ -54,11 +54,8 @@ def random_statistic_set(rng: np.random.Generator, max_m: int = 50, max_b: int =
 
 def dfdr_at(stats: StatisticSet, pi0: Pi0Estimate, tau: float, weights=None):
     """(dFDR, discoveries, null exceedances) of [tau, inf), from the engine's counts."""
-    if weights is None:
-        obs, null = exceedances(stats.sorted_observed, tau), exceedances(stats.sorted_null, tau)
-    else:
-        w = np.asarray(weights, dtype=float)
-        obs, null = (weight_exceedances(v, w, tau) for v in (stats.observed, stats.null_stats))
+    w = None if weights is None else np.asarray(weights, dtype=float)
+    obs, null = (weight_exceedances(v, w, tau) for v in (stats.observed, stats.null_stats))
     value = dfdr_from_counts(pi0.value, null / stats.n_null, obs, stats.n_tests)
     return float(value), obs, null
 

@@ -409,46 +409,73 @@ def test_import_leaves_scipy_unloaded():
 
 
 class TestMemoryCheck:
-    def test_null_too_large_for_memory_is_a_data_error(self, tmp_path, monkeypatch, capsys):
+    """Each route counts the nulls it holds at once, at the exact byte boundary.
+
+    40 tests x 10 subjects x 100 permutations: a null is 32,000 bytes, the
+    permutations and their membership matrix 16,000 and the matrix 3,200.
+    """
+
+    @staticmethod
+    def refused_below(monkeypatch, capsys, args, need, out):
         import dfdr.resampling
 
-        rng = np.random.default_rng(120)
-        mpath, lpath = write_fixture(tmp_path, rng, m=40)
-        args = [
-            "analyze", "--matrix", str(mpath), "--labels", str(lpath),
-            "--group-a", "A", "--group-b", "B", "--permutations", "100",
-            "--out", str(tmp_path / "out"),
-        ]
-        # 40 tests x 100 permutations: null and sort are 64000 bytes, plus
-        # 16000 for the permutations and their membership matrix
-        monkeypatch.setattr(dfdr.resampling, "physical_memory", lambda: 79_999)
+        monkeypatch.setattr(dfdr.resampling, "physical_memory", lambda: need - 1)
         assert main(args) == 2
         err = capsys.readouterr().err
         assert "physical memory" in err and "--permutations" in err
-        assert not (tmp_path / "out" / "summary.txt").exists()
-        monkeypatch.setattr(dfdr.resampling, "physical_memory", lambda: 80_000)
+        assert not out.exists() or not any(out.iterdir())  # nothing written
+        monkeypatch.setattr(dfdr.resampling, "physical_memory", lambda: need)
         assert main(args) == 0
 
-    def test_weights_count_the_null_and_its_partitioned_copy(self, tmp_path, monkeypatch):
-        import dfdr.resampling
+    @staticmethod
+    def analyze_args(tmp_path, seed, *extra):
+        mpath, lpath = write_fixture(tmp_path, np.random.default_rng(seed), m=40)
+        return [
+            "analyze", "--matrix", str(mpath), "--labels", str(lpath),
+            "--group-a", "A", "--group-b", "B", "--permutations", "100",
+            *extra, "--out", str(tmp_path / "out"),
+        ]
 
-        rng = np.random.default_rng(121)
-        mpath, lpath = write_fixture(tmp_path, rng, m=40)
+    def test_null_too_large_for_memory_is_a_data_error(self, tmp_path, monkeypatch, capsys):
+        # the null alone: its counts and lambda go block by block
+        args = self.analyze_args(tmp_path, 120)
+        self.refused_below(monkeypatch, capsys, args, 32_000 + 16_000 + 3_200, tmp_path / "out")
+
+    def test_weights_count_the_null_alone(self, tmp_path, monkeypatch, capsys):
         wpath = tmp_path / "weights.tsv"
         wpath.write_text(
             "feature_id\tbenefit\tcost\n" + "".join(f"g{i:03d}\t1\t19\n" for i in range(40))
         )
+        args = self.analyze_args(tmp_path, 121, "--weights", str(wpath))
+        self.refused_below(monkeypatch, capsys, args, 32_000 + 16_000 + 3_200, tmp_path / "out")
+
+    def test_subsets_count_each_comparison_and_one_slice(self, tmp_path, monkeypatch, capsys):
+        spath = tmp_path / "subsets.tsv"
+        rows = ["feature_id\tsubset\tgroup_a\tgroup_b\tbenefit\tcost"]
+        rows += [f"g{i:03d}\t{'low' if i < 20 else 'high'}\tA\tB\t1\t19" for i in range(40)]
+        spath.write_text("\n".join(rows) + "\n")
+        args = self.analyze_args(
+            tmp_path, 122, "--subsets", str(spath), "--min-subset-size", "10"
+        )
+        # one comparison's null plus a subset's slice, counted as a whole null
+        need = 2 * 32_000 + 16_000 + 3_200
+        self.refused_below(monkeypatch, capsys, args, need, tmp_path / "out")
+
+    def test_simulate_checks_one_replicate_before_any_runs(self, tmp_path, monkeypatch, capsys):
+        import dfdr.resampling
+
+        out = tmp_path / "sim"
         args = [
-            "analyze", "--matrix", str(mpath), "--labels", str(lpath),
-            "--group-a", "A", "--group-b", "B", "--permutations", "100",
-            "--weights", str(wpath), "--out", str(tmp_path / "out"),
+            "simulate", "--m", "50", "--replicates", "2", "--permutations", "100",
+            "--out", str(out),
         ]
-        # the null and the copy choose_lambda partitions, 64000 bytes, plus
-        # 16000 for the permutations; the weight sums add one block only
-        monkeypatch.setattr(dfdr.resampling, "physical_memory", lambda: 79_999)
+        # 50 tests x 20 subjects: null 40,000 bytes, permutations 32,000, matrix 8,000
+        self.refused_below(monkeypatch, capsys, args, 40_000 + 32_000 + 8_000, out)
+        # a null far beyond memory is refused before anything is allocated
+        monkeypatch.setattr(dfdr.resampling, "physical_memory", lambda: 2**30)
+        args[args.index("100")] = "2000000000"
         assert main(args) == 2
-        monkeypatch.setattr(dfdr.resampling, "physical_memory", lambda: 80_000)
-        assert main(args) == 0
+        assert "lower --permutations" in capsys.readouterr().err
 
 
 class TestSimulate:

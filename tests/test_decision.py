@@ -452,26 +452,51 @@ class TestCommonThresholdWeighted:
         assert pi0.value == pytest.approx(plain.value, abs=1e-12)
 
     def test_weighted_route_holds_no_copy_of_the_null(self):
-        # the block engine's temporaries scale with a block, not with the null:
-        # a whole-null argsort (8 bytes per value) alone would break the bound
-        rng = np.random.default_rng(36)
-        m, b = 4000, 1000
-        stats = StatisticSet(
-            observed=np.abs(rng.normal(size=m)),
-            null_stats=np.abs(rng.normal(size=m * b)),
-            n_permutations=b,
+        # lambda's selection and the block engine's temporaries scale with a
+        # block, not with the null: a whole-null sort, argsort or partition
+        # (8 bytes per value) alone would break the bound
+        stats = large_statistic_set(np.random.default_rng(36))
+        weights = np.random.default_rng(37).integers(2, 21, size=stats.n_tests).astype(float)
+        peak = traced_peak(
+            lambda: common_threshold_weighted(
+                stats, weights, np.ones(stats.n_tests), resolve_pi0(stats, "estimate", weights)
+            )
         )
-        weights = rng.integers(2, 21, size=m).astype(float)
-        tracemalloc.start()
-        try:
-            pi0 = resolve_pi0(stats, "estimate", weights)
-            tracemalloc.reset_peak()
-            common_threshold_weighted(stats, weights, np.ones(m), pi0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert peak < stats.null_stats.nbytes / 4
-        assert "sorted_null" not in vars(stats)  # the null was never sorted
+        assert not hasattr(stats, "sorted_null")  # no sorted copy to cache
+
+
+def large_statistic_set(rng) -> StatisticSet:
+    """4000 tests x 1000 permutations: a 32 MB null, many blocks of the engines."""
+    m, b = 4000, 1000
+    return StatisticSet(
+        observed=np.abs(rng.normal(size=m)),
+        null_stats=np.abs(rng.normal(size=m * b)),
+        n_permutations=b,
+    )
+
+
+def traced_peak(run) -> int:
+    """Peak bytes allocated through Python while ``run()`` executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_unweighted_routes_hold_no_copy_of_the_null():
+    stats = large_statistic_set(np.random.default_rng(38))
+
+    def run():
+        pi0 = resolve_pi0(stats, "estimate")
+        maximize_desirability(stats, pi0, CostBenefit.from_ratio(19.0))
+        control_dfdr(stats, pi0, 0.05)
+
+    assert traced_peak(run) < stats.null_stats.nbytes / 4
+    # both scans read one cached block pass: m + 1 counts
+    assert stats.null_exceedances.shape == (stats.n_tests + 1,)
 
 
 class TestPvalueDecisions:

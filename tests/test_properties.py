@@ -183,6 +183,66 @@ def test_choose_lambda_with_long_runs_of_ties(runs, n_inf):
     assert choose_lambda(np.random.default_rng(nulls.size).permutation(nulls)) == expected
 
 
+# Blocks of a few values put small inputs through choose_lambda's bracket:
+# more than 4 * BLOCK values start a round, whose sample holds about BLOCK
+# values (an input shorter than that is selected from directly) and whose
+# bracket spans MARGIN sample ranks on each side; MARGIN 0 is a bracket of one
+# pivot, which rank k mostly misses, so the narrowing after a miss runs too.
+brackets = st.tuples(st.sampled_from([1, 2, 4, 16]), st.sampled_from([0, 1, 2, 1024]))
+
+
+def lambda_by_bracket(nulls, bracket):
+    block, margin = bracket
+    with mock.patch.multiple(estimators, BLOCK=block, MARGIN=margin):
+        return choose_lambda(nulls)
+
+
+@PROPERTY
+@given(st.data(), st.lists(stat_values, min_size=1, max_size=300), brackets)
+def test_choose_lambda_by_bracket_matches_unique_definition(data, nulls, bracket):
+    expected = lambda_by_unique(nulls)
+    assert lambda_by_bracket(data.draw(st.permutations(nulls)), bracket) == expected
+
+
+@PROPERTY
+@given(st.data(), stat_values, st.lists(stat_values, min_size=1, max_size=40), brackets)
+def test_choose_lambda_with_heavy_ties_at_rank_k(data, tied, others, bracket):
+    # 90% of the values equal: the bracket closes on that run, known by counts
+    nulls = others + [tied] * (9 * len(others))
+    expected = lambda_by_unique(nulls)
+    assert lambda_by_bracket(data.draw(st.permutations(nulls)), bracket) == expected
+
+
+@PROPERTY
+@given(
+    st.data(), st.lists(st.floats(0.0, 5.0), min_size=1, max_size=100),
+    st.integers(1, 300), brackets,
+)
+def test_choose_lambda_with_runs_of_inf(data, finite, n_inf, bracket):
+    # rank k in the +inf run, or the next run being +inf, past every bracket
+    nulls = finite + [math.inf] * n_inf
+    expected = lambda_by_unique(nulls)
+    assert lambda_by_bracket(data.draw(st.permutations(nulls)), bracket) == expected
+
+
+def test_choose_lambda_recovers_exactly_from_missed_brackets(monkeypatch):
+    rng = np.random.default_rng(50)
+    nulls = np.round(np.abs(rng.normal(size=5000)), 2)
+    k = int(CENTRAL_BAND_MASS * nulls.size)
+    counted = []
+    count = estimators._bracket_counts
+
+    def spy(values, lo, hi):
+        counted.append(count(values, lo, hi))
+        return counted[-1]
+
+    monkeypatch.setattr(estimators, "_bracket_counts", spy)
+    monkeypatch.setattr(estimators, "BLOCK", 64)
+    monkeypatch.setattr(estimators, "MARGIN", 1)
+    assert choose_lambda(nulls) == lambda_by_unique(nulls)
+    assert any(not n_lo <= k < n_hi for n_lo, n_hi in counted)  # some bracket missed
+
+
 @PROPERTY
 @given(st.lists(pvalues, min_size=1, max_size=30), pi0s, ratios)
 def test_pvalue_scan_matches_pointwise_estimates(p, pi0, ratio):

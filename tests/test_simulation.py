@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -206,6 +207,16 @@ class TestLocalDfdr:
         boundary = measure_local_dfdr(report.outcomes, [h])[0]
         share = boundary.rejections / report.total_rejections
         assert 0.02 <= share <= 0.10
+
+    def test_boundary_offset_without_rejections_is_its_own_error(self, report):
+        # no outcomes, or outcomes that rejected nothing
+        nothing = dataclasses.replace(
+            report.outcomes[0], n_rejected=0, n_false=0,
+            rejected_stats=np.zeros(0), rejected_is_null=np.zeros(0, dtype=bool),
+        )
+        for outcomes in ([], [nothing, nothing]):
+            with pytest.raises(ValidationError, match="no rejections recorded"):
+                boundary_offset(outcomes)
 
     def test_offsets_must_increase(self, report):
         with pytest.raises(ValidationError):
