@@ -361,9 +361,7 @@ def run_analyze(args) -> int:
 
     if args.subsets is not None:
         partition = _load_subsets(args.subsets, matrix, args.min_subset_size)
-        # one null per comparison, plus one subset's slice
-        comparisons = {(s.group_a, s.group_b) for s in partition.subsets}
-        check_null_fits(matrix.values.shape, args.permutations, len(comparisons) + 1)
+        check_null_fits(matrix.values.shape, args.permutations)
         decisions = per_subset_optimize(partition, matrix, plan, pi0_mode)
         for sd in decisions:
             subset, result = sd.subset, sd.result
@@ -378,15 +376,16 @@ def run_analyze(args) -> int:
             _write_decision_outputs(outdir, sub_ids, sd.observed, result, fields, stem=subset.name)
         return 0
 
-    # the null alone: lambda, counts and weight sums need one block at a time
-    check_null_fits(matrix.values.shape, args.permutations, 1)
-    stats = build_statistic_set(matrix, args.group_a, args.group_b, plan)
+    # the weights before the null, whose summary holds their sums
+    cb = None if args.weights is None else _load_weights(args.weights, matrix)
+    weights = None if cb is None else cb.weights
+    check_null_fits(matrix.values.shape, args.permutations)
+    stats = build_statistic_set(matrix, args.group_a, args.group_b, plan, weights)
     base_fields += [("group_a", args.group_a), ("group_b", args.group_b)]
 
-    if args.weights is not None:
-        cb = _load_weights(args.weights, matrix)
-        pi0 = resolve_pi0(stats, pi0_mode, cb.weights)
-        result = common_threshold_weighted(stats, cb.weights, cb.benefits, pi0)
+    if cb is not None:
+        pi0 = resolve_pi0(stats, pi0_mode, weights)
+        result = common_threshold_weighted(stats, weights, cb.benefits, pi0)
         fields = base_fields + [("weighted", True)]
     else:
         pi0 = resolve_pi0(stats, pi0_mode)
@@ -459,8 +458,8 @@ def run_simulate(args) -> int:
         block_size=args.block_size,
         block_rho=args.block_rho,
     )
-    # one replicate's matrix and null at a time
-    check_null_fits((config.n_tests, config.n_a + config.n_b), config.n_permutations, 1)
+    # one replicate's matrix and permutations at a time
+    check_null_fits((config.n_tests, config.n_a + config.n_b), config.n_permutations)
     value, rule_fields = _rule_from_args(args)
     if args.mode == "maximize":
         bound = 1.0 / (1.0 + value)
@@ -548,8 +547,7 @@ def run_reproduce(args) -> int:
 
     matrix = preprocess(load_matrix(args.matrix, args.labels))
     plan = PermutationPlan(n_permutations=args.permutations, seed=args.seed)
-    # the null, kept while --group-t builds one more null and its slice
-    check_null_fits(matrix.values.shape, args.permutations, 1 if args.group_t is None else 3)
+    check_null_fits(matrix.values.shape, args.permutations)
     stats = build_statistic_set(matrix, args.group_a, args.group_b, plan)
 
     pi0_by_mode = {"estimate": resolve_pi0(stats, "estimate"), "one": Pi0Estimate.fixed_one()}

@@ -11,6 +11,7 @@ in file order.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -105,21 +106,7 @@ def load_matrix(matrix_path, labels_path) -> DataMatrix:
     entries for unknown subjects are ignored.
     """
     label_map = load_labels(labels_path)
-    lines = Path(matrix_path).read_text(encoding="utf-8").splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if len(lines) < 2:
-        raise ParseError(f"{matrix_path}: need a header row and at least one feature row")
-
-    header = lines[0].split("\t")
-    subject_ids = [cell.strip() for cell in header[1:]]
-    if len(subject_ids) < 2:
-        raise ParseError(f"{matrix_path}: header row names fewer than two subjects")
-    parsed = _parse_rows(lines[1:], len(subject_ids))
-    if parsed is None:
-        _raise_first_bad_cell(matrix_path, lines[1:], len(subject_ids))
-    feature_ids, values = parsed
-
+    subject_ids, feature_ids, values = _read_fast(matrix_path) or _read_plain(matrix_path)
     missing = [s for s in subject_ids if s not in label_map]
     if missing:
         raise ValidationError(
@@ -131,6 +118,60 @@ def load_matrix(matrix_path, labels_path) -> DataMatrix:
         subject_ids=tuple(subject_ids),
         labels=tuple(label_map[s] for s in subject_ids),
     )
+
+
+# str.splitlines breaks lines at these too, the file's line iterator does not;
+# NUL could end a C parser's cell early
+_UNLIKE_LINES = re.compile("[\x00\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _read_fast(path):
+    """(subject ids, feature ids, values) by ``np.loadtxt``, or None.
+
+    None wherever the plain parser may decide otherwise: a line it would
+    split elsewhere, a row without one cell per subject, fewer than two
+    subjects or no row, a cell ``np.loadtxt`` does not read (it reads no cell
+    that float() rejects, and the others to the same bits; it rejects some
+    that float() reads, such as ``1_0``), or a value that is not finite.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            header = f.readline()
+            n = header.count("\t")
+            feature_ids = []
+            for line in f:
+                if line.count("\t") != n or _UNLIKE_LINES.search(line):
+                    return None
+                feature_ids.append(line.partition("\t")[0].strip())
+            if n < 2 or not feature_ids or _UNLIKE_LINES.search(header):
+                return None
+            f.seek(0)
+            values = np.loadtxt(
+                f, delimiter="\t", comments=None, skiprows=1, usecols=range(1, n + 1), ndmin=2
+            )
+    except (OSError, UnicodeDecodeError, ValueError):
+        return None  # the plain parser raises the error, or reads what loadtxt did not
+    if values.shape != (len(feature_ids), n) or not np.isfinite(values).all():
+        return None
+    subject_ids = [cell.strip() for cell in header.rstrip("\n").split("\t")[1:]]
+    return subject_ids, feature_ids, values
+
+
+def _read_plain(path):
+    """(subject ids, feature ids, values), by float() on every cell."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if len(lines) < 2:
+        raise ParseError(f"{path}: need a header row and at least one feature row")
+    header = lines[0].split("\t")
+    subject_ids = [cell.strip() for cell in header[1:]]
+    if len(subject_ids) < 2:
+        raise ParseError(f"{path}: header row names fewer than two subjects")
+    parsed = _parse_rows(lines[1:], len(subject_ids))
+    if parsed is None:
+        _raise_first_bad_cell(path, lines[1:], len(subject_ids))
+    return (subject_ids, *parsed)
 
 
 def _parse_rows(lines: list[str], n: int) -> tuple[list[str], np.ndarray] | None:

@@ -13,8 +13,9 @@ objective break toward the largest threshold (fewest rejections).
 
 Every route, p-values included, is one pass over sorted values: the distinct
 candidates and their discovery counts come from where the runs of ties start
-in the sorted observed values, the null shares from the estimators' block
-engine, and the whole candidate curve is kept as parallel arrays.
+in the sorted observed values, the null shares from the null's summary
+(``StatisticSet.null_summary``), and the whole candidate curve is kept as
+parallel arrays.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dfdr.data import DataMatrix
 from dfdr.errors import ValidationError
 from dfdr.estimators import (
     CostBenefit,
+    NullSummary,
     Pi0Estimate,
     checked_weights,
     dfdr_from_counts,
@@ -34,7 +36,7 @@ from dfdr.estimators import (
     resolve_pi0,
     weight_exceedances,
 )
-from dfdr.resampling import PermutationPlan, build_statistic_set
+from dfdr.resampling import PermutationPlan, permutation_null
 from dfdr.stats import PValueSet, StatisticSet
 
 
@@ -234,32 +236,30 @@ def per_subset_optimize(
 
     Each subset gets its own null statistics (its rows of the permutation
     null), its own pi0 estimate and tuning threshold, and its own cost and
-    benefit. The statistics of each comparison are built once on the whole
-    matrix and sliced per subset; the statistic of a row does not depend on
-    the other rows, so the slices equal a build on the subset's rows alone,
-    bit for bit. For a single subset covering all rows this reduces exactly to
-    maximize_desirability on the whole problem.
+    benefit. Each comparison's null is computed once, in one pass whose tiles
+    go to a NullSummary per subset, restricted to its rows; the statistic of a
+    row does not depend on the other rows, so each summary equals one of a
+    build on the subset's rows alone, bit for bit. For a single subset
+    covering all rows this reduces exactly to maximize_desirability on the
+    whole problem.
     """
     partition.validate_sizes()
-    last_use = {(s.group_a, s.group_b): i for i, s in enumerate(partition.subsets)}
-    built: dict[tuple[str, str], StatisticSet] = {}
-    out = []
-    for i, subset in enumerate(partition.subsets):
-        key = (subset.group_a, subset.group_b)
-        if key not in built:
-            built[key] = build_statistic_set(matrix, *key, plan)
-        full = built.pop(key) if last_use[key] == i else built[key]
-        rows = np.asarray(subset.feature_indices, dtype=np.intp)
-        stats = StatisticSet(
-            observed=full.observed[rows],
-            null_stats=full.null_stats.reshape(plan.n_permutations, -1)[:, rows],
-            n_permutations=plan.n_permutations,
-        )
-        pi0 = resolve_pi0(stats, pi0_mode)
-        cb = CostBenefit([subset.benefit], [subset.cost])
-        result = maximize_desirability(stats, pi0, cb)
-        out.append(SubsetDecision(subset=subset, result=result, observed=stats.observed))
-    return tuple(out)
+    b = plan.n_permutations
+    out = {}
+    for key in dict.fromkeys((s.group_a, s.group_b) for s in partition.subsets):
+        summaries = {
+            i: NullSummary(matrix.n_features, b, rows=np.asarray(s.feature_indices, dtype=np.intp))
+            for i, s in enumerate(partition.subsets)
+            if (s.group_a, s.group_b) == key
+        }
+        permutation_null(matrix, *key, plan, into=list(summaries.values()))
+        for i, summary in summaries.items():
+            subset = partition.subsets[i]
+            stats = StatisticSet(summary.observed, None, b, summary=summary)
+            pi0 = resolve_pi0(stats, pi0_mode)
+            result = maximize_desirability(stats, pi0, CostBenefit([subset.benefit], [subset.cost]))
+            out[i] = SubsetDecision(subset=subset, result=result, observed=stats.observed)
+    return tuple(out[i] for i in range(len(partition.subsets)))
 
 
 def common_threshold_weighted(
@@ -285,7 +285,7 @@ def common_threshold_weighted(
     taus, below = _candidates(stats.sorted_observed)
     w_obs_ge = weight_exceedances(stats.observed, w, taus)
     b_obs_ge = weight_exceedances(stats.observed, b, taus)
-    w_null_ge = weight_exceedances(stats.null_stats, w, taus)
+    w_null_ge = stats.null_summary(w).exceedances[below]
     dfdr = dfdr_from_counts(pi0_weighted.value, w_null_ge / stats.n_null, w_obs_ge, stats.n_tests)
     curve = Curve(taus, dfdr, b_obs_ge - dfdr * w_obs_ge, stats.n_tests - below)
     pick = int(_maxima(curve.desirability)[-1])

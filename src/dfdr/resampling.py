@@ -13,7 +13,8 @@ bitwise the same for any number of permutations above ``b``, any batching of
 permutations into products, any BLAS or BLAS thread count, and any order of
 evaluation; the identity permutation reproduces the observed statistics bit
 for bit. Null statistics are ordered by permutation index, then feature
-index. The observed statistics are computed in the same pass as the null.
+index. The observed statistics are computed first, from the identity split,
+and the null is then computed tile by tile into a summary, never whole.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import numpy as np
 
 from dfdr.data import DataMatrix
 from dfdr.errors import ValidationError
-from dfdr.stats import StatisticSet, welch_abs_t
+from dfdr.estimators import NullSummary, summarize
+from dfdr.stats import StatisticSet, welch_abs_t, welch_tiles
 
 
 @dataclass(frozen=True)
@@ -58,22 +60,22 @@ def physical_memory() -> int | None:
         return None
 
 
-def check_null_fits(shape: tuple[int, int], n_permutations: int, arrays: int) -> None:
-    """Refuse, before allocating, a null that cannot fit in physical memory.
+def check_null_fits(shape: tuple[int, int], n_permutations: int) -> None:
+    """Refuse, before allocating, permutations that cannot fit in physical memory.
 
-    ``shape`` is the data matrix's (tests, subjects); ``arrays`` counts the
-    nulls held at once, one per comparison plus a subset's slice of one, each
-    tests * n_permutations 8-byte values (nothing copies a null: its counts,
-    weight sums and lambda go block by block). The permutations and their 0/1
-    membership matrix add at most 2 * n_permutations * subjects values.
+    ``shape`` is the data matrix's (tests, subjects). The null is never held:
+    a NullSummary takes it tile by tile, in memory bounded by the tile and
+    bracket sizes and the number of tests. What grows with the number of
+    permutations is the permutations themselves, n_permutations * subjects
+    8-byte indices, which are counted here with the matrix.
     """
     (m, n), b = shape, n_permutations
-    need = 8 * (b * (arrays * m + 2 * n) + m * n)
+    need = 8 * n * (b + m)
     have = physical_memory()
     if have is not None and need > have:
         raise ValidationError(
-            f"the permutation null needs about {need / 2**20:.0f} MiB "
-            f"({arrays} x {m} tests x {b} permutations), more than "
+            f"the permutations need about {need / 2**20:.0f} MiB "
+            f"({b} permutations x {n} subjects, and the matrix), more than "
             f"the {have / 2**20:.0f} MiB of physical memory; lower --permutations"
         )
 
@@ -83,23 +85,49 @@ def permutation_null(
     group_a: str,
     group_b: str,
     plan: PermutationPlan,
-    observed: np.ndarray | None = None,
-) -> np.ndarray:
+    into=None,
+):
     """Null statistics from ``plan.n_permutations`` random label permutations.
 
-    ``observed``, if given, receives the observed statistics (those of the
-    identity permutation), computed in the same pass.
+    Returns the null whole. With ``into`` (a NullSummary or a list of them),
+    each tile of the null goes to every summary as it is computed, nothing
+    is kept whole, and ``into`` is returned; the summaries keep the means to
+    recompute the tiles for any later pass. They observe the observed
+    statistics, those of the identity split, first; a null that the
+    summaries keep whole anyway takes the identity split in its own pass
+    instead, so its row blocks are prepared once.
     """
     values, pool, n_a = _comparison(matrix, group_a, group_b)
-    stats = np.empty((plan.n_permutations + 1, values.shape[0]))
     splits = np.empty((plan.n_permutations + 1, pool.size), dtype=np.intp)
     splits[0] = np.arange(pool.size)
     for b in range(plan.n_permutations):
         splits[b + 1] = permutation_indices(plan, b, pool.size)
-    welch_abs_t(values, pool, n_a, splits, out=stats)
-    if observed is not None:
-        observed[:] = stats[0]
-    return stats[1:].ravel()
+    if into is None:
+        return welch_abs_t(values, pool, n_a, splits[1:]).ravel()
+    summaries = into if isinstance(into, list) else [into]
+    observed = np.empty(values.shape[0])
+
+    def null():  # a tile source of the null alone
+        return ((rows, tile) for rows, _, tile in welch_tiles(values, pool, n_a, splits[1:]))
+
+    def with_identity():  # split 0 of each row block's first tile is the identity
+        for rows, start, tile in welch_tiles(values, pool, n_a, splits):
+            if start == 0:
+                observed[rows], tile = tile[0], tile[1:]
+            if tile.size:
+                yield rows, tile
+
+    together = all(summary.keeps_all for summary in summaries)
+    if not together:
+        observed[:] = welch_abs_t(values, pool, n_a, splits[:1])[0]
+        for summary in summaries:
+            summary.observe(observed)
+    summarize(summaries, with_identity if together else null)
+    for summary in summaries:
+        summary.tiles = null  # any later pass
+        if together:
+            summary.observe(observed)
+    return into
 
 
 def build_statistic_set(
@@ -107,13 +135,15 @@ def build_statistic_set(
     group_a: str,
     group_b: str,
     plan: PermutationPlan,
+    weights=None,
 ) -> StatisticSet:
-    """Observed statistics plus their permutation null, as one StatisticSet."""
-    observed = np.empty(matrix.n_features)
-    null_stats = permutation_null(matrix, group_a, group_b, plan, observed=observed)
-    return StatisticSet(
-        observed=observed, null_stats=null_stats, n_permutations=plan.n_permutations
-    )
+    """Observed statistics and their null, summarized as it is computed.
+
+    With per-test ``weights`` the summary holds the null's weight sums.
+    """
+    summary = NullSummary(matrix.n_features, plan.n_permutations, weights)
+    permutation_null(matrix, group_a, group_b, plan, into=summary)
+    return StatisticSet(summary.observed, None, plan.n_permutations, summary=summary)
 
 
 def two_sample_abs_t(matrix: DataMatrix, group_a: str, group_b: str) -> np.ndarray:

@@ -14,7 +14,7 @@ range) never gives a sentinel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -24,37 +24,45 @@ from dfdr.errors import ValidationError
 
 @dataclass(frozen=True)
 class StatisticSet:
-    """Observed statistics plus the resampled null statistics.
+    """Observed statistics plus their permutation null.
 
-    ``null_stats`` holds n_tests * n_permutations values ordered by
-    permutation index, then feature index; the null value at flat index j was
-    generated by the test j % n_tests. ``null_stats`` is the only copy of the
-    null: the unweighted scans need only ``null_exceedances``, counted in one
-    pass over blocks of the null and kept, as is ``sorted_observed``.
+    The estimators read the null only through a ``NullSummary`` (see
+    ``estimators``): exceedance counts or weight sums at the candidate
+    thresholds, lambda, and the per-test counts below lambda. A set from
+    ``build_statistic_set`` was summarized tile by tile as its null was
+    computed, and the null was never held whole: ``null_stats`` is None and
+    ``summary`` can recompute it, tile by tile. A set built from arrays holds
+    ``null_stats``, n_tests * n_permutations values ordered by permutation
+    index, then feature index (the value at flat index j was generated by the
+    test j % n_tests), and feeds it to a summary in tiles of whole
+    permutations when first read.
     """
 
     observed: np.ndarray
-    null_stats: np.ndarray
+    null_stats: np.ndarray | None
     n_permutations: int
+    summary: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         observed = np.asarray(self.observed, dtype=float).ravel()
-        null_stats = np.asarray(self.null_stats, dtype=float).ravel()
         object.__setattr__(self, "observed", observed)
-        object.__setattr__(self, "null_stats", null_stats)
         if observed.size < 1:
             raise ValidationError("need at least one observed statistic")
         if self.n_permutations < 1:
             raise ValidationError("n_permutations must be >= 1")
+        check_statistics("observed", observed)
+        if self.null_stats is None:
+            if self.summary is None:
+                raise ValidationError("need the null statistics or their summary")
+            return
+        null_stats = np.asarray(self.null_stats, dtype=float).ravel()
+        object.__setattr__(self, "null_stats", null_stats)
         if null_stats.size != observed.size * self.n_permutations:
             raise ValidationError(
                 f"{null_stats.size} null statistics for "
                 f"{observed.size} tests x {self.n_permutations} permutations"
             )
-        for name, arr in (("observed", observed), ("null", null_stats)):
-            # one reduction, no temporaries: the minimum is NaN if any value is
-            if not arr.min() > -np.inf:
-                raise ValidationError(f"{name} statistics must be finite or +inf")
+        check_statistics("null", null_stats)
 
     @property
     def n_tests(self) -> int:
@@ -62,17 +70,43 @@ class StatisticSet:
 
     @property
     def n_null(self) -> int:
-        return self.null_stats.size
+        return self.observed.size * self.n_permutations
 
     @cached_property
     def sorted_observed(self) -> np.ndarray:
         return np.sort(self.observed)
 
-    @cached_property
+    @property
+    def null_tiles(self):
+        """The null as a tile source: a callable returning (rows, tile) pairs,
+        where tile[:, i] holds nulls of the test rows[i]. A stored null is read
+        in place; a summarized one is recomputed."""
+        if self.null_stats is None:
+            return self.summary.tiles
+        from dfdr.estimators import array_tiles  # the engine imports this module
+        return array_tiles(self.null_stats, self.n_tests)
+
+    def null_summary(self, weights=None):
+        """The null's NullSummary, with weight sums for ``weights`` if given.
+
+        The last summary is kept; one for other weights takes a new pass.
+        """
+        from dfdr.estimators import NullSummary
+        if self.summary is None or not self.summary.weighs_with(weights):
+            summary = NullSummary(self.n_tests, self.n_permutations, weights).observe(self.observed)
+            object.__setattr__(self, "summary", summary.feed(self.null_tiles))
+        return self.summary
+
+    @property
     def null_exceedances(self) -> np.ndarray:
         """How many nulls are >= each of ``sorted_observed`` and +inf: m + 1 counts."""
-        from dfdr.estimators import weight_exceedances  # the engine imports this module
-        return weight_exceedances(self.null_stats, None, np.append(self.sorted_observed, np.inf))
+        return self.null_summary().exceedances
+
+
+def check_statistics(name: str, values: np.ndarray) -> None:
+    # one reduction, no temporaries: the minimum is NaN if any value is
+    if not values.min() > -np.inf:
+        raise ValidationError(f"{name} statistics must be finite or +inf")
 
 
 @dataclass(frozen=True)
@@ -106,10 +140,14 @@ def validate_pvalues(raw) -> PValueSet:
     return PValueSet(pvalues=p)
 
 
-# Rows per block and splits per matrix product in welch_abs_t. The
-# statistics do not depend on either; they size the temporaries.
+# Rows per block: at least ROWS, and enough that a block holds about
+# ROW_VALUES data values (a 2000 x 20 simulate matrix takes five blocks).
+# Splits per matrix product: CHUNK. Statistics per tile: TILE. The statistics
+# depend on none of these; they size the temporaries.
 ROWS = 256
+ROW_VALUES = 2**13
 CHUNK = 64
+TILE = 2**18
 # The one-pass spread sum(y^2) - sum(y)^2 / k of a group is off by at most
 # about 2^-50 of sum(y^2) plus one lo-grid step per member. A spread that does
 # not exceed that bound by this factor is recomputed with two passes.
@@ -118,7 +156,7 @@ _MARGIN = 2.0**40
 _BLAS_SIZE = 2**18
 
 
-def welch_abs_t(values: np.ndarray, pool, n_a: int, splits, out=None) -> np.ndarray:
+def welch_abs_t(values: np.ndarray, pool, n_a: int, splits) -> np.ndarray:
     """Absolute Welch t of every row of ``values[:, pool]`` for each split.
 
     A split (row of ``splits``) is a permutation of the pool positions
@@ -147,21 +185,44 @@ def welch_abs_t(values: np.ndarray, pool, n_a: int, splits, out=None) -> np.ndar
     any spread above 2^-500 of the row's range gives a finite statistic
     (squares of smaller deviations underflow).
     """
+    out = np.empty((np.shape(splits)[0], values.shape[0]))
+    for rows, start, tile in welch_tiles(values, pool, n_a, splits):
+        out[start : start + tile.shape[0], rows] = tile
+    return out
+
+
+def welch_tiles(values: np.ndarray, pool, n_a: int, splits):
+    """``welch_abs_t`` one tile at a time: (rows, first split, tile) triples.
+
+    ``tile[s, i]`` is the statistic of split ``first + s`` for row
+    ``rows[i]``. The rows go in blocks of at least ROWS rows and ROW_VALUES
+    data values; the first block's rows are strided across all rows, so the
+    first tile samples the whole matrix, and the other blocks take the
+    remaining rows in order. A tile holds the splits of one block, at most
+    TILE values (one split's, if a block's rows alone exceed it). Its memory
+    is reused by the next tile.
+    """
     pool = np.asarray(pool, dtype=np.intp)
     splits = np.asarray(splits, dtype=np.intp)
     if n_a < 2 or pool.size - n_a < 2:
         raise ValidationError("both groups need at least two members")
     count, m = splits.shape[0], values.shape[0]
-    if out is None:
-        out = np.empty((count, m))
-    members = np.zeros((count, pool.size))
-    members[np.arange(count)[:, None], splits[:, :n_a]] = 1.0
-    for r in range(0, m, ROWS):
-        rows = _Rows(values[r : r + ROWS, pool], n_a)
-        for c in range(0, count, CHUNK):
-            chunk = slice(c, c + CHUNK)
-            rows.abs_t(members[chunk], splits[chunk], out[chunk, r : r + ROWS])
-    return out
+    size = min(m, max(ROWS, ROW_VALUES // pool.size))
+    first = np.arange(0, m, -(-m // size))
+    rest = np.delete(np.arange(m), first)
+    group = max(1, min(count, TILE // size))
+    buffer = np.empty(group * size)
+    for rows in [first] + [rest[r : r + size] for r in range(0, rest.size, size)]:
+        block = _Rows(values[rows][:, pool], n_a)  # column-major: fast row minima
+        for start in range(0, count, group):
+            part = splits[start : start + group]
+            tile = buffer[: part.shape[0] * rows.size].reshape(-1, rows.size)
+            members = np.zeros((part.shape[0], pool.size))
+            members[np.arange(part.shape[0])[:, None], part[:, :n_a]] = 1.0
+            for c in range(0, part.shape[0], CHUNK):
+                chunk = slice(c, c + CHUNK)
+                block.abs_t(members[chunk], part[chunk], tile[chunk])
+            yield rows, start, tile
 
 
 class _Rows:

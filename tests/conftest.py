@@ -53,9 +53,17 @@ def random_statistic_set(rng: np.random.Generator, max_m: int = 50, max_b: int =
 
 
 def dfdr_at(stats: StatisticSet, pi0: Pi0Estimate, tau: float, weights=None):
-    """(dFDR, discoveries, null exceedances) of [tau, inf), from the engine's counts."""
+    """(dFDR, discoveries, null exceedances) of [tau, inf), from the engine's counts.
+
+    The null is read tile by tile, so a null that was never held whole (from
+    ``build_statistic_set``) is recomputed here.
+    """
     w = None if weights is None else np.asarray(weights, dtype=float)
-    obs, null = (weight_exceedances(v, w, tau) for v in (stats.observed, stats.null_stats))
+    obs = weight_exceedances(stats.observed, w, tau)
+    null = sum(
+        weight_exceedances(tile.ravel(), None if w is None else w[rows], tau)
+        for rows, tile in stats.null_tiles()
+    )
     value = dfdr_from_counts(pi0.value, null / stats.n_null, obs, stats.n_tests)
     return float(value), obs, null
 

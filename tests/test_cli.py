@@ -409,10 +409,12 @@ def test_import_leaves_scipy_unloaded():
 
 
 class TestMemoryCheck:
-    """Each route counts the nulls it holds at once, at the exact byte boundary.
+    """Each route counts what grows with the permutations, at the exact byte boundary.
 
-    40 tests x 10 subjects x 100 permutations: a null is 32,000 bytes, the
-    permutations and their membership matrix 16,000 and the matrix 3,200.
+    The null is never held: its summary takes it tile by tile. What grows
+    with the number of permutations is the permutations themselves. 40 tests
+    x 10 subjects x 100 permutations: the permutations are 8,000 bytes and
+    the matrix 3,200.
     """
 
     @staticmethod
@@ -437,19 +439,18 @@ class TestMemoryCheck:
         ]
 
     def test_null_too_large_for_memory_is_a_data_error(self, tmp_path, monkeypatch, capsys):
-        # the null alone: its counts and lambda go block by block
         args = self.analyze_args(tmp_path, 120)
-        self.refused_below(monkeypatch, capsys, args, 32_000 + 16_000 + 3_200, tmp_path / "out")
+        self.refused_below(monkeypatch, capsys, args, 8_000 + 3_200, tmp_path / "out")
 
-    def test_weights_count_the_null_alone(self, tmp_path, monkeypatch, capsys):
+    def test_weights_count_the_permutations_alone(self, tmp_path, monkeypatch, capsys):
         wpath = tmp_path / "weights.tsv"
         wpath.write_text(
             "feature_id\tbenefit\tcost\n" + "".join(f"g{i:03d}\t1\t19\n" for i in range(40))
         )
         args = self.analyze_args(tmp_path, 121, "--weights", str(wpath))
-        self.refused_below(monkeypatch, capsys, args, 32_000 + 16_000 + 3_200, tmp_path / "out")
+        self.refused_below(monkeypatch, capsys, args, 8_000 + 3_200, tmp_path / "out")
 
-    def test_subsets_count_each_comparison_and_one_slice(self, tmp_path, monkeypatch, capsys):
+    def test_subsets_count_the_permutations_alone(self, tmp_path, monkeypatch, capsys):
         spath = tmp_path / "subsets.tsv"
         rows = ["feature_id\tsubset\tgroup_a\tgroup_b\tbenefit\tcost"]
         rows += [f"g{i:03d}\t{'low' if i < 20 else 'high'}\tA\tB\t1\t19" for i in range(40)]
@@ -457,9 +458,8 @@ class TestMemoryCheck:
         args = self.analyze_args(
             tmp_path, 122, "--subsets", str(spath), "--min-subset-size", "10"
         )
-        # one comparison's null plus a subset's slice, counted as a whole null
-        need = 2 * 32_000 + 16_000 + 3_200
-        self.refused_below(monkeypatch, capsys, args, need, tmp_path / "out")
+        # one summary per subset, but no null and no slice of one
+        self.refused_below(monkeypatch, capsys, args, 8_000 + 3_200, tmp_path / "out")
 
     def test_simulate_checks_one_replicate_before_any_runs(self, tmp_path, monkeypatch, capsys):
         import dfdr.resampling
@@ -469,13 +469,15 @@ class TestMemoryCheck:
             "simulate", "--m", "50", "--replicates", "2", "--permutations", "100",
             "--out", str(out),
         ]
-        # 50 tests x 20 subjects: null 40,000 bytes, permutations 32,000, matrix 8,000
-        self.refused_below(monkeypatch, capsys, args, 40_000 + 32_000 + 8_000, out)
-        # a null far beyond memory is refused before anything is allocated
+        # 50 tests x 20 subjects: permutations 16,000 bytes, matrix 8,000
+        self.refused_below(monkeypatch, capsys, args, 16_000 + 8_000, out)
+        # permutations far beyond memory are refused before anything is allocated
         monkeypatch.setattr(dfdr.resampling, "physical_memory", lambda: 2**30)
         args[args.index("100")] = "2000000000"
+        args[-1] = str(tmp_path / "sim-large")
         assert main(args) == 2
         assert "lower --permutations" in capsys.readouterr().err
+        assert not (tmp_path / "sim-large").exists()  # nothing written
 
 
 class TestSimulate:

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dfdr import data
 from dfdr import (
     DataMatrix,
     ParseError,
@@ -177,6 +180,47 @@ class TestLoadMatrix:
         )
         matrix = load_matrix(mpath, lpath)
         assert matrix.labels == ("A", "A", "B", "B")
+
+
+# Cells built to find where np.loadtxt and float() disagree: underscores,
+# surrounding and non-ASCII whitespace, infinity and nan spellings,
+# subnormals, signed zeros, non-ASCII digits, hex, NUL, and the separators
+# that split a line or a row.
+CELL_PIECES = st.sampled_from([
+    "1", "0", "9", ".", "e", "E", "+", "-", "_", " ", "\xa0", "\u2003", "inf", "infinity",
+    "nan", "NaN", "0x1p3", "4.9e-324", "2.2250738585072014e-308", "-0.0", "1e400", "\u0663",
+    "\uff15", "\u0967", "\x00", "\x0c", "\x85", "\u2028", "\r", "\n", "\t",
+])
+numbers = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+cells = st.one_of(
+    st.lists(CELL_PIECES, min_size=0, max_size=6).map("".join),
+    st.tuples(CELL_PIECES, numbers, CELL_PIECES).map("".join),
+    numbers,
+    st.text(max_size=8),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(cells, st.integers(0, 2), st.integers(1, 3))
+def test_fast_reader_agrees_with_float(tmp_path_factory, cell, row, col):
+    # Whatever np.loadtxt accepts, the plain float() parser reads to the same
+    # bits; whatever float() rejects, loadtxt rejects too (None).
+    path = tmp_path_factory.mktemp("cells") / "matrix.tsv"
+    rows = [["g0", "1.5", "-2", "3e-3"], ["g1", "0.25", "7", "8"], ["g2", "1", "2", "3"]]
+    rows[row][col] = cell
+    path.write_text("id\ts1\ts2\ts3\n" + "".join("\t".join(r) + "\n" for r in rows),
+                    encoding="utf-8")
+    fast = data._read_fast(path)
+    try:
+        plain = data._read_plain(path)
+    except ParseError:
+        plain = None
+    if fast is not None:
+        assert plain is not None
+        assert fast[:2] == plain[:2]
+        assert fast[2].tobytes() == plain[2].tobytes()
+        if not any(c in cell for c in "\t\r\n"):  # the cell is one cell
+            assert np.float64(float(cell)).tobytes() == fast[2][row, col - 1].tobytes()
 
 
 class TestDataMatrixValidation:

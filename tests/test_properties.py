@@ -183,17 +183,19 @@ def test_choose_lambda_with_long_runs_of_ties(runs, n_inf):
     assert choose_lambda(np.random.default_rng(nulls.size).permutation(nulls)) == expected
 
 
-# Blocks of a few values put small inputs through choose_lambda's bracket:
-# more than 4 * BLOCK values start a round, whose sample holds about BLOCK
-# values (an input shorter than that is selected from directly) and whose
-# bracket spans MARGIN sample ranks on each side; MARGIN 0 is a bracket of one
-# pivot, which rank k mostly misses, so the narrowing after a miss runs too.
-brackets = st.tuples(st.sampled_from([1, 2, 4, 16]), st.sampled_from([0, 1, 2, 1024]))
+# Tiles of a few values put small inputs through the summary's bracket: the
+# first tile is the sample, MARGIN sample ranks on each side of the estimated
+# target rank are kept, and past CAP kept values the bracket narrows. MARGIN
+# 0 is a bracket of one value, which rank k mostly misses, and a CAP of 1
+# narrows at every tile, so the passes after a miss run too.
+brackets = st.tuples(
+    st.sampled_from([1, 2, 4, 16]), st.sampled_from([0, 1, 2, 1024]), st.sampled_from([1, 8, 64])
+)
 
 
 def lambda_by_bracket(nulls, bracket):
-    block, margin = bracket
-    with mock.patch.multiple(estimators, BLOCK=block, MARGIN=margin):
+    block, margin, cap = bracket
+    with mock.patch.multiple(estimators, BLOCK=block, MARGIN=margin, CAP=cap):
         return choose_lambda(nulls)
 
 
@@ -228,19 +230,19 @@ def test_choose_lambda_with_runs_of_inf(data, finite, n_inf, bracket):
 def test_choose_lambda_recovers_exactly_from_missed_brackets(monkeypatch):
     rng = np.random.default_rng(50)
     nulls = np.round(np.abs(rng.normal(size=5000)), 2)
-    k = int(CENTRAL_BAND_MASS * nulls.size)
-    counted = []
-    count = estimators._bracket_counts
+    passes = []
+    repass = estimators.NullSummary._repass
 
-    def spy(values, lo, hi):
-        counted.append(count(values, lo, hi))
-        return counted[-1]
+    def spy(summary, lo, hi):
+        passes.append((lo, hi))
+        repass(summary, lo, hi)
 
-    monkeypatch.setattr(estimators, "_bracket_counts", spy)
+    monkeypatch.setattr(estimators.NullSummary, "_repass", spy)
     monkeypatch.setattr(estimators, "BLOCK", 64)
     monkeypatch.setattr(estimators, "MARGIN", 1)
+    monkeypatch.setattr(estimators, "CAP", 256)
     assert choose_lambda(nulls) == lambda_by_unique(nulls)
-    assert any(not n_lo <= k < n_hi for n_lo, n_hi in counted)  # some bracket missed
+    assert passes  # some bracket missed
 
 
 @PROPERTY
