@@ -355,8 +355,8 @@ class NullSummary:
         part = np.partition(values, sorted({max(j - margin, 0), j, min(j + margin, last)}))
         lo = part[j - margin] if j >= margin else self.lo
         hi = part[j + margin] if j + margin <= last else self.hi
-        if np.count_nonzero((values >= lo) & (values <= hi)) > CAP // 2:
-            lo = hi = part[j]  # ties at the bounds: keep counts of one value
+        if np.count_nonzero((values >= lo) & (values <= hi)) > 3 * CAP // 4:
+            lo = hi = part[j]  # long ties at the bounds: keep counts of one value
         self.lo, self.hi = lo, hi
         self.below += self._tally(rows, values < lo)
         above = values > hi

@@ -195,12 +195,14 @@ def welch_tiles(values: np.ndarray, pool, n_a: int, splits):
     """``welch_abs_t`` one tile at a time: (rows, first split, tile) triples.
 
     ``tile[s, i]`` is the statistic of split ``first + s`` for row
-    ``rows[i]``. The rows go in blocks of at least ROWS rows and ROW_VALUES
-    data values; the first block's rows are strided across all rows, so the
-    first tile samples the whole matrix, and the other blocks take the
-    remaining rows in order. A tile holds the splits of one block, at most
-    TILE values (one split's, if a block's rows alone exceed it). Its memory
-    is reused by the next tile.
+    ``rows[i]``. The splits go in groups, each over every block of rows, so
+    the tiles of a group cover all rows before the next group starts; a
+    block's parts are prepared once per group. Blocks hold at least ROWS rows
+    and ROW_VALUES data values; the first block's rows are strided across all
+    rows, so the first tile samples the whole matrix, and the other blocks
+    take the remaining rows in order. A tile holds at most TILE values (one
+    split's, if a block's rows alone exceed it). Its memory is reused by the
+    next tile.
     """
     pool = np.asarray(pool, dtype=np.intp)
     splits = np.asarray(splits, dtype=np.intp)
@@ -212,13 +214,13 @@ def welch_tiles(values: np.ndarray, pool, n_a: int, splits):
     rest = np.delete(np.arange(m), first)
     group = max(1, min(count, TILE // size))
     buffer = np.empty(group * size)
-    for rows in [first] + [rest[r : r + size] for r in range(0, rest.size, size)]:
-        block = _Rows(values[rows][:, pool], n_a)  # column-major: fast row minima
-        for start in range(0, count, group):
-            part = splits[start : start + group]
+    for start in range(0, count, group):
+        part = splits[start : start + group]
+        members = np.zeros((part.shape[0], pool.size))
+        members[np.arange(part.shape[0])[:, None], part[:, :n_a]] = 1.0
+        for rows in [first] + [rest[r : r + size] for r in range(0, rest.size, size)]:
+            block = _Rows(values[rows][:, pool], n_a)  # column-major: fast row minima
             tile = buffer[: part.shape[0] * rows.size].reshape(-1, rows.size)
-            members = np.zeros((part.shape[0], pool.size))
-            members[np.arange(part.shape[0])[:, None], part[:, :n_a]] = 1.0
             for c in range(0, part.shape[0], CHUNK):
                 chunk = slice(c, c + CHUNK)
                 block.abs_t(members[chunk], part[chunk], tile[chunk])

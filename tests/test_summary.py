@@ -153,6 +153,19 @@ def test_bracket_holds_on_tests_of_unequal_spread(m, repasses):
     assert not repasses
 
 
+def test_narrowing_keeps_a_bracket_without_ties(monkeypatch, repasses):
+    # past CAP kept values the bracket narrows to CAP / 4 ranks on each side
+    # of the estimate; only long runs of ties may close it on one value
+    monkeypatch.setattr(estimators, "CAP", 4096)
+    monkeypatch.setattr(estimators, "MARGIN", 256)  # a first bracket well inside CAP
+    monkeypatch.setattr(estimators, "BLOCK", 4096)  # 49 tiles: CAP is reached, again and again
+    nulls = np.abs(np.random.default_rng(67).normal(size=200_000))
+    summary = StatisticSet(np.ones(1), nulls, nulls.size).null_summary()
+    assert summary.at is None and summary.n_kept <= 4096
+    assert estimators.choose_lambda(summary) == lambda_by_unique(nulls)
+    assert not repasses
+
+
 def test_forced_miss_gives_identical_outputs(tmp_path, monkeypatch, repasses):
     mpath, lpath = write_fixture(tmp_path, np.random.default_rng(62), m=300, n_a=6, n_b=6)
     wpath = tmp_path / "weights.tsv"

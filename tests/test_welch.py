@@ -163,16 +163,20 @@ class TestExactSums:
         values, n_a, splits = case
         pool = np.arange(values.shape[1])
         reference = welch_abs_t(values, pool, n_a, splits)
-        saved = dfdr.stats.ROWS, dfdr.stats.CHUNK, dfdr.stats._BLAS_SIZE
+        # blocks of `rows` rows (ROW_VALUES 0) and tiles of `chunk` splits
+        names = ("ROWS", "ROW_VALUES", "CHUNK", "TILE", "_BLAS_SIZE")
+        saved = [getattr(dfdr.stats, name) for name in names]
         try:
-            dfdr.stats.ROWS, dfdr.stats.CHUNK, dfdr.stats._BLAS_SIZE = rows, chunk, blas_size
+            for name, value in zip(names, (rows, 0, chunk, rows * chunk, blas_size)):
+                setattr(dfdr.stats, name, value)
             for count in range(1, len(splits) + 1):
                 again = welch_abs_t(values, pool, n_a, splits[:count])
                 np.testing.assert_array_equal(again, reference[:count])
             single = [welch_abs_t(values, pool, n_a, s[None, :])[0] for s in splits]
             np.testing.assert_array_equal(np.stack(single), reference)
         finally:
-            dfdr.stats.ROWS, dfdr.stats.CHUNK, dfdr.stats._BLAS_SIZE = saved
+            for name, value in zip(names, saved):
+                setattr(dfdr.stats, name, value)
 
     @PROPERTY
     @given(comparisons(max_rows=3), st.integers(1, 12), st.integers(1, 12))
