@@ -567,6 +567,7 @@ def run_reproduce(args) -> int:
             else:
                 result = control_dfdr(stats, pi0, 0.05)
             compare(f"{mode}/pi0={pi0_mode}", result, REFERENCE_RESULTS[(mode, pi0_mode)])
+    del stats  # its permutations go before the second comparison's are drawn
 
     if args.group_t is not None:
         # Per-subset thresholds for two comparisons: the first (benefit 1,

@@ -241,25 +241,32 @@ def per_subset_optimize(
     row does not depend on the other rows, so each summary equals one of a
     build on the subset's rows alone, bit for bit. For a single subset
     covering all rows this reduces exactly to maximize_desirability on the
-    whole problem.
+    whole problem. One comparison's summaries, and the permutations they keep
+    for any further pass, are released before the next comparison's are drawn.
     """
     partition.validate_sizes()
-    b = plan.n_permutations
     out = {}
     for key in dict.fromkeys((s.group_a, s.group_b) for s in partition.subsets):
-        summaries = {
-            i: NullSummary(matrix.n_features, b, rows=np.asarray(s.feature_indices, dtype=np.intp))
-            for i, s in enumerate(partition.subsets)
-            if (s.group_a, s.group_b) == key
-        }
-        permutation_null(matrix, *key, plan, into=list(summaries.values()))
-        for i, summary in summaries.items():
-            subset = partition.subsets[i]
-            stats = StatisticSet(summary.observed, None, b, summary=summary)
-            pi0 = resolve_pi0(stats, pi0_mode)
-            result = maximize_desirability(stats, pi0, CostBenefit([subset.benefit], [subset.cost]))
-            out[i] = SubsetDecision(subset=subset, result=result, observed=stats.observed)
+        out.update(_comparison_decisions(partition, matrix, plan, key, pi0_mode))
     return tuple(out[i] for i in range(len(partition.subsets)))
+
+
+def _comparison_decisions(partition, matrix, plan, key, pi0_mode) -> dict[int, SubsetDecision]:
+    """The decisions of the subsets that compare the groups ``key``, by index."""
+    b, out = plan.n_permutations, {}
+    summaries = {
+        i: NullSummary(matrix.n_features, b, rows=np.asarray(s.feature_indices, dtype=np.intp))
+        for i, s in enumerate(partition.subsets)
+        if (s.group_a, s.group_b) == key
+    }
+    permutation_null(matrix, *key, plan, into=list(summaries.values()))
+    for i, summary in summaries.items():
+        subset = partition.subsets[i]
+        stats = StatisticSet(summary.observed, None, b, summary=summary)
+        pi0 = resolve_pi0(stats, pi0_mode)
+        result = maximize_desirability(stats, pi0, CostBenefit([subset.benefit], [subset.cost]))
+        out[i] = SubsetDecision(subset=subset, result=result, observed=stats.observed)
+    return out
 
 
 def common_threshold_weighted(

@@ -257,16 +257,20 @@ class NullSummary:
     def observe(self, observed) -> "NullSummary":
         """Count the nulls at the observed statistics (all tests', picked by
         ``rows``): at each tile from now on, or, after a first pass of at most
-        CAP values, at once over the values kept, which are all of them."""
+        CAP values, over the values kept, which are all of them, in pieces of
+        BLOCK values as a tile's are summed."""
         observed = np.asarray(observed, dtype=float)
         self.observed = observed if self.rows is None else observed[self.rows]
         self.taus = np.append(np.sort(self.observed), np.inf)
         kind = np.intp if self.weights is None else float
         self.exceedances = np.zeros(self.taus.size, kind)
         if self.seen:
-            values, rows = self._gather()
-            w = None if rows is None else self.weights[rows]
-            self.exceedances += weight_exceedances(values, w, self.taus)
+            values, rows = self._gather()  # rows None: one test, or no weights
+            w = self.weights
+            for start in range(0, values.size, BLOCK):
+                if rows is not None:
+                    w = self.weights[rows[start : start + BLOCK]]
+                self.exceedances += weight_exceedances(values[start : start + BLOCK], w, self.taus)
         return self
 
     @property

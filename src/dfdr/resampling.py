@@ -67,7 +67,8 @@ def check_null_fits(shape: tuple[int, int], n_permutations: int) -> None:
     a NullSummary takes it tile by tile, in memory bounded by the tile and
     bracket sizes and the number of tests. What grows with the number of
     permutations is the permutations themselves, n_permutations * subjects
-    8-byte indices, which are counted here with the matrix.
+    8-byte indices, which are counted here with the matrix. Routes with more
+    than one comparison hold one comparison's permutations at a time.
     """
     (m, n), b = shape, n_permutations
     need = 8 * n * (b + m)

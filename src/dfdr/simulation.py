@@ -214,24 +214,7 @@ class DfdrControlRule:
 
 def measure_error_rates(config: SimulationConfig, rule) -> ErrorRateReport:
     """Run the full pipeline per replicate and pool the realized error rates."""
-    outcomes = []
-    for replicate in range(config.replicates):
-        stats, h = build_replicate_stats(config, replicate)
-        decision = rule(stats)
-        idx = np.fromiter(decision.rejected, dtype=int, count=len(decision.rejected))
-        is_null = h[idx] == 0
-        order = np.argsort(stats.observed[idx])
-        outcomes.append(
-            ReplicateOutcome(
-                tau=decision.tau,
-                dfdr_estimate=decision.dfdr,
-                pi0_value=decision.pi0.value,
-                n_rejected=idx.size,
-                n_false=int(np.count_nonzero(is_null)),
-                rejected_stats=stats.observed[idx][order],
-                rejected_is_null=is_null[order],
-            )
-        )
+    outcomes = [_replicate_outcome(config, r, rule) for r in range(config.replicates)]
 
     n = config.replicates
     n_false = np.array([o.n_false for o in outcomes])
@@ -268,6 +251,25 @@ def measure_error_rates(config: SimulationConfig, rule) -> ErrorRateReport:
         replicates_with_rejections=rej.size,
         replicates=n,
         outcomes=tuple(outcomes),
+    )
+
+
+def _replicate_outcome(config: SimulationConfig, replicate: int, rule) -> ReplicateOutcome:
+    """One replicate's decision and its realized errors; its permutations are
+    released before the next replicate's are drawn."""
+    stats, h = build_replicate_stats(config, replicate)
+    decision = rule(stats)
+    idx = np.fromiter(decision.rejected, dtype=int, count=len(decision.rejected))
+    is_null = h[idx] == 0
+    order = np.argsort(stats.observed[idx])
+    return ReplicateOutcome(
+        tau=decision.tau,
+        dfdr_estimate=decision.dfdr,
+        pi0_value=decision.pi0.value,
+        n_rejected=idx.size,
+        n_false=int(np.count_nonzero(is_null)),
+        rejected_stats=stats.observed[idx][order],
+        rejected_is_null=is_null[order],
     )
 
 

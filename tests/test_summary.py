@@ -8,6 +8,7 @@ is forced to miss.
 """
 
 import tracemalloc
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -15,6 +16,8 @@ import numpy as np
 import pytest
 
 import dfdr.cli
+import dfdr.decision
+import dfdr.resampling
 from dfdr import (
     CostBenefit,
     DataMatrix,
@@ -80,7 +83,9 @@ def repasses(monkeypatch):
 # statistics first, a bracket from the first tile, narrowing past CAP values
 # and, where rows differ in spread, further passes after a miss.
 @pytest.mark.parametrize("cap", [None, 5_000])
-@pytest.mark.parametrize("shape", [(300, 6, 5, 40), (1000, 9, 7, 30), (64, 3, 3, 200)])
+@pytest.mark.parametrize(
+    "shape", [(300, 6, 5, 40), (1000, 9, 7, 30), (64, 3, 3, 200), (1, 5, 5, 300)]
+)
 def test_streamed_equals_materialised(shape, cap, monkeypatch, repasses):
     m, n_a, n_b, b = shape
     monkeypatch.setattr(estimators, "CAP", cap or estimators.CAP)
@@ -252,11 +257,21 @@ def test_bounded_memory_at_twenty_thousand_permutations():
     assert peak < 8 * 1000 * 20_000 / 8
 
 
-def test_real_weight_sums_within_summation_bound():
-    # The tiles change the order of the null's weight sums: within a sorted
-    # block of at most BLOCK values a running sum, then one addition per
-    # block, all terms nonnegative: relative error at most
+def assert_within_summation_bound(got, nulls, weights, observed, blocks) -> None:
+    # Within a sorted block of at most BLOCK values a running sum, then one
+    # addition per block, all terms nonnegative: relative error at most
     # (BLOCK + blocks) * 2^-53 against exact rationals.
+    m, exact_weights = weights.size, [Fraction(w) for w in weights]
+    taus = np.append(np.sort(observed), np.inf)
+    for g, tau in zip(got.tolist(), taus.tolist()):
+        exact = sum(
+            (exact_weights[j % m] for j, v in enumerate(nulls.tolist()) if v >= tau), Fraction(0)
+        )
+        assert abs(Fraction(g) - exact) <= (estimators.BLOCK + blocks) * 2.0**-53 * exact
+
+
+def test_real_weight_sums_within_summation_bound():
+    # The tiles change the order of the null's weight sums
     rng = np.random.default_rng(66)
     m, b = 30, 400
     nulls = np.round(np.abs(rng.normal(size=m * b)), 2)
@@ -265,10 +280,58 @@ def test_real_weight_sums_within_summation_bound():
     stats = StatisticSet(observed, nulls, b)
     with mock.patch.object(estimators, "BLOCK", 7 * m):  # many blocks and tiles
         got = stats.null_summary(weights).exceedances
-    taus = np.append(np.sort(observed), np.inf)
-    blocks = -(-b // 7)
-    for g, tau in zip(got.tolist(), taus.tolist()):
-        exact = sum(
-            (Fraction(weights[j % m]) for j, v in enumerate(nulls) if v >= tau), Fraction(0)
-        )
-        assert abs(Fraction(g) - exact) <= (7 * m + blocks) * 2.0**-53 * exact
+        assert_within_summation_bound(got, nulls, weights, observed, -(-b // 7))
+
+
+@pytest.mark.parametrize("cap", [None, 3_000])
+def test_streamed_real_weight_sums_within_summation_bound(cap, monkeypatch):
+    # A streamed null of at most CAP values is summed after its pass, from
+    # the values kept, in pieces of BLOCK values; past CAP, tile by tile.
+    rng = np.random.default_rng(68)
+    m, b = 30, 400
+    monkeypatch.setattr(estimators, "BLOCK", 7 * m)
+    monkeypatch.setattr(estimators, "CAP", cap or estimators.CAP)
+    matrix = random_matrix(rng, m, 6, 6)
+    weights = rng.uniform(0.1, 3.0, size=m) + rng.uniform(0.0, 30.0, size=m)
+    plan = PermutationPlan(b, 5)
+    summary = build_statistic_set(matrix, "A", "B", plan, weights).null_summary(weights)
+    assert summary.keeps_all == (cap is None)
+    nulls = permutation_null(matrix, "A", "B", plan)
+    assert_within_summation_bound(summary.exceedances, nulls, weights, summary.observed, -(-b // 7))
+
+
+def test_one_comparison_holds_its_permutations_at_a_time(tmp_path, monkeypatch):
+    # check_null_fits counts one comparison's permutations: each summary keeps
+    # its comparison's permutations for any further pass, so every route
+    # releases a comparison's summaries before it draws the next's
+    alive, calls = [], []
+    null = dfdr.resampling.permutation_null
+
+    def spy(*args, into=None):
+        assert not any(ref() is not None for ref in alive)
+        calls.append(into is not None)
+        summaries = null(*args, into=into)
+        alive.extend(map(weakref.ref, summaries if isinstance(summaries, list) else [summaries]))
+        return summaries
+
+    monkeypatch.setattr(dfdr.resampling, "permutation_null", spy)
+    monkeypatch.setattr(dfdr.decision, "permutation_null", spy)
+    mpath, lpath = write_fixture(tmp_path, np.random.default_rng(69), m=60, n_a=6, n_b=9)
+    lpath.write_text("".join(
+        f"s{j:02d}\t{'ALL' if j < 6 else 'AML' if j < 11 else 'TALL'}\n" for j in range(15)))
+    spath = tmp_path / "subsets.tsv"
+    spath.write_text("feature_id\tsubset\tgroup_a\tgroup_b\tbenefit\tcost\n" + "".join(
+        f"g{i:03d}\t{'u' if i < 30 else 'v'}\tALL\t{'AML' if i < 30 else 'TALL'}\t1\t19\n"
+        for i in range(60)))
+    runs = [
+        ["reproduce", "--matrix", str(mpath), "--labels", str(lpath), "--group-t", "TALL",
+         "--permutations", "40"],
+        ["analyze", "--matrix", str(mpath), "--labels", str(lpath), "--group-a", "ALL",
+         "--group-b", "AML", "--subsets", str(spath), "--min-subset-size", "10",
+         "--permutations", "40"],
+        ["simulate", "--m", "100", "--replicates", "3"],
+    ]
+    for i, run in enumerate(runs):
+        calls.clear()
+        assert dfdr.cli.main(run + ["--out", str(tmp_path / f"o{i}")]) == 0
+        assert len(calls) >= 2 and all(calls)
