@@ -225,8 +225,16 @@ def _raise_first_bad_cell(path, lines: list[str], n: int) -> None:
 
 def signed_log1p(x):
     """Odd transform sign(x) * ln(1 + |x|), defined as 0 at x = 0."""
-    x = np.asarray(x, dtype=float)
-    return np.sign(x) * np.log1p(np.abs(x))
+    return _signed_log1p_over(np.array(x, dtype=float))[()]  # a scalar stays one
+
+
+def _signed_log1p_over(x: np.ndarray) -> np.ndarray:
+    """signed_log1p of the float array ``x``, bit for bit, overwriting ``x``
+    with its sign: one array of x's size besides ``x``."""
+    out = np.abs(x, out=np.empty_like(x))
+    np.log1p(out, out=out)
+    out *= np.sign(x, out=x)
+    return out
 
 
 def preprocess(matrix: DataMatrix) -> DataMatrix:
@@ -241,9 +249,8 @@ def preprocess(matrix: DataMatrix) -> DataMatrix:
         raise PreprocessingError(
             f"subject {matrix.subject_ids[zero[0]]!r} has zero column median"
         )
-    normalized = matrix.values / medians
     return DataMatrix(
-        values=signed_log1p(normalized),
+        values=_signed_log1p_over(matrix.values / medians),
         feature_ids=matrix.feature_ids,
         subject_ids=matrix.subject_ids,
         labels=matrix.labels,

@@ -433,7 +433,13 @@ _ONE = np.zeros(1, dtype=np.intp)  # the one column of a summary that sums over 
 
 def summarize(summaries, tiles) -> None:
     """One pass over the tile source ``tiles`` into every summary, which keeps
-    ``tiles`` for any later pass its lambda needs."""
+    ``tiles`` for any later pass its lambda needs.
+
+    Each tile goes to every summary before the next is asked for, and no
+    summary keeps a tile (only copies or counts of what it selects), so a
+    source may reuse a tile's memory once the next is asked for: a streamed
+    null's source makes that next tile on a worker thread meanwhile (see
+    ``resampling.read_ahead``)."""
     for summary in summaries:
         summary.tiles = tiles
         summary.passes += 1

@@ -14,6 +14,7 @@ range) never gives a sentinel.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -191,7 +192,7 @@ def welch_abs_t(values: np.ndarray, pool, n_a: int, splits) -> np.ndarray:
     return out
 
 
-def welch_tiles(values: np.ndarray, pool, n_a: int, splits):
+def welch_tiles(values: np.ndarray, pool, n_a: int, splits, buffers: int = 1):
     """``welch_abs_t`` one tile at a time: (rows, first split, tile) triples.
 
     ``tile[s, i]`` is the statistic of split ``first + s`` for row
@@ -201,8 +202,13 @@ def welch_tiles(values: np.ndarray, pool, n_a: int, splits):
     and ROW_VALUES data values; the first block's rows are strided across all
     rows, so the first tile samples the whole matrix, and the other blocks
     take the remaining rows in order. A tile holds at most TILE values (one
-    split's, if a block's rows alone exceed it). Its memory is reused by the
-    next tile.
+    split's, if a block's rows alone exceed it).
+
+    The tiles take turns in ``buffers`` buffers: a tile's memory is reused
+    by the tile ``buffers`` places later, and not before. A consumer that
+    takes tiles as they are made (one buffer) reads each until it asks for
+    the next; a read-ahead that keeps k tiles queued while one is read and
+    one is made needs k + 2.
     """
     pool = np.asarray(pool, dtype=np.intp)
     splits = np.asarray(splits, dtype=np.intp)
@@ -213,14 +219,14 @@ def welch_tiles(values: np.ndarray, pool, n_a: int, splits):
     first = np.arange(0, m, -(-m // size))
     rest = np.delete(np.arange(m), first)
     group = max(1, min(count, TILE // size))
-    buffer = np.empty(group * size)
+    turns = itertools.cycle([np.empty(group * size) for _ in range(buffers)])
     for start in range(0, count, group):
         part = splits[start : start + group]
         members = np.zeros((part.shape[0], pool.size))
         members[np.arange(part.shape[0])[:, None], part[:, :n_a]] = 1.0
         for rows in [first] + [rest[r : r + size] for r in range(0, rest.size, size)]:
             block = _Rows(values[rows][:, pool], n_a)  # column-major: fast row minima
-            tile = buffer[: part.shape[0] * rows.size].reshape(-1, rows.size)
+            tile = next(turns)[: part.shape[0] * rows.size].reshape(-1, rows.size)
             for c in range(0, part.shape[0], CHUNK):
                 chunk = slice(c, c + CHUNK)
                 block.abs_t(members[chunk], part[chunk], tile[chunk])

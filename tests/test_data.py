@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +300,48 @@ class TestPreprocess:
                 continue
             out = preprocess(matrix)
             np.testing.assert_array_equal(np.sign(out.values), np.sign(values))
+
+    def test_in_place_transform_is_bitwise_the_product_form(self):
+        # the quotient is overwritten with its sign and multiplied into
+        # log1p(|q|): the same two factors as sign(q) * log1p(|q|)
+        tiny, huge = np.nextafter(0.0, 1.0), 1e307  # huge over any median here stays finite
+        special = np.array([0.0, -0.0, tiny, -tiny, 2.0**-1030, -(2.0**-1040), huge, -huge, 1e300])
+        rng = np.random.default_rng(12)
+        values = rng.lognormal(size=(40, 6))
+        values[30:] *= -1.0  # medians stay near 1
+        values[: special.size, 0] = special
+        values[: special.size, 5] = special[::-1]
+        matrix = DataMatrix(
+            values=values,
+            feature_ids=tuple(f"g{i}" for i in range(40)),
+            subject_ids=tuple(f"s{j}" for j in range(6)),
+            labels=("A",) * 3 + ("B",) * 3,
+        )
+        q = values / np.median(values, axis=0)
+        assert np.any(q == 0.0) and np.any(np.abs(q) < np.finfo(float).tiny)
+        bits = (np.sign(q) * np.log1p(np.abs(q))).view(np.int64)
+        np.testing.assert_array_equal(preprocess(matrix).values.view(np.int64), bits)
+        np.testing.assert_array_equal(signed_log1p(q).view(np.int64), bits)
+        expected = np.sign(special) * np.log1p(np.abs(special))
+        np.testing.assert_array_equal(signed_log1p(special).view(np.int64), expected.view(np.int64))
+
+    def test_preprocess_holds_at_most_two_and_a_half_matrices(self):
+        # the quotient and its transform; the product form made five arrays
+        rng = np.random.default_rng(13)
+        values = rng.lognormal(size=(7129, 72))
+        matrix = DataMatrix(
+            values=values,
+            feature_ids=tuple(f"g{i}" for i in range(7129)),
+            subject_ids=tuple(f"s{j}" for j in range(72)),
+            labels=("A",) * 47 + ("B",) * 25,
+        )
+        tracemalloc.start()
+        try:
+            preprocess(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * values.nbytes
 
     def test_transform_is_odd(self):
         rng = np.random.default_rng(11)

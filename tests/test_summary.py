@@ -4,9 +4,14 @@
 by tile. Every quantity the estimators read must equal the one read from the
 same null held whole (``permutation_null``), bit for bit, on every route;
 the lambda bracket must hold on the first pass, and recover exactly when it
-is forced to miss.
+is forced to miss. A null that streams is computed a tile ahead on a worker
+thread: that must change no bit, overwrite no tile still in use, raise
+either side's errors in the caller and end the worker with the pass.
 """
 
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -18,6 +23,7 @@ import pytest
 import dfdr.cli
 import dfdr.decision
 import dfdr.resampling
+import dfdr.stats
 from dfdr import (
     CostBenefit,
     DataMatrix,
@@ -335,3 +341,209 @@ def test_one_comparison_holds_its_permutations_at_a_time(tmp_path, monkeypatch):
         calls.clear()
         assert dfdr.cli.main(run + ["--out", str(tmp_path / f"o{i}")]) == 0
         assert len(calls) >= 2 and all(calls)
+
+
+# The read-ahead: a streamed null (one that some summary does not keep whole)
+# is computed a tile ahead on one worker thread. TILE, CAP and MARGIN patched
+# small give many tiles, a streamed first pass and, at CAP 64 and MARGIN 0,
+# further passes after a miss, all of them read ahead.
+SMALL = {"tile": 1_000, "cap": 2_048, "margin": 64}
+MISSING = {"tile": 100, "cap": 64, "margin": 0}
+
+
+@pytest.fixture
+def read_aheads(monkeypatch):
+    """Counts the passes read ahead on a worker thread."""
+    counted = []
+    read_ahead = dfdr.resampling.read_ahead
+
+    def spy(items, depth):
+        counted.append(depth)
+        return read_ahead(items, depth)
+
+    monkeypatch.setattr(dfdr.resampling, "read_ahead", spy)
+    return counted
+
+
+def patch_small(monkeypatch, tile, cap, margin) -> None:
+    monkeypatch.setattr(dfdr.stats, "TILE", tile)
+    monkeypatch.setattr(estimators, "CAP", cap)
+    monkeypatch.setattr(estimators, "MARGIN", margin)
+
+
+@pytest.mark.parametrize("shape", [(300, 6, 5, 60), (700, 4, 4, 25), (1, 5, 5, 3_000)])
+def test_read_ahead_equals_materialised(shape, monkeypatch, read_aheads):
+    m, n_a, n_b, b = shape
+    patch_small(monkeypatch, **SMALL)
+    threads = threading.active_count()
+    rng = np.random.default_rng(70 + m)
+    matrix = random_matrix(rng, m, n_a, n_b)
+    plan = PermutationPlan(b, m)
+    whole = materialised(matrix, plan)
+    weights = rng.integers(2, 30, size=m).astype(float)
+    for w in (None, weights):
+        streamed = build_statistic_set(matrix, "A", "B", plan, w)
+        np.testing.assert_array_equal(streamed.observed, whole.observed)
+        np.testing.assert_array_equal(
+            streamed.null_summary(w).exceedances, whole.null_summary(w).exceedances
+        )
+        pi0 = resolve_pi0(streamed, "estimate", w)
+        assert pi0 == resolve_pi0(whole, "estimate", w)
+        if w is None:
+            cb = CostBenefit.from_ratio(19.0)
+            same_decision(maximize_desirability(streamed, pi0, cb), maximize_desirability(whole, pi0, cb))
+        else:
+            same_decision(
+                common_threshold_weighted(streamed, w, np.ones(m), pi0),
+                common_threshold_weighted(whole, w, np.ones(m), pi0),
+            )
+    assert read_aheads and threading.active_count() == threads
+
+
+@pytest.mark.parametrize("small", [SMALL, MISSING])
+def test_read_ahead_routes_give_identical_outputs(small, tmp_path, monkeypatch, read_aheads, repasses):
+    mpath, lpath = write_fixture(tmp_path, np.random.default_rng(71), m=300, n_a=6, n_b=9)
+    lpath.write_text("".join(
+        f"s{j:02d}\t{'ALL' if j < 6 else 'AML' if j < 11 else 'TALL'}\n" for j in range(15)))
+    spath, wpath = tmp_path / "subsets.tsv", tmp_path / "weights.tsv"
+    spath.write_text("feature_id\tsubset\tgroup_a\tgroup_b\tbenefit\tcost\n" + "".join(
+        f"g{i:03d}\t{'u' if i < 120 else 'v' if i < 250 else 'w'}\tALL\t"
+        f"{'TALL' if i >= 250 else 'AML'}\t1\t19\n" for i in range(300)))
+    wpath.write_text("feature_id\tbenefit\tcost\n" + "".join(
+        f"g{i:03d}\t{1 + i % 2}\t{19 + i % 3}\n" for i in range(300)))
+    inputs = ["--matrix", str(mpath), "--labels", str(lpath), "--permutations", "200"]
+    analyze = ["analyze", *inputs, "--group-a", "ALL", "--group-b", "AML"]
+    runs = [analyze, analyze + ["--mode", "control"], analyze + ["--weights", str(wpath)],
+            analyze + ["--subsets", str(spath), "--min-subset-size", "40"],
+            ["reproduce", *inputs, "--group-t", "TALL"]]
+
+    def outputs(tag):
+        for i, run in enumerate(runs):
+            out = tmp_path / f"{tag}{i}"
+            assert dfdr.cli.main(run + ["--out", str(out)]) == 0
+            yield {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    threads = threading.active_count()
+    serial = list(outputs("serial"))  # 60,000 nulls a comparison: kept whole
+    assert not read_aheads and not repasses
+    patch_small(monkeypatch, **small)
+    assert list(outputs("ahead")) == serial
+    assert len(read_aheads) >= len(runs) + 2  # two comparisons in two of the runs
+    assert bool(repasses) == (small is MISSING)
+    assert threading.active_count() == threads
+
+
+def small_comparison(monkeypatch, m=200, b=60):
+    """A matrix and plan whose null streams, in many tiles."""
+    patch_small(monkeypatch, **SMALL)
+    matrix = random_matrix(np.random.default_rng(72), m, 5, 5)
+    return matrix, PermutationPlan(b, 9)
+
+
+def test_producer_error_reaches_the_caller(monkeypatch, read_aheads):
+    matrix, plan = small_comparison(monkeypatch)
+    welch_tiles, made = dfdr.resampling.welch_tiles, []
+
+    def failing(*args):
+        for made_tile in welch_tiles(*args):
+            if len(made) == 3:
+                raise ArithmeticError("in the kernel")
+            made.append(made_tile)
+            yield made_tile
+
+    monkeypatch.setattr(dfdr.resampling, "welch_tiles", failing)
+    threads = threading.active_count()
+    with pytest.raises(ArithmeticError, match="in the kernel"):
+        build_statistic_set(matrix, "A", "B", plan)
+    assert read_aheads and len(made) == 3
+    assert threading.active_count() == threads
+
+
+def test_consumer_error_stops_the_producer(monkeypatch, read_aheads):
+    matrix, plan = small_comparison(monkeypatch)
+    welch_tiles, made, taken = dfdr.resampling.welch_tiles, [], []
+    add = NullSummary.add
+
+    def counted(*args):
+        for made_tile in welch_tiles(*args):
+            made.append(made_tile)
+            yield made_tile
+
+    def failing(summary, rows, tile):
+        if len(taken) == 2:
+            raise LookupError("in the summary")
+        taken.append(tile)
+        add(summary, rows, tile)
+
+    monkeypatch.setattr(dfdr.resampling, "welch_tiles", counted)
+    monkeypatch.setattr(NullSummary, "add", failing)
+    threads = threading.active_count()
+    with pytest.raises(LookupError, match="in the summary"):
+        build_statistic_set(matrix, "A", "B", plan)
+    assert threading.active_count() == threads
+    # the third tile was refused; at most AHEAD more were queued and one made
+    total = -(-plan.n_permutations * matrix.n_features // dfdr.stats.TILE)
+    assert read_aheads and len(made) <= 3 + dfdr.resampling.AHEAD + 1 < total
+
+
+def test_early_stop_joins_the_producer(monkeypatch):
+    matrix, plan = small_comparison(monkeypatch)
+    stats = build_statistic_set(matrix, "A", "B", plan)
+    threads = threading.active_count()
+    tiles = stats.null_tiles()
+    next(tiles)
+    assert threading.active_count() == threads + 1
+    tiles.close()
+    assert threading.active_count() == threads
+
+
+def test_slow_consumer_sees_no_tile_overwritten(monkeypatch):
+    # Each tile is checked as it arrives (it waited in the hand-off while the
+    # worker made the next) and again after a pause, by which time the worker
+    # has filled the hand-off and made one more: none may reuse its memory.
+    matrix, plan = small_comparison(monkeypatch, m=300, b=50)
+    table = materialised(matrix, plan).null_stats.reshape(plan.n_permutations, -1)
+    stats = build_statistic_set(matrix, "A", "B", plan)
+    start = covered = count = 0
+    for rows, tile in stats.null_tiles():
+        expected = table[start : start + tile.shape[0], rows]
+        np.testing.assert_array_equal(tile, expected)
+        time.sleep(0.01)
+        np.testing.assert_array_equal(tile, expected)
+        covered, count = covered + rows.size, count + 1
+        if covered == matrix.n_features:  # a group of splits covers every row
+            start, covered = start + tile.shape[0], 0
+    assert start == plan.n_permutations and count > 2 * (dfdr.resampling.AHEAD + 2)
+
+
+def test_concurrent_read_aheads_share_nothing(monkeypatch):
+    # three passes at once, each with its own worker (six threads on two
+    # CPUs), switching threads every few microseconds: a buffer or hand-off
+    # shared between passes would mix their tiles
+    matrix, plan = small_comparison(monkeypatch)
+    whole = materialised(matrix, plan)
+    expected = (whole.null_exceedances, resolve_pi0(whole, "estimate"))
+    results, errors = [], []
+
+    def run():
+        try:
+            stats = build_statistic_set(matrix, "A", "B", plan)
+            results.append((stats.null_exceedances, resolve_pi0(stats, "estimate")))
+        except Exception as error:  # reported by the main thread below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runners = [threading.Thread(target=run) for _ in range(3)]
+        for runner in runners:
+            runner.start()
+        for runner in runners:
+            runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(runner.is_alive() for runner in runners)
+    assert not errors and len(results) == 3
+    for exceedances, pi0 in results:
+        np.testing.assert_array_equal(exceedances, expected[0])
+        assert pi0 == expected[1]
