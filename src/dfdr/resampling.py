@@ -29,10 +29,6 @@ from dfdr.errors import ValidationError
 from dfdr.estimators import NullSummary, summarize
 from dfdr.stats import StatisticSet, welch_abs_t, welch_tiles
 
-# Tiles of a streamed null queued between the kernel's thread and the
-# summaries' (see read_ahead).
-AHEAD = 1
-
 
 @dataclass(frozen=True)
 class PermutationPlan:
@@ -103,11 +99,11 @@ def permutation_null(
     instead, so its row blocks are prepared once.
 
     A null that some summary does not keep whole streams: every pass over it
-    (the first and any later one) computes the tiles on one worker thread,
-    up to AHEAD tiles ahead of the summaries, which take them in order on the
-    calling thread (see ``read_ahead``). The kernel and the summaries then
-    run at once, and no bit of any result changes. A null kept whole takes
-    its passes on the calling thread alone.
+    (the first and any later one) computes each tile on one worker thread
+    while the summaries take the one before, in order, on the calling thread
+    (see ``read_ahead``). The kernel and the summaries then run at once, and
+    no bit of any result changes. A null kept whole takes its passes on the
+    calling thread alone.
     """
     values, pool, n_a = _comparison(matrix, group_a, group_b)
     splits = np.empty((plan.n_permutations + 1, pool.size), dtype=np.intp)
@@ -122,9 +118,9 @@ def permutation_null(
     together = all(summary.keeps_all for summary in summaries)
 
     def null():  # a tile source of the null alone; a streamed one is read ahead
-        tiles = welch_tiles(values, pool, n_a, splits[1:], 1 if together else AHEAD + 2)
+        tiles = welch_tiles(values, pool, n_a, splits[1:], 1 if together else 2)
         pairs = ((rows, tile) for rows, _, tile in tiles)
-        return pairs if together else read_ahead(pairs, AHEAD)
+        return pairs if together else read_ahead(pairs)
 
     def with_identity():  # split 0 of each row block's first tile is the identity
         for rows, start, tile in welch_tiles(values, pool, n_a, splits):
@@ -145,45 +141,23 @@ def permutation_null(
     return into
 
 
-def read_ahead(items, depth: int):
+def read_ahead(items):
     """The items of the iterator ``items``, each made on one worker thread
     while the caller works on the one before.
 
-    At most ``depth`` items wait in the hand-off besides the one the caller
-    holds and the one being made, and they come out in order. An error in
-    the worker is raised here, in the caller; a caller that stops early, by
-    an error or otherwise, stops the worker after its current item. The
-    worker has ended when the iteration does.
+    The items come out in order, and the worker makes at most one item ahead
+    of the caller. An error in the worker is raised here, in the caller; a
+    caller that stops early, by an error or otherwise, stops the worker after
+    the item it is making. The worker has ended when the iteration does.
     """
-    import queue
-    import threading
+    from concurrent.futures import ThreadPoolExecutor
 
-    hand_off, stop, end = queue.Queue(depth), threading.Event(), object()
-
-    def produce():
-        try:
-            for item in items:
-                hand_off.put(item)
-                if stop.is_set():
-                    return
-            hand_off.put(end)
-        except BaseException as error:  # handed to the caller, which raises it
-            hand_off.put(error)
-
-    worker = threading.Thread(target=produce, name="dfdr-read-ahead", daemon=True)
-    worker.start()
-    try:
-        while (item := hand_off.get()) is not end:
-            if isinstance(item, BaseException):
-                raise item
+    end = object()
+    with ThreadPoolExecutor(1, thread_name_prefix="dfdr-read-ahead") as worker:
+        ahead = worker.submit(next, items, end)
+        while (item := ahead.result()) is not end:
+            ahead = worker.submit(next, items, end)
             yield item
-    finally:
-        # After the stop the worker puts at most one more item: room for it
-        # is made by emptying the hand-off, so it ends, and it is joined.
-        stop.set()
-        while not hand_off.empty():
-            hand_off.get_nowait()
-        worker.join()
 
 
 def build_statistic_set(
