@@ -29,6 +29,10 @@ from dfdr.errors import ValidationError
 from dfdr.estimators import NullSummary, summarize
 from dfdr.stats import StatisticSet, welch_abs_t, welch_tiles
 
+# Tiles a streamed null's worker makes past the one the summaries hold: two
+# even out the tiles that take one stage longer than the other.
+AHEAD = 2
+
 
 @dataclass(frozen=True)
 class PermutationPlan:
@@ -99,9 +103,9 @@ def permutation_null(
     instead, so its row blocks are prepared once.
 
     A null that some summary does not keep whole streams: every pass over it
-    (the first and any later one) computes each tile on one worker thread
-    while the summaries take the one before, in order, on the calling thread
-    (see ``read_ahead``). The kernel and the summaries then run at once, and
+    (the first and any later one) computes the tiles on one worker thread,
+    up to AHEAD tiles ahead of the summaries, which take them in order on
+    the calling thread (see ``read_ahead``). The kernel and the summaries then run at once, and
     no bit of any result changes. A null kept whole takes its passes on the
     calling thread alone.
     """
@@ -118,9 +122,9 @@ def permutation_null(
     together = all(summary.keeps_all for summary in summaries)
 
     def null():  # a tile source of the null alone; a streamed one is read ahead
-        tiles = welch_tiles(values, pool, n_a, splits[1:], 1 if together else 2)
+        tiles = welch_tiles(values, pool, n_a, splits[1:], 1 if together else AHEAD + 1)
         pairs = ((rows, tile) for rows, _, tile in tiles)
-        return pairs if together else read_ahead(pairs)
+        return pairs if together else read_ahead(pairs, AHEAD)
 
     def with_identity():  # split 0 of each row block's first tile is the identity
         for rows, start, tile in welch_tiles(values, pool, n_a, splits):
@@ -141,22 +145,24 @@ def permutation_null(
     return into
 
 
-def read_ahead(items):
-    """The items of the iterator ``items``, each made on one worker thread
-    while the caller works on the one before.
+def read_ahead(items, ahead: int):
+    """The items of the iterator ``items``, made on one worker thread while
+    the caller works on earlier ones.
 
-    The items come out in order, and the worker makes at most one item ahead
-    of the caller. An error in the worker is raised here, in the caller; a
-    caller that stops early, by an error or otherwise, stops the worker after
-    the item it is making. The worker has ended when the iteration does.
+    The items come out in order, and the worker makes at most ``ahead``
+    items past the one the caller holds. An error in the worker is raised
+    here, in the caller; a caller that stops early, by an error or
+    otherwise, stops the worker once the items asked of it are made. The
+    worker has ended when the iteration does.
     """
+    from collections import deque
     from concurrent.futures import ThreadPoolExecutor
 
     end = object()
     with ThreadPoolExecutor(1, thread_name_prefix="dfdr-read-ahead") as worker:
-        ahead = worker.submit(next, items, end)
-        while (item := ahead.result()) is not end:
-            ahead = worker.submit(next, items, end)
+        asked = deque(worker.submit(next, items, end) for _ in range(ahead))
+        while (item := asked.popleft().result()) is not end:
+            asked.append(worker.submit(next, items, end))
             yield item
 
 

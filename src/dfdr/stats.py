@@ -207,7 +207,7 @@ def welch_tiles(values: np.ndarray, pool, n_a: int, splits, buffers: int = 1):
     The tiles take turns in ``buffers`` buffers: a tile's memory is reused
     by the tile ``buffers`` places later, and not before. A consumer that
     takes tiles as they are made (one buffer) reads each until it asks for
-    the next; one that reads a tile while the next is made needs two.
+    the next; one that reads a tile while the next k are made needs k + 1.
     """
     pool = np.asarray(pool, dtype=np.intp)
     splits = np.asarray(splits, dtype=np.intp)

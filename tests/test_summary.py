@@ -357,9 +357,9 @@ def read_aheads(monkeypatch):
     counted = []
     read_ahead = dfdr.resampling.read_ahead
 
-    def spy(items):
-        counted.append(items)
-        return read_ahead(items)
+    def spy(items, ahead):
+        counted.append(ahead)
+        return read_ahead(items, ahead)
 
     monkeypatch.setattr(dfdr.resampling, "read_ahead", spy)
     return counted
@@ -481,9 +481,9 @@ def test_consumer_error_stops_the_producer(monkeypatch, read_aheads):
     with pytest.raises(LookupError, match="in the summary"):
         build_statistic_set(matrix, "A", "B", plan)
     assert threading.active_count() == threads
-    # the third tile was refused while the worker made the fourth, its last
+    # the third tile was refused while the worker made the next AHEAD, its last
     total = -(-plan.n_permutations * matrix.n_features // dfdr.stats.TILE)
-    assert read_aheads and len(made) == 4 < total
+    assert read_aheads and len(made) == 3 + dfdr.resampling.AHEAD < total
 
 
 def test_early_stop_joins_the_producer(monkeypatch):
@@ -499,7 +499,7 @@ def test_early_stop_joins_the_producer(monkeypatch):
 
 def test_slow_consumer_sees_no_tile_overwritten(monkeypatch):
     # Each tile is checked as it arrives and again after a pause, by which
-    # time the worker has made the next: that may not reuse its memory.
+    # time the worker has made the next AHEAD: none may reuse its memory.
     matrix, plan = small_comparison(monkeypatch, m=300, b=50)
     table = materialised(matrix, plan).null_stats.reshape(plan.n_permutations, -1)
     stats = build_statistic_set(matrix, "A", "B", plan)
@@ -512,7 +512,7 @@ def test_slow_consumer_sees_no_tile_overwritten(monkeypatch):
         covered, count = covered + rows.size, count + 1
         if covered == matrix.n_features:  # a group of splits covers every row
             start, covered = start + tile.shape[0], 0
-    assert start == plan.n_permutations and count > 4
+    assert start == plan.n_permutations and count > 2 * (dfdr.resampling.AHEAD + 1)
 
 
 def test_concurrent_read_aheads_share_nothing(monkeypatch):
