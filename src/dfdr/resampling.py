@@ -105,9 +105,9 @@ def permutation_null(
     A null that some summary does not keep whole streams: every pass over it
     (the first and any later one) computes the tiles on one worker thread,
     up to AHEAD tiles ahead of the summaries, which take them in order on
-    the calling thread (see ``read_ahead``). The kernel and the summaries then run at once, and
-    no bit of any result changes. A null kept whole takes its passes on the
-    calling thread alone.
+    the calling thread (see ``read_ahead``). The kernel and the summaries
+    then run at once, and no bit of any result changes. A null kept whole
+    takes its passes on the calling thread alone.
     """
     values, pool, n_a = _comparison(matrix, group_a, group_b)
     splits = np.empty((plan.n_permutations + 1, pool.size), dtype=np.intp)
