@@ -55,6 +55,7 @@ from dfdr.simulation import (
     boundary_offset,
     measure_error_rates,
     measure_local_dfdr,
+    worker_count,
 )
 from dfdr.stats import validate_pvalues
 
@@ -458,8 +459,12 @@ def run_simulate(args) -> int:
         block_size=args.block_size,
         block_rho=args.block_rho,
     )
-    # one replicate's matrix and permutations at a time
-    check_null_fits((config.n_tests, config.n_a + config.n_b), config.n_permutations)
+    # one replicate's matrix and permutations in each process at a time
+    check_null_fits(
+        (config.n_tests, config.n_a + config.n_b),
+        config.n_permutations,
+        at_once=worker_count(config.replicates),
+    )
     value, rule_fields = _rule_from_args(args)
     if args.mode == "maximize":
         bound = 1.0 / (1.0 + value)

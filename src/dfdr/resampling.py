@@ -64,23 +64,25 @@ def physical_memory() -> int | None:
         return None
 
 
-def check_null_fits(shape: tuple[int, int], n_permutations: int) -> None:
+def check_null_fits(shape: tuple[int, int], n_permutations: int, at_once: int = 1) -> None:
     """Refuse, before allocating, permutations that cannot fit in physical memory.
 
     ``shape`` is the data matrix's (tests, subjects). The null is never held:
     a NullSummary takes it tile by tile, in memory bounded by the tile and
     bracket sizes and the number of tests. What grows with the number of
     permutations is the permutations themselves, n_permutations * subjects
-    8-byte indices, which are counted here with the matrix. Routes with more
-    than one comparison hold one comparison's permutations at a time.
+    8-byte indices, which are counted here with the matrix, ``at_once``
+    times where that many comparisons run at once. Routes with more than one
+    comparison otherwise hold one comparison's permutations at a time.
     """
     (m, n), b = shape, n_permutations
-    need = 8 * n * (b + m)
+    need = 8 * n * (b + m) * at_once
     have = physical_memory()
     if have is not None and need > have:
+        each = f", for each of {at_once} replicates run at once" if at_once > 1 else ""
         raise ValidationError(
             f"the permutations need about {need / 2**20:.0f} MiB "
-            f"({b} permutations x {n} subjects, and the matrix), more than "
+            f"({b} permutations x {n} subjects, and the matrix{each}), more than "
             f"the {have / 2**20:.0f} MiB of physical memory; lower --permutations"
         )
 

@@ -14,6 +14,12 @@ probability of any rejection), the pFDR (conditional false fraction), the PFP
 PFP when defined, else 0). The pooled false fraction among rejected tests is
 also the realized conditional probability that a rejected hypothesis is a
 true null.
+
+Replicates run on every CPU the process may use: with W of them, the caller
+runs replicates r % W == 0 and one forked worker per further CPU runs its
+own residue, then sends its outcomes back. Each replicate is a pure function
+of (seed, replicate) and the outcomes are pooled in replicate order, so
+every output is the same bytes whatever the number of CPUs.
 """
 
 from __future__ import annotations
@@ -126,11 +132,14 @@ class ErrorRateReport:
     outcomes: tuple[ReplicateOutcome, ...] = field(repr=False)
 
 
-def _instance_seeds(config: SimulationConfig, replicate: int):
-    root = np.random.SeedSequence(entropy=config.seed, spawn_key=(replicate,))
-    data_seq, plan_seq = root.spawn(2)
-    plan_seed = int(plan_seq.generate_state(1, np.uint64)[0])
-    return data_seq, plan_seed
+def _stream(config: SimulationConfig, replicate: int, which: int) -> np.random.SeedSequence:
+    """Stream ``which`` of a replicate: 0 draws its data, 1 seeds its plan.
+
+    The same stream as child ``which`` of
+    ``SeedSequence(entropy=seed, spawn_key=(replicate,)).spawn(2)``, made
+    directly, so each is derived once and without its sibling.
+    """
+    return np.random.SeedSequence(entropy=config.seed, spawn_key=(replicate, which))
 
 
 def generate_instance(config: SimulationConfig, replicate: int) -> tuple[DataMatrix, np.ndarray]:
@@ -138,8 +147,7 @@ def generate_instance(config: SimulationConfig, replicate: int) -> tuple[DataMat
 
     Returns the matrix and the truth bits h (0 = null true, 1 = alternative).
     """
-    data_seq, _ = _instance_seeds(config, replicate)
-    rng = np.random.default_rng(data_seq)
+    rng = np.random.default_rng(_stream(config, replicate, 0))
     m, n_a, n_b = config.n_tests, config.n_a, config.n_b
     n = n_a + n_b
 
@@ -183,7 +191,7 @@ def _matrix_ids(m: int, n_a: int, n_b: int) -> tuple[tuple[str, ...], ...]:
 def build_replicate_stats(config: SimulationConfig, replicate: int) -> tuple[StatisticSet, np.ndarray]:
     """Statistics plus truth bits for one replicate of the full pipeline."""
     matrix, h = generate_instance(config, replicate)
-    _, plan_seed = _instance_seeds(config, replicate)
+    plan_seed = int(_stream(config, replicate, 1).generate_state(1, np.uint64)[0])
     plan = PermutationPlan(n_permutations=config.n_permutations, seed=plan_seed)
     return build_statistic_set(matrix, "A", "B", plan), h
 
@@ -214,7 +222,7 @@ class DfdrControlRule:
 
 def measure_error_rates(config: SimulationConfig, rule) -> ErrorRateReport:
     """Run the full pipeline per replicate and pool the realized error rates."""
-    outcomes = [_replicate_outcome(config, r, rule) for r in range(config.replicates)]
+    outcomes = _outcomes(config, rule)
 
     n = config.replicates
     n_false = np.array([o.n_false for o in outcomes])
@@ -252,6 +260,105 @@ def measure_error_rates(config: SimulationConfig, rule) -> ErrorRateReport:
         replicates=n,
         outcomes=tuple(outcomes),
     )
+
+
+def worker_count(replicates: int) -> int:
+    """How many processes run replicates at once: one per CPU this process
+    may run on, at most one per replicate, and only the caller where
+    ``os.fork`` is missing or another thread runs (forking a multi-threaded
+    process is unsafe)."""
+    import os
+    import threading
+
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, replicates)
+
+
+def _outcomes(config: SimulationConfig, rule) -> list[ReplicateOutcome]:
+    """Every replicate's outcome, in replicate order, from ``worker_count``
+    processes W.
+
+    The caller runs the replicates r % W == 0; forked worker k runs those
+    with r % W == k and sends its outcomes back through a pipe as one
+    pickle, or the exception that stopped it, which is raised here. Each
+    replicate is a pure function of (seed, replicate), so the outcomes do
+    not depend on W. If the caller fails or is interrupted first, it closes
+    the pipes and stops the workers; every worker has been reaped when this
+    returns or raises.
+    """
+    n = config.replicates
+    w = worker_count(n)
+    if w == 1:
+        return [_replicate_outcome(config, r, rule) for r in range(n)]
+    import os
+    import pickle
+
+    pids, reads = [], []
+    try:
+        for k in range(1, w):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _work(write, [read, *reads], config, rule, k, w)
+            os.close(write)
+            pids.append(pid)
+            reads.append(read)
+        outcomes = [None] * n
+        outcomes[::w] = [_replicate_outcome(config, r, rule) for r in range(0, n, w)]
+        for k, read in enumerate(reads, 1):
+            with open(read, "rb", closefd=False) as pipe:
+                try:
+                    error, share = pickle.load(pipe)
+                except Exception as exc:  # a worker that ended early sent a part
+                    error = exc
+            _, status = os.waitpid(pids.pop(0), 0)
+            if os.waitstatus_to_exitcode(status) != 0:
+                raise RuntimeError(
+                    f"replicate worker {k} of {w} ended without its outcomes "
+                    f"(exit status {os.waitstatus_to_exitcode(status)})"
+                )
+            if error is not None:
+                raise error
+            outcomes[k::w] = share
+        return outcomes
+    finally:
+        for read in reads:
+            os.close(read)
+        if pids:  # an error or an interrupt left workers running
+            import signal
+
+            for pid in pids:
+                os.kill(pid, signal.SIGTERM)
+            for pid in pids:
+                os.waitpid(pid, 0)
+
+
+def _work(write: int, inherited: list[int], config: SimulationConfig, rule, k: int, w: int):
+    """The life of forked worker k of w: its replicates' outcomes, or the
+    exception that stopped them, sent as one pickle to the pipe end
+    ``write``. It never returns, and exits 0 only once all is sent."""
+    import os
+    import pickle
+
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            share = [_replicate_outcome(config, r, rule) for r in range(k, config.replicates, w)]
+            payload = pickle.dumps((None, share), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:
+            try:
+                payload = pickle.dumps((exc, None), pickle.HIGHEST_PROTOCOL)
+            except Exception:
+                payload = pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), None))
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _replicate_outcome(config: SimulationConfig, replicate: int, rule) -> ReplicateOutcome:

@@ -462,15 +462,19 @@ class TestMemoryCheck:
         self.refused_below(monkeypatch, capsys, args, 8_000 + 3_200, tmp_path / "out")
 
     def test_simulate_checks_one_replicate_before_any_runs(self, tmp_path, monkeypatch, capsys):
+        import dfdr.cli
         import dfdr.resampling
 
-        out = tmp_path / "sim"
-        args = [
-            "simulate", "--m", "50", "--replicates", "2", "--permutations", "100",
-            "--out", str(out),
-        ]
-        # 50 tests x 20 subjects: permutations 16,000 bytes, matrix 8,000
-        self.refused_below(monkeypatch, capsys, args, 16_000 + 8_000, out)
+        # 50 tests x 20 subjects: permutations 16,000 bytes, matrix 8,000,
+        # for each replicate run at once
+        for at_once in (1, 2):
+            out = tmp_path / f"sim{at_once}"
+            args = [
+                "simulate", "--m", "50", "--replicates", "2", "--permutations", "100",
+                "--out", str(out),
+            ]
+            monkeypatch.setattr(dfdr.cli, "worker_count", lambda replicates: at_once)
+            self.refused_below(monkeypatch, capsys, args, at_once * (16_000 + 8_000), out)
         # permutations far beyond memory are refused before anything is allocated
         monkeypatch.setattr(dfdr.resampling, "physical_memory", lambda: 2**30)
         args[args.index("100")] = "2000000000"

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +20,9 @@ from dfdr import (
     measure_error_rates,
     measure_local_dfdr,
     resolve_pi0,
+    simulation,
 )
+from dfdr.cli import main
 from conftest import FixedThresholdRule
 
 
@@ -71,6 +75,16 @@ class TestGenerateInstance:
         np.testing.assert_array_equal(h1, h2)
         m3, _ = generate_instance(config, 6)
         assert not np.array_equal(m1.values, m3.values)
+
+    def test_replicate_streams_are_the_spawned_children(self):
+        # each stream is made directly, the same as spawning both from the
+        # replicate's root, so every replicate draws the same data and
+        # permutations as before
+        config = small_config(seed=17)
+        children = np.random.SeedSequence(entropy=17, spawn_key=(4,)).spawn(2)
+        for which, child in enumerate(children):
+            direct = simulation._stream(config, 4, which)
+            assert direct.generate_state(8).tobytes() == child.generate_state(8).tobytes()
 
     def test_alternative_shift_applied_to_second_group(self):
         config = small_config(n_tests=2000, pi0=0.5, effect=3.0)
@@ -257,3 +271,142 @@ class TestAnalyticCdfs:
         config = small_config(n_a=6, n_b=8)
         with pytest.raises(ValidationError):
             analytic_statistic_cdfs(config)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets how many CPUs worker_count sees, and checks that every worker
+    has been reaped when the test ends."""
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    yield set_cpus
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def assert_bitwise_equal(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        for f in dataclasses.fields(simulation.ReplicateOutcome):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert type(x) is type(y), f.name
+            assert np.asarray(x).dtype == np.asarray(y).dtype, f.name
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), f.name
+
+
+def failing_replicates(monkeypatch, fail):
+    """Makes replicate r run ``fail(r)`` before its outcome, in whichever
+    process runs it."""
+    outcome = simulation._replicate_outcome
+
+    def patched(config, replicate, rule):
+        fail(replicate)
+        return outcome(config, replicate, rule)
+
+    monkeypatch.setattr(simulation, "_replicate_outcome", patched)
+
+
+class TestReplicateWorkers:
+    """The replicates split over forked workers: replicate r runs in worker r % W."""
+
+    def test_one_worker_per_cpu_at_most_one_per_replicate(self, cpus):
+        cpus(3)
+        assert [simulation.worker_count(n) for n in (1, 2, 3, 200)] == [1, 2, 3, 3]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_outcomes_do_not_depend_on_the_worker_count(self, cpus, workers):
+        # 7 replicates: no worker count above 1 divides them
+        config = small_config(n_tests=200, replicates=7)
+        rule = DesirabilityRule(9.0, "estimate")
+        serial = [simulation._replicate_outcome(config, r, rule) for r in range(7)]
+        assert sum(o.n_rejected for o in serial) > 0
+        cpus(workers)
+        assert simulation.worker_count(7) == workers
+        assert_bitwise_equal(simulation._outcomes(config, rule), serial)
+
+    def test_another_thread_keeps_the_replicates_in_the_caller(self, cpus):
+        import threading
+
+        cpus(2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert simulation.worker_count(4) == 1
+        finally:
+            release.set()
+            other.join()
+        assert simulation.worker_count(4) == 2
+
+    @pytest.mark.parametrize("error", [ValidationError, AssertionError, KeyError])
+    def test_worker_error_reaches_the_caller(self, cpus, monkeypatch, error):
+        def fail(replicate):
+            if replicate == 3:  # worker 1 of 2
+                raise error(f"replicate {replicate} failed")
+
+        cpus(2)
+        failing_replicates(monkeypatch, fail)
+        with pytest.raises(error) as raised:
+            measure_error_rates(small_config(replicates=4), FixedThresholdRule(tau=2.0))
+        assert str(raised.value) == str(error("replicate 3 failed"))
+
+    def test_unpicklable_worker_error_is_named(self, cpus, monkeypatch):
+        def fail(replicate):
+            if replicate == 1:
+                error = ValueError("replicate 1 failed")
+                error.hook = lambda: None  # pickle cannot send it
+                raise error
+
+        cpus(2)
+        failing_replicates(monkeypatch, fail)
+        with pytest.raises(RuntimeError, match="^ValueError: replicate 1 failed$"):
+            measure_error_rates(small_config(replicates=2), FixedThresholdRule(tau=2.0))
+
+    def test_worker_validation_error_exits_2(self, cpus, monkeypatch, tmp_path, capsys):
+        def fail(replicate):
+            if replicate == 1:
+                raise ValidationError("replicate 1 failed")
+
+        cpus(2)
+        failing_replicates(monkeypatch, fail)
+        out = tmp_path / "sim"
+        args = ["simulate", "--m", "50", "--replicates", "2", "--permutations", "5"]
+        assert main(args + ["--out", str(out)]) == 2
+        assert "replicate 1 failed" in capsys.readouterr().err
+        assert not (out / "report.txt").exists()
+
+    def test_worker_that_dies_is_an_error(self, cpus, monkeypatch):
+        def fail(replicate):
+            if replicate == 1:
+                os._exit(7)
+
+        cpus(2)
+        failing_replicates(monkeypatch, fail)
+        with pytest.raises(RuntimeError, match="worker 1 of 2 ended without its outcomes"):
+            measure_error_rates(small_config(replicates=2), FixedThresholdRule(tau=2.0))
+
+    @pytest.mark.parametrize("worker", ["computing", "blocked on a full pipe"])
+    def test_caller_error_stops_the_workers(self, cpus, monkeypatch, worker):
+        # the workers would run for a minute, or block writing outcomes far
+        # larger than a pipe holds; the caller's error must not wait for them
+        big = np.zeros(1 << 18)
+
+        def fail(replicate):
+            if replicate % 3 == 0:  # the caller's share
+                time.sleep(0.2)
+                raise ValidationError("the caller failed")
+            if worker == "computing":
+                time.sleep(60)
+
+        def outcome(config, replicate, rule):
+            fail(replicate)
+            return simulation.ReplicateOutcome(0.0, 0.0, 1.0, 0, 0, big, big.astype(bool))
+
+        cpus(3)
+        monkeypatch.setattr(simulation, "_replicate_outcome", outcome)
+        start = time.monotonic()
+        with pytest.raises(ValidationError, match="the caller failed"):
+            measure_error_rates(small_config(replicates=6), FixedThresholdRule(tau=2.0))
+        assert time.monotonic() - start < 30
