@@ -299,12 +299,14 @@ def _outcomes(config: SimulationConfig, rule) -> list[ReplicateOutcome]:
     try:
         for k in range(1, w):
             read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _work(write, [read, *reads], config, rule, k, w)
-            os.close(write)
-            pids.append(pid)
             reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(write, reads, config, rule, k, w)
+            finally:
+                os.close(write)
+            pids.append(pid)
         outcomes = [None] * n
         outcomes[::w] = [_replicate_outcome(config, r, rule) for r in range(0, n, w)]
         for k, read in enumerate(reads, 1):
@@ -335,16 +337,17 @@ def _outcomes(config: SimulationConfig, rule) -> list[ReplicateOutcome]:
                 os.waitpid(pid, 0)
 
 
-def _work(write: int, inherited: list[int], config: SimulationConfig, rule, k: int, w: int):
+def _work(write: int, reads: list[int], config: SimulationConfig, rule, k: int, w: int):
     """The life of forked worker k of w: its replicates' outcomes, or the
     exception that stopped them, sent as one pickle to the pipe end
-    ``write``. It never returns, and exits 0 only once all is sent."""
+    ``write``, once it has closed the read ends it inherited. It never
+    returns, and exits 0 only once all is sent."""
     import os
     import pickle
 
     code = 1
     try:
-        for fd in inherited:
+        for fd in reads:
             os.close(fd)
         try:
             share = [_replicate_outcome(config, r, rule) for r in range(k, config.replicates, w)]
