@@ -7,8 +7,8 @@ produce byte-identical output files.
 
 Every output file prints a float with 12 significant digits (``%.12g``),
 infinities as ``inf``/``-inf`` and NaN as ``nan``; integers print bare and
-booleans as ``true``/``false``. ``tests.csv`` and ``curve.csv`` are formatted
-a whole row at a time, from the same ``NUMBER`` spec as every other value.
+booleans as ``true``/``false``. The tables are formatted a row at a time from the
+same ``NUMBER`` spec as every other value, and written ``BLOCK`` rows at a time.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import argparse
 import math
 import os
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,7 @@ NUMBER = "%.12g"
 TESTS_ROW = f"%s,{NUMBER},%d\n"
 CURVE_ROW = f"{NUMBER},{NUMBER},{NUMBER},%d\n"
 COMPARISON_ROW = f"%s,%s,{NUMBER},{NUMBER},{NUMBER}\n"
+BLOCK = 4096  # rows that the table writer formats and writes at a time
 
 
 def _fmt(x) -> str:
@@ -97,15 +99,33 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, chunks) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8") as f:
+        f.writelines(chunks)
     os.replace(tmp, path)
 
 
-def _table(header: str, row_format: str, columns) -> str:
-    """The header line, then ``row_format % row`` for each row of the zipped columns."""
-    return header + "\n" + "".join(map(row_format.__mod__, zip(*columns)))
+def _rows(header: str, row_format: str, columns):
+    """The header line, then ``row_format % row`` for the rows of the columns, a block at a time."""
+    yield header + "\n"
+    for i in range(0, len(columns[0]), BLOCK):
+        block = [c[i:i + BLOCK] for c in columns]
+        block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+        yield "".join(map(row_format.__mod__, zip(*block)))
+
+
+class _PvalueIds(Sequence):
+    """The p-value route's ids, zero-padded to the digits of n, made a slice at a time."""
+
+    def __init__(self, n: int):
+        self.n, self.id = n, f"p%0{len(str(n))}d".__mod__
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i):
+        return list(map(self.id, range(self.n)[i])) if isinstance(i, slice) else self.id(range(self.n)[i])
 
 
 def build_parser() -> _Parser:
@@ -170,11 +190,11 @@ def _parse_pi0_mode(text: str):
     if text in ("estimate", "one"):
         return text
     try:
-        return float(text)
+        if 0.0 <= float(text) <= 1.0:
+            return float(text)
     except ValueError:
-        raise UsageError(
-            f'--pi0 must be "estimate", "one", or a number, got {text!r}'
-        ) from None
+        pass
+    raise UsageError(f'--pi0 must be "estimate", "one", or a number in [0, 1], got {text!r}')
 
 
 # analyze flags of the matrix route, which --pvalues replaces
@@ -212,7 +232,7 @@ def _check_flags(args) -> None:
         (matrix_route and not {"group_a", "group_b"} <= given,
          "analyze needs --group-a and --group-b"),
         ({"subsets", "weights"} <= given, "give only one of --subsets and --weights"),
-        (matrix_route and args.permutations < 1, "--permutations must be >= 1"),
+        ("pvalues" not in given and args.permutations < 1, "--permutations must be >= 1"),
         (table in given and args.mode != "maximize", f"--{table} supports maximize mode only"),
         (table in given and given & (costs | {"alpha"}),
          f"--{table} takes costs and benefits from the {table} file"),
@@ -245,7 +265,7 @@ def _rule_from_args(args) -> tuple[float, list[tuple[str, object]]]:
 
 def _write_decision_outputs(
     outdir: Path,
-    ids: list[str],
+    ids: Sequence[str],
     values: np.ndarray,
     result: DecisionResult,
     fields: list[tuple[str, object]],
@@ -255,15 +275,10 @@ def _write_decision_outputs(
     suffix = f"_{stem}" if stem else ""
     flags = np.zeros(len(ids), dtype=np.int8)
     flags[np.fromiter(result.rejected, dtype=np.intp, count=len(result.rejected))] = 1
-    tests = (ids, values.tolist(), flags.tolist())
-    c = result.curve
-    curve = [a.tolist() for a in (c.tau, c.desirability, c.dfdr, c.discoveries)]
-    _write_atomic(
-        outdir / f"tests{suffix}.csv", _table("feature_id,statistic,rejected", TESTS_ROW, tests)
-    )
-    _write_atomic(
-        outdir / f"curve{suffix}.csv", _table("tau,desirability,dfdr,discoveries", CURVE_ROW, curve)
-    )
+    curve = "tau,desirability,dfdr,discoveries"
+    tests_path, curve_path = outdir / f"tests{suffix}.csv", outdir / f"curve{suffix}.csv"
+    _write_atomic(tests_path, _rows("feature_id,statistic,rejected", TESTS_ROW, (ids, values, flags)))
+    _write_atomic(curve_path, _rows(curve, CURVE_ROW, [getattr(result.curve, k) for k in curve.split(",")]))
     pi0 = result.pi0
     fields = fields + [
         ("pi0_mode", pi0.mode),
@@ -274,7 +289,7 @@ def _write_decision_outputs(
         ("dfdr", result.dfdr),
         ("desirability", result.desirability),
     ]
-    _write_atomic(outdir / f"summary{suffix}.txt", "".join(f"{k}\t{_fmt(v)}\n" for k, v in fields))
+    _write_atomic(outdir / f"summary{suffix}.txt", (f"{k}\t{_fmt(v)}\n" for k, v in fields))
 
 
 def _read_table(path, header: list[str]) -> list[tuple[int, list[str]]]:
@@ -400,22 +415,24 @@ def run_analyze(args) -> int:
     return 0
 
 
-def _read_pvalues(path) -> list[float]:
-    """The values of the non-blank lines; row numbers in errors count every line."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    try:
-        return list(map(float, filter(str.strip, lines)))
-    except ValueError:
-        # name the first non-blank line that float() rejects
-        for lineno, line in enumerate(lines, start=1):
-            if line.strip():
+def _read_pvalues(path) -> np.ndarray:
+    """The values of the non-blank lines, as ``str.splitlines`` splits the text (at
+    \\x0c or \\u2028 too); row numbers in errors count every line."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            pieces = iter(lambda: f.read(2**16) + f.readline(), "")  # of whole lines
+            lines = (line for piece in pieces for line in piece.splitlines())
+            return np.fromiter(map(float, filter(str.strip, lines)), dtype=float)
+        except ValueError:
+            # not UTF-8 (raised as from the whole text), or a value float() rejects
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
+            for lineno, line in enumerate(lines, start=1):
                 try:
-                    float(line)
+                    float(line.strip() or 0)
                 except ValueError:
-                    raise ParseError(
-                        f"{path}: row {lineno}: non-numeric p-value {line.strip()!r}"
-                    ) from None
-        raise
+                    why = f"{path}: row {lineno}: non-numeric p-value {line.strip()!r}"
+                    raise ParseError(why) from None
+            raise
 
 
 def _analyze_pvalues(args, outdir: Path, pi0_mode) -> int:
@@ -436,9 +453,7 @@ def _analyze_pvalues(args, outdir: Path, pi0_mode) -> int:
         ("m", pvals.n_tests),
         ("seed", args.seed),
     ]
-    digits = len(str(pvals.n_tests))
-    ids = list(map(f"p%0{digits}d".__mod__, range(pvals.n_tests)))
-    _write_decision_outputs(outdir, ids, pvals.pvalues, result, fields + rule_fields)
+    _write_decision_outputs(outdir, _PvalueIds(pvals.n_tests), pvals.pvalues, result, fields + rule_fields)
     return 0
 
 
@@ -528,7 +543,7 @@ def run_simulate(args) -> int:
         limit = bound + 3.0 * math.sqrt(bound * (1.0 - bound) / n) if n else bound
         verdict = "PASS" if actual <= limit else "FAIL"
         text += f"check\t{name}\t{verdict}\tactual={_fmt(actual)}\tlimit={_fmt(limit)}\n"
-    _write_atomic(outdir / "report.txt", text)
+    _write_atomic(outdir / "report.txt", [text])
     print(text, end="")
     return 0
 
@@ -586,7 +601,7 @@ def run_reproduce(args) -> int:
         compare("second-comparison", second, REFERENCE_SECOND)
 
     header = ["configuration", "metric", "actual", "reference", "deviation"]
-    _write_atomic(outdir / "comparison.csv", _table(",".join(header), COMPARISON_ROW, zip(*rows)))
+    _write_atomic(outdir / "comparison.csv", _rows(",".join(header), COMPARISON_ROW, list(zip(*rows))))
     widths = [24, 12, 14, 12, 12]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     for row in rows:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,8 @@ from dfdr import (
     maximize_desirability,
     resolve_pi0,
 )
-from dfdr.cli import main
+from dfdr.cli import _read_pvalues, main
+from dfdr.errors import ParseError
 
 
 def write_fixture(tmp_path, rng, m=40, n_a=5, n_b=5, shifted=8, shift=2.5):
@@ -179,6 +181,114 @@ class TestAnalyze:
         assert self.run(mpath, lpath, tmp_path / "o") == 2
 
 
+def reference_read_pvalues(path):
+    """The p-value reader on the whole text: the values of the non-blank lines
+    of ``str.splitlines``, and the error of the first one float() rejects."""
+    values = []
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        if line.strip():
+            try:
+                values.append(float(line))
+            except ValueError:
+                raise ParseError(
+                    f"{path}: row {lineno}: non-numeric p-value {line.strip()!r}"
+                ) from None
+    return np.array(values, dtype=float)
+
+
+def separated(rng, n, separators, bad_at=None):
+    """n p-values in repr, each followed by a separator drawn from ``separators``."""
+    cells = [repr(v) for v in rng.random(n).tolist()]
+    if bad_at is not None:
+        cells[bad_at] = "0.5x"
+    return "".join(c + separators[i] for c, i in zip(cells, rng.integers(len(separators), size=n)))
+
+
+class TestReadPvalues:
+    """The reader splits lines as ``str.splitlines`` splits the whole text."""
+
+    @pytest.mark.parametrize(
+        "text, values",
+        [
+            ("0.1\x0c0.2\x0c0.3\n", [0.1, 0.2, 0.3]),
+            ("0.1\x1c0.2\n0.3\x1c", [0.1, 0.2, 0.3]),
+            ("0.1\u20280.2\u2029 0.3\n", [0.1, 0.2, 0.3]),
+            ("0.1\x0b0.2\x850.3\x1d0.4\x1e0.5", [0.1, 0.2, 0.3, 0.4, 0.5]),
+            ("0.1\r\n0.2\r\n\r\n0.3\r\n", [0.1, 0.2, 0.3]),
+            ("0.1\r0.2\r", [0.1, 0.2]),
+            ("\n0.1\n\n   \n\t\n0.2 \n\n", [0.1, 0.2]),
+            ("", []),
+        ],
+        ids=["formfeed", "file-sep", "line-sep", "vt-nel-gs-rs", "crlf", "cr", "blank", "empty"],
+    )
+    def test_values(self, tmp_path, text, values):
+        path = tmp_path / "p.txt"
+        path.write_bytes(text.encode("utf-8"))
+        got = _read_pvalues(path)
+        assert got.dtype == np.float64 and got.tolist() == values
+        assert got.tobytes() == reference_read_pvalues(path).tobytes()
+
+    @pytest.mark.parametrize(
+        "text, row, cell",
+        [
+            ("0.1\x0cx\n0.2\n", 2, "x"),
+            ("0.1\n\x1c\x1cabc\n", 4, "abc"),
+            ("0.1\u2028\u20280.5 oops\n", 3, "0.5 oops"),
+            ("0.1\r\n\r\n bad\r\n0.2\r\n", 3, "bad"),
+            ("0.1\n \t\n\n-\n", 4, "-"),
+        ],
+        ids=["formfeed", "file-sep", "line-sep", "crlf", "blank"],
+    )
+    def test_bad_cell_row(self, tmp_path, text, row, cell):
+        path = tmp_path / "p.txt"
+        path.write_bytes(text.encode("utf-8"))
+        message = f"{path}: row {row}: non-numeric p-value {cell!r}"
+        with pytest.raises(ParseError) as got:
+            _read_pvalues(path)
+        assert str(got.value) == message
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            reference_read_pvalues(path)
+
+    @pytest.mark.parametrize("bad_at", [None, 2900, 11990])
+    def test_long_file_across_pieces(self, tmp_path, bad_at):
+        # about 240 KB: every kind of line end falls on some piece boundary
+        text = separated(np.random.default_rng(17), 12_000, ["\n", "\r\n", "\r", "\x0c",
+                                                             "\u2028", "\n\n", " \x1c"], bad_at)
+        path = tmp_path / "p.txt"
+        path.write_bytes(text.encode("utf-8"))
+        if bad_at is None:
+            assert _read_pvalues(path).tobytes() == reference_read_pvalues(path).tobytes()
+            return
+        with pytest.raises(ParseError) as want:
+            reference_read_pvalues(path)
+        with pytest.raises(ParseError) as got:
+            _read_pvalues(path)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("sep", ["\r\n", "\r", "\x0c", "\u2028"], ids=repr)
+    @pytest.mark.parametrize("at", [2**16 - 2, 2**16 - 1, 2**16, 2**16 + 1])
+    def test_line_end_at_piece_boundary(self, tmp_path, sep, at):
+        # the reader takes 2**16 characters and the rest of their line at a time
+        head = "0.25\n" * 13_000
+        text = head + "0." + "1" * (at - len(head) - 2) + sep + "0.75\n"
+        assert text.index(sep) == at
+        path = tmp_path / "p.txt"
+        path.write_bytes(text.encode("utf-8"))
+        got = _read_pvalues(path)
+        assert got.size == 13_002 and got[-1] == 0.75
+        assert got.tobytes() == reference_read_pvalues(path).tobytes()
+
+    def test_bytes_not_utf8_raise_as_from_the_whole_text(self, tmp_path):
+        # a bad cell before the bad byte: the decoding error still wins
+        path = tmp_path / "p.txt"
+        path.write_bytes(b"0.5\nx\n0.1\xff\n")
+        with pytest.raises(UnicodeDecodeError) as want:
+            path.read_text(encoding="utf-8")
+        with pytest.raises(UnicodeDecodeError) as got:
+            _read_pvalues(path)
+        assert repr(got.value) == repr(want.value)
+
+
 class TestAnalyzePvalues:
     def test_maximize_over_pvalues(self, tmp_path):
         ppath = tmp_path / "p.txt"
@@ -323,9 +433,17 @@ class TestFlagTable:
             (["analyze", "--cost-ratio", "nan"], "--cost-ratio"),
             (["analyze", "--cost-ratio", "inf"], "--cost-ratio"),
             (["analyze", "--p-threshold", "nan"], "--p-threshold"),
+            (["analyze", "--pi0", "1.5"], "--pi0"),
+            (["analyze", "--pi0", "-0.5"], "--pi0"),
+            (["analyze", "--pi0", "nan"], "--pi0"),
+            (["analyze", "--pi0", "inf"], "--pi0"),
+            (["simulate", "--m", "50", "--replicates", "2", "--pi0", "2"], "--pi0"),
+            (["simulate", "--m", "50", "--replicates", "2", "--permutations", "0"],
+             "--permutations"),
         ],
         ids=["sim-fraction", "sim-alpha-nan", "sim-cost-nan", "alpha-nan", "cost-nan", "cost-inf",
-             "p-nan"],
+             "p-nan", "pi0-above-1", "pi0-negative", "pi0-nan", "pi0-inf", "sim-pi0-2",
+             "sim-permutations-0"],
     )
     def test_bad_value_is_usage_error_before_any_output(self, fixture_paths, tmp_path, capsys,
                                                         argv, flag):
@@ -337,7 +455,7 @@ class TestFlagTable:
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"usage error: {flag} ")
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_negative_simulate_seed_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,12 +1,17 @@
 """Byte identity of tests.csv and curve.csv with the per-cell reference writer.
 
-The CLI formats whole rows with one ``%`` template per file; the reference
-(``reference_writer``) formats each cell with ``format(x, ".12g")``. Both must
-give the same bytes for every float, NaN and infinities included, and for
-every route that writes decision files.
+The CLI formats whole rows with one ``%`` template per file and writes them a
+block of ``cli.BLOCK`` rows at a time; the reference (``reference_writer``)
+formats each cell with ``format(x, ".12g")``. Both must give the same bytes for
+every float, NaN and infinities included, for every route that writes decision
+files, and wherever the rows fall against the block boundaries.
 """
 
 import math
+import os
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfdr import cli
-from dfdr.cli import CURVE_ROW, TESTS_ROW, _fmt, _table, main
+from dfdr.cli import CURVE_ROW, TESTS_ROW, _fmt, _rows, _write_atomic, main
 from reference_writer import decision_files, fmt, rows_text
 from test_cli import write_fixture
 
@@ -53,18 +58,41 @@ ints = st.integers(-(10**20), 10**20)
 ids = st.text(max_size=8)
 
 
+# rows per block in the property tests: a list of up to 20 rows crosses several
+blocks = st.integers(1, 6)
+
+
+def write_table(header, row_format, columns, block):
+    """The bytes the table writer writes, ``block`` rows at a time."""
+    with mock.patch.object(cli, "BLOCK", block), tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        _write_atomic(path, _rows(",".join(header), row_format, columns))
+        assert os.listdir(tmp) == ["table.csv"]  # no tmp file is left behind
+        return path.read_bytes()
+
+
+def column(rows, k, as_array):
+    """Column ``k`` of ``rows``: a float array, as the CLI passes, or a list."""
+    cells = [row[k] for row in rows]
+    return np.array(cells, dtype=float) if as_array else cells
+
+
 @PROPERTY
-@given(st.lists(st.tuples(ids, floats, ints), max_size=20))
-def test_tests_rows_match_reference(rows):
+@given(st.lists(st.tuples(ids, floats, ints), max_size=20), blocks)
+def test_tests_rows_match_reference(rows, block):
     header = ["feature_id", "statistic", "rejected"]
-    assert _table(",".join(header), TESTS_ROW, list(zip(*rows))) == rows_text(header, rows)
+    columns = [column(rows, 0, False), column(rows, 1, True), column(rows, 2, False)]
+    expected = rows_text(header, rows).encode("utf-8")
+    assert write_table(header, TESTS_ROW, columns, block) == expected
 
 
 @PROPERTY
-@given(st.lists(st.tuples(floats, floats, floats, ints), max_size=20))
-def test_curve_rows_match_reference(rows):
+@given(st.lists(st.tuples(floats, floats, floats, ints), max_size=20), blocks)
+def test_curve_rows_match_reference(rows, block):
     header = ["tau", "desirability", "dfdr", "discoveries"]
-    assert _table(",".join(header), CURVE_ROW, list(zip(*rows))) == rows_text(header, rows)
+    columns = [column(rows, k, k < 3) for k in range(4)]
+    expected = rows_text(header, rows).encode("utf-8")
+    assert write_table(header, CURVE_ROW, columns, block) == expected
 
 
 @PROPERTY
@@ -108,6 +136,18 @@ def test_pvalue_route(tmp_path, written, mode):
     assert_reference_bytes(written)
     n = len(p) + 4
     assert written[0][1] == [f"p{i:04d}" for i in range(n)]
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_pvalue_route_at_block_boundary(tmp_path, written, extra):
+    n = cli.BLOCK + extra
+    p = np.random.default_rng(16).beta(0.5, 1.0, size=n)
+    ppath = tmp_path / "p.txt"
+    ppath.write_text("\n".join(map(repr, p.tolist())) + "\n")
+    rc = main(["analyze", "--pvalues", str(ppath), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert_reference_bytes(written)
+    assert written[0][1] == [f"p{i:0{len(str(n))}d}" for i in range(n)]
 
 
 def test_statistic_route_with_sentinel_rows(tmp_path, written):
