@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from dfdr import __version__
-from dfdr.data import DataMatrix, load_matrix, preprocess
+from dfdr.data import DataMatrix, load_matrix, not_utf8, preprocess, read_text
 from dfdr.decision import (
     DecisionResult,
     Subset,
@@ -206,6 +206,14 @@ RANGES = {
     "alpha": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
     "replicates": (lambda v: v >= 1, "must be >= 1"),
     "boundary_fraction": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "seed": (lambda v: v >= 0, "must be >= 0"),
+    "m": (lambda v: v >= 1, "must be >= 1"),
+    "n_a": (lambda v: v >= 2, "must be >= 2"),
+    "n_b": (lambda v: v >= 2, "must be >= 2"),
+    "block_size": (lambda v: v >= 1, "must be >= 1"),
+    "block_rho": (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
+    "pi0_true": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    "delta": (math.isfinite, "must be finite"),
 }
 
 
@@ -294,7 +302,7 @@ def _write_decision_outputs(
 
 def _read_table(path, header: list[str]) -> list[tuple[int, list[str]]]:
     """(row number, fields) for each row of a tab-separated file after its header."""
-    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
+    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     expected = "<TAB>".join(header)
     if not lines:
         raise ParseError(f"{path}: empty file, expected the header {expected!r}")
@@ -436,7 +444,10 @@ def _read_pvalues(path) -> np.ndarray:
 
 
 def _analyze_pvalues(args, outdir: Path, pi0_mode) -> int:
-    pvals = validate_pvalues(_read_pvalues(args.pvalues))
+    try:
+        pvals = validate_pvalues(_read_pvalues(args.pvalues))
+    except UnicodeDecodeError as exc:
+        raise not_utf8(args.pvalues, exc) from None
     if pi0_mode == "estimate":
         pi0 = estimate_pi0_from_pvalues(pvals)
     else:
@@ -621,7 +632,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DfdrError, FileNotFoundError) as exc:
+    except (DfdrError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001

@@ -73,11 +73,25 @@ class DataMatrix:
         return np.asarray(cols, dtype=np.intp)
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 input file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
+
+
+def not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
+    """The error for an input file that is not UTF-8: its path and first bad
+    byte, not the file's bytes, which the decoding error's repr would echo."""
+    byte = exc.object[exc.start]
+    return ParseError(f"{path}: not UTF-8 text: byte {byte:#04x} at offset {exc.start}")
+
+
 def load_labels(path) -> dict[str, str]:
     """Read a two-column (subject id, group tag) tab-separated file."""
     labels: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.rstrip("\n").split("\t")
@@ -159,7 +173,7 @@ def _read_fast(path):
 
 def _read_plain(path):
     """(subject ids, feature ids, values), by float() on every cell."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if len(lines) < 2:

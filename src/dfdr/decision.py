@@ -135,17 +135,29 @@ class SubsetDecision:
     observed: np.ndarray
 
 
-def _candidates(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _candidates(sorted_values: np.ndarray, first: float | None = None):
     """Distinct values plus +inf, each with how many values lie below it.
 
     The count below a distinct value is where its run of ties starts, so it
     also indexes the value's entry in ``StatisticSet.null_exceedances``.
+    With ``first`` the values are shifted one place instead: ``first``, then
+    each distinct value but the last, with the same counts.
     """
     n = sorted_values.size
-    starts = np.flatnonzero(np.concatenate(([True], sorted_values[1:] != sorted_values[:-1])))
+    starts = np.empty(n + 1, dtype=bool)  # where a run of ties starts, and the end
+    starts[0] = starts[n] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=starts[1:n])
+    below = np.flatnonzero(starts)
+    taus = np.empty(below.size)
+    if first is not None:
+        taus[0] = first
+        np.take(sorted_values, below[:-1], out=taus[1:])
+        return taus, below
+    np.take(sorted_values, below[:-1], out=taus[:-1])
+    taus[-1] = np.inf
     if np.isposinf(sorted_values[-1]):
-        return sorted_values[starts], starts
-    return np.append(sorted_values[starts], np.inf), np.append(starts, n)
+        return taus[:-1], below[:-1]
+    return taus, below
 
 
 def _curve(taus, discoveries, null_share, pi0: Pi0Estimate, n_tests: int, benefit, ratio) -> Curve:
@@ -164,8 +176,7 @@ def _scan_p(pvals: PValueSet, pi0: Pi0Estimate, benefit: float, ratio: float) ->
     # Cutoffs are -inf ("reject nothing") and the distinct p-values. p <= the
     # j-th distinct value holds exactly for the p-values below the next one,
     # and the uniform null share of a cutoff is the cutoff itself.
-    values, below = _candidates(pvals.sorted_pvalues)
-    cutoffs = np.append(-np.inf, values[:-1])
+    cutoffs, below = _candidates(pvals.sorted_pvalues, first=-np.inf)
     return _curve(cutoffs, below, cutoffs, pi0, pvals.n_tests, benefit, ratio)
 
 

@@ -224,7 +224,7 @@ def welch_tiles(values: np.ndarray, pool, n_a: int, splits, buffers: int = 1):
         members = np.zeros((part.shape[0], pool.size))
         members[np.arange(part.shape[0])[:, None], part[:, :n_a]] = 1.0
         for rows in [first] + [rest[r : r + size] for r in range(0, rest.size, size)]:
-            block = _Rows(values[rows][:, pool], n_a)  # column-major: fast row minima
+            block = _Rows(values[rows][:, pool], n_a)  # column-major: C-order x.T in _Rows
             tile = next(turns)[: part.shape[0] * rows.size].reshape(-1, rows.size)
             for c in range(0, part.shape[0], CHUNK):
                 chunk = slice(c, c + CHUNK)
@@ -233,22 +233,25 @@ def welch_tiles(values: np.ndarray, pool, n_a: int, splits, buffers: int = 1):
 
 
 class _Rows:
-    """The split parts of a block of rows, and the Welch step on them."""
+    """The split parts of a block of rows, and the Welch step on them.
+
+    ``parts[k, j, i]`` is part k (hi, lo, square hi, square lo) of row i at
+    pool position j: positions x rows, so a part's rows are contiguous for
+    the product and for every step of the Welch arithmetic.
+    """
 
     def __init__(self, x: np.ndarray, n_a: int) -> None:
-        m, n = x.shape
+        x = x.T  # positions x rows: C-contiguous for a column-major block
+        n, m = x.shape
         self.n_a, self.n_b = n_a, n - n_a
-        lo, hi = x.min(axis=1), x.max(axis=1)
+        lo, hi = x.min(axis=0), x.max(axis=0)
         self.constant = np.flatnonzero(lo == hi)
         center = 0.5 * lo + 0.5 * hi
         # 2^-e > every |x - center|; e >= -1021 keeps 2^-e finite
         e = np.frexp(np.maximum(hi - center, center - lo))[1]
-        scale = np.ldexp(1.0, -np.maximum(e, -1021))[:, None]
-        center = center[:, None]
-        # parts[k * m + i, j]: hi, lo, square hi, square lo (k = 0..3) of row i
-        # at position j
-        self.parts = parts = np.empty((4 * m, n))
-        y_hi, y_lo, sq_hi, sq_lo = parts.reshape(4, m, n)
+        scale = np.ldexp(1.0, -np.maximum(e, -1021))
+        self.parts = parts = np.empty((4, n, m))
+        y_hi, y_lo, sq_hi, sq_lo = parts
         # centred value s + err == x - center exactly (TwoSum; s is kept in
         # sq_lo and err in x until both are split)
         s = np.subtract(x, center, out=sq_lo)
@@ -270,15 +273,13 @@ class _Rows:
         _round(sq_lo, 2.0**-p, out=sq_hi)
         sq_lo -= sq_hi
         _round(sq_lo, self.lo_step, out=sq_lo)
-        self.totals = (parts @ np.ones(n)).reshape(4, m)
+        self.totals = parts.sum(axis=1)  # exact: every part lies on the grid
 
     def abs_t(self, members, splits, out) -> None:
         """|t| per split and row into ``out``, working in place in ``out``
         and in the product that gives group A's sums."""
-        c, m = out.shape
         n_a, n_b = self.n_a, self.n_b
-        sums = _product(members, self.parts)
-        y_hi, y_lo, sq_hi, sq_lo = sums.reshape(c, 4, m).transpose(1, 0, 2)
+        y_hi, y_lo, sq_hi, sq_lo = _product(members, self.parts)
         t_hi, t_lo, tsq_hi, tsq_lo = self.totals
         s1a = np.add(y_hi, y_lo, out=out)
         s1b = _rest(t_hi, y_hi, t_lo, y_lo)
@@ -319,9 +320,8 @@ class _Rows:
 
     def _two_pass(self, rows, members, mean) -> np.ndarray:
         """Spread of each listed group from its values, summed in sorted order."""
-        m = self.totals.shape[1]
-        hi = self.parts[rows[:, None], members]
-        lo = self.parts[rows[:, None] + m, members]
+        hi = self.parts[0][members, rows[:, None]]
+        lo = self.parts[1][members, rows[:, None]]
         order = np.lexsort((lo, hi), axis=-1)
         hi = np.take_along_axis(hi, order, axis=-1)
         lo = np.take_along_axis(lo, order, axis=-1)
@@ -335,23 +335,20 @@ class _Rows:
         return ss
 
 
-def _product(members: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``members @ rows.T``, as products of at most _BLAS_SIZE multiply-adds.
+def _product(members: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """``members @ parts``, (4, c, m), as products of at most _BLAS_SIZE
+    multiply-adds: one per part and window of columns.
 
     OpenBLAS runs a product that small on the calling thread. A larger one
     wakes worker threads, which then spin between calls: over the many small
     products of ``dfdr simulate`` that doubled the CPU time on two CPUs.
     """
     c, n = members.shape
+    m = parts.shape[2]
     width = max(1, _BLAS_SIZE // (c * n))
-    whole = rows.shape[0] // width * width
-    out = np.empty((c, rows.shape[0]))
-    np.matmul(
-        members,
-        rows[:whole].reshape(-1, width, n).transpose(0, 2, 1),
-        out=out[:, :whole].reshape(c, -1, width).transpose(1, 0, 2),
-    )
-    np.matmul(members, rows[whole:].T, out=out[:, whole:])
+    out = np.empty((4, c, m))
+    for j in range(0, m, width):
+        np.matmul(members, parts[:, :, j : j + width], out=out[:, :, j : j + width])
     return out
 
 

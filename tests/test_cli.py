@@ -420,6 +420,48 @@ class TestAnalyzeSubsetsAndWeights:
         assert "rows 4 and 7 both give feature 'g002'" in capsys.readouterr().err
 
 
+class TestUnreadableInput:
+    """An input file that is not UTF-8, or a directory in its place, is a data
+    error that names the path, for every input flag."""
+
+    FLAGS = ["--pvalues", "--matrix", "--labels", "--weights", "--subsets"]
+
+    @staticmethod
+    def argv(tmp_path, flag, path):
+        if flag == "--pvalues":
+            return ["analyze", "--pvalues", str(path), "--out", str(tmp_path / "out")]
+        mpath, lpath = write_fixture(tmp_path, np.random.default_rng(105), m=10)
+        inputs = {"--matrix": str(mpath), "--labels": str(lpath)}
+        inputs[flag] = str(path)
+        return [
+            "analyze", *(x for item in inputs.items() for x in item),
+            "--group-a", "A", "--group-b", "B", "--permutations", "5",
+            "--out", str(tmp_path / "out"),
+        ]
+
+    def check(self, tmp_path, capsys, flag, path):
+        assert main(self.argv(tmp_path, flag, path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(path) in err
+        out = tmp_path / "out"
+        assert not out.exists() or not any(out.iterdir())
+        return err
+
+    @pytest.mark.parametrize("flag", FLAGS)
+    def test_bytes_not_utf8(self, tmp_path, capsys, flag):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"secret\t0.5\nx\n0.1\xff\n")
+        err = self.check(tmp_path, capsys, flag, path)
+        assert "not UTF-8 text: byte 0xff at offset 16" in err
+        assert "secret" not in err and "\\x" not in err
+
+    @pytest.mark.parametrize("flag", FLAGS)
+    def test_directory(self, tmp_path, capsys, flag):
+        path = tmp_path / "folder"
+        path.mkdir()
+        assert "Is a directory" in self.check(tmp_path, capsys, flag, path)
+
+
 class TestFlagTable:
     @pytest.mark.parametrize(
         "argv, flag",
@@ -440,10 +482,23 @@ class TestFlagTable:
             (["simulate", "--m", "50", "--replicates", "2", "--pi0", "2"], "--pi0"),
             (["simulate", "--m", "50", "--replicates", "2", "--permutations", "0"],
              "--permutations"),
+            (["analyze", "--seed", "-1"], "--seed"),
+            (["simulate", "--m", "0"], "--m"),
+            (["simulate", "--n-a", "1"], "--n-a"),
+            (["simulate", "--n-b", "1"], "--n-b"),
+            (["simulate", "--block-size", "0"], "--block-size"),
+            (["simulate", "--block-rho", "1"], "--block-rho"),
+            (["simulate", "--block-rho", "-0.1"], "--block-rho"),
+            (["simulate", "--pi0-true", "1.5"], "--pi0-true"),
+            (["simulate", "--pi0-true", "nan"], "--pi0-true"),
+            (["simulate", "--delta", "inf"], "--delta"),
+            (["simulate", "--delta", "nan"], "--delta"),
         ],
         ids=["sim-fraction", "sim-alpha-nan", "sim-cost-nan", "alpha-nan", "cost-nan", "cost-inf",
              "p-nan", "pi0-above-1", "pi0-negative", "pi0-nan", "pi0-inf", "sim-pi0-2",
-             "sim-permutations-0"],
+             "sim-permutations-0", "seed-negative", "sim-m-0", "sim-n-a-1", "sim-n-b-1",
+             "sim-block-size-0", "sim-block-rho-1", "sim-block-rho-negative",
+             "sim-pi0-true-above-1", "sim-pi0-true-nan", "sim-delta-inf", "sim-delta-nan"],
     )
     def test_bad_value_is_usage_error_before_any_output(self, fixture_paths, tmp_path, capsys,
                                                         argv, flag):
@@ -457,11 +512,11 @@ class TestFlagTable:
         assert err.startswith(f"usage error: {flag} ")
         assert not out.exists()
 
-    def test_negative_simulate_seed_is_data_error(self, tmp_path, capsys):
+    def test_negative_simulate_seed_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "out"
-        assert main(["simulate", "--seed", "-3", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "data error: seed must be a nonnegative integer\n"
-        assert not out.exists() or not any(out.iterdir())
+        assert main(["simulate", "--seed", "-3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "usage error: --seed must be >= 0\n"
+        assert not out.exists()
 
     def test_group_compared_with_itself_is_data_error(self, fixture_paths, tmp_path, capsys):
         mpath, lpath = fixture_paths

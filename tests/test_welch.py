@@ -9,6 +9,7 @@ their own, outliers. Accuracy is checked against exact rational arithmetic.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -225,6 +226,38 @@ class TestExactSums:
         for perm, null in zip(splits, nulls):
             shuffled = matrix_of(values[:, perm], n_a)
             np.testing.assert_array_equal(null, two_sample_abs_t(shuffled, "A", "B"))
+
+
+class TestLayout:
+    @PROPERTY
+    @given(comparisons())
+    def test_c_and_f_order_blocks_give_the_same_bits(self, case):
+        values, n_a, splits = case
+        n = values.shape[1]
+        members = np.zeros(splits.shape)
+        members[np.arange(splits.shape[0])[:, None], splits[:, :n_a]] = 1.0
+        results = []
+        for order in "CF":
+            block = dfdr.stats._Rows(np.array(values, order=order), n_a)
+            out = np.empty((splits.shape[0], values.shape[0]))
+            block.abs_t(members, splits, out)
+            results.append((block.parts, block.totals, block.constant, out))
+        for c, f in zip(*results):
+            np.testing.assert_array_equal(c, f)
+        assert results[0][0].shape == (4, n, values.shape[0])
+
+    @pytest.mark.parametrize("width", [1, 7, 51, 1000])
+    def test_product_is_members_times_parts_in_any_window(self, width):
+        # windows of one column, of 7 and 51 columns (neither divides the
+        # 356 rows), and one window over all of them
+        rng = np.random.default_rng(width)
+        c, n, m = 9, 13, 356
+        members = (rng.random((c, n)) < 0.5).astype(float)
+        parts = rng.integers(-2**20, 2**20, size=(4, n, m)) * 2.0**-30
+        with mock.patch.object(dfdr.stats, "_BLAS_SIZE", width * c * n):
+            sums = dfdr.stats._product(members, parts)
+        assert sums.shape == (4, c, m) and sums[0].flags.c_contiguous
+        np.testing.assert_array_equal(sums, members @ parts)
 
 
 class TestAccuracy:
