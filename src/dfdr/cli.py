@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from dfdr import __version__
-from dfdr.data import DataMatrix, load_matrix, not_utf8, preprocess, read_text
+from dfdr.data import DataMatrix, load_matrix, preprocess, read_text
 from dfdr.decision import (
     DecisionResult,
     Subset,
@@ -224,11 +224,12 @@ def _opt(name: str) -> str:
 def _check_flags(args) -> None:
     """Raise the UsageError of the first rule in the table that the flags break.
 
-    One table of flag rules for analyze and simulate, checked before any
-    input is read or output written. A flag is given unless it is None, or
-    False for a switch.
+    One table of flag rules for analyze, simulate and reproduce, checked
+    before any input is read or output written. A flag is given unless it is
+    None, or False for a switch.
     """
     given = {k for k, v in vars(args).items() if v is not None and v is not False}
+    mode = vars(args).get("mode")  # reproduce has none
     matrix_route = args.command == "analyze" and "pvalues" not in given
     table = "subsets" if "subsets" in given else "weights"
     costs = {"cost_ratio", "p_threshold"}
@@ -241,12 +242,12 @@ def _check_flags(args) -> None:
          "analyze needs --group-a and --group-b"),
         ({"subsets", "weights"} <= given, "give only one of --subsets and --weights"),
         ("pvalues" not in given and args.permutations < 1, "--permutations must be >= 1"),
-        (table in given and args.mode != "maximize", f"--{table} supports maximize mode only"),
+        (table in given and mode != "maximize", f"--{table} supports maximize mode only"),
         (table in given and given & (costs | {"alpha"}),
          f"--{table} takes costs and benefits from the {table} file"),
-        (args.mode == "control" and given & costs,
+        (mode == "control" and given & costs,
          "--cost-ratio/--p-threshold apply to maximize mode only"),
-        (args.mode == "maximize" and "alpha" in given, "--alpha applies to control mode only"),
+        (mode == "maximize" and "alpha" in given, "--alpha applies to control mode only"),
         (costs <= given, "give only one of --cost-ratio and --p-threshold"),
         *((f in given and not ok(getattr(args, f)), f"{_opt(f)} {why}")
           for f, (ok, why) in RANGES.items()),
@@ -432,9 +433,8 @@ def _read_pvalues(path) -> np.ndarray:
             lines = (line for piece in pieces for line in piece.splitlines())
             return np.fromiter(map(float, filter(str.strip, lines)), dtype=float)
         except ValueError:
-            # not UTF-8 (raised as from the whole text), or a value float() rejects
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
-            for lineno, line in enumerate(lines, start=1):
+            # not UTF-8 (read_text's data error), or a value float() rejects
+            for lineno, line in enumerate(read_text(path).splitlines(), start=1):
                 try:
                     float(line.strip() or 0)
                 except ValueError:
@@ -444,10 +444,7 @@ def _read_pvalues(path) -> np.ndarray:
 
 
 def _analyze_pvalues(args, outdir: Path, pi0_mode) -> int:
-    try:
-        pvals = validate_pvalues(_read_pvalues(args.pvalues))
-    except UnicodeDecodeError as exc:
-        raise not_utf8(args.pvalues, exc) from None
+    pvals = validate_pvalues(_read_pvalues(args.pvalues))
     if pi0_mode == "estimate":
         pi0 = estimate_pi0_from_pvalues(pvals)
     else:
@@ -570,6 +567,7 @@ REFERENCE_SECOND = {"tau": 3.64, "discoveries": 350, "dfdr": 0.0418}
 
 
 def run_reproduce(args) -> int:
+    _check_flags(args)
     for path in (args.matrix, args.labels):
         if not Path(path).exists():
             raise ValidationError(f"input file {path!r} not found.\n\n{GOLUB_GUIDANCE}")
@@ -632,7 +630,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DfdrError, FileNotFoundError, IsADirectoryError) as exc:
+    except (DfdrError, FileExistsError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001

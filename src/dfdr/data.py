@@ -74,18 +74,14 @@ class DataMatrix:
 
 
 def read_text(path) -> str:
-    """The text of a UTF-8 input file."""
+    """The text of a UTF-8 input file. Any other is a ParseError naming its
+    path and first bad byte, not the file's bytes, which the decoding
+    error's repr would echo."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise not_utf8(path, exc) from None
-
-
-def not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
-    """The error for an input file that is not UTF-8: its path and first bad
-    byte, not the file's bytes, which the decoding error's repr would echo."""
-    byte = exc.object[exc.start]
-    return ParseError(f"{path}: not UTF-8 text: byte {byte:#04x} at offset {exc.start}")
+        byte = exc.object[exc.start]
+        raise ParseError(f"{path}: not UTF-8 text: byte {byte:#04x} at offset {exc.start}") from None
 
 
 def load_labels(path) -> dict[str, str]:
@@ -172,7 +168,13 @@ def _read_fast(path):
 
 
 def _read_plain(path):
-    """(subject ids, feature ids, values), by float() on every cell."""
+    """(subject ids, feature ids, values), by float() on every cell.
+
+    One pass in file order. A row is parsed whole; only a row that does not
+    give finite floats is walked cell by cell, to name its first bad cell: a
+    blank, NA or NaN cell is a missing value, any other must give a finite
+    float().
+    """
     lines = read_text(path).splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
@@ -180,61 +182,38 @@ def _read_plain(path):
         raise ParseError(f"{path}: need a header row and at least one feature row")
     header = lines[0].split("\t")
     subject_ids = [cell.strip() for cell in header[1:]]
-    if len(subject_ids) < 2:
+    n = len(subject_ids)
+    if n < 2:
         raise ParseError(f"{path}: header row names fewer than two subjects")
-    parsed = _parse_rows(lines[1:], len(subject_ids))
-    if parsed is None:
-        _raise_first_bad_cell(path, lines[1:], len(subject_ids))
-    return (subject_ids, *parsed)
-
-
-def _parse_rows(lines: list[str], n: int) -> tuple[list[str], np.ndarray] | None:
-    """Feature ids and values of the matrix rows, one float() pass per row.
-
-    None when a row does not have n + 1 fields or a cell is not a finite
-    number; ``_raise_first_bad_cell`` then names the first such row or cell.
-    """
     feature_ids: list[str] = []
     rows: list[list[float]] = []
-    for line in lines:
+    for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split("\t")
         if len(fields) != n + 1:
-            return None
-        feature_ids.append(fields[0].strip())
+            raise ParseError(f"{path}: row {lineno}: expected {n + 1} fields, got {len(fields)}")
         try:
-            rows.append(list(map(float, fields[1:])))
+            row = list(map(float, fields[1:]))
+            bad = not all(map(math.isfinite, row))
         except ValueError:
-            return None
-    values = np.array(rows, dtype=float)
-    return (feature_ids, values) if np.isfinite(values).all() else None
-
-
-def _raise_first_bad_cell(path, lines: list[str], n: int) -> None:
-    """Raise the ParseError for the first ragged row or bad cell, in file order.
-
-    A blank, NA or NaN cell is a missing value; any other cell must give a
-    finite float().
-    """
-    for lineno, line in enumerate(lines, start=2):
-        fields = line.split("\t")
-        if len(fields) != n + 1:
-            raise ParseError(
-                f"{path}: row {lineno}: expected {n + 1} fields, got {len(fields)}"
-            )
-        for col, cell in enumerate(fields[1:], start=2):
-            cell = cell.strip()
-            if not cell or cell.upper() in ("NA", "NAN"):
-                raise ParseError(f"{path}: row {lineno}, column {col}: missing value")
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {lineno}, column {col}: non-numeric cell {cell!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise ParseError(
-                    f"{path}: row {lineno}, column {col}: non-finite cell {cell!r}"
-                )
+            bad = True
+        if bad:
+            for col, cell in enumerate(fields[1:], start=2):
+                cell = cell.strip()
+                if not cell or cell.upper() in ("NA", "NAN"):
+                    raise ParseError(f"{path}: row {lineno}, column {col}: missing value")
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: row {lineno}, column {col}: non-numeric cell {cell!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"{path}: row {lineno}, column {col}: non-finite cell {cell!r}"
+                    )
+        feature_ids.append(fields[0].strip())
+        rows.append(row)
+    return subject_ids, feature_ids, np.array(rows, dtype=float)
 
 
 def signed_log1p(x):

@@ -139,7 +139,7 @@ def _candidates(sorted_values: np.ndarray, first: float | None = None):
     """Distinct values plus +inf, each with how many values lie below it.
 
     The count below a distinct value is where its run of ties starts, so it
-    also indexes the value's entry in ``StatisticSet.null_exceedances``.
+    also indexes the value's entry in a null summary's ``exceedances``.
     With ``first`` the values are shifted one place instead: ``first``, then
     each distinct value but the last, with the same counts.
     """
@@ -168,7 +168,7 @@ def _curve(taus, discoveries, null_share, pi0: Pi0Estimate, n_tests: int, benefi
 
 def _scan(stats: StatisticSet, pi0: Pi0Estimate, benefit: float, ratio: float) -> Curve:
     taus, below = _candidates(stats.sorted_observed)
-    null_share = stats.null_exceedances[below] / stats.n_null
+    null_share = stats.null_summary().exceedances[below] / stats.n_null
     return _curve(taus, stats.n_tests - below, null_share, pi0, stats.n_tests, benefit, ratio)
 
 
@@ -273,7 +273,7 @@ def _comparison_decisions(partition, matrix, plan, key, pi0_mode) -> dict[int, S
     permutation_null(matrix, *key, plan, into=list(summaries.values()))
     for i, summary in summaries.items():
         subset = partition.subsets[i]
-        stats = StatisticSet(summary.observed, None, b, summary=summary)
+        stats = StatisticSet(summary.observed, b, summary)
         pi0 = resolve_pi0(stats, pi0_mode)
         result = maximize_desirability(stats, pi0, CostBenefit([subset.benefit], [subset.cost]))
         out[i] = SubsetDecision(subset=subset, result=result, observed=stats.observed)

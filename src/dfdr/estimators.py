@@ -185,22 +185,15 @@ def dfdr_from_counts(pi0: float, null_share, discoveries, n_tests: int) -> np.nd
     return np.where(discoveries == 0, 0.0, values)
 
 
-def choose_lambda(null_stats) -> float:
-    """Tuning threshold for the pi0 estimate.
+def choose_lambda(summary: NullSummary) -> float:
+    """Tuning threshold for the pi0 estimate, from a null's summary.
 
     Picks, among the null statistic values themselves plus +inf, the value
     whose empirical proportion of null statistics strictly below it is
-    closest to CENTRAL_BAND_MASS. Ties break toward the smaller value.
-
-    ``null_stats`` is a NullSummary, which selects the value from its bracket
-    (see there), or the values themselves, which are summarized first.
+    closest to CENTRAL_BAND_MASS. Ties break toward the smaller value. The
+    summary selects the value from its bracket (see ``NullSummary``).
     """
-    if isinstance(null_stats, NullSummary):
-        return null_stats.lam
-    nulls = np.asarray(null_stats, dtype=float).ravel()
-    if nulls.size < 1:
-        raise ValidationError("need at least one null statistic")
-    return NullSummary(1, nulls.size).feed(array_tiles(nulls, 1)).lam
+    return summary.lam
 
 
 def array_tiles(values: np.ndarray, n_tests: int):
@@ -448,46 +441,30 @@ def summarize(summaries, tiles) -> None:
             summary.add(rows, tile)
 
 
-def estimate_pi0(observed, null_stats, lam: float, weights=None) -> Pi0Estimate:
-    """Quantile-matching pi0 estimate at tuning threshold lam.
+def estimate_pi0(summary: NullSummary) -> Pi0Estimate:
+    """Quantile-matching pi0 estimate at the summary's tuning threshold lambda.
 
-    The raw ratio (share of observed statistics below lam) / (share of null
-    statistics below lam) is clamped into [0, 1]; raw values above 1 are
-    meaningless as a proportion. With per-test ``weights`` the counts become
-    weight sums: each null statistic inherits the weight of the test that
-    generated it (nulls are permutation-major), so the null weight below lam
-    is the per-test count below lam times that test's weight, and equal
-    weights give the unweighted estimate. Raises UndefinedEstimateError when
-    no null statistic (no positive null weight) falls below lam.
-
-    ``null_stats`` is the nulls, counted a tile at a time, or a NullSummary,
-    whose per-test counts below its own lambda come from its bracket.
+    The raw ratio (share of observed statistics below lambda) / (share of
+    null statistics below lambda) is clamped into [0, 1]; raw values above 1
+    are meaningless as a proportion. A summary with per-test ``weights``
+    gives weight sums instead: each null statistic inherits the weight of
+    the test that generated it (nulls are permutation-major), so the null
+    weight below lambda is the per-test count below lambda times that test's
+    weight, and equal weights give the unweighted estimate. Raises
+    UndefinedEstimateError when no null statistic (no positive null weight)
+    falls below lambda.
     """
-    obs = np.asarray(observed, dtype=float).ravel()
-    if isinstance(null_stats, NullSummary):
-        if lam != null_stats.lam:
-            raise ValidationError(f"a null summary counts below its own lambda, not {lam!r}")
-        n_null, per_test = null_stats.size, null_stats.below_lam
-    else:
-        nulls = np.asarray(null_stats, dtype=float).ravel()
-        m = 1 if weights is None else obs.size
-        if weights is not None and (nulls.size == 0 or nulls.size % m != 0):
-            raise ValidationError(
-                f"{nulls.size} null statistics cannot inherit weights from {obs.size} tests"
-            )
-        n_null, tiles = nulls.size, array_tiles(nulls, m)()
-        per_test = sum((np.count_nonzero(t < lam, axis=0) for _, t in tiles), np.zeros(m, int))
-    if weights is None:
+    obs, w, lam, per_test = summary.observed, summary.weights, summary.lam, summary.below_lam
+    if w is None:
         obs_below, null_below = np.count_nonzero(obs < lam), int(per_test.sum())
     else:
-        w = checked_weights(weights, obs.size)
         obs_below, null_below = float(np.sum(w[obs < lam])), float(per_test @ w)
     if null_below == 0:
-        counted = "null statistic" if weights is None else "positive null weight"
+        counted = "null statistic" if w is None else "positive null weight"
         raise UndefinedEstimateError(
             f"no {counted} below lambda={lam!r}; consider the conservative mode pi0 = 1"
         )
-    return Pi0Estimate.estimated((obs_below / obs.size) / (null_below / n_null), lam)
+    return Pi0Estimate.estimated((obs_below / obs.size) / (null_below / summary.size), lam)
 
 
 def estimate_pi0_from_pvalues(pvals: PValueSet) -> Pi0Estimate:
@@ -513,7 +490,8 @@ def resolve_pi0(stats: StatisticSet, mode, weights=None) -> Pi0Estimate:
     if mode == "estimate":
         w = None if weights is None else checked_weights(weights, stats.n_tests)
         summary = stats.null_summary(w)
-        return estimate_pi0(stats.observed, summary, choose_lambda(summary), w)
+        choose_lambda(summary)  # lambda is selected first, in a stage of its own
+        return estimate_pi0(summary)
     if isinstance(mode, (int, float)) and not isinstance(mode, bool):
         return Pi0Estimate.user(float(mode))
     raise ValidationError(f"unknown pi0 mode {mode!r}")

@@ -181,7 +181,7 @@ def build_statistic_set(
     """
     summary = NullSummary(matrix.n_features, plan.n_permutations, weights)
     permutation_null(matrix, group_a, group_b, plan, into=summary)
-    return StatisticSet(summary.observed, None, plan.n_permutations, summary=summary)
+    return StatisticSet(summary.observed, plan.n_permutations, summary)
 
 
 def two_sample_abs_t(matrix: DataMatrix, group_a: str, group_b: str) -> np.ndarray:

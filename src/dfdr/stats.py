@@ -25,24 +25,21 @@ from dfdr.errors import ValidationError
 
 @dataclass(frozen=True)
 class StatisticSet:
-    """Observed statistics plus their permutation null.
+    """Observed statistics plus the summary of their permutation null.
 
-    The estimators read the null only through a ``NullSummary`` (see
-    ``estimators``): exceedance counts or weight sums at the candidate
+    The estimators read the null only through ``summary``, a ``NullSummary``
+    (see ``estimators``): exceedance counts or weight sums at the candidate
     thresholds, lambda, and the per-test counts below lambda. A set from
     ``build_statistic_set`` was summarized tile by tile as its null was
-    computed, and the null was never held whole: ``null_stats`` is None and
-    ``summary`` can recompute it, tile by tile. A set built from arrays holds
-    ``null_stats``, n_tests * n_permutations values ordered by permutation
-    index, then feature index (the value at flat index j was generated by the
-    test j % n_tests), and feeds it to a summary in tiles of whole
-    permutations when first read.
+    computed, so the null was never held whole; ``from_null`` summarizes a
+    stored null the same way, a tile of whole permutations at a time. Either
+    summary can recompute the null's tiles (``summary.tiles``) for another
+    pass.
     """
 
     observed: np.ndarray
-    null_stats: np.ndarray | None
     n_permutations: int
-    summary: object = field(default=None, repr=False, compare=False)
+    summary: object = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         observed = np.asarray(self.observed, dtype=float).ravel()
@@ -52,18 +49,23 @@ class StatisticSet:
         if self.n_permutations < 1:
             raise ValidationError("n_permutations must be >= 1")
         check_statistics("observed", observed)
-        if self.null_stats is None:
-            if self.summary is None:
-                raise ValidationError("need the null statistics or their summary")
-            return
-        null_stats = np.asarray(self.null_stats, dtype=float).ravel()
-        object.__setattr__(self, "null_stats", null_stats)
-        if null_stats.size != observed.size * self.n_permutations:
+
+    @classmethod
+    def from_null(cls, observed, null, n_permutations: int) -> "StatisticSet":
+        """A set whose null is given whole: n_tests * n_permutations values
+        ordered by permutation index, then feature index (the value at flat
+        index j was generated by the test j % n_tests)."""
+        from dfdr.estimators import NullSummary, array_tiles  # the engine imports this module
+        summary = NullSummary(np.size(observed), n_permutations)
+        stats = cls(observed, n_permutations, summary)
+        null = np.asarray(null, dtype=float).ravel()
+        if null.size != stats.n_null:
             raise ValidationError(
-                f"{null_stats.size} null statistics for "
-                f"{observed.size} tests x {self.n_permutations} permutations"
+                f"{null.size} null statistics for "
+                f"{stats.n_tests} tests x {n_permutations} permutations"
             )
-        check_statistics("null", null_stats)
+        summary.observe(stats.observed).feed(array_tiles(null, stats.n_tests))
+        return stats
 
     @property
     def n_tests(self) -> int:
@@ -73,35 +75,21 @@ class StatisticSet:
     def n_null(self) -> int:
         return self.observed.size * self.n_permutations
 
-    @cached_property
-    def sorted_observed(self) -> np.ndarray:
-        return np.sort(self.observed)
-
     @property
-    def null_tiles(self):
-        """The null as a tile source: a callable returning (rows, tile) pairs,
-        where tile[:, i] holds nulls of the test rows[i]. A stored null is read
-        in place; a summarized one is recomputed."""
-        if self.null_stats is None:
-            return self.summary.tiles
-        from dfdr.estimators import array_tiles  # the engine imports this module
-        return array_tiles(self.null_stats, self.n_tests)
+    def sorted_observed(self) -> np.ndarray:
+        return self.summary.taus[:-1]  # the summary's thresholds but +inf
 
     def null_summary(self, weights=None):
         """The null's NullSummary, with weight sums for ``weights`` if given.
 
-        The last summary is kept; one for other weights takes a new pass.
+        The last summary is kept; one for other weights re-reads
+        ``summary.tiles``.
         """
-        from dfdr.estimators import NullSummary
-        if self.summary is None or not self.summary.weighs_with(weights):
+        if not self.summary.weighs_with(weights):
+            from dfdr.estimators import NullSummary
             summary = NullSummary(self.n_tests, self.n_permutations, weights).observe(self.observed)
-            object.__setattr__(self, "summary", summary.feed(self.null_tiles))
+            object.__setattr__(self, "summary", summary.feed(self.summary.tiles))
         return self.summary
-
-    @property
-    def null_exceedances(self) -> np.ndarray:
-        """How many nulls are >= each of ``sorted_observed`` and +inf: m + 1 counts."""
-        return self.null_summary().exceedances
 
 
 def check_statistics(name: str, values: np.ndarray) -> None:
@@ -293,10 +281,11 @@ class _Rows:
         ss_a *= 1.0 / (n_a * (n_a - 1))
         ss_b *= 1.0 / (n_b * (n_b - 1))
         ss_a += ss_b
-        se = np.sqrt(ss_a, out=ss_a)
         mean_a -= mean_b
         diff = np.abs(mean_a, out=mean_a)
+        # a constant row's spread can round below 0 (its statistic is set to 0 below)
         with np.errstate(divide="ignore", invalid="ignore"):
+            se = np.sqrt(ss_a, out=ss_a)
             np.divide(diff, se, out=out)
         if self.constant.size:
             out[:, self.constant] = 0.0

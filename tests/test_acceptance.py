@@ -108,7 +108,7 @@ def test_criterion_3_optimizer_matches_brute_force():
     rng = np.random.default_rng(333)
     mismatches = 0
     for _ in range(1000):
-        stats = random_statistic_set(rng, max_m=50, max_b=5)
+        stats, nulls = random_statistic_set(rng, max_m=50, max_b=5)
         pi0_value = float(rng.uniform(0.2, 1.0))
         ratio = float(rng.choice([1.0, 19.0, 1e6]))
         alpha = float(rng.choice([0.01, 0.05, 0.2]))
@@ -117,7 +117,7 @@ def test_criterion_3_optimizer_matches_brute_force():
             stats, Pi0Estimate.user(pi0_value), CostBenefit.from_ratio(ratio)
         )
         tau, rejected, dfdr, desir = brute_force_maximize(
-            stats.observed.tolist(), stats.null_stats.tolist(), pi0_value, 1.0, ratio
+            stats.observed.tolist(), nulls.tolist(), pi0_value, 1.0, ratio
         )
         if not (
             result.tau == tau
@@ -129,7 +129,7 @@ def test_criterion_3_optimizer_matches_brute_force():
 
         ctl = control_dfdr(stats, Pi0Estimate.user(pi0_value), alpha)
         tau_c, rejected_c, dfdr_c = brute_force_control(
-            stats.observed.tolist(), stats.null_stats.tolist(), pi0_value, alpha
+            stats.observed.tolist(), nulls.tolist(), pi0_value, alpha
         )
         if not (ctl.tau == tau_c and ctl.rejected == rejected_c and ctl.dfdr == dfdr_c):
             mismatches += 1
@@ -143,7 +143,7 @@ def test_criterion_4_estimator_identities():
     rng = np.random.default_rng(444)
     worst_uniform = 0.0
     for _ in range(100):
-        stats = random_statistic_set(rng, max_m=40, max_b=4)
+        stats, _ = random_statistic_set(rng, max_m=40, max_b=4)
         pi0 = Pi0Estimate.user(float(rng.uniform(0.2, 1.0)))
         scale = float(rng.uniform(0.5, 4.0))
         weights = np.full(stats.n_tests, scale)
@@ -256,7 +256,7 @@ def test_criterion_7_benefit_scaling_invariance():
     rng = np.random.default_rng(777)
     all_ok = True
     for _ in range(100):
-        stats = random_statistic_set(rng, max_m=50, max_b=5)
+        stats, _ = random_statistic_set(rng, max_m=50, max_b=5)
         pi0 = Pi0Estimate.user(float(rng.uniform(0.2, 1.0)))
         base = maximize_desirability(stats, pi0, CostBenefit([1.0], [19.0]))
         scaled = maximize_desirability(stats, pi0, CostBenefit([10.0], [190.0]))

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from dfdr import (
     resolve_pi0,
 )
 from dfdr.cli import _read_pvalues, main
+from dfdr.data import read_text
 from dfdr.errors import ParseError
 
 
@@ -181,6 +183,22 @@ class TestAnalyze:
         assert self.run(mpath, lpath, tmp_path / "o") == 2
 
 
+def test_subnormal_constant_row_warns_nothing(tmp_path, capsys):
+    # every cell 5e-324: the row's midrange rounds to 0 and its spread to
+    # below 0, whose square root is NaN until the statistic is set to 0
+    mpath, lpath = write_fixture(tmp_path, np.random.default_rng(107), m=30)
+    lines = mpath.read_text().splitlines()
+    lines[6] = "\t".join(["g005"] + ["5e-324"] * 10)
+    mpath.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", "--matrix", str(mpath), "--labels", str(lpath), "--group-a", "A",
+                     "--group-b", "B", "--permutations", "20", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert "g005,0,0\n" in (out / "tests.csv").read_text()
+
+
 def reference_read_pvalues(path):
     """The p-value reader on the whole text: the values of the non-blank lines
     of ``str.splitlines``, and the error of the first one float() rejects."""
@@ -282,11 +300,12 @@ class TestReadPvalues:
         # a bad cell before the bad byte: the decoding error still wins
         path = tmp_path / "p.txt"
         path.write_bytes(b"0.5\nx\n0.1\xff\n")
-        with pytest.raises(UnicodeDecodeError) as want:
-            path.read_text(encoding="utf-8")
-        with pytest.raises(UnicodeDecodeError) as got:
+        with pytest.raises(ParseError) as want:
+            read_text(path)
+        with pytest.raises(ParseError) as got:
             _read_pvalues(path)
-        assert repr(got.value) == repr(want.value)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).endswith("not UTF-8 text: byte 0xff at offset 9")
 
 
 class TestAnalyzePvalues:
@@ -462,6 +481,34 @@ class TestUnreadableInput:
         assert "Is a directory" in self.check(tmp_path, capsys, flag, path)
 
 
+class TestOutPath:
+    """An --out that names a file, or a path through one, is a data error that
+    names the path, for every command."""
+
+    @staticmethod
+    def argv(tmp_path, command):
+        mpath, lpath = write_fixture(tmp_path, np.random.default_rng(106), m=10)
+        if command == "simulate":
+            return ["simulate", "--m", "50", "--replicates", "1"]
+        if command == "reproduce":
+            lpath.write_text("".join(f"s{j:02d}\t{'ALL' if j < 5 else 'AML'}\n" for j in range(10)))
+            return ["reproduce", "--matrix", str(mpath), "--labels", str(lpath),
+                    "--permutations", "5"]
+        return ["analyze", "--matrix", str(mpath), "--labels", str(lpath),
+                "--group-a", "A", "--group-b", "B", "--permutations", "5"]
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "reproduce"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "path-through-file"])
+    def test_out_blocked_by_a_file(self, tmp_path, capsys, command, below):
+        blocker = tmp_path / "f"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" if below else blocker
+        assert main(self.argv(tmp_path, command) + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(out) in err
+        assert blocker.read_text() == "kept\n"
+
+
 class TestFlagTable:
     @pytest.mark.parametrize(
         "argv, flag",
@@ -493,12 +540,15 @@ class TestFlagTable:
             (["simulate", "--pi0-true", "nan"], "--pi0-true"),
             (["simulate", "--delta", "inf"], "--delta"),
             (["simulate", "--delta", "nan"], "--delta"),
+            (["reproduce", "--seed", "-1"], "--seed"),
+            (["reproduce", "--permutations", "0"], "--permutations"),
         ],
         ids=["sim-fraction", "sim-alpha-nan", "sim-cost-nan", "alpha-nan", "cost-nan", "cost-inf",
              "p-nan", "pi0-above-1", "pi0-negative", "pi0-nan", "pi0-inf", "sim-pi0-2",
              "sim-permutations-0", "seed-negative", "sim-m-0", "sim-n-a-1", "sim-n-b-1",
              "sim-block-size-0", "sim-block-rho-1", "sim-block-rho-negative",
-             "sim-pi0-true-above-1", "sim-pi0-true-nan", "sim-delta-inf", "sim-delta-nan"],
+             "sim-pi0-true-above-1", "sim-pi0-true-nan", "sim-delta-inf", "sim-delta-nan",
+             "reproduce-seed-negative", "reproduce-permutations-0"],
     )
     def test_bad_value_is_usage_error_before_any_output(self, fixture_paths, tmp_path, capsys,
                                                         argv, flag):
@@ -506,6 +556,8 @@ class TestFlagTable:
         if argv[0] == "analyze":
             argv = argv + ["--matrix", str(mpath), "--labels", str(lpath),
                            "--group-a", "A", "--group-b", "B", "--permutations", "5"]
+        if argv[0] == "reproduce":
+            argv = argv + ["--matrix", str(mpath), "--labels", str(lpath)]
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err

@@ -81,9 +81,9 @@ class TestMaximizeDesirability:
 
     def test_huge_cost_rejects_nothing(self, pi0_one):
         rng = np.random.default_rng(21)
-        stats = StatisticSet(
+        stats = StatisticSet.from_null(
             observed=np.abs(rng.normal(size=30)),
-            null_stats=np.abs(rng.normal(size=90)),
+            null=np.abs(rng.normal(size=90)),
             n_permutations=3,
         )
         result = maximize_desirability(stats, pi0_one, CostBenefit.from_ratio(1e6))
@@ -100,7 +100,7 @@ class TestMaximizeDesirability:
     def test_rejected_matches_threshold_rule(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
-            stats = random_statistic_set(rng)
+            stats, _ = random_statistic_set(rng)
             pi0 = Pi0Estimate.user(float(rng.uniform(0.2, 1.0)))
             result = maximize_desirability(stats, pi0, CostBenefit.from_ratio(9.0))
             expected = frozenset(int(i) for i in np.flatnonzero(stats.observed >= result.tau))
@@ -109,7 +109,7 @@ class TestMaximizeDesirability:
     def test_argmax_correctness_by_rescan(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
-            stats = random_statistic_set(rng)
+            stats, _ = random_statistic_set(rng)
             pi0 = Pi0Estimate.user(float(rng.uniform(0.2, 1.0)))
             result = maximize_desirability(stats, pi0, CostBenefit.from_ratio(19.0))
             assert np.all(result.desirability >= result.curve.desirability)
@@ -117,7 +117,7 @@ class TestMaximizeDesirability:
     def test_benefit_scaling_leaves_rejection_unchanged(self):
         rng = np.random.default_rng(24)
         for _ in range(20):
-            stats = random_statistic_set(rng)
+            stats, _ = random_statistic_set(rng)
             pi0 = Pi0Estimate.user(float(rng.uniform(0.2, 1.0)))
             base = maximize_desirability(
                 stats, pi0, CostBenefit([1.0], [19.0])
@@ -132,8 +132,8 @@ class TestMaximizeDesirability:
         # candidates 1.0 and 2.0 tie at desirability 1:
         #   tau=1: dfdr (1/2)/(2/2) = 0.5, D = (1 - 0.5) * 2 = 1
         #   tau=2: dfdr 0,               D = (1 - 0) * 1 = 1
-        stats = StatisticSet(
-            observed=[2.0, 1.0], null_stats=[1.0, 0.5], n_permutations=1
+        stats = StatisticSet.from_null(
+            observed=[2.0, 1.0], null=[1.0, 0.5], n_permutations=1
         )
         result = maximize_desirability(stats, pi0_one, CostBenefit.from_ratio(0.0))
         assert result.tau == 2.0
@@ -142,7 +142,7 @@ class TestMaximizeDesirability:
     def test_tie_with_empty_region_rejects_nothing(self, pi0_one):
         # every rejection region scores 0, as does rejecting nothing; the
         # conservative side of the tie wins
-        stats = StatisticSet(observed=[1.0], null_stats=[2.0], n_permutations=1)
+        stats = StatisticSet.from_null(observed=[1.0], null=[2.0], n_permutations=1)
         result = maximize_desirability(stats, pi0_one, CostBenefit.from_ratio(0.0))
         assert result.tau == math.inf
         assert result.rejected == frozenset()
@@ -157,8 +157,8 @@ class TestControlDfdr:
         assert result.dfdr == 0.0
 
     def test_infeasible_bound_rejects_nothing(self, pi0_one):
-        stats = StatisticSet(
-            observed=[1.0, 0.9], null_stats=[1.5, 1.4], n_permutations=1
+        stats = StatisticSet.from_null(
+            observed=[1.0, 0.9], null=[1.5, 1.4], n_permutations=1
         )
         result = control_dfdr(stats, pi0_one, 0.01)
         assert result.rejected == frozenset()
@@ -167,8 +167,8 @@ class TestControlDfdr:
     def test_infeasible_sentinels_reject_only_themselves(self, pi0_one):
         # +inf in both observed and null statistics: even tau = +inf has
         # dfdr (1/4) / (1/2) = 0.5, so no candidate meets the bound
-        stats = StatisticSet(
-            observed=[0.0, np.inf], null_stats=[0.0, 0.0, 0.0, np.inf], n_permutations=2
+        stats = StatisticSet.from_null(
+            observed=[0.0, np.inf], null=[0.0, 0.0, 0.0, np.inf], n_permutations=2
         )
         result = control_dfdr(stats, pi0_one, 0.01)
         assert result.tau == math.inf
@@ -183,7 +183,7 @@ class TestControlDfdr:
 
     def test_discoveries_non_increasing_as_alpha_shrinks(self):
         rng = np.random.default_rng(25)
-        stats = random_statistic_set(rng, max_m=40)
+        stats, _ = random_statistic_set(rng, max_m=40)
         pi0 = Pi0Estimate.fixed_one()
         alphas = [0.5, 0.2, 0.1, 0.05, 0.01]
         counts = [control_dfdr(stats, pi0, a).n_rejected for a in alphas]
@@ -194,7 +194,7 @@ class TestControlDfdr:
         # enforces it locally, so it can never reject more
         rng = np.random.default_rng(26)
         for _ in range(50):
-            stats = random_statistic_set(rng)
+            stats, _ = random_statistic_set(rng)
             pi0 = Pi0Estimate.user(float(rng.uniform(0.2, 1.0)))
             p = float(rng.choice([0.05, 0.1, 0.25]))
             optimizer = maximize_desirability(stats, pi0, CostBenefit.from_probability(p))
@@ -206,14 +206,14 @@ class TestBruteForceAgreement:
     def test_maximize_matches_brute_force(self):
         rng = np.random.default_rng(27)
         for _ in range(100):
-            stats = random_statistic_set(rng)
+            stats, nulls = random_statistic_set(rng)
             pi0_value = float(rng.uniform(0.2, 1.0))
             ratio = float(rng.choice([1.0, 19.0, 99.0]))
             result = maximize_desirability(
                 stats, Pi0Estimate.user(pi0_value), CostBenefit.from_ratio(ratio)
             )
             tau, rejected, dfdr, desir = brute_force_maximize(
-                stats.observed.tolist(), stats.null_stats.tolist(), pi0_value, 1.0, ratio
+                stats.observed.tolist(), nulls.tolist(), pi0_value, 1.0, ratio
             )
             assert result.tau == tau
             assert result.rejected == rejected
@@ -223,12 +223,12 @@ class TestBruteForceAgreement:
     def test_control_matches_brute_force(self):
         rng = np.random.default_rng(28)
         for _ in range(100):
-            stats = random_statistic_set(rng)
+            stats, nulls = random_statistic_set(rng)
             pi0_value = float(rng.uniform(0.2, 1.0))
             alpha = float(rng.choice([0.01, 0.05, 0.2]))
             result = control_dfdr(stats, Pi0Estimate.user(pi0_value), alpha)
             tau, rejected, dfdr = brute_force_control(
-                stats.observed.tolist(), stats.null_stats.tolist(), pi0_value, alpha
+                stats.observed.tolist(), nulls.tolist(), pi0_value, alpha
             )
             assert result.tau == tau
             assert result.rejected == rejected
@@ -382,7 +382,7 @@ class TestCommonThresholdWeighted:
     def test_uniform_weights_match_plain_maximize(self):
         rng = np.random.default_rng(32)
         for _ in range(20):
-            stats = random_statistic_set(rng, max_m=30)
+            stats, _ = random_statistic_set(rng, max_m=30)
             pi0 = Pi0Estimate.user(float(rng.uniform(0.3, 1.0)))
             m = stats.n_tests
             weighted = common_threshold_weighted(
@@ -398,7 +398,7 @@ class TestCommonThresholdWeighted:
         m_sub, m_other = 12, 8
         obs = np.abs(rng.normal(size=m_sub + m_other))
         nulls = np.abs(rng.normal(size=(m_sub + m_other) * 2))
-        pooled = StatisticSet(observed=obs, null_stats=nulls, n_permutations=2)
+        pooled = StatisticSet.from_null(observed=obs, null=nulls, n_permutations=2)
 
         weights = np.zeros(m_sub + m_other)
         benefits = np.zeros(m_sub + m_other)
@@ -410,7 +410,7 @@ class TestCommonThresholdWeighted:
         solo_nulls = np.concatenate(
             [nulls[b * (m_sub + m_other) : b * (m_sub + m_other) + m_sub] for b in range(2)]
         )
-        solo = StatisticSet(observed=obs[:m_sub], null_stats=solo_nulls, n_permutations=2)
+        solo = StatisticSet.from_null(observed=obs[:m_sub], null=solo_nulls, n_permutations=2)
         direct = maximize_desirability(solo, pi0_one, CostBenefit.from_ratio(19.0))
         assert weighted.tau == direct.tau
 
@@ -422,15 +422,15 @@ class TestCommonThresholdWeighted:
             m_half = 15
             obs = np.abs(rng.normal(size=2 * m_half))
             nulls = np.tile(np.abs(rng.normal(size=2 * m_half)), 1)
-            pooled = StatisticSet(observed=obs, null_stats=nulls, n_permutations=1)
+            pooled = StatisticSet.from_null(observed=obs, null=nulls, n_permutations=1)
             weights = np.concatenate([np.full(m_half, 2.0), np.full(m_half, 6.0)])
             benefits = np.concatenate([np.full(m_half, 1.0), np.full(m_half, 3.0)])
             common = common_threshold_weighted(pooled, weights, benefits, pi0_one)
 
             total = 0.0
             for lo, hi, b, c in ((0, m_half, 1.0, 1.0), (m_half, 2 * m_half, 3.0, 3.0)):
-                sub = StatisticSet(
-                    observed=obs[lo:hi], null_stats=nulls[lo:hi], n_permutations=1
+                sub = StatisticSet.from_null(
+                    observed=obs[lo:hi], null=nulls[lo:hi], n_permutations=1
                 )
                 r = maximize_desirability(sub, pi0_one, CostBenefit([b], [c]))
                 total += r.desirability
@@ -446,7 +446,7 @@ class TestCommonThresholdWeighted:
 
     def test_weighted_pi0_helper(self):
         rng = np.random.default_rng(35)
-        stats = random_statistic_set(rng, max_m=30, max_b=3)
+        stats, _ = random_statistic_set(rng, max_m=30, max_b=3)
         pi0 = resolve_pi0(stats, "estimate", np.full(stats.n_tests, 3.0))
         plain = resolve_pi0(stats, "estimate")
         assert pi0.value == pytest.approx(plain.value, abs=1e-12)
@@ -455,25 +455,23 @@ class TestCommonThresholdWeighted:
         # lambda's selection and the block engine's temporaries scale with a
         # block, not with the null: a whole-null sort, argsort or partition
         # (8 bytes per value) alone would break the bound
-        stats = large_statistic_set(np.random.default_rng(36))
-        weights = np.random.default_rng(37).integers(2, 21, size=stats.n_tests).astype(float)
+        observed, nulls, b = large_null(np.random.default_rng(36))
+        weights = np.random.default_rng(37).integers(2, 21, size=observed.size).astype(float)
+        stats = StatisticSet.from_null(observed, nulls, b)  # the weighted summary's pass is traced
         peak = traced_peak(
             lambda: common_threshold_weighted(
                 stats, weights, np.ones(stats.n_tests), resolve_pi0(stats, "estimate", weights)
             )
         )
-        assert peak < stats.null_stats.nbytes / 4
+        assert peak < nulls.nbytes / 4
         assert not hasattr(stats, "sorted_null")  # no sorted copy to cache
 
 
-def large_statistic_set(rng) -> StatisticSet:
-    """4000 tests x 1000 permutations: a 32 MB null, many blocks of the engines."""
+def large_null(rng):
+    """4000 tests x 1000 permutations: observed statistics and a 32 MB null
+    (many blocks of the engines), with B."""
     m, b = 4000, 1000
-    return StatisticSet(
-        observed=np.abs(rng.normal(size=m)),
-        null_stats=np.abs(rng.normal(size=m * b)),
-        n_permutations=b,
-    )
+    return np.abs(rng.normal(size=m)), np.abs(rng.normal(size=m * b)), b
 
 
 def traced_peak(run) -> int:
@@ -487,16 +485,19 @@ def traced_peak(run) -> int:
 
 
 def test_unweighted_routes_hold_no_copy_of_the_null():
-    stats = large_statistic_set(np.random.default_rng(38))
+    observed, nulls, b = large_null(np.random.default_rng(38))
+    made = []
 
-    def run():
+    def run():  # the summary's pass too
+        stats = StatisticSet.from_null(observed, nulls, b)
         pi0 = resolve_pi0(stats, "estimate")
         maximize_desirability(stats, pi0, CostBenefit.from_ratio(19.0))
         control_dfdr(stats, pi0, 0.05)
+        made.append(stats)
 
-    assert traced_peak(run) < stats.null_stats.nbytes / 4
+    assert traced_peak(run) < nulls.nbytes / 4
     # both scans read one cached block pass: m + 1 counts
-    assert stats.null_exceedances.shape == (stats.n_tests + 1,)
+    assert made[0].null_summary().exceedances.shape == (made[0].n_tests + 1,)
 
 
 class TestPvalueDecisions:

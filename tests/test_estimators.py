@@ -23,7 +23,7 @@ from dfdr import (
     weighted_dfdr_from_cdfs,
 )
 from dfdr import estimators
-from conftest import dfdr_at, random_statistic_set
+from conftest import FOUR_TEST_NULLS, dfdr_at, null_summary, random_statistic_set
 
 
 # ---------------------------------------------------------------------------
@@ -77,14 +77,20 @@ def scan(stats, pi0, ratio=19.0):
     return maximize_desirability(stats, pi0, CostBenefit.from_ratio(ratio)).curve
 
 
+def pi0_of(observed, nulls, weights=None):
+    """estimate_pi0 on the summary of a stored null, at the summary's lambda."""
+    stats = StatisticSet.from_null(observed, nulls, len(nulls) // len(observed))
+    return estimate_pi0(stats.null_summary(weights))
+
+
 class TestChooseLambda:
     def test_ten_point_grid(self):
         nulls = np.arange(1, 11) / 10.0
-        assert choose_lambda(nulls) == 0.5
+        assert choose_lambda(null_summary(nulls)) == 0.5
         assert lambda_oracle(nulls) == 0.5
 
     def test_single_null_value(self):
-        assert choose_lambda([1.0]) == 1.0
+        assert choose_lambda(null_summary([1.0])) == 1.0
 
     def test_target_constant_value(self):
         assert CENTRAL_BAND_MASS == 0.382925
@@ -93,48 +99,55 @@ class TestChooseLambda:
         rng = np.random.default_rng(10)
         for _ in range(50):
             nulls = np.round(np.abs(rng.normal(size=rng.integers(1, 40))), 1)
-            assert choose_lambda(nulls) == lambda_oracle(nulls.tolist())
+            assert choose_lambda(null_summary(nulls)) == lambda_oracle(nulls.tolist())
 
     def test_result_is_a_candidate_value(self):
         rng = np.random.default_rng(20)
         for _ in range(20):
             nulls = np.abs(rng.normal(size=rng.integers(1, 30)))
-            lam = choose_lambda(nulls)
+            lam = choose_lambda(null_summary(nulls))
             assert lam == math.inf or lam in set(nulls.tolist())
 
     def test_repeated_values_collapse_to_one_candidate(self):
         # all mass at one value: proportion below it is 0, below inf is 1;
         # 0 is nearer the target, so the value itself wins
-        assert choose_lambda([3.0, 3.0, 3.0]) == 3.0
+        assert choose_lambda(null_summary([3.0, 3.0, 3.0])) == 3.0
 
 
 class TestEstimatePi0:
     def test_counting_example(self):
-        est = estimate_pi0([0.1, 0.2, 3.0, 4.0], [0.1, 0.2, 0.3, 0.4], 0.5)
-        assert est.value == 0.5
+        # lambda 0.4: 3 of 8 nulls below it, the share nearest 0.382925;
+        # 1 of 4 observed below it, so pi0 = (1/4) / (3/8)
+        obs, nulls = [0.1, 3.0, 4.0, 5.0], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
+        est = pi0_of(obs, nulls)
+        assert est.value == 2.0 / 3.0
         assert est.mode == "estimated"
-        assert est.lam == 0.5
+        assert est.lam == 0.4 == lambda_oracle(nulls)
+        assert est.value == pi0_oracle(obs, nulls, est.lam)
 
     def test_observed_equals_null_gives_one(self):
         values = [0.3, 0.7, 1.1, 2.0]
-        assert estimate_pi0(values, values, 1.0).value == 1.0
+        assert pi0_of(values, values).value == 1.0
 
     def test_clamped_to_one(self):
-        est = estimate_pi0([0.1, 0.1, 0.1, 0.1], [0.5, 0.5, 0.5, 0.1], 0.4)
+        est = pi0_of([0.1, 0.1, 0.1, 0.1], [0.5, 0.5, 0.5, 0.1])
+        assert est.lam == 0.5
         assert est.value == 1.0  # raw ratio 4 clamps
 
     def test_error_when_no_null_below_lambda(self):
+        # equal nulls: lambda is their value, and none lies below it
         with pytest.raises(UndefinedEstimateError, match="conservative"):
-            estimate_pi0([0.1, 0.2], [5.0, 6.0], 1.0)
+            pi0_of([0.1, 0.2], [5.0, 5.0])
 
     def test_matches_oracle_on_random_inputs(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             obs = np.abs(rng.normal(size=20))
             nulls = np.abs(rng.normal(size=60))
-            lam = float(np.median(nulls))
-            assert estimate_pi0(obs, nulls, lam).value == pytest.approx(
-                pi0_oracle(obs.tolist(), nulls.tolist(), lam), abs=1e-15
+            est = pi0_of(obs, nulls)
+            assert est.lam == lambda_oracle(nulls.tolist())
+            assert est.value == pytest.approx(
+                pi0_oracle(obs.tolist(), nulls.tolist(), est.lam), abs=1e-15
             )
 
     def test_modes(self):
@@ -163,11 +176,11 @@ class TestDfdrAtTau(object):
     def test_matches_oracle_on_random_inputs(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
-            stats = random_statistic_set(rng)
+            stats, nulls = random_statistic_set(rng)
             pi0 = Pi0Estimate.user(float(rng.uniform(0.1, 1.0)))
             tau = float(rng.choice(stats.observed))
             expected = dfdr_oracle(
-                stats.observed.tolist(), stats.null_stats.tolist(), pi0.value, tau
+                stats.observed.tolist(), nulls.tolist(), pi0.value, tau
             )
             curve = scan(stats, pi0)
             assert curve.dfdr[curve_at(curve, tau)] == expected
@@ -180,7 +193,7 @@ class TestDfdrAtTau(object):
     def test_nonnegative_and_zero_conditions(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
-            stats = random_statistic_set(rng)
+            stats, _ = random_statistic_set(rng)
             pi0 = Pi0Estimate.user(float(rng.uniform(0.1, 1.0)))
             for tau in np.unique(stats.observed):
                 value, discoveries, null_exceedances = dfdr_at(stats, pi0, float(tau))
@@ -190,13 +203,13 @@ class TestDfdrAtTau(object):
 
     def test_discovery_count_non_increasing_in_tau(self):
         rng = np.random.default_rng(14)
-        stats = random_statistic_set(rng)
+        stats, _ = random_statistic_set(rng)
         counts = scan(stats, Pi0Estimate.fixed_one()).discoveries.tolist()
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_inf_sentinel_inside_every_region(self):
-        stats = StatisticSet(
-            observed=[np.inf, 1.0], null_stats=[0.2, 0.1], n_permutations=1
+        stats = StatisticSet.from_null(
+            observed=[np.inf, 1.0], null=[0.2, 0.1], n_permutations=1
         )
         assert dfdr_at(stats, Pi0Estimate.fixed_one(), 5.0)[1] == 1  # only the sentinel
 
@@ -225,8 +238,8 @@ class TestDfdrAtPvalue:
 class TestDesirability:
     def test_direct_substitution(self, pi0_one):
         # dfdr 0 at tau=1 (no null exceedances), 3 discoveries, b=1, c=19
-        stats = StatisticSet(
-            observed=[3.0, 2.0, 1.0, 0.5], null_stats=[0.5, 0.4, 0.3, 0.2], n_permutations=1
+        stats = StatisticSet.from_null(
+            observed=[3.0, 2.0, 1.0, 0.5], null=[0.5, 0.4, 0.3, 0.2], n_permutations=1
         )
         curve = scan(stats, pi0_one)
         assert curve.desirability[curve_at(curve, 1.0)] == 3.0
@@ -283,7 +296,7 @@ class TestWeightedDfdr:
         assert value == pytest.approx(0.6, abs=1e-15)
         oracle = weighted_dfdr_oracle(
             four_test_stats.observed.tolist(),
-            four_test_stats.null_stats.tolist(),
+            FOUR_TEST_NULLS.tolist(),
             [2.0, 1.0, 1.0, 1.0],
             1.0,
             0.4,
@@ -293,14 +306,14 @@ class TestWeightedDfdr:
     def test_matches_oracle_with_multiple_permutations(self):
         rng = np.random.default_rng(15)
         for _ in range(30):
-            stats = random_statistic_set(rng, max_m=12, max_b=4)
+            stats, nulls = random_statistic_set(rng, max_m=12, max_b=4)
             weights = rng.uniform(0.0, 3.0, size=stats.n_tests)
             weights[0] = 1.0  # keep at least one positive
             pi0 = Pi0Estimate.user(float(rng.uniform(0.2, 1.0)))
             tau = float(rng.choice(stats.observed))
             expected = weighted_dfdr_oracle(
                 stats.observed.tolist(),
-                stats.null_stats.tolist(),
+                nulls.tolist(),
                 weights.tolist(),
                 pi0.value,
                 tau,
@@ -399,16 +412,17 @@ class TestWeightedPi0:
         rng = np.random.default_rng(16)
         obs = np.abs(rng.normal(size=12))
         nulls = np.abs(rng.normal(size=36))
-        lam = float(np.median(nulls))
-        plain = estimate_pi0(obs, nulls, lam).value
-        weighted = estimate_pi0(obs, nulls, lam, weights=np.full(12, 2.5)).value
-        assert weighted == pytest.approx(plain, abs=1e-12)
+        plain = pi0_of(obs, nulls)
+        weighted = pi0_of(obs, nulls, weights=np.full(12, 2.5))
+        assert weighted.lam == plain.lam
+        assert weighted.value == pytest.approx(plain.value, abs=1e-12)
 
     def test_zero_weighted_nulls_error(self):
+        # lambda 9.0: the one null below it is test 0's, of weight 0
         obs = np.array([0.1, 5.0])
         nulls = np.array([0.2, 9.0])
-        with pytest.raises(UndefinedEstimateError):
-            estimate_pi0(obs, nulls, lam=1.0, weights=[0.0, 1.0])
+        with pytest.raises(UndefinedEstimateError, match="positive null weight"):
+            pi0_of(obs, nulls, weights=[0.0, 1.0])
 
 
 class TestPvaluePi0:

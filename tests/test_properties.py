@@ -25,6 +25,7 @@ from dfdr import (
     validate_pvalues,
 )
 from dfdr import estimators
+from conftest import null_summary
 from test_decision import brute_force_candidates, brute_force_curve, brute_force_maximize
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
@@ -38,11 +39,12 @@ ratios = st.sampled_from([0.0, 1.0, 4.0, 19.0, 99.0])
 
 @st.composite
 def statistic_sets(draw, max_m=12, max_b=4):
+    """A StatisticSet, with its null as a list."""
     m = draw(st.integers(1, max_m))
     b = draw(st.integers(1, max_b))
     observed = draw(st.lists(stat_values, min_size=m, max_size=m))
     nulls = draw(st.lists(stat_values, min_size=m * b, max_size=m * b))
-    return StatisticSet(observed=observed, null_stats=nulls, n_permutations=b)
+    return StatisticSet.from_null(observed, nulls, b), nulls
 
 
 @st.composite
@@ -91,10 +93,11 @@ def brute_force_pvalue_curve(p, pi0, ratio):
 
 @PROPERTY
 @given(statistic_sets(), pi0s, ratios)
-def test_maximize_matches_brute_force(stats, pi0, ratio):
+def test_maximize_matches_brute_force(case, pi0, ratio):
+    stats, nulls = case
     result = maximize_desirability(stats, Pi0Estimate.user(pi0), CostBenefit.from_ratio(ratio))
     expected = brute_force_maximize(
-        stats.observed.tolist(), stats.null_stats.tolist(), pi0, 1.0, ratio
+        stats.observed.tolist(), nulls, pi0, 1.0, ratio
     )
     assert (result.tau, result.rejected, result.dfdr, result.desirability) == expected
     assert len(result.curve) == len(brute_force_candidates(stats.observed.tolist()))
@@ -102,10 +105,11 @@ def test_maximize_matches_brute_force(stats, pi0, ratio):
 
 @PROPERTY
 @given(statistic_sets(), pi0s, st.sampled_from([0.01, 0.05, 0.2, 0.5]))
-def test_control_matches_brute_force(stats, pi0, alpha):
+def test_control_matches_brute_force(case, pi0, alpha):
+    stats, nulls = case
     result = control_dfdr(stats, Pi0Estimate.user(pi0), alpha)
     observed = stats.observed.tolist()
-    curve = brute_force_curve(observed, stats.null_stats.tolist(), pi0, 1.0, 0.0)
+    curve = brute_force_curve(observed, nulls, pi0, 1.0, 0.0)
     # nothing is feasible only when +inf sentinels alone exceed the bound
     tau, dfdr = ([c for c in curve if c[1] <= alpha] or curve[-1:])[0][:2]
     rejected = frozenset(i for i, v in enumerate(observed) if v >= tau)
@@ -115,12 +119,13 @@ def test_control_matches_brute_force(stats, pi0, alpha):
 
 @PROPERTY
 @given(st.data(), statistic_sets(), pi0s)
-def test_weighted_matches_brute_force(data, stats, pi0):
+def test_weighted_matches_brute_force(data, case, pi0):
+    stats, nulls = case
     # integer weights: every weight sum is exact, so the match is exact
     weights, benefits = data.draw(integer_weights(stats.n_tests))
     result = common_threshold_weighted(stats, weights, benefits, Pi0Estimate.user(pi0))
     expected = brute_force_weighted(
-        stats.observed.tolist(), stats.null_stats.tolist(), weights.tolist(),
+        stats.observed.tolist(), nulls, weights.tolist(),
         benefits.tolist(), pi0,
     )
     assert (result.tau, result.rejected, result.dfdr, result.desirability) == expected
@@ -129,13 +134,15 @@ def test_weighted_matches_brute_force(data, stats, pi0):
 
 @PROPERTY
 @given(st.data(), statistic_sets(max_b=7), pi0s, st.sampled_from([1, 3]))
-def test_weighted_matches_brute_force_in_small_blocks(data, stats, pi0, perms_per_block):
+def test_weighted_matches_brute_force_in_small_blocks(data, case, pi0, perms_per_block):
+    stats, nulls = case
     # blocks of 1 or 3 permutations, B often not a whole number of blocks
     weights, benefits = data.draw(integer_weights(stats.n_tests))
     with mock.patch.object(estimators, "BLOCK", perms_per_block * stats.n_tests):
+        stats = StatisticSet.from_null(stats.observed, nulls, stats.n_permutations)  # in tiles of blocks
         result = common_threshold_weighted(stats, weights, benefits, Pi0Estimate.user(pi0))
     expected = brute_force_weighted(
-        stats.observed.tolist(), stats.null_stats.tolist(), weights.tolist(),
+        stats.observed.tolist(), nulls, weights.tolist(),
         benefits.tolist(), pi0,
     )
     assert (result.tau, result.rejected, result.dfdr, result.desirability) == expected
@@ -143,7 +150,8 @@ def test_weighted_matches_brute_force_in_small_blocks(data, stats, pi0, perms_pe
 
 @PROPERTY
 @given(statistic_sets(), pi0s, ratios, st.floats(0.1, 10.0))
-def test_constant_weights_give_unweighted_decision(stats, pi0, ratio, scale):
+def test_constant_weights_give_unweighted_decision(case, pi0, ratio, scale):
+    stats, _ = case
     m = stats.n_tests
     plain = maximize_desirability(stats, Pi0Estimate.user(pi0), CostBenefit.from_ratio(ratio))
     weighted = common_threshold_weighted(
@@ -164,9 +172,9 @@ def test_constant_weights_give_unweighted_decision(stats, pi0, ratio, scale):
 @given(st.data(), st.lists(stat_values, min_size=1, max_size=300))
 def test_choose_lambda_matches_unique_definition(data, nulls):
     expected = lambda_by_unique(nulls)
-    assert choose_lambda(nulls) == expected
-    assert choose_lambda(np.sort(nulls)) == expected
-    assert choose_lambda(data.draw(st.permutations(nulls))) == expected
+    assert choose_lambda(null_summary(nulls)) == expected
+    assert choose_lambda(null_summary(np.sort(nulls))) == expected
+    assert choose_lambda(null_summary(data.draw(st.permutations(nulls)))) == expected
 
 
 @PROPERTY
@@ -179,8 +187,8 @@ def test_choose_lambda_with_long_runs_of_ties(runs, n_inf):
     values = sorted(runs)
     nulls = np.repeat(values + [math.inf], [runs[v] for v in values] + [n_inf])
     expected = lambda_by_unique(nulls)
-    assert choose_lambda(nulls) == expected
-    assert choose_lambda(np.random.default_rng(nulls.size).permutation(nulls)) == expected
+    assert choose_lambda(null_summary(nulls)) == expected
+    assert choose_lambda(null_summary(np.random.default_rng(nulls.size).permutation(nulls))) == expected
 
 
 # Tiles of a few values put small inputs through the summary's bracket: the
@@ -196,7 +204,7 @@ brackets = st.tuples(
 def lambda_by_bracket(nulls, bracket):
     block, margin, cap = bracket
     with mock.patch.multiple(estimators, BLOCK=block, MARGIN=margin, CAP=cap):
-        return choose_lambda(nulls)
+        return choose_lambda(null_summary(nulls))
 
 
 @PROPERTY
@@ -241,7 +249,7 @@ def test_choose_lambda_recovers_exactly_from_missed_brackets(monkeypatch):
     monkeypatch.setattr(estimators, "BLOCK", 64)
     monkeypatch.setattr(estimators, "MARGIN", 1)
     monkeypatch.setattr(estimators, "CAP", 256)
-    assert choose_lambda(nulls) == lambda_by_unique(nulls)
+    assert choose_lambda(null_summary(nulls)) == lambda_by_unique(nulls)
     assert passes  # some bracket missed
 
 
@@ -273,3 +281,31 @@ def test_pvalue_control_matches_brute_force(p, pi0, alpha):
     assert (result.tau, result.dfdr) == (tau, dfdr)
     assert result.rejected == frozenset(i for i, x in enumerate(p) if x <= tau)
     assert len(result.curve) == len(set(p)) + 1
+
+
+@PROPERTY
+@given(st.integers(0, 6), st.data(), st.one_of(st.sampled_from([0.25, 0.5, 1.0]), pi0s), ratios,
+       st.sampled_from([0.01, 0.05, 0.2, 0.5]))
+def test_pvalue_route_is_the_statistic_route_on_a_grid(k, data, pi0, ratio, alpha):
+    # p on the grid j/G, G = 2^k, so s = 1 - p is exact. Every test's null is
+    # the half-step grid (i - 1/2)/G, i = 1..G: j of its G values are >= 1 - j/G,
+    # so the null share at s is p, the p-value route's uniform null share.
+    # Dyadic pi0 values make exact ties, where the two routes' tie rules meet.
+    g = 2**k
+    p = np.array(data.draw(st.lists(st.integers(0, g), min_size=1, max_size=30))) / g
+    grid = (np.arange(1, g + 1) - 0.5) / g
+    stats = StatisticSet.from_null(1.0 - p, np.tile(grid, p.size), g)
+    pvals, fixed = validate_pvalues(p), Pi0Estimate.user(pi0)
+    cb = CostBenefit.from_ratio(ratio)
+    pairs = [
+        (maximize_desirability_pvalues(pvals, fixed, cb), maximize_desirability(stats, fixed, cb)),
+        (control_dfdr_pvalues(pvals, fixed, alpha), control_dfdr(stats, fixed, alpha)),
+    ]
+    for by_p, by_s in pairs:
+        # the curves, one reversed, with cutoff 1 - tau (-inf for +inf)
+        np.testing.assert_array_equal(by_p.curve.tau, 1.0 - by_s.curve.tau[::-1])
+        for field in ("dfdr", "desirability", "discoveries"):
+            np.testing.assert_array_equal(getattr(by_p.curve, field), getattr(by_s.curve, field)[::-1])
+        assert (by_p.tau, by_p.rejected, by_p.dfdr, by_p.desirability) == (
+            1.0 - by_s.tau, by_s.rejected, by_s.dfdr, by_s.desirability
+        )

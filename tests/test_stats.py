@@ -92,11 +92,11 @@ class TestTwoSampleAbsT:
 class TestStatisticSet:
     def test_size_contract(self):
         with pytest.raises(ValidationError):
-            StatisticSet(observed=[1.0, 2.0], null_stats=[1.0, 2.0, 3.0], n_permutations=2)
+            StatisticSet.from_null(observed=[1.0, 2.0], null=[1.0, 2.0, 3.0], n_permutations=2)
 
     def test_rejects_nan(self):
         with pytest.raises(ValidationError):
-            StatisticSet(observed=[1.0, np.nan], null_stats=[1.0, 2.0], n_permutations=1)
+            StatisticSet.from_null(observed=[1.0, np.nan], null=[1.0, 2.0], n_permutations=1)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     @pytest.mark.parametrize("where", ["observed", "null"])
@@ -104,10 +104,10 @@ class TestStatisticSet:
         arrays = {"observed": [1.0, 2.0, np.inf], "null": [0.5, np.inf, 0.2, 0.1, 3.0, 0.0]}
         arrays[where][1] = bad
         with pytest.raises(ValidationError, match=f"^{where} statistics must be finite or \\+inf$"):
-            StatisticSet(observed=arrays["observed"], null_stats=arrays["null"], n_permutations=2)
+            StatisticSet.from_null(observed=arrays["observed"], null=arrays["null"], n_permutations=2)
 
     def test_accepts_inf_sentinel(self):
-        s = StatisticSet(observed=[np.inf, 1.0], null_stats=[0.5, 0.2], n_permutations=1)
+        s = StatisticSet.from_null(observed=[np.inf, 1.0], null=[0.5, 0.2], n_permutations=1)
         assert s.n_tests == 2
         assert s.n_null == 2
 

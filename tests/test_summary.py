@@ -60,7 +60,7 @@ def random_matrix(rng, m, n_a, n_b, shifted=0.2) -> DataMatrix:
 
 def materialised(matrix, plan) -> StatisticSet:
     null = permutation_null(matrix, "A", "B", plan)
-    return StatisticSet(two_sample_abs_t(matrix, "A", "B"), null, plan.n_permutations)
+    return StatisticSet.from_null(two_sample_abs_t(matrix, "A", "B"), null, plan.n_permutations)
 
 
 def same_decision(a, b) -> None:
@@ -100,9 +100,10 @@ def test_streamed_equals_materialised(shape, cap, monkeypatch, repasses):
     plan = PermutationPlan(b, m)
     streamed = build_statistic_set(matrix, "A", "B", plan)
     whole = materialised(matrix, plan)
-    assert streamed.null_stats is None
     np.testing.assert_array_equal(streamed.observed, whole.observed)
-    np.testing.assert_array_equal(streamed.null_exceedances, whole.null_exceedances)
+    np.testing.assert_array_equal(
+        streamed.null_summary().exceedances, whole.null_summary().exceedances
+    )
     for mode in ("estimate", "one"):
         pi0 = resolve_pi0(streamed, mode)
         assert pi0 == resolve_pi0(whole, mode)
@@ -140,11 +141,11 @@ def test_subsets_equal_slices_of_the_materialised_null(monkeypatch):
         ),
         min_size=50,
     )
-    whole = materialised(matrix, plan)
-    table = whole.null_stats.reshape(plan.n_permutations, -1)
+    observed = two_sample_abs_t(matrix, "A", "B")
+    table = permutation_null(matrix, "A", "B", plan).reshape(plan.n_permutations, -1)
     for decision in per_subset_optimize(partition, matrix, plan):
         rows = np.asarray(decision.subset.feature_indices)
-        sliced = StatisticSet(whole.observed[rows], table[:, rows], plan.n_permutations)
+        sliced = StatisticSet.from_null(observed[rows], table[:, rows], plan.n_permutations)
         pi0 = resolve_pi0(sliced, "estimate")
         cb = CostBenefit([decision.subset.benefit], [decision.subset.cost])
         same_decision(decision.result, maximize_desirability(sliced, pi0, cb))
@@ -156,7 +157,7 @@ def test_bracket_holds_on_tests_of_unequal_spread(m, repasses):
     b = 65_536
     rng = np.random.default_rng(m)
     nulls = (np.abs(rng.normal(size=(b, m))) * (1.0 + np.arange(m))).ravel()
-    stats = StatisticSet(np.ones(m), nulls, b)
+    stats = StatisticSet.from_null(np.ones(m), nulls, b)
     summary = stats.null_summary()
     assert summary.size > estimators.CAP  # the bracket is used
     assert summary.n_kept < nulls.size // 10  # 2 * MARGIN ranks of a BLOCK sample
@@ -171,7 +172,7 @@ def test_narrowing_keeps_a_bracket_without_ties(monkeypatch, repasses):
     monkeypatch.setattr(estimators, "MARGIN", 256)  # a first bracket well inside CAP
     monkeypatch.setattr(estimators, "BLOCK", 4096)  # 49 tiles: CAP is reached, again and again
     nulls = np.abs(np.random.default_rng(67).normal(size=200_000))
-    summary = StatisticSet(np.ones(1), nulls, nulls.size).null_summary()
+    summary = StatisticSet.from_null(np.ones(1), nulls, nulls.size).null_summary()
     assert summary.at is None and summary.n_kept <= 4096
     assert estimators.choose_lambda(summary) == lambda_by_unique(nulls)
     assert not repasses
@@ -216,14 +217,24 @@ def test_second_pass_never_runs_on_a_bracketed_fixture(tmp_path, repasses):
 
 
 def test_no_cli_route_holds_a_null(tmp_path, monkeypatch):
-    held = []
-    post_init = StatisticSet.__post_init__
+    # a null held whole comes from permutation_null without a summary to feed
+    # and reaches a summary only through array_tiles (StatisticSet.from_null)
+    built, held = [], []
+    post_init, tiles = StatisticSet.__post_init__, estimators.array_tiles
+    null = dfdr.resampling.permutation_null
 
     def spy(stats):
-        held.append(stats.null_stats is not None)
+        built.append(stats)
         post_init(stats)
 
+    def whole(*args, into=None):
+        held.append(into is None)
+        return null(*args, into=into)
+
     monkeypatch.setattr(StatisticSet, "__post_init__", spy)
+    monkeypatch.setattr(estimators, "array_tiles", lambda *args: held.append(True) or tiles(*args))
+    monkeypatch.setattr(dfdr.resampling, "permutation_null", whole)
+    monkeypatch.setattr(dfdr.decision, "permutation_null", whole)
     mpath, lpath = write_fixture(tmp_path, np.random.default_rng(64), m=60)
     spath, wpath = tmp_path / "subsets.tsv", tmp_path / "weights.tsv"
     spath.write_text("feature_id\tsubset\tgroup_a\tgroup_b\tbenefit\tcost\n" + "".join(
@@ -240,7 +251,7 @@ def test_no_cli_route_holds_a_null(tmp_path, monkeypatch):
                           "--permutations", "40", "--out", str(tmp_path / "r")]) == 0
     assert dfdr.cli.main(["simulate", "--m", "100", "--replicates", "2",
                           "--out", str(tmp_path / "s")]) == 0
-    assert held and not any(held)
+    assert built and held and not any(held)
 
 
 def test_bounded_memory_at_twenty_thousand_permutations():
@@ -283,9 +294,8 @@ def test_real_weight_sums_within_summation_bound():
     nulls = np.round(np.abs(rng.normal(size=m * b)), 2)
     weights = rng.uniform(0.1, 3.0, size=m) + rng.uniform(0.0, 30.0, size=m)
     observed = np.round(np.abs(rng.normal(0.5, 1.0, size=m)), 2)
-    stats = StatisticSet(observed, nulls, b)
     with mock.patch.object(estimators, "BLOCK", 7 * m):  # many blocks and tiles
-        got = stats.null_summary(weights).exceedances
+        got = StatisticSet.from_null(observed, nulls, b).null_summary(weights).exceedances
         assert_within_summation_bound(got, nulls, weights, observed, -(-b // 7))
 
 
@@ -490,7 +500,7 @@ def test_early_stop_joins_the_producer(monkeypatch):
     matrix, plan = small_comparison(monkeypatch)
     stats = build_statistic_set(matrix, "A", "B", plan)
     threads = threading.active_count()
-    tiles = stats.null_tiles()
+    tiles = stats.summary.tiles()
     next(tiles)
     assert threading.active_count() == threads + 1
     tiles.close()
@@ -501,10 +511,10 @@ def test_slow_consumer_sees_no_tile_overwritten(monkeypatch):
     # Each tile is checked as it arrives and again after a pause, by which
     # time the worker has made the next AHEAD: none may reuse its memory.
     matrix, plan = small_comparison(monkeypatch, m=300, b=50)
-    table = materialised(matrix, plan).null_stats.reshape(plan.n_permutations, -1)
+    table = permutation_null(matrix, "A", "B", plan).reshape(plan.n_permutations, -1)
     stats = build_statistic_set(matrix, "A", "B", plan)
     start = covered = count = 0
-    for rows, tile in stats.null_tiles():
+    for rows, tile in stats.summary.tiles():
         expected = table[start : start + tile.shape[0], rows]
         np.testing.assert_array_equal(tile, expected)
         time.sleep(0.01)
@@ -521,13 +531,13 @@ def test_concurrent_read_aheads_share_nothing(monkeypatch):
     # shared between passes would mix their tiles
     matrix, plan = small_comparison(monkeypatch)
     whole = materialised(matrix, plan)
-    expected = (whole.null_exceedances, resolve_pi0(whole, "estimate"))
+    expected = (whole.null_summary().exceedances, resolve_pi0(whole, "estimate"))
     results, errors = [], []
 
     def run():
         try:
             stats = build_statistic_set(matrix, "A", "B", plan)
-            results.append((stats.null_exceedances, resolve_pi0(stats, "estimate")))
+            results.append((stats.null_summary().exceedances, resolve_pi0(stats, "estimate")))
         except Exception as error:  # reported by the main thread below
             errors.append(error)
 
