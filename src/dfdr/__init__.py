@@ -4,67 +4,49 @@ Estimates the dFDR of single-interval rejection regions from permutation null
 distributions, selects rejection thresholds by maximizing expected net
 desirability (or by dFDR control), and ships a simulation harness that
 measures the realized frequentist error rates of both rules.
+
+The names below and the submodules load on first use, so ``import dfdr``
+loads no numpy and ``dfdr.cli`` is reached before it (README "Command line").
 """
 
-from dfdr.data import DataMatrix, load_labels, load_matrix, preprocess, signed_log1p
-from dfdr.decision import (
-    Curve,
-    DecisionResult,
-    Subset,
-    SubsetDecision,
-    SubsetPartition,
-    common_threshold_weighted,
-    control_dfdr,
-    control_dfdr_pvalues,
-    maximize_desirability,
-    maximize_desirability_pvalues,
-    per_subset_optimize,
-)
-from dfdr.errors import (
-    DfdrError,
-    ParseError,
-    PreprocessingError,
-    UndefinedEstimateError,
-    UsageError,
-    ValidationError,
-)
-from dfdr.estimators import (
-    CENTRAL_BAND_MASS,
-    CostBenefit,
-    Pi0Estimate,
-    choose_lambda,
-    dfdr_from_cdfs,
-    estimate_pi0,
-    estimate_pi0_from_pvalues,
-    p_to_cost_ratio,
-    resolve_pi0,
-    weighted_dfdr_from_cdfs,
-)
-from dfdr.resampling import (
-    PermutationPlan,
-    build_statistic_set,
-    permutation_null,
-    two_sample_abs_t,
-)
-from dfdr.simulation import (
-    DesirabilityRule,
-    DfdrControlRule,
-    ErrorRateReport,
-    LocalBin,
-    ReplicateOutcome,
-    SimulationConfig,
-    analytic_dfdr,
-    analytic_statistic_cdfs,
-    boundary_offset,
-    build_replicate_stats,
-    generate_instance,
-    measure_error_rates,
-    measure_local_dfdr,
-)
-from dfdr.stats import (
-    PValueSet,
-    StatisticSet,
-    validate_pvalues,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+_SUBMODULES = ("cli", "data", "decision", "errors", "estimators", "resampling", "simulation",
+               "stats")
+# Exported name -> the submodule that defines it.
+_EXPORTS = {name: module for module, names in {
+    "data": ("DataMatrix", "load_labels", "load_matrix", "preprocess", "signed_log1p"),
+    "decision": ("Curve", "DecisionResult", "Subset", "SubsetDecision", "SubsetPartition",
+                 "common_threshold_weighted", "control_dfdr", "control_dfdr_pvalues",
+                 "maximize_desirability", "maximize_desirability_pvalues",
+                 "per_subset_optimize"),
+    "errors": ("DfdrError", "ParseError", "PreprocessingError", "UndefinedEstimateError",
+               "UsageError", "ValidationError"),
+    "estimators": ("CENTRAL_BAND_MASS", "CostBenefit", "Pi0Estimate", "choose_lambda",
+                   "dfdr_from_cdfs", "estimate_pi0", "estimate_pi0_from_pvalues",
+                   "p_to_cost_ratio", "resolve_pi0", "weighted_dfdr_from_cdfs"),
+    "resampling": ("PermutationPlan", "build_statistic_set", "permutation_null",
+                   "two_sample_abs_t"),
+    "simulation": ("DesirabilityRule", "DfdrControlRule", "ErrorRateReport", "LocalBin",
+                   "ReplicateOutcome", "SimulationConfig", "analytic_dfdr",
+                   "analytic_statistic_cdfs", "boundary_offset", "build_replicate_stats",
+                   "generate_instance", "measure_error_rates", "measure_local_dfdr"),
+    "stats": ("PValueSet", "StatisticSet", "validate_pvalues"),
+}.items() for name in names}
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_SUBMODULES, *_EXPORTS})

@@ -20,6 +20,29 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _load_numpy_on_one_blas_thread() -> None:
+    """Imports numpy with BLAS set to one thread, then puts the caller's
+    settings back; no CLI product is large enough for BLAS to thread
+    (``stats._product``), so this decides only whether idle pool threads
+    exist (README "Command line")."""
+    caller = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(caller, "1"))
+    try:
+        import numpy  # noqa: F401
+    finally:
+        for var, value in caller.items():
+            if value is None:
+                del os.environ[var]
+            else:
+                os.environ[var] = value
+
+
+if "numpy" not in sys.modules:
+    _load_numpy_on_one_blas_thread()
+
 import numpy as np
 
 from dfdr import __version__

@@ -326,11 +326,14 @@ class _Rows:
 
 def _product(members: np.ndarray, parts: np.ndarray) -> np.ndarray:
     """``members @ parts``, (4, c, m), as products of at most _BLAS_SIZE
-    multiply-adds: one per part and window of columns.
+    multiply-adds, or of one column where c x n alone exceeds that (above
+    4096 subjects at CHUNK splits): one per part and window of columns.
 
     OpenBLAS runs a product that small on the calling thread. A larger one
-    wakes worker threads, which then spin between calls: over the many small
-    products of ``dfdr simulate`` that doubled the CPU time on two CPUs.
+    wakes a BLAS pool's workers, which then spin between calls: over the many
+    small products of ``dfdr simulate`` that doubled the CPU time on two CPUs.
+    The CLI starts BLAS with one thread (README "Command line"), so this
+    serves library callers whose BLAS keeps a pool.
     """
     c, n = members.shape
     m = parts.shape[2]

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,30 @@ import pytest
 from dfdr import DataMatrix, DecisionResult, Pi0Estimate, StatisticSet, resolve_pi0
 from dfdr.decision import Curve
 from dfdr.estimators import NullSummary, array_tiles, dfdr_from_counts, weight_exceedances
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+# Prints the number of OS threads of the process (Linux).
+PRINT_TASKS = "import os; print(len(os.listdir('/proc/self/task')))"
+needs_proc_tasks = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task (Linux)"
+)
+
+
+def run_python(code: str, *args: str, env: dict | None = None) -> str:
+    """The stdout of ``python -c code args`` in a fresh interpreter that
+    imports dfdr from this checkout, which must exit 0. ``env`` sets
+    variables over the current environment; a value of None removes one."""
+    full = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    for var, value in (env or {}).items():
+        full.pop(var, None)
+        if value is not None:
+            full[var] = value
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], env=full, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
 
 
 @pytest.fixture

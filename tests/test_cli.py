@@ -1,8 +1,5 @@
 import json
-import os
 import re
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -20,6 +17,7 @@ from dfdr import (
 from dfdr.cli import _read_pvalues, main
 from dfdr.data import read_text
 from dfdr.errors import ParseError
+from conftest import PRINT_TASKS, needs_proc_tasks, run_python
 
 
 def write_fixture(tmp_path, rng, m=40, n_a=5, n_b=5, shifted=8, shift=2.5):
@@ -613,24 +611,38 @@ def test_cli_runs_with_scipy_blocked(fixture_paths, tmp_path):
         "import dfdr.cli\n"
         "sys.exit(max(dfdr.cli.main(argv) for argv in json.loads(sys.argv[1])))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(runs)], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
+    run_python(code, json.dumps(runs))
     assert (tmp_path / "analyze" / "summary.txt").exists()
     assert (tmp_path / "simulate" / "report.txt").exists()
 
 
 def test_import_leaves_scipy_unloaded():
     # scipy is needed only by the analytic CDFs of the simulation oracle
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, dfdr.cli; print('scipy.stats' in sys.modules, 'scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "False"]
+    assert run_python(code).split() == ["False", "False"]
+
+
+@needs_proc_tasks
+class TestOneBlasThread:
+    """The CLI process loads BLAS with one thread and puts the caller's
+    settings back; a process that loaded numpy first keeps its BLAS."""
+
+    @pytest.mark.parametrize("caller", ["2", None], ids=["two", "unset"])
+    def test_cli_import_runs_one_thread(self, caller):
+        blas = dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], caller)
+        code = (
+            "import json, os, sys, dfdr.cli\n"
+            f"{PRINT_TASKS}\n"
+            "print(json.dumps([os.environ.get(v) for v in sys.argv[1:]]))\n"
+        )
+        tasks, settings = run_python(code, *blas, env=blas).splitlines()
+        assert int(tasks) == 1
+        assert json.loads(settings) == list(blas.values())
+
+    def test_numpy_imported_first_keeps_the_callers_threads(self):
+        blas = {"OPENBLAS_NUM_THREADS": "2"}
+        alone = run_python(f"import numpy; {PRINT_TASKS}", env=blas)
+        assert run_python(f"import numpy, dfdr.cli; {PRINT_TASKS}", env=blas) == alone
 
 
 class TestMemoryCheck:

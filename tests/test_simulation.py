@@ -23,7 +23,7 @@ from dfdr import (
     simulation,
 )
 from dfdr.cli import main
-from conftest import FixedThresholdRule
+from conftest import FixedThresholdRule, needs_proc_tasks, run_python
 
 
 def small_config(**overrides):
@@ -339,6 +339,27 @@ class TestReplicateWorkers:
             release.set()
             other.join()
         assert simulation.worker_count(4) == 2
+
+    @needs_proc_tasks
+    def test_cli_forks_beside_no_other_os_thread(self, tmp_path):
+        # an OpenBLAS pool would be such a thread from the import of numpy on;
+        # Python 3.12 and later warn on a fork beside one
+        code = (
+            "import os, sys\n"
+            "import dfdr.cli\n"
+            "tasks, fork = [], os.fork\n"
+            "def recording_fork():\n"
+            "    tasks.append(len(os.listdir('/proc/self/task')))\n"
+            "    return fork()\n"
+            "os.fork = recording_fork\n"
+            "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+            "assert dfdr.cli.main(sys.argv[1:]) == 0\n"
+            "print(tasks)\n"
+        )
+        argv = ["simulate", "--m", "200", "--replicates", "6", "--permutations", "5",
+                "--out", str(tmp_path)]
+        out = run_python(code, *argv, env={"OPENBLAS_NUM_THREADS": "2"})
+        assert out.splitlines()[-1] == "[1, 1]"  # two workers, each forked from one thread
 
     @pytest.mark.parametrize("error", [ValidationError, AssertionError, KeyError])
     def test_worker_error_reaches_the_caller(self, cpus, monkeypatch, error):
