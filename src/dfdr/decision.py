@@ -293,7 +293,7 @@ def common_threshold_weighted(
     each inheriting its generating test's weight. With uniform weights this
     selects the same threshold as maximize_desirability.
     """
-    w = checked_weights(weights, stats.n_tests)
+    w = checked_weights(weights, stats.n_tests, stats.n_null)
     b = np.asarray(benefits, dtype=float).ravel()
     if b.size != w.size or np.any(b < 0.0) or np.any(b > w):
         raise ValidationError(

@@ -8,14 +8,11 @@ observed statistics, scaled by an estimate of the true-null proportion pi0.
 
 Every estimate here is pi0 * (null share) / (discoveries / m) over
 exceedance counts, so one engine serves them all. The permutation null is
-read only through a ``NullSummary``, accumulated tile by tile as the null is
-computed (or, for a stored null, read a tile at a time), so no run holds the
-null whole: exceedance counts or weight sums at the candidate thresholds
-(``weight_exceedances`` on each tile), lambda by a bounded-storage selection
-(Munro & Paterson, 1980) over a bracket, and the per-test counts below
-lambda. ``dfdr_from_counts`` turns the counts into estimates, for one
-threshold or for every candidate at once. The p-value route uses the same
-formula with the analytic uniform null share, the cutoff itself.
+read only through a ``NullSummary``, which takes it a tile at a time, so no
+run holds it whole (README "How the scan works"). ``dfdr_from_counts`` turns
+the counts into estimates, for one threshold or for every candidate at once.
+The p-value route uses the same formula with the analytic uniform null
+share, the cutoff itself.
 
 All threshold comparisons are inclusive: a test is rejected when its
 statistic is >= tau (for p-values, <= the cutoff). Rejection regions are
@@ -36,8 +33,8 @@ from dfdr.stats import PValueSet, StatisticSet, check_statistics
 # statistics below the pi0 tuning threshold lambda.
 CENTRAL_BAND_MASS = 0.382925
 
-# Values per tile of a stored null (whole permutations) and per sorted block
-# in weight_exceedances.
+# Values per tile of a stored null (whole permutations) and per sorted piece
+# in exceedance_counts and weight_exceedances.
 BLOCK = 2**16
 # The lambda bracket (NullSummary): sample ranks kept on each side of the
 # target in the first tile, about 8 standard errors of the target's rank in a
@@ -105,8 +102,8 @@ class CostBenefit:
             raise ValidationError("benefits and costs must have equal length")
         if np.any(b < 0.0) or np.any(c < 0.0):
             raise ValidationError("benefits and costs must be nonnegative")
-        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
-            raise ValidationError("benefits and costs must be finite")
+        if not np.all(b <= np.finfo(float).max - c):  # False for inf and NaN too
+            raise ValidationError("benefits, costs and their sums must be finite")
 
     @classmethod
     def from_ratio(cls, cost_ratio: float) -> "CostBenefit":
@@ -146,31 +143,50 @@ def p_to_cost_ratio(p: float) -> float:
     return 1.0 / p - 1.0
 
 
-def weight_exceedances(values: np.ndarray, weights, taus) -> np.ndarray:
-    """Sum of weights over the values >= each tau; with ``weights`` None, their count.
-
-    Value j carries ``weights[j % weights.size]``: a null statistic inherits
-    its test's weight, since the nulls are permutation-major. Whole
-    permutations go in blocks of about BLOCK values; each block is sorted on
-    its own and read at each tau by binary search, its weights summed from the
-    top, and the block results are added up (integer counts exactly). Extra
-    memory is O(BLOCK + len(taus)), whatever the size of ``values``.
-    """
-    m = 1 if weights is None else weights.size
-    rows = values.reshape(-1, m)
-    per = max(1, BLOCK // m)
-    tiled = None if weights is None else np.tile(weights, per)  # no % m per value
-    total = np.zeros(np.shape(taus), dtype=np.intp if tiled is None else float)
-    for start in range(0, rows.shape[0], per):
+def weight_exceedances(values, weights, taus) -> np.ndarray:
+    """Sum of weights over the values >= each tau, value j carrying
+    ``weights[j % weights.size]`` (README "How the scan works")."""
+    distinct, classes = weight_classes(weights, np.size(taus))
+    if classes is not None:
+        return class_sums(distinct, exceedance_counts(values, classes, distinct.size, taus))
+    rows = values.reshape(-1, weights.size)
+    per = max(1, BLOCK // weights.size)
+    tiled = np.tile(weights, per)  # no % m per value
+    total = np.zeros(np.shape(taus))
+    for start in range(0, rows.shape[0], per):  # sorted blocks of whole permutations
         block = rows[start : start + per].ravel()
-        if tiled is None:
-            total += block.size - np.searchsorted(np.sort(block), taus)
-            continue
         order = np.argsort(block)
         k = block.size - np.searchsorted(block[order], taus)  # values >= each tau
         top = np.cumsum(tiled[order][::-1])
         total += np.where(k > 0, top[k - 1], 0.0)
     return total
+
+
+def weight_classes(weights, n_taus: int):
+    """The distinct weights and each weight's class, or (ones(1), None) to sum them as they are."""
+    distinct, classes = np.unique(weights, return_inverse=True)
+    # counting costs d * n_taus binary searches a piece of BLOCK values: past BLOCK, over m log m
+    if distinct.size > 1 and distinct.size * n_taus > BLOCK:
+        return np.ones(1), None
+    return distinct, classes
+
+
+def exceedance_counts(values, classes, n_classes: int, taus) -> np.ndarray:
+    """How many values are >= each tau, per class: shape (n_classes,) + shape(taus).
+    Value j is in class ``classes[j % classes.size]``; a class is sorted in pieces of BLOCK."""
+    table = values.reshape(-1, classes.size)
+    counts = np.zeros((n_classes,) + np.shape(taus), dtype=np.intp)
+    for c in range(n_classes):
+        mine = (table if n_classes == 1 else table.compress(classes == c, axis=1)).ravel()
+        for start in range(0, mine.size, BLOCK):
+            piece = np.sort(mine[start : start + BLOCK])
+            counts[c] += piece.size - np.searchsorted(piece, taus)
+    return counts
+
+
+def class_sums(distinct, counts) -> np.ndarray:
+    """``distinct @ counts``, added class by class in order: the same bits on any BLAS."""
+    return (counts.T * distinct).T.sum(axis=0)
 
 
 def dfdr_from_counts(pi0: float, null_share, discoveries, n_tests: int) -> np.ndarray:
@@ -211,24 +227,17 @@ class NullSummary:
     the test ``rows[i]`` of ``n_tests`` (with ``rows`` given, the summary
     takes only those tests, in that order). ``observe`` gives it the observed
     statistics, before the pass or, for a null of at most CAP values, after
-    it. The summary keeps:
+    it. The summary keeps (README "How the scan works"):
 
-    - ``exceedances``: for each sorted observed value and +inf, how many
-      nulls are >= it, or with ``weights`` the sum of their tests' weights;
+    - ``counts``: per class of equal ``weights`` (one without), the nulls >=
+      each sorted observed value and +inf; ``exceedances`` weighs them;
     - a bracket [lo, hi] around the rank k = floor(CENTRAL_BAND_MASS * N) of
       the N nulls: per-test counts below lo, the values inside with their
       test (per-test counts instead when lo == hi), and the count and the
-      minimum of the values above hi.
-
-    The bracket comes from the first tile: MARGIN sample ranks on each side
-    of the rank it estimates for k. When more than CAP values are kept, the
-    bracket narrows to CAP / 4 ranks on each side of that estimate, and the
-    values it drops go to the exact counts. Nothing here grows with the
-    number of permutations: memory is O(m + tile + CAP). Should rank k end
-    outside the bracket, ``lam`` takes another pass over the tiles with the
-    side that holds it as the bracket, which every miss narrows, so the
-    result is exact. Lambda's run of ties and the next run are then read from
-    the bracket, and so are the per-test counts below lambda.
+      minimum of the values above hi. It comes from the first tile (MARGIN
+      ranks each side of k's estimate), narrows to CAP / 4 ranks past CAP
+      kept values, and takes another pass should k end outside it. Memory
+      is O(m + tile + CAP), whatever the number of permutations.
     """
 
     def __init__(self, n_tests: int, n_permutations: int, weights=None, rows=None) -> None:
@@ -240,31 +249,40 @@ class NullSummary:
         self.rows, self.n_tests = rows, n_tests
         self.size = n_tests * n_permutations  # null values summarized
         self.k = int(CENTRAL_BAND_MASS * self.size)
-        self.weights = None if weights is None else np.asarray(weights, dtype=float).ravel()
+        self.weights = None if weights is None else checked_weights(weights, n_tests, self.size)
         # the weighted pi0 needs counts per test; the unweighted one, totals
         self.by_test = 1 if weights is None else n_tests
-        self.observed = self.taus = self.exceedances = None
+        self.distinct, self.classes = (  # unweighted: the one class of _ONE, of weight 1
+            (_ONE + 1, _ONE) if weights is None else weight_classes(self.weights, n_tests + 1))
+        self.observed = self.taus = self.counts = None
         self.tiles, self.passes, self._lam = None, 0, None
         self._reset(-np.inf, np.inf)
 
     def observe(self, observed) -> "NullSummary":
         """Count the nulls at the observed statistics (all tests', picked by
-        ``rows``): at each tile from now on, or, after a first pass of at most
-        CAP values, over the values kept, which are all of them, in pieces of
-        BLOCK values as a tile's are summed."""
+        ``rows``): at each tile from now on, or after a first pass of at most
+        CAP values over the values kept, all of them, in pieces of BLOCK."""
         observed = np.asarray(observed, dtype=float)
         self.observed = observed if self.rows is None else observed[self.rows]
         self.taus = np.append(np.sort(self.observed), np.inf)
-        kind = np.intp if self.weights is None else float
-        self.exceedances = np.zeros(self.taus.size, kind)
+        kind = float if self.classes is None else np.intp
+        self.counts = np.zeros((self.distinct.size, self.taus.size), kind)
         if self.seen:
-            values, rows = self._gather()  # rows None: one test, or no weights
-            w = self.weights
+            values, rows = self._gather()  # rows None: no weights
             for start in range(0, values.size, BLOCK):
-                if rows is not None:
-                    w = self.weights[rows[start : start + BLOCK]]
-                self.exceedances += weight_exceedances(values[start : start + BLOCK], w, self.taus)
+                piece = slice(start, start + BLOCK)
+                self.counts += self._count(values[piece], _ONE if rows is None else rows[piece])
         return self
+
+    @property
+    def exceedances(self) -> np.ndarray:
+        return class_sums(self.distinct, self.counts)
+
+    def _count(self, values, rows) -> np.ndarray:
+        """Per class, how many ``values`` of tests ``rows`` are >= each tau (sums if no classes)."""
+        if self.classes is None:
+            return weight_exceedances(values.ravel(), self.weights[rows], self.taus)
+        return exceedance_counts(values, self.classes[rows], self.distinct.size, self.taus)
 
     @property
     def keeps_all(self) -> bool:
@@ -289,11 +307,10 @@ class NullSummary:
                 if not rows.size:
                     return
         check_statistics("null", tile)
-        if self.passes == 1 and self.exceedances is not None:
-            w = None if self.weights is None else self.weights[rows]
-            self.exceedances += weight_exceedances(tile.ravel(), w, self.taus)
         if self.by_test == 1:
             rows, tile = _ONE, tile.reshape(-1, 1)
+        if self.passes == 1 and self.counts is not None:
+            self.counts += self._count(tile, rows)
         first = self.passes == 1 and self.seen == 0 and not self.keeps_all
         self._keep(rows, tile)
         if first:
@@ -316,7 +333,7 @@ class NullSummary:
             above = tile > hi
             if above.any():
                 self.above += np.count_nonzero(above)
-                self.above_min = min(self.above_min, tile[above].min())
+                self.above_min = min(self.above_min, np.compress(above.ravel(), tile).min())
             if self.at is not None:
                 self.at[rows] += np.count_nonzero(tile == lo, axis=0)
                 return
@@ -359,7 +376,7 @@ class NullSummary:
         above = values > hi
         if above.any():
             self.above += np.count_nonzero(above)
-            self.above_min = min(self.above_min, values[above].min())
+            self.above_min = min(self.above_min, np.compress(above, values).min())
         inside = (values >= lo) & ~above
         self.kept, self.kept_rows = [], []
         if lo == hi:
@@ -488,8 +505,7 @@ def resolve_pi0(stats: StatisticSet, mode, weights=None) -> Pi0Estimate:
     if mode == "one":
         return Pi0Estimate.fixed_one()
     if mode == "estimate":
-        w = None if weights is None else checked_weights(weights, stats.n_tests)
-        summary = stats.null_summary(w)
+        summary = stats.null_summary(weights)  # which checks the weights
         choose_lambda(summary)  # lambda is selected first, in a stage of its own
         return estimate_pi0(summary)
     if isinstance(mode, (int, float)) and not isinstance(mode, bool):
@@ -524,7 +540,7 @@ def weighted_dfdr_from_cdfs(pi0: float, null_cdfs_at_tau, marginal_cdfs_at_tau, 
     return pi0 * float(np.sum(w * (1.0 - f0))) / denom
 
 
-def checked_weights(weights, n_tests: int) -> np.ndarray:
+def checked_weights(weights, n_tests: int, n_null: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float).ravel()
     if w.size != n_tests:
         raise ValidationError(f"{w.size} weights for {n_tests} tests")
@@ -532,4 +548,8 @@ def checked_weights(weights, n_tests: int) -> np.ndarray:
         raise ValidationError("weights must be nonnegative")
     if not np.any(w > 0.0):
         raise ValidationError("at least one weight must be positive")
+    # the null's weight sums, up to sum(w) * n_null / n_tests, stay finite; positive shares, above 0
+    if not (float(np.sum(w / n_tests)) * n_null < math.inf and float(w[w > 0].min()) / n_null > 0):
+        raise ValidationError(f"weights out of range: their sums over {n_null} null statistics "
+                              "overflow or round to 0; scale benefits and costs together")
     return w

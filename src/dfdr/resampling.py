@@ -177,7 +177,7 @@ def build_statistic_set(
 ) -> StatisticSet:
     """Observed statistics and their null, summarized as it is computed.
 
-    With per-test ``weights`` the summary holds the null's weight sums.
+    With per-test ``weights`` the summary counts the null per class of weights.
     """
     summary = NullSummary(matrix.n_features, plan.n_permutations, weights)
     permutation_null(matrix, group_a, group_b, plan, into=summary)

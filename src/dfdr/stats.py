@@ -28,7 +28,7 @@ class StatisticSet:
     """Observed statistics plus the summary of their permutation null.
 
     The estimators read the null only through ``summary``, a ``NullSummary``
-    (see ``estimators``): exceedance counts or weight sums at the candidate
+    (see ``estimators``): exceedance counts per class of weights at the candidate
     thresholds, lambda, and the per-test counts below lambda. A set from
     ``build_statistic_set`` was summarized tile by tile as its null was
     computed, so the null was never held whole; ``from_null`` summarizes a
@@ -80,7 +80,7 @@ class StatisticSet:
         return self.summary.taus[:-1]  # the summary's thresholds but +inf
 
     def null_summary(self, weights=None):
-        """The null's NullSummary, with weight sums for ``weights`` if given.
+        """The null's NullSummary, with counts per class of ``weights`` if given.
 
         The last summary is kept; one for other weights re-reads
         ``summary.tiles``.

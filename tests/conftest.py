@@ -96,12 +96,9 @@ def dfdr_at(stats: StatisticSet, pi0: Pi0Estimate, tau: float, weights=None):
     that was never held whole (from ``build_statistic_set``) is recomputed
     here.
     """
-    w = None if weights is None else np.asarray(weights, dtype=float)
+    w = np.ones(stats.n_tests, np.intp) if weights is None else np.asarray(weights, dtype=float)
     obs = weight_exceedances(stats.observed, w, tau)
-    null = sum(
-        weight_exceedances(tile.ravel(), None if w is None else w[rows], tau)
-        for rows, tile in stats.summary.tiles()
-    )
+    null = sum(weight_exceedances(tile.ravel(), w[rows], tau) for rows, tile in stats.summary.tiles())
     value = dfdr_from_counts(pi0.value, null / stats.n_null, obs, stats.n_tests)
     return float(value), obs, null
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dfdr.resampling
 from dfdr import (
     CostBenefit,
     PermutationPlan,
@@ -435,6 +436,45 @@ class TestAnalyzeSubsetsAndWeights:
         rows.insert(6, "g002\t2\t19")
         assert self.run_with(tmp_path, "--weights", "\n".join(rows) + "\n") == 2
         assert "rows 4 and 7 both give feature 'g002'" in capsys.readouterr().err
+
+
+class TestExtremeWeights:
+    """Weights whose null sums overflow, or whose shares of the null round to
+    0, are a data error raised before the null is computed; m = 40 tests and
+    30 permutations, every test with the same benefit and cost."""
+
+    RANGE = "weights out of range: their sums over 1200 null statistics overflow or round to 0"
+
+    @pytest.mark.parametrize("pi0", ["estimate", "one"])
+    @pytest.mark.parametrize("benefit, cost, code, message", [
+        ("1e308", "0", 2, RANGE),
+        ("1e308", "1e308", 2, "benefits, costs and their sums must be finite"),
+        ("5e-324", "0", 2, RANGE),
+        ("1e305", "0", 0, None),
+        ("1e-310", "0", 0, None),
+    ])
+    def test_extreme_weights(self, tmp_path, capsys, monkeypatch, benefit, cost, code, message,
+                             pi0):
+        mpath, lpath = write_fixture(tmp_path, np.random.default_rng(105))
+        wpath = tmp_path / "weights.tsv"
+        wpath.write_text("feature_id\tbenefit\tcost\n" + "".join(
+            f"g{i:03d}\t{benefit}\t{cost}\n" for i in range(40)))
+        nulls, null = [], dfdr.resampling.permutation_null
+        monkeypatch.setattr(dfdr.resampling, "permutation_null",
+                            lambda *args, **kw: nulls.append(args) or null(*args, **kw))
+        out = tmp_path / "out"
+        rc = main([
+            "analyze", "--matrix", str(mpath), "--labels", str(lpath), "--group-a", "A",
+            "--group-b", "B", "--weights", str(wpath), "--permutations", "30", "--pi0", pi0,
+            "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert rc == code, err
+        if message is None:
+            assert read_summary(out / "summary.txt")["weighted"] == "true"
+        else:
+            assert err.startswith(f"data error: {message}")
+            assert not nulls and not any(out.iterdir())
 
 
 class TestUnreadableInput:

@@ -7,8 +7,11 @@ routes: maximize (on a null large enough to stream), control, non-integer
 ``--weights`` (streamed as well), two-comparison ``--subsets``, ``--pvalues``
 in both modes, ``reproduce`` with and without ``--group-t``, and a matrix
 with a ``1_0`` cell, which ``np.loadtxt`` refuses, so the plain parser reads
-it. The digests were recorded at commit f51f16a; regenerate them only for a
-change that is meant to move output bytes, with
+it. The digests were recorded at commit f51f16a, except the ``weights``
+route's ``curve.csv``, recorded again on top of a423a9b when the null weight
+sums came to be formed from exact counts per distinct weight (7 of its 1202
+rows moved in the 12th significant digit). Regenerate them only for a change
+that is meant to move output bytes, with
 
     PYTHONPATH=src python tests/test_output_bits.py
 """
@@ -16,12 +19,14 @@ change that is meant to move output bytes, with
 import hashlib
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dfdr.cli import main
+from dfdr import PermutationPlan, build_statistic_set, load_matrix, permutation_null
+from dfdr.cli import _load_weights, main
 
 GOLDEN = Path(__file__).with_name("output_bits.json")
 M = 1200
@@ -107,6 +112,27 @@ def test_every_route_is_pinned(golden):
 @pytest.mark.parametrize("name", ROUTES)
 def test_route_bits(golden, tmp_path, name):
     assert route_digests(tmp_path, name) == golden[name]
+
+
+def test_weights_route_class_sums_against_exact_sums(tmp_path):
+    # The route's null weight sums: exact counts per distinct weight, then d
+    # products and d - 1 additions of nonnegative terms, each rounded once.
+    inputs = write_inputs(tmp_path)
+    matrix = load_matrix(inputs["matrix"], inputs["labels"])
+    weights = _load_weights(inputs["weights"], matrix).weights
+    plan = PermutationPlan(500, 3)
+    summary = build_statistic_set(matrix, "ALL", "AML", plan, weights).null_summary(weights)
+    null = permutation_null(matrix, "ALL", "AML", plan).reshape(500, -1)
+    d = summary.distinct.size
+    assert d == 4 and summary.classes is not None
+    exact = [Fraction(0)] * summary.taus.size
+    for c, w in enumerate(summary.distinct.tolist()):
+        mine = np.sort(null[:, weights == w], axis=None)
+        counts = (mine.size - np.searchsorted(mine, summary.taus)).tolist()
+        assert summary.counts[c].tolist() == counts
+        exact = [e + Fraction(w) * n for e, n in zip(exact, counts)]
+    for got, e in zip(summary.exceedances.tolist(), exact):
+        assert abs(Fraction(got) - e) <= (d + 1) * 2.0**-53 * e
 
 
 if __name__ == "__main__":

@@ -275,9 +275,12 @@ def test_bounded_memory_at_twenty_thousand_permutations():
 
 
 def assert_within_summation_bound(got, nulls, weights, observed, blocks) -> None:
-    # Within a sorted block of at most BLOCK values a running sum, then one
-    # addition per block, all terms nonnegative: relative error at most
-    # (BLOCK + blocks) * 2^-53 against exact rationals.
+    # All terms are nonnegative. The sorted-block argsort (weights of many
+    # distinct values) makes a running sum within a block of at most BLOCK
+    # values, then one addition per block: relative error at most
+    # (BLOCK + blocks) * 2^-53 against exact rationals. Counts per class of
+    # weights (d classes, d * (m + 1) <= BLOCK) are exact, and their sum is d
+    # products and d - 1 additions: at most about d * 2^-53, within the same.
     m, exact_weights = weights.size, [Fraction(w) for w in weights]
     taus = np.append(np.sort(observed), np.inf)
     for g, tau in zip(got.tolist(), taus.tolist()):
