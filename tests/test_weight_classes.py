@@ -13,7 +13,6 @@ from unittest import mock
 import numpy as np
 import pytest
 
-import dfdr.resampling
 import dfdr.stats
 from dfdr import (
     CostBenefit,
@@ -26,24 +25,17 @@ from dfdr import (
     resolve_pi0,
 )
 from dfdr import estimators
-from test_summary import assert_within_summation_bound, materialised, random_matrix, same_decision
+from test_summary import (  # read_aheads: a fixture
+    assert_within_summation_bound,
+    materialised,
+    random_matrix,
+    read_aheads,
+    same_decision,
+)
 
 # benefit + cost of four kinds of test: non-integer, so the order of the
 # additions would show in the sums' last bits
 KINDS = np.array([1.5 + 19.3, 2.25 + 19.3, 1.5 + 7.7, 2.25 + 7.7])
-
-
-@pytest.fixture
-def read_aheads(monkeypatch):
-    counted = []
-    read_ahead = dfdr.resampling.read_ahead
-
-    def spy(items, ahead):
-        counted.append(ahead)
-        return read_ahead(items, ahead)
-
-    monkeypatch.setattr(dfdr.resampling, "read_ahead", spy)
-    return counted
 
 
 # BLOCK: values per sorted piece (and per stored tile); TILE: values per
