@@ -46,7 +46,7 @@ if "numpy" not in sys.modules:
 import numpy as np
 
 from dfdr import __version__
-from dfdr.data import DataMatrix, load_matrix, preprocess, read_text
+from dfdr.data import DataMatrix, load_matrix, preprocess, read_text, whole_lines
 from dfdr.decision import (
     DecisionResult,
     Subset,
@@ -65,6 +65,7 @@ from dfdr.errors import (
     ValidationError,
 )
 from dfdr.estimators import (
+    MAX_RATIO,
     CostBenefit,
     Pi0Estimate,
     estimate_pi0_from_pvalues,
@@ -224,9 +225,12 @@ def _parse_pi0_mode(text: str):
 MATRIX_FLAGS = ("matrix", "labels", "group_a", "group_b", "subsets", "weights", "preprocess")
 # The range of each numeric flag, checked wherever the flag is given.
 RANGES = {
-    "cost_ratio": (lambda v: 0.0 <= v < math.inf, "must be nonnegative and finite"),
-    "p_threshold": (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
-    "alpha": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "cost_ratio": (lambda v: 0.0 <= v <= MAX_RATIO, f"must lie in [0, {MAX_RATIO:g}]"),
+    "p_threshold": (lambda v: 0.0 < v <= 1.0 and p_to_cost_ratio(v) <= MAX_RATIO,
+                    f"must lie in (0, 1], with 1/p - 1 at most {MAX_RATIO:g}"),
+    "alpha": (lambda v: 0.0 < v < 1.0 and p_to_cost_ratio(v) <= MAX_RATIO,
+              f"must lie in (0, 1), with 1/alpha - 1 at most {MAX_RATIO:g}"),
+    "min_subset_size": (lambda v: v >= 1, "must be >= 1"),
     "replicates": (lambda v: v >= 1, "must be >= 1"),
     "boundary_fraction": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
     "seed": (lambda v: v >= 0, "must be >= 0"),
@@ -352,14 +356,21 @@ def _load_subsets(path, matrix: DataMatrix, min_size: int) -> SubsetPartition:
         if fid not in feature_index:
             raise ValidationError(f"{path}: row {lineno}: unknown feature id {fid!r}")
         try:
-            b, c = float(b), float(c)
+            params = (ga, gb, float(b), float(c))
         except ValueError:
             raise ParseError(f"{path}: row {lineno}: non-numeric benefit or cost") from None
-        entry = rows.setdefault(name, {"params": (ga, gb, b, c), "features": []})
-        if entry["params"] != (ga, gb, b, c):
-            raise ValidationError(
-                f"{path}: subset {name!r} has inconsistent groups or costs"
-            )
+        entry = rows.get(name)
+        if entry is None or entry["params"] != params:  # checked as each subset is met
+            longest = f"summary_{name}.txt.tmp"  # of the files named after it, in bytes at most 255
+            if name in ("", ".", "..") or "/" in name or "\x00" in name or len(longest.encode()) > 255:
+                raise ValidationError(f"{path}: row {lineno}: subset name {name!r} cannot be a file name stem")
+            try:
+                Subset(name, (), *params)  # its costs
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: row {lineno}: {exc}") from None
+            if entry is not None:
+                raise ValidationError(f"{path}: subset {name!r} has inconsistent groups or costs")
+            entry = rows[name] = {"params": params, "features": []}
         entry["features"].append(feature_index[fid])
     subsets = tuple(
         Subset(name, tuple(entry["features"]), *entry["params"]) for name, entry in rows.items()
@@ -452,8 +463,7 @@ def _read_pvalues(path) -> np.ndarray:
     \\x0c or \\u2028 too); row numbers in errors count every line."""
     with open(path, encoding="utf-8") as f:
         try:
-            pieces = iter(lambda: f.read(2**16) + f.readline(), "")  # of whole lines
-            lines = (line for piece in pieces for line in piece.splitlines())
+            lines = (line for piece in whole_lines(f) for line in piece.splitlines())
             return np.fromiter(map(float, filter(str.strip, lines)), dtype=float)
         except ValueError:
             # not UTF-8 (read_text's data error), or a value float() rejects

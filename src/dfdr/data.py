@@ -11,7 +11,6 @@ in file order.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -132,7 +131,12 @@ def load_matrix(matrix_path, labels_path) -> DataMatrix:
 
 # str.splitlines breaks lines at these too, the file's line iterator does not;
 # NUL could end a C parser's cell early
-_UNLIKE_LINES = re.compile("[\x00\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+_UNLIKE_LINES = "\x00\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def whole_lines(f):
+    """The text of the open file ``f`` in pieces of about 64 KiB, each of whole lines."""
+    return iter(lambda: f.read(2**16) + f.readline(), "")
 
 
 def _read_fast(path):
@@ -142,18 +146,21 @@ def _read_fast(path):
     split elsewhere, a row without one cell per subject, fewer than two
     subjects or no row, a cell ``np.loadtxt`` does not read (it reads no cell
     that float() rejects, and the others to the same bits; it rejects some
-    that float() reads, such as ``1_0``), or a value that is not finite.
+    that float() reads, such as ``1_0``), or a value that is not finite. The
+    rows are checked a piece of whole lines at a time before ``np.loadtxt``
+    reads them.
     """
     try:
         with open(path, encoding="utf-8") as f:
             header = f.readline()
             n = header.count("\t")
             feature_ids = []
-            for line in f:
-                if line.count("\t") != n or _UNLIKE_LINES.search(line):
+            for piece in whole_lines(f):
+                lines = piece.splitlines()  # at "\n" alone, in a piece that passes
+                if any(c in piece for c in _UNLIKE_LINES) or any(line.count("\t") != n for line in lines):
                     return None
-                feature_ids.append(line.partition("\t")[0].strip())
-            if n < 2 or not feature_ids or _UNLIKE_LINES.search(header):
+                feature_ids += [line.partition("\t")[0].strip() for line in lines]
+            if n < 2 or not feature_ids or any(c in header for c in _UNLIKE_LINES):
                 return None
             f.seek(0)
             values = np.loadtxt(

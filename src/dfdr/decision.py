@@ -86,10 +86,10 @@ class Subset:
     cost: float
 
     def __post_init__(self) -> None:
-        if self.benefit <= 0.0 or self.cost < 0.0:
-            raise ValidationError(
-                f"subset {self.name!r}: benefit must be > 0 and cost >= 0"
-            )
+        try:
+            CostBenefit([self.benefit], [self.cost]).homogeneous()
+        except ValidationError as exc:
+            raise ValidationError(f"subset {self.name!r}: {exc}") from None
         if len(set(self.feature_indices)) != len(self.feature_indices):
             raise ValidationError(f"subset {self.name!r} repeats a feature index")
 

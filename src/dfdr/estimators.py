@@ -33,14 +33,18 @@ from dfdr.stats import PValueSet, StatisticSet, check_statistics
 # statistics below the pi0 tuning threshold lambda.
 CENTRAL_BAND_MASS = 0.382925
 
-# Values per tile of a stored null (whole permutations) and per sorted piece
-# in exceedance_counts and weight_exceedances.
+# Values per tile of a stored null (whole permutations), and per argsorted
+# block where weights have too many distinct values for classes.
 BLOCK = 2**16
 # The lambda bracket (NullSummary): sample ranks kept on each side of the
 # target in the first tile, about 8 standard errors of the target's rank in a
 # sample of stats.TILE values; and the most values kept inside it.
 MARGIN = 2**11
 CAP = 2**19
+
+# The largest cost/benefit ratio: (1 + ratio) times a dFDR estimate, at most
+# m, stays finite for up to 1e8 tests. A validation bound, not a tuning one.
+MAX_RATIO = 1e300
 
 # Null p-values are uniform, so the tuning threshold needs no resampling:
 # the null share of p-values above 1 - CENTRAL_BAND_MASS is CENTRAL_BAND_MASS.
@@ -116,13 +120,17 @@ class CostBenefit:
         return cls.from_ratio(p_to_cost_ratio(p))
 
     def homogeneous(self) -> tuple[float, float]:
-        """(benefit, cost/benefit ratio); requires equal per-test values and benefit > 0."""
+        """(benefit, cost/benefit ratio); requires equal per-test values, benefit > 0
+        and a ratio of at most MAX_RATIO."""
         if np.any(self.benefits != self.benefits[0]) or np.any(self.costs != self.costs[0]):
             raise ValidationError("costs and benefits differ between tests")
         b1 = float(self.benefits[0])
         if b1 <= 0.0:
             raise ValidationError("benefit must be positive")
-        return b1, float(self.costs[0]) / b1
+        ratio = float(self.costs[0]) / b1
+        if not ratio <= MAX_RATIO:
+            raise ValidationError(f"cost/benefit ratio {ratio!r} above {MAX_RATIO:g}")
+        return b1, ratio
 
     @property
     def probability(self) -> float:
@@ -147,41 +155,53 @@ def weight_exceedances(values, weights, taus) -> np.ndarray:
     """Sum of weights over the values >= each tau, value j carrying
     ``weights[j % weights.size]`` (README "How the scan works")."""
     distinct, classes = weight_classes(weights, np.size(taus))
-    if classes is not None:
-        return class_sums(distinct, exceedance_counts(values, classes, distinct.size, taus))
-    rows = values.reshape(-1, weights.size)
-    per = max(1, BLOCK // weights.size)
-    tiled = np.tile(weights, per)  # no % m per value
-    total = np.zeros(np.shape(taus))
-    for start in range(0, rows.shape[0], per):  # sorted blocks of whole permutations
-        block = rows[start : start + per].ravel()
-        order = np.argsort(block)
-        k = block.size - np.searchsorted(block[order], taus)  # values >= each tau
-        top = np.cumsum(tiled[order][::-1])
-        total += np.where(k > 0, top[k - 1], 0.0)
-    return total
+    tests = np.arange(weights.size)
+    pieces = sorted_pieces(values.reshape(-1, tests.size), classes, distinct.size, tests)
+    counts = np.zeros((distinct.size,) + np.shape(taus), float if classes is None else np.intp)
+    add_counts(counts, pieces, taus, weights)
+    return class_sums(distinct, counts)
 
 
 def weight_classes(weights, n_taus: int):
     """The distinct weights and each weight's class, or (ones(1), None) to sum them as they are."""
     distinct, classes = np.unique(weights, return_inverse=True)
-    # counting costs d * n_taus binary searches a piece of BLOCK values: past BLOCK, over m log m
+    # counting costs d * n_taus binary searches a tile: past BLOCK of them, the argsort is cheaper
     if distinct.size > 1 and distinct.size * n_taus > BLOCK:
         return np.ones(1), None
     return distinct, classes
 
 
-def exceedance_counts(values, classes, n_classes: int, taus) -> np.ndarray:
-    """How many values are >= each tau, per class: shape (n_classes,) + shape(taus).
-    Value j is in class ``classes[j % classes.size]``; a class is sorted in pieces of BLOCK."""
-    table = values.reshape(-1, classes.size)
-    counts = np.zeros((n_classes,) + np.shape(taus), dtype=np.intp)
-    for c in range(n_classes):
-        mine = (table if n_classes == 1 else table.compress(classes == c, axis=1)).ravel()
-        for start in range(0, mine.size, BLOCK):
-            piece = np.sort(mine[start : start + BLOCK])
-            counts[c] += piece.size - np.searchsorted(piece, taus)
-    return counts
+def split(table, classes, n_classes: int) -> list:
+    """An unsorted copy of ``table``'s values per class of its columns' ``classes``, with the class."""
+    pieces = (table.flatten() if n_classes == 1 else table.compress(classes == c, axis=1).ravel()
+              for c in range(n_classes))
+    return [(values, c) for c, values in enumerate(pieces) if values.size]
+
+
+def sorted_pieces(table, classes, n_classes: int, tests) -> list:
+    """``split`` sorted in place; where ``classes`` is None, blocks of whole
+    permutations argsorted, each value with its test (``tests`` of the columns)."""
+    if classes is None:
+        size = max(1, BLOCK // table.shape[1]) * table.shape[1]
+        values, tests = table.ravel(), np.broadcast_to(tests, table.shape).ravel()
+        orders = (s + np.argsort(values[s : s + size]) for s in range(0, values.size, size))
+        return [(values[order], tests[order]) for order in orders]
+    pieces = split(table, classes, n_classes)
+    for values, _ in pieces:
+        values.sort()
+    return pieces
+
+
+def add_counts(counts, pieces, taus, weights) -> None:
+    """Add the sorted pieces' values >= each tau to ``counts``: per class, or
+    where each value comes with its test, that test's weight summed from the top."""
+    for values, bins in pieces:
+        k = values.size - np.searchsorted(values, taus)
+        if np.ndim(bins) == 0:
+            counts[bins] += k
+        else:
+            top = np.cumsum(weights[bins][::-1])
+            counts[0] += np.where(k > 0, top[k - 1], 0.0)
 
 
 def class_sums(distinct, counts) -> np.ndarray:
@@ -227,17 +247,14 @@ class NullSummary:
     the test ``rows[i]`` of ``n_tests`` (with ``rows`` given, the summary
     takes only those tests, in that order). ``observe`` gives it the observed
     statistics, before the pass or, for a null of at most CAP values, after
-    it. The summary keeps (README "How the scan works"):
-
-    - ``counts``: per class of equal ``weights`` (one without), the nulls >=
-      each sorted observed value and +inf; ``exceedances`` weighs them;
-    - a bracket [lo, hi] around the rank k = floor(CENTRAL_BAND_MASS * N) of
-      the N nulls: per-test counts below lo, the values inside with their
-      test (per-test counts instead when lo == hi), and the count and the
-      minimum of the values above hi. It comes from the first tile (MARGIN
-      ranks each side of k's estimate), narrows to CAP / 4 ranks past CAP
-      kept values, and takes another pass should k end outside it. Memory
-      is O(m + tile + CAP), whatever the number of permutations.
+    it and before lambda is read. Each tile is read once, from one sorted
+    copy per class of equal ``weights`` (one class without; a null of at
+    most CAP values sorts each class once, at the end of the pass), and the
+    summary keeps what README "How the scan works" lists: ``counts`` per
+    class at each sorted observed value and +inf, and a bracket around the
+    rank of lambda with tallies per class (per test, for weights of many
+    distinct values). Memory is O(m + tile + CAP), whatever the number of
+    permutations.
     """
 
     def __init__(self, n_tests: int, n_permutations: int, weights=None, rows=None) -> None:
@@ -250,10 +267,11 @@ class NullSummary:
         self.size = n_tests * n_permutations  # null values summarized
         self.k = int(CENTRAL_BAND_MASS * self.size)
         self.weights = None if weights is None else checked_weights(weights, n_tests, self.size)
-        # the weighted pi0 needs counts per test; the unweighted one, totals
-        self.by_test = 1 if weights is None else n_tests
-        self.distinct, self.classes = (  # unweighted: the one class of _ONE, of weight 1
-            (_ONE + 1, _ONE) if weights is None else weight_classes(self.weights, n_tests + 1))
+        self.distinct, self.classes = (  # unweighted: one class, of weight 1
+            (np.ones(1, np.intp), np.zeros(n_tests, np.intp)) if weights is None
+            else weight_classes(self.weights, n_tests + 1))
+        # the weight of each bin of the bracket's tallies: a class's, or a test's
+        self.bins = self.weights if self.classes is None else self.distinct
         self.observed = self.taus = self.counts = None
         self.tiles, self.passes, self._lam = None, 0, None
         self._reset(-np.inf, np.inf)
@@ -261,28 +279,21 @@ class NullSummary:
     def observe(self, observed) -> "NullSummary":
         """Count the nulls at the observed statistics (all tests', picked by
         ``rows``): at each tile from now on, or after a first pass of at most
-        CAP values over the values kept, all of them, in pieces of BLOCK."""
+        CAP values over the sorted pieces it kept whole."""
         observed = np.asarray(observed, dtype=float)
         self.observed = observed if self.rows is None else observed[self.rows]
         self.taus = np.append(np.sort(self.observed), np.inf)
-        kind = float if self.classes is None else np.intp
-        self.counts = np.zeros((self.distinct.size, self.taus.size), kind)
-        if self.seen:
-            values, rows = self._gather()  # rows None: no weights
-            for start in range(0, values.size, BLOCK):
-                piece = slice(start, start + BLOCK)
-                self.counts += self._count(values[piece], _ONE if rows is None else rows[piece])
+        shape = (self.distinct.size, self.taus.size)
+        self.counts = np.zeros(shape, float if self.classes is None else np.intp)
+        if self.seen:  # a null kept whole, counted now from its sorted pieces
+            if self.n_kept != self.seen:
+                raise ValidationError("a null observed after its pass must be kept whole, lambda unread")
+            add_counts(self.counts, self.kept, self.taus, self.weights)
         return self
 
     @property
     def exceedances(self) -> np.ndarray:
         return class_sums(self.distinct, self.counts)
-
-    def _count(self, values, rows) -> np.ndarray:
-        """Per class, how many ``values`` of tests ``rows`` are >= each tau (sums if no classes)."""
-        if self.classes is None:
-            return weight_exceedances(values.ravel(), self.weights[rows], self.taus)
-        return exceedance_counts(values, self.classes[rows], self.distinct.size, self.taus)
 
     @property
     def keeps_all(self) -> bool:
@@ -290,9 +301,8 @@ class NullSummary:
         return self.size <= CAP
 
     def weighs_with(self, weights) -> bool:
-        if weights is None or self.weights is None:
-            return weights is None and self.weights is None
-        return np.array_equal(self.weights, weights)
+        same_kind = (weights is None) == (self.weights is None)
+        return same_kind and (weights is None or np.array_equal(self.weights, weights))
 
     def feed(self, tiles) -> "NullSummary":
         summarize([self], tiles)
@@ -303,89 +313,83 @@ class NullSummary:
             rows = self.local[rows]
             mine = rows >= 0
             if not mine.all():
-                rows, tile = rows[mine], tile[:, mine]
+                rows, tile = rows[mine], tile.compress(mine, axis=1)
                 if not rows.size:
                     return
-        check_statistics("null", tile)
-        if self.by_test == 1:
-            rows, tile = _ONE, tile.reshape(-1, 1)
-        if self.passes == 1 and self.counts is not None:
-            self.counts += self._count(tile, rows)
         first = self.passes == 1 and self.seen == 0 and not self.keeps_all
-        self._keep(rows, tile)
+        self.seen += tile.size
+        classes = None if self.classes is None else self.classes[rows]
+        if self.keeps_all and classes is not None:  # each class sorted once, by end_pass
+            self.kept += split(tile, classes, self.distinct.size)
+        else:
+            self._take(sorted_pieces(tile, classes, self.distinct.size, rows))
         if first:
             self._narrow(MARGIN)
         if self.n_kept > CAP:
             self._narrow(CAP // 4)
 
+    def end_pass(self) -> None:
+        """Take a null kept whole, each class merged and sorted once, so that
+        its counts take one binary search per class and candidate, not per tile."""
+        if self.keeps_all and self.classes is not None:
+            pieces, self.kept = self.kept, []
+            merged = [np.concatenate([v for v, b in pieces if b == c]) for c in range(self.distinct.size)]
+            for values in merged:
+                values.sort()
+            self._take([(values, c) for c, values in enumerate(merged) if values.size])
+
+    def _take(self, pieces) -> None:
+        """Count (in the first pass, once observed) and bracket sorted pieces of the null."""
+        for values, _ in pieces:
+            check_statistics("null", values[[0, -1]])  # -inf sorts first and NaN last
+        if self.passes == 1 and self.counts is not None:
+            add_counts(self.counts, pieces, self.taus, self.weights)
+        for piece in pieces:
+            self._cut(*piece)
+
+    def _cut(self, values, bins) -> None:
+        """Tally the sorted ``values`` against the bracket, and keep those
+        inside it; ``bins`` is their class, or each value's test."""
+        i, j = np.searchsorted(values, self.lo), np.searchsorted(values, self.hi, "right")
+        _tally(self.below, bins, 0, i)
+        if j < values.size:
+            self.above += values.size - j
+            self.above_min = min(self.above_min, values[j])
+        if self.at is not None:
+            _tally(self.at, bins, i, j)
+        elif i < j:
+            if j - i < values.size:  # no view: it would hold the whole copy
+                values, bins = values[i:j].copy(), bins if np.ndim(bins) == 0 else bins[i:j].copy()
+            self.kept.append((values, bins))
+            self.n_kept += j - i
+
     def _reset(self, lo, hi) -> None:
         self.lo, self.hi, self.seen, self.region = lo, hi, 0, (lo, hi)
-        self.below = np.zeros(self.by_test, dtype=np.intp)
-        self.at = np.zeros(self.by_test, dtype=np.intp) if lo == hi else None
-        self.kept, self.kept_rows, self.n_kept = [], [], 0
+        self.below = np.zeros(self.bins.size, dtype=np.intp)
+        self.at = np.zeros(self.bins.size, dtype=np.intp) if lo == hi else None
+        self.kept, self.n_kept = [], 0
         self.above, self.above_min = 0, np.inf
-
-    def _keep(self, rows, tile) -> None:
-        self.seen += tile.size
-        lo, hi, inside = self.lo, self.hi, None  # no bracket yet: every value
-        if lo > -np.inf or hi < np.inf:
-            self.below[rows] += np.count_nonzero(tile < lo, axis=0)
-            above = tile > hi
-            if above.any():
-                self.above += np.count_nonzero(above)
-                self.above_min = min(self.above_min, np.compress(above.ravel(), tile).min())
-            if self.at is not None:
-                self.at[rows] += np.count_nonzero(tile == lo, axis=0)
-                return
-            inside = (tile >= lo) & ~above
-        self.kept.append(tile.ravel().copy() if inside is None else tile[inside])
-        self.n_kept += self.kept[-1].size
-        if self.by_test > 1:
-            row_of = np.broadcast_to(rows, tile.shape)
-            self.kept_rows.append(row_of.ravel() if inside is None else row_of[inside])
-
-    def _gather(self) -> tuple[np.ndarray, np.ndarray | None]:
-        if len(self.kept) != 1:
-            self.kept = [np.concatenate(self.kept)]
-            if self.by_test > 1:
-                self.kept_rows = [np.concatenate(self.kept_rows)]
-        return self.kept[0], self.kept_rows[0] if self.by_test > 1 else None
-
-    def _tally(self, rows, mask) -> np.ndarray:
-        """Counts of ``mask`` per test (a total where tests are not told apart)."""
-        if rows is None:
-            return np.array([np.count_nonzero(mask)])
-        return np.bincount(rows[mask], minlength=self.by_test)
 
     def _narrow(self, margin: int) -> None:
         """Keep ``margin`` ranks each side of the estimated rank of k."""
         if self.at is not None or self.n_kept == 0:
             return
-        values, rows = self._gather()
-        last = values.size - 1
+        last = self.n_kept - 1
         j = min(max(self.k * self.seen // self.size - int(self.below.sum()), 0), last)
         if j - margin <= 0 and j + margin >= last:
             return
-        part = np.partition(values, sorted({max(j - margin, 0), j, min(j + margin, last)}))
+        part = np.concatenate([values for values, _ in self.kept])
+        part.partition(sorted({max(j - margin, 0), j, min(j + margin, last)}))
         lo = part[j - margin] if j >= margin else self.lo
         hi = part[j + margin] if j + margin <= last else self.hi
-        if np.count_nonzero((values >= lo) & (values <= hi)) > 3 * CAP // 4:
+        if np.count_nonzero((part >= lo) & (part <= hi)) > 3 * CAP // 4:
             lo = hi = part[j]  # long ties at the bounds: keep counts of one value
+        pieces, self.kept, self.n_kept = self.kept, [], 0
         self.lo, self.hi = lo, hi
-        self.below += self._tally(rows, values < lo)
-        above = values > hi
-        if above.any():
-            self.above += np.count_nonzero(above)
-            self.above_min = min(self.above_min, np.compress(above, values).min())
-        inside = (values >= lo) & ~above
-        self.kept, self.kept_rows = [], []
         if lo == hi:
-            self.at, self.n_kept = self._tally(rows, inside), 0
-        else:
-            self.kept.append(values[inside])
-            self.n_kept = self.kept[0].size
-            if rows is not None:
-                self.kept_rows.append(rows[inside])
+            self.at = np.zeros_like(self.below)
+        for piece in pieces:
+            self._cut(*piece)
 
     def _repass(self, lo, hi) -> None:
         """Another pass, for lambda alone, with [lo, hi] as the bracket."""
@@ -410,11 +414,16 @@ class NullSummary:
                 self._repass(self.region[0], np.nextafter(self.lo, -np.inf))
             else:
                 self._repass(self.above_min, self.region[1])
+        kept = [values for values, _ in self.kept]
         if self.at is None:
-            values, rows = self._gather()
-            v = np.partition(values, k - below)[k - below]
-            start = below + np.count_nonzero(values < v)
-            end = below + np.count_nonzero(values <= v)
+            part = kept[0]  # one piece is sorted; more, each sorted, are partitioned together
+            if len(kept) > 1:
+                part = np.concatenate(kept)
+                part.partition(k - below)
+            v = part[k - below]
+            ends = [np.searchsorted(values, v, "right") for values in kept]
+            start = below + sum(np.searchsorted(values, v) for values in kept)
+            end = below + sum(ends)
         else:
             v, start, end = self.lo, below, below + inside
         # The share below a value is where its run of ties starts and grows
@@ -426,36 +435,42 @@ class NullSummary:
         if end == n or distance[0] <= distance[1]:  # ties: smaller
             lam = v
         elif end < below + inside:  # the next run, in the bracket
-            lam = values[values > v].min()
+            lam = min(values[e] for values, e in zip(kept, ends) if e < values.size)
         else:
             lam = self.above_min
         self._lam = float(lam)
-        # counts below lambda, per test for the weighted pi0
+        # counts below lambda, per bin for the weighted pi0
+        self.below_lam = self.below.copy()
         if self.at is None:
-            self.below_lam = self.below + self._tally(rows, values < lam)
-        else:
-            self.below_lam = self.below + self.at if lam > v else self.below
-        self.kept, self.kept_rows = [], []
+            for values, bins in self.kept:
+                _tally(self.below_lam, bins, 0, np.searchsorted(values, lam))
+        elif lam > v:
+            self.below_lam += self.at
+        self.kept, self.n_kept = [], 0
 
 
-_ONE = np.zeros(1, dtype=np.intp)  # the one column of a summary that sums over tests
+def _tally(tallies, bins, start: int, stop: int) -> None:
+    """Add the sorted values ``start:stop`` to ``tallies``: all to one bin, or each to its own."""
+    if np.ndim(bins):
+        tallies += np.bincount(bins[start:stop], minlength=tallies.size)
+    else:
+        tallies[bins] += stop - start
 
 
 def summarize(summaries, tiles) -> None:
     """One pass over the tile source ``tiles`` into every summary, which keeps
-    ``tiles`` for any later pass its lambda needs.
-
-    Each tile goes to every summary before the next is asked for, and no
-    summary keeps a tile (only copies or counts of what it selects), so a
-    source may reuse a tile's memory once the next is asked for: a streamed
-    null's source makes that next tile on a worker thread meanwhile (see
-    ``resampling.read_ahead``)."""
+    ``tiles`` for any later pass its lambda needs. Each tile goes to every
+    summary before the next is asked for, and no summary keeps a tile (only
+    copies or counts), so a source may reuse a tile's memory once the next is
+    asked for, as a streamed null's does (``resampling.read_ahead``)."""
     for summary in summaries:
         summary.tiles = tiles
         summary.passes += 1
     for rows, tile in tiles():
         for summary in summaries:
             summary.add(rows, tile)
+    for summary in summaries:
+        summary.end_pass()
 
 
 def estimate_pi0(summary: NullSummary) -> Pi0Estimate:
@@ -464,24 +479,20 @@ def estimate_pi0(summary: NullSummary) -> Pi0Estimate:
     The raw ratio (share of observed statistics below lambda) / (share of
     null statistics below lambda) is clamped into [0, 1]; raw values above 1
     are meaningless as a proportion. A summary with per-test ``weights``
-    gives weight sums instead: each null statistic inherits the weight of
-    the test that generated it (nulls are permutation-major), so the null
-    weight below lambda is the per-test count below lambda times that test's
-    weight, and equal weights give the unweighted estimate. Raises
-    UndefinedEstimateError when no null statistic (no positive null weight)
-    falls below lambda.
+    gives weight sums instead, each null inheriting its test's weight: the
+    null weight below lambda is each class's count below lambda times its
+    weight, added in class order. Raises UndefinedEstimateError when no null
+    statistic (no positive null weight) falls below lambda.
     """
-    obs, w, lam, per_test = summary.observed, summary.weights, summary.lam, summary.below_lam
-    if w is None:
-        obs_below, null_below = np.count_nonzero(obs < lam), int(per_test.sum())
-    else:
-        obs_below, null_below = float(np.sum(w[obs < lam])), float(per_test @ w)
+    obs, w, lam = summary.observed, summary.weights, summary.lam
+    null_below = class_sums(summary.bins, summary.below_lam)
+    obs_below = np.count_nonzero(obs < lam) if w is None else float(np.sum(w[obs < lam]))
     if null_below == 0:
         counted = "null statistic" if w is None else "positive null weight"
         raise UndefinedEstimateError(
             f"no {counted} below lambda={lam!r}; consider the conservative mode pi0 = 1"
         )
-    return Pi0Estimate.estimated((obs_below / obs.size) / (null_below / summary.size), lam)
+    return Pi0Estimate.estimated(float((obs_below / obs.size) / (null_below / summary.size)), lam)
 
 
 def estimate_pi0_from_pvalues(pvals: PValueSet) -> Pi0Estimate:

@@ -5,16 +5,12 @@ between features are preserved in the null. Group sizes are kept fixed and
 the relabeling is drawn uniformly at random with replacement from the
 permutation group; the identity permutation is not excluded.
 
-Reproducibility contract: permutation ``b`` is generated from the PCG64
-stream seeded with ``numpy.random.SeedSequence(entropy=seed, spawn_key=(b,))``,
-and its statistics come from ``stats.welch_abs_t``, whose group sums are exact
-0/1 matrix products. The null statistics of permutation ``b`` are therefore
-bitwise the same for any number of permutations above ``b``, any batching of
-permutations into products, any BLAS or BLAS thread count, and any order of
-evaluation; the identity permutation reproduces the observed statistics bit
-for bit. Null statistics are ordered by permutation index, then feature
-index. The observed statistics are computed first, from the identity split,
-and the null is then computed tile by tile into a summary, never whole.
+Permutation ``b`` is drawn from the PCG64 stream of
+``SeedSequence(entropy=seed, spawn_key=(b,))``, and its statistics, from
+``stats.welch_abs_t``, are bitwise the same however many permutations are
+drawn and however they are batched or evaluated (README "Determinism").
+Null statistics are ordered by permutation index, then feature index, and
+are computed tile by tile into a summary, never whole.
 """
 
 from __future__ import annotations
@@ -67,13 +63,10 @@ def physical_memory() -> int | None:
 def check_null_fits(shape: tuple[int, int], n_permutations: int, at_once: int = 1) -> None:
     """Refuse, before allocating, permutations that cannot fit in physical memory.
 
-    ``shape`` is the data matrix's (tests, subjects). The null is never held:
-    a NullSummary takes it tile by tile, in memory bounded by the tile and
-    bracket sizes and the number of tests. What grows with the number of
-    permutations is the permutations themselves, n_permutations * subjects
-    8-byte indices, which are counted here with the matrix, ``at_once``
-    times where that many comparisons run at once. Routes with more than one
-    comparison otherwise hold one comparison's permutations at a time.
+    ``shape`` is the data matrix's (tests, subjects). The null is never held
+    (README, "Memory:"): what grows with the number of permutations is the
+    permutations, n_permutations * subjects 8-byte indices, counted here with
+    the matrix, ``at_once`` times where that many comparisons run at once.
     """
     (m, n), b = shape, n_permutations
     need = 8 * n * (b + m) * at_once
@@ -97,19 +90,13 @@ def permutation_null(
     """Null statistics from ``plan.n_permutations`` random label permutations.
 
     Returns the null whole. With ``into`` (a NullSummary or a list of them),
-    each tile of the null goes to every summary as it is computed, nothing
-    is kept whole, and ``into`` is returned; the summaries keep the means to
-    recompute the tiles for any later pass. They observe the observed
-    statistics, those of the identity split, first; a null that the
-    summaries keep whole anyway takes the identity split in its own pass
-    instead, so its row blocks are prepared once.
-
-    A null that some summary does not keep whole streams: every pass over it
-    (the first and any later one) computes the tiles on one worker thread,
-    up to AHEAD tiles ahead of the summaries, which take them in order on
-    the calling thread (see ``read_ahead``). The kernel and the summaries
-    then run at once, and no bit of any result changes. A null kept whole
-    takes its passes on the calling thread alone.
+    each tile goes to every summary as it is computed and ``into`` is
+    returned; the summaries keep the means to recompute the tiles for any
+    later pass. They observe the statistics of the identity split first; a
+    null that they all keep whole takes the identity split in its own pass
+    instead, so its row blocks are prepared once, and runs on the calling
+    thread alone. Every pass over any other null is read ahead on one worker
+    thread (``read_ahead``; README "How the scan works").
     """
     values, pool, n_a = _comparison(matrix, group_a, group_b)
     splits = np.empty((plan.n_permutations + 1, pool.size), dtype=np.intp)

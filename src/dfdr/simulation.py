@@ -13,13 +13,7 @@ probability of any rejection), the pFDR (conditional false fraction), the PFP
 (ratio of expected counts, undefined without rejections), and the dFDR (the
 PFP when defined, else 0). The pooled false fraction among rejected tests is
 also the realized conditional probability that a rejected hypothesis is a
-true null.
-
-Replicates run on every CPU the process may use: with W of them, the caller
-runs replicates r % W == 0 and one forked worker per further CPU runs its
-own residue, then sends its outcomes back. Each replicate is a pure function
-of (seed, replicate) and the outcomes are pooled in replicate order, so
-every output is the same bytes whatever the number of CPUs.
+true null. Replicates run on every CPU the process may use (``_outcomes``).
 """
 
 from __future__ import annotations
@@ -396,8 +390,7 @@ def measure_local_dfdr(outcomes, offsets) -> tuple[LocalBin, ...]:
         raise ValidationError("offsets must be positive and increasing")
     edges = [0.0] + offsets + [math.inf]
 
-    # every rejection's offset above its replicate's threshold, and its truth
-    rel = np.concatenate([np.zeros(0)] + [o.rejected_stats - o.tau for o in outcomes])
+    rel = _offsets(outcomes)  # with each rejection's truth
     is_null = np.concatenate([np.zeros(0, dtype=bool)] + [o.rejected_is_null for o in outcomes])
     bins = []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -417,11 +410,18 @@ def measure_local_dfdr(outcomes, offsets) -> tuple[LocalBin, ...]:
     return tuple(bins)
 
 
+def _offsets(outcomes) -> np.ndarray:
+    """Every rejection's offset above its replicate's threshold: 0 at it, +inf at +inf too."""
+    return np.concatenate([np.zeros(0)] + [np.subtract(
+        o.rejected_stats, o.tau, out=np.zeros(np.shape(o.rejected_stats)), where=o.rejected_stats != o.tau)
+        for o in outcomes])
+
+
 def boundary_offset(outcomes, fraction: float = 0.05) -> float:
     """Offset h so that [tau*, tau* + h) captures about ``fraction`` of rejections."""
     if not 0.0 < fraction < 1.0:
         raise ValidationError("fraction must lie in (0, 1)")
-    rel = np.concatenate([np.zeros(0)] + [o.rejected_stats - o.tau for o in outcomes])
+    rel = _offsets(outcomes)
     if rel.size == 0:
         raise ValidationError("no rejections recorded; boundary bin undefined")
     h = float(np.quantile(rel, fraction))

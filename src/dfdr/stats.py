@@ -28,13 +28,10 @@ class StatisticSet:
     """Observed statistics plus the summary of their permutation null.
 
     The estimators read the null only through ``summary``, a ``NullSummary``
-    (see ``estimators``): exceedance counts per class of weights at the candidate
-    thresholds, lambda, and the per-test counts below lambda. A set from
-    ``build_statistic_set`` was summarized tile by tile as its null was
-    computed, so the null was never held whole; ``from_null`` summarizes a
-    stored null the same way, a tile of whole permutations at a time. Either
-    summary can recompute the null's tiles (``summary.tiles``) for another
-    pass.
+    (see ``estimators``), taken tile by tile as ``build_statistic_set``
+    computed the null or, by ``from_null``, from a stored null a few whole
+    permutations at a time. It can recompute the tiles (``summary.tiles``)
+    for another pass.
     """
 
     observed: np.ndarray
@@ -152,27 +149,13 @@ def welch_abs_t(values: np.ndarray, pool, n_a: int, splits) -> np.ndarray:
     ``0..n-1``: its first ``n_a`` entries form group A, the rest group B.
     Returns shape (len(splits), n_rows).
 
-    Each row is centred on its midrange ``(min + max) / 2`` (exactly, as a
-    rounded difference plus its rounding error), scaled by a power of two to
-    magnitude below 1, and split into a hi part on the grid 2^-p and a lo part
-    on the grid 2^-2p, p = 52 - n.bit_length(); its square is split the same
-    way. Every sum of at most n such parts is then an integer multiple of the
-    grid below 2^52, so the 0/1 matrix product that forms group A's sums is
-    exact on any BLAS, in any blocking or thread count, and group B's sums are
-    the totals minus group A's, also exact. The statistic of a split depends
-    only on the row and on which values fall in each group: not on the order
-    of the split or of the columns, nor on which other rows and splits are
-    evaluated with it, and swapping the groups changes no bit.
-
-    From the exact sums the Welch step uses the one-pass form
-    ``sum(y^2) - sum(y)^2 / k``. Where that keeps less than 2^-10 of a group's
-    sum of squares (or the sum of squares is so small that the lo grid limits
-    it), the group's spread is recomputed with two passes over its values in
-    sorted order; a group whose values are all equal has spread exactly 0.
-    Sentinels: a row with zero spread in both groups gives +inf when the
-    group means differ and 0 when they are equal (an exactly constant row);
-    any spread above 2^-500 of the row's range gives a finite statistic
-    (squares of smaller deviations underflow).
+    Each row is centred on its midrange and split into hi and lo parts on
+    fixed grids, so group A's sums are exact 0/1 matrix products on any BLAS
+    and group B's the totals minus group A's; the Welch step recomputes a
+    spread that the one-pass form would lose with two passes. README "How
+    the statistics are computed" gives the steps, the sentinels and the
+    determinism contract: the statistic of a split depends only on the row
+    and on which values fall in each group.
     """
     out = np.empty((np.shape(splits)[0], values.shape[0]))
     for rows, start, tile in welch_tiles(values, pool, n_a, splits):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dfdr.decision
 import dfdr.resampling
 from dfdr import (
     CostBenefit,
@@ -477,6 +478,51 @@ class TestExtremeWeights:
             assert not nulls and not any(out.iterdir())
 
 
+class TestSubsetsFile:
+    """Each subset's name and costs are checked as the file is read: before
+    the null is computed and before any output is written."""
+
+    def run(self, tmp_path, capsys, monkeypatch, rows):
+        mpath, lpath = write_fixture(tmp_path, np.random.default_rng(106))
+        spath = tmp_path / "subsets.tsv"
+        spath.write_text("feature_id\tsubset\tgroup_a\tgroup_b\tbenefit\tcost\n" + "".join(
+            f"g{i:03d}\t{name}\tA\tB\t{benefit}\t{cost}\n" for i, (name, benefit, cost) in enumerate(rows)))
+        nulls, null = [], dfdr.decision.permutation_null
+        monkeypatch.setattr(dfdr.decision, "permutation_null",
+                            lambda *args, **kw: nulls.append(args) or null(*args, **kw))
+        out = tmp_path / "out"
+        rc = main(["analyze", "--matrix", str(mpath), "--labels", str(lpath), "--group-a", "A",
+                   "--group-b", "B", "--subsets", str(spath), "--min-subset-size", "10",
+                   "--permutations", "20", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert not nulls and not any(out.iterdir())
+        return err
+
+    def test_cost_benefit_ratio_that_overflows(self, tmp_path, capsys, monkeypatch):
+        err = self.run(tmp_path, capsys, monkeypatch, [("z", "1e-320", "1e308")] * 40)
+        where = f"{tmp_path / 'subsets.tsv'}: row 2: subset 'z'"
+        assert err == f"data error: {where}: cost/benefit ratio inf above 1e+300\n"
+
+    @pytest.mark.parametrize("name", ["a/b", "..", ".", "a\x00b", "n" * 240],
+                             ids=["slash", "dotdot", "dot", "nul", "too-long"])
+    def test_name_that_cannot_name_a_file(self, tmp_path, capsys, monkeypatch, name):
+        # listed after a subset whose files could have been written first
+        err = self.run(tmp_path, capsys, monkeypatch, [("z", 1, 19)] * 20 + [(name, 1, 19)] * 20)
+        assert f"row 22: subset name {name!r} cannot be a file name stem" in err
+
+    def test_empty_name(self, tmp_path, capsys, monkeypatch):
+        err = self.run(tmp_path, capsys, monkeypatch, [("z", 1, 19)] * 20 + [("", 1, 19)] * 20)
+        assert "row 22: subset name '' cannot be a file name stem" in err
+
+    @pytest.mark.parametrize("at", [0, 5], ids=["first-row", "later-row"])
+    def test_nan_benefit_is_named(self, tmp_path, capsys, monkeypatch, at):
+        rows = [("z", 1, 19)] * 40
+        rows[at] = ("z", "nan", 19)
+        err = self.run(tmp_path, capsys, monkeypatch, rows)
+        assert err.endswith(f"row {at + 2}: subset 'z': benefits, costs and their sums must be finite\n")
+
+
 class TestUnreadableInput:
     """An input file that is not UTF-8, or a directory in its place, is a data
     error that names the path, for every input flag."""
@@ -580,13 +626,23 @@ class TestFlagTable:
             (["simulate", "--delta", "nan"], "--delta"),
             (["reproduce", "--seed", "-1"], "--seed"),
             (["reproduce", "--permutations", "0"], "--permutations"),
+            # 1/p - 1 and 1/alpha - 1 overflow; a ratio whose desirability would
+            (["analyze", "--p-threshold", "1e-320"], "--p-threshold"),
+            (["simulate", "--m", "50", "--replicates", "2", "--p-threshold", "1e-320"],
+             "--p-threshold"),
+            (["analyze", "--cost-ratio", "1e308"], "--cost-ratio"),
+            (["simulate", "--m", "50", "--replicates", "2", "--cost-ratio", "1e308"],
+             "--cost-ratio"),
+            (["analyze", "--mode", "control", "--alpha", "1e-320"], "--alpha"),
+            (["analyze", "--min-subset-size", "-5"], "--min-subset-size"),
         ],
         ids=["sim-fraction", "sim-alpha-nan", "sim-cost-nan", "alpha-nan", "cost-nan", "cost-inf",
              "p-nan", "pi0-above-1", "pi0-negative", "pi0-nan", "pi0-inf", "sim-pi0-2",
              "sim-permutations-0", "seed-negative", "sim-m-0", "sim-n-a-1", "sim-n-b-1",
              "sim-block-size-0", "sim-block-rho-1", "sim-block-rho-negative",
              "sim-pi0-true-above-1", "sim-pi0-true-nan", "sim-delta-inf", "sim-delta-nan",
-             "reproduce-seed-negative", "reproduce-permutations-0"],
+             "reproduce-seed-negative", "reproduce-permutations-0", "p-1e-320", "sim-p-1e-320",
+             "cost-1e308", "sim-cost-1e308", "alpha-1e-320", "min-subset-size-negative"],
     )
     def test_bad_value_is_usage_error_before_any_output(self, fixture_paths, tmp_path, capsys,
                                                         argv, flag):
@@ -827,6 +883,17 @@ class TestSimulate:
         text = (out / "report.txt").read_text()
         assert "check\tpooled_bound\t" in text
         assert "boundary_offset" not in text
+
+
+    def test_sentinels_at_an_infinite_threshold(self, tmp_path, capsys):
+        # with a shift of 1e308 every alternative statistic is the +inf
+        # sentinel, and so is each replicate's threshold: their offset is 0
+        out = tmp_path / "inf"
+        assert main(["simulate", "--m", "200", "--replicates", "4", "--delta", "1e308",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        text = (out / "report.txt").read_text()
+        assert "nan" not in text and "boundary_offset" not in text
 
 
 class TestReproduce:

@@ -347,3 +347,52 @@ class TestPreprocess:
         rng = np.random.default_rng(11)
         x = rng.normal(0.0, 3.0, size=1000)
         np.testing.assert_allclose(signed_log1p(-x), -signed_log1p(x), atol=1e-15)
+
+
+# Text that np.loadtxt would read otherwise than the plain parser: line
+# breaks that only str.splitlines knows, NUL, a ragged row, a cell float()
+# reads and loadtxt does not, and a trailing blank line.
+GOOD = ["id\ts1\ts2\ts3", "g0\t1.5\t-2\t3e-3", "g1\t0.25\t7\t8"]
+UNLIKE_LINES = {"nul": "\x00", "vt": "\x0b", "ff": "\x0c", "fs": "\x1c", "gs": "\x1d", "rs": "\x1e",
+                "nel": "\x85", "ls": "\u2028", "ps": "\u2029"}
+DECLINED = {
+    **{f"{name}-in-header": [GOOD[0] + char] + GOOD[1:] for name, char in UNLIKE_LINES.items()},
+    **{f"{name}-in-row": GOOD[:2] + ["g1\t0.25" + char + "\t7\t8"] for name, char in UNLIKE_LINES.items()},
+    "ragged-row": GOOD[:2] + ["g1\t0.25\t7"],
+    "1_0-cell": GOOD[:2] + ["g1\t1_0\t7\t8"],
+    "trailing-blank-line": GOOD + [""],
+}
+
+
+def outcome(read):
+    try:
+        return read()
+    except (ParseError, ValidationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("lines", DECLINED.values(), ids=DECLINED.keys())
+def test_fast_reader_leaves_to_the_plain_parser(tmp_path, lines):
+    mpath, lpath = tmp_path / "m.tsv", tmp_path / "l.tsv"
+    mpath.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert data._read_fast(mpath) is None
+    expected = outcome(lambda: data._read_plain(mpath))
+    subjects = ["s1", "s2", "s3"] if isinstance(expected, str) else expected[0]
+    write_labels(lpath, [(s, "A") for s in subjects])
+    got = outcome(lambda: load_matrix(mpath, lpath))
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert (list(got.subject_ids), list(got.feature_ids)) == (expected[0], expected[1])
+        assert got.values.tobytes() == expected[2].tobytes()
+
+
+def test_fast_reader_takes_other_text_beyond_ascii(tmp_path):
+    # non-ASCII text without those characters is read by np.loadtxt
+    path = tmp_path / "m.tsv"
+    rows = "".join(f"gè{i}\t1.5\t-2\t3e-3\ng{i}\t0.25\t7\t 8\n" for i in range(3))
+    path.write_text("id\ts1\tsé2\ts3\n" + rows, encoding="utf-8")
+    fast = data._read_fast(path)
+    assert fast is not None
+    plain = data._read_plain(path)
+    assert fast[:2] == plain[:2] and fast[2].tobytes() == plain[2].tobytes()

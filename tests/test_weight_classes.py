@@ -86,8 +86,8 @@ def test_class_counts_equal_brute_force():
     values[rng.random(values.shape) < 0.05] = np.inf
     classes = rng.integers(0, 3, size=13)
     taus = np.array([-1.0, 0.0, 0.3, 1.0, 2.5, np.inf])
-    with mock.patch.object(estimators, "BLOCK", 5):  # pieces of 5 values
-        got = estimators.exceedance_counts(values.ravel(), classes, 4, taus)
+    got = np.zeros((4, taus.size), dtype=np.intp)  # class 3 has no values
+    estimators.add_counts(got, estimators.sorted_pieces(values, classes, 4, None), taus, None)
     expected = [[np.count_nonzero(values[:, classes == c] >= t) for t in taus] for c in range(4)]
     assert got.tolist() == expected
 
@@ -136,8 +136,8 @@ def test_many_distinct_weights_are_summed_by_the_argsort(m, b, block, monkeypatc
     weights = rng.uniform(0.1, 3.0, size=m) + rng.uniform(0.0, 30.0, size=m)
     observed = np.round(np.abs(rng.normal(0.5, 1.0, size=m)), 2)
     stats = StatisticSet.from_null(observed, nulls, b)  # counted unweighted: one class
-    counted = mock.Mock(wraps=estimators.exceedance_counts)
-    monkeypatch.setattr(estimators, "exceedance_counts", counted)
+    counted = mock.Mock(wraps=estimators.split)  # the class path's copies
+    monkeypatch.setattr(estimators, "split", counted)
     summary = stats.null_summary(weights)
     assert summary.classes is None and summary.counts.dtype == float
     assert not counted.called
