@@ -5,19 +5,23 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 All randomness flows from --seed; repeated runs with identical flags and seed
 produce byte-identical output files.
 
-Every output file prints a float with 12 significant digits (``%.12g``),
-infinities as ``inf``/``-inf`` and NaN as ``nan``; integers print bare and
-booleans as ``true``/``false``. The tables are formatted a row at a time from the
-same ``NUMBER`` spec as every other value, and written ``BLOCK`` rows at a time.
+Every output file prints a float as ``NUMBER`` (``%.12g``), NaN as ``nan``;
+integers bare, booleans as ``true``/``false``. The tables are built ``BLOCK`` rows
+at a time in numpy, in the same bytes: a float's digits are m = rint(s),
+s = |x| 10^(11-e), e = floor(log10 |x|), 10^(11-e) a correctly rounded double,
+so s is within 2.3e-4 of exact and m is %.12g's rounding where s is more than
+5e-4 from a half. m = 10^12 carries into e, which then picks %g's notation.
+Python formats the rest: 0, nan, inf, |e| > E_MAX, those near-ties, s beyond
+0.01 outside [10^11, 10^12] (log10 off by over an ulp), ints < 0 or > int64.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
-from collections.abc import Sequence
 from pathlib import Path
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -104,13 +108,97 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# The one float format of every output file; the row templates and _fmt are
-# built from it so they cannot drift apart. It prints every NaN as "nan".
-NUMBER = "%.12g"
-TESTS_ROW = f"%s,{NUMBER},%d\n"
-CURVE_ROW = f"{NUMBER},{NUMBER},{NUMBER},%d\n"
-COMPARISON_ROW = f"%s,%s,{NUMBER},{NUMBER},{NUMBER}\n"
+NUMBER = "%.12g"  # the float format of every output file
 BLOCK = 4096  # rows that the table writer formats and writes at a time
+PAD = b"\xff"  # fills the bytes a table cell leaves unused; never in UTF-8
+E_MAX = 297  # |x| beyond 10^+-E_MAX goes to NUMBER
+_POW10 = np.array([float(f"1e{k}") for k in range(11 - E_MAX, 12 + E_MAX)])  # 10^(11 - e) at E_MAX - e
+
+
+def _padded(texts: list[bytes], words: int = 1) -> np.ndarray:
+    """The texts as table cells: rows of at least ``words`` uint64 words, the text, then PAD."""
+    words = max(words, max(map(len, texts), default=0) // 8 + 1)
+    return np.frombuffer(b"".join(t.ljust(8 * words, PAD) for t in texts), dtype=np.uint64).reshape(-1, words)
+
+
+# By a pair of digits: the two, each followed by PAD (where a point can go), in the low and the
+# high half of a word; and, for pair k of twelve digits, 1 + the place of its last nonzero digit.
+_LOW = np.frombuffer(b"".join(b"%d\xff%d\xff\0\0\0\0" % divmod(p, 10) for p in range(100)), dtype=np.uint64)
+_HIGH = np.frombuffer(b"".join(b"\0\0\0\0%d\xff%d\xff" % divmod(p, 10) for p in range(100)), dtype=np.uint64)
+_LAST = np.array([[p and 2 * k + 2 - (p % 10 == 0) for p in range(100)] for k in range(6)])
+
+
+def _shape(sign: str, x: int | None, sig: int) -> bytes:
+    """The prefix word and the XOR masks that make twelve padded digits the text of a float of
+    exponent x (None: exponent notation) and sig significant digits; "0" ^ 0xCF is PAD."""
+    point = 1 if x is None else max(x + 1, 0)  # digits before the point
+    mask = bytearray(24)
+    mask[2 * max(sig, point)::2] = b"\xcf" * (12 - max(sig, point))  # trailing zeros
+    if sig > point > 0:
+        mask[2 * point - 1] = ord(".") ^ PAD[0]
+    return (sign + ("0." + "0" * (-x - 1) if x is not None and x < 0 else "")).encode().ljust(8, PAD) + mask
+
+
+# rows by word; columns by (x < 0) * 204 + (x + 4 where -4 <= x < 12, else 16) * 12 + sig - 1
+_SHAPES = np.frombuffer(b"".join(_shape(sign, x, sig) for sign in ("", "-") for x in [*range(-4, 12), None]
+                                 for sig in range(1, 13)), dtype=np.uint64).reshape(-1, 4).T.copy()
+# by e + E_MAX + 1: the column of e's notation in _SHAPES less sig, and the exponent word
+_NOTATION = np.array([(e + 4 if -4 <= e < 12 else 16) * 12 - 1 for e in range(-E_MAX - 1, E_MAX + 2)])
+_EXPONENTS = _padded([b"" if -4 <= e < 12 else b"e%+03d" % e for e in range(-E_MAX - 1, E_MAX + 2)])[:, 0]
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """The table cells of NUMBER % x (see the module docstring)."""
+    with np.errstate(all="ignore"):  # log10 of 0, and s where the fast path does not apply
+        a = np.abs(x)
+        e = np.floor(np.log10(a)).astype(np.intp).clip(-E_MAX, E_MAX)
+        s = a * _POW10.take(E_MAX - e)
+        m = np.rint(s)
+        fast = (np.abs(s - m) < 0.4995) & (np.abs(s - 5.5e11) < 4.5e11 + 0.01)
+    m = np.where(fast, m, 1e11).astype(np.int64)
+    e += (carry := m == 10**12)
+    m[carry] = 10**11
+    pairs, sig = [], 0
+    for k in range(5, -1, -1):  # the pairs of digits, from the last
+        q = m // 100
+        pairs.insert(0, m - 100 * q)
+        sig, m = np.maximum(sig, _LAST[k].take(pairs[0])), q
+    code = _NOTATION.take(e + E_MAX + 1) + sig + 204 * (x < 0)
+    exponents = _EXPONENTS.take(e + E_MAX + 1)
+    cells = np.empty((len(x), 4 + (exponents != _EXPONENTS[E_MAX + 1]).any()), dtype=np.uint64)
+    cells[:, 0] = _SHAPES[0].take(code)
+    for k in range(3):
+        cells[:, k + 1] = _SHAPES[k + 1].take(code) ^ _LOW.take(pairs[2 * k]) ^ _HIGH.take(pairs[2 * k + 1])
+    cells[:, 4:] = exponents[:, None]
+    cells[~fast] = _padded([(NUMBER % v).encode() for v in x[~fast].tolist()], cells.shape[1])
+    return cells
+
+
+def _digit_cells(v: np.ndarray, width: int, lead: int) -> np.ndarray:
+    """Table cells of the byte ``lead`` and ``width`` digits of each v >= 0, leading zeros PAD if lead is."""
+    cells = np.full((len(v), (width + 1) // 8 + 1), np.uint64(2**64 - 1))
+    text = cells.view(np.uint8)
+    text[:, 0] = lead
+    for place in range(width):  # 10^place, at byte width - place
+        digit = v % 10 + ord("0")
+        text[:, width - place] = np.where(v > 0, digit, lead) if lead == PAD[0] and place else digit
+        v = v // 10
+    return cells
+
+
+def _cells(column, lo: int) -> np.ndarray:
+    """Table cells of rows lo to lo + BLOCK of floats, ints, str, or a range: "p" + zero-padded index."""
+    block = column[lo:lo + BLOCK]
+    if isinstance(block, range):
+        return _digit_cells(np.arange(block.start, block.stop), len(str(len(column))), ord("p"))
+    if isinstance(block, np.ndarray) and block.dtype.kind == "f":
+        return _float_cells(block)
+    if isinstance(block[0], str):
+        return _padded([s.encode() for s in block])
+    with contextlib.suppress(OverflowError):  # a Python int beyond int64 goes to Python
+        if (v := np.asarray(block, dtype=np.int64)).min() >= 0:
+            return _digit_cells(v, len(str(v.max())), PAD[0])
+    return _padded([b"%d" % i for i in block])
 
 
 def _fmt(x) -> str:
@@ -125,31 +213,21 @@ def _fmt(x) -> str:
 
 def _write_atomic(path: Path, chunks) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as f:
+    with open(tmp, "wb") as f:
         f.writelines(chunks)
     os.replace(tmp, path)
 
 
-def _rows(header: str, row_format: str, columns):
-    """The header line, then ``row_format % row`` for the rows of the columns, a block at a time."""
-    yield header + "\n"
-    for i in range(0, len(columns[0]), BLOCK):
-        block = [c[i:i + BLOCK] for c in columns]
-        block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
-        yield "".join(map(row_format.__mod__, zip(*block)))
-
-
-class _PvalueIds(Sequence):
-    """The p-value route's ids, zero-padded to the digits of n, made a slice at a time."""
-
-    def __init__(self, n: int):
-        self.n, self.id = n, f"p%0{len(str(n))}d".__mod__
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, i):
-        return list(map(self.id, range(self.n)[i])) if isinstance(i, slice) else self.id(range(self.n)[i])
+def _table(header: str, columns):
+    """The bytes of the header line, then of each block of BLOCK rows: a row's cells joined
+    by ",", then a newline. Each cell ends in a free byte for the separator."""
+    yield (header + "\n").encode()
+    for lo in range(0, len(columns[0]), BLOCK):
+        cells = [_cells(column, lo) for column in columns]
+        text = np.concatenate(cells, axis=1).view(np.uint8)
+        text[:, 8 * np.cumsum([c.shape[1] for c in cells]) - 1] = ord(",")
+        text[:, -1] = ord("\n")
+        yield text.tobytes().translate(None, PAD)
 
 
 def build_parser() -> _Parser:
@@ -301,7 +379,7 @@ def _rule_from_args(args) -> tuple[float, list[tuple[str, object]]]:
 
 def _write_decision_outputs(
     outdir: Path,
-    ids: Sequence[str],
+    ids: list[str] | range,
     values: np.ndarray,
     result: DecisionResult,
     fields: list[tuple[str, object]],
@@ -313,8 +391,8 @@ def _write_decision_outputs(
     flags[np.fromiter(result.rejected, dtype=np.intp, count=len(result.rejected))] = 1
     curve = "tau,desirability,dfdr,discoveries"
     tests_path, curve_path = outdir / f"tests{suffix}.csv", outdir / f"curve{suffix}.csv"
-    _write_atomic(tests_path, _rows("feature_id,statistic,rejected", TESTS_ROW, (ids, values, flags)))
-    _write_atomic(curve_path, _rows(curve, CURVE_ROW, [getattr(result.curve, k) for k in curve.split(",")]))
+    _write_atomic(tests_path, _table("feature_id,statistic,rejected", (ids, values, flags)))
+    _write_atomic(curve_path, _table(curve, [getattr(result.curve, k) for k in curve.split(",")]))
     pi0 = result.pi0
     fields = fields + [
         ("pi0_mode", pi0.mode),
@@ -325,7 +403,7 @@ def _write_decision_outputs(
         ("dfdr", result.dfdr),
         ("desirability", result.desirability),
     ]
-    _write_atomic(outdir / f"summary{suffix}.txt", (f"{k}\t{_fmt(v)}\n" for k, v in fields))
+    _write_atomic(outdir / f"summary{suffix}.txt", (f"{k}\t{_fmt(v)}\n".encode() for k, v in fields))
 
 
 def _read_table(path, header: list[str]) -> list[tuple[int, list[str]]]:
@@ -494,7 +572,7 @@ def _analyze_pvalues(args, outdir: Path, pi0_mode) -> int:
         ("m", pvals.n_tests),
         ("seed", args.seed),
     ]
-    _write_decision_outputs(outdir, _PvalueIds(pvals.n_tests), pvals.pvalues, result, fields + rule_fields)
+    _write_decision_outputs(outdir, range(pvals.n_tests), pvals.pvalues, result, fields + rule_fields)
     return 0
 
 
@@ -584,7 +662,7 @@ def run_simulate(args) -> int:
         limit = bound + 3.0 * math.sqrt(bound * (1.0 - bound) / n) if n else bound
         verdict = "PASS" if actual <= limit else "FAIL"
         text += f"check\t{name}\t{verdict}\tactual={_fmt(actual)}\tlimit={_fmt(limit)}\n"
-    _write_atomic(outdir / "report.txt", [text])
+    _write_atomic(outdir / "report.txt", [text.encode()])
     print(text, end="")
     return 0
 
@@ -643,7 +721,8 @@ def run_reproduce(args) -> int:
         compare("second-comparison", second, REFERENCE_SECOND)
 
     header = ["configuration", "metric", "actual", "reference", "deviation"]
-    _write_atomic(outdir / "comparison.csv", _rows(",".join(header), COMPARISON_ROW, list(zip(*rows))))
+    columns = [list(c) if k < 2 else np.array(c, dtype=float) for k, c in enumerate(zip(*rows))]
+    _write_atomic(outdir / "comparison.csv", _table(",".join(header), columns))
     widths = [24, 12, 14, 12, 12]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     for row in rows:

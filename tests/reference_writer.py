@@ -1,8 +1,8 @@
 """Reference writer for tests.csv and curve.csv: one ``format()`` per cell.
 
-This is how the CLI wrote both files before it formatted whole rows at once.
-The byte-identity tests compare the CLI's files with what this writer makes
-from the same decision.
+The CLI's table writer lays a block of rows out in numpy arrays instead; the
+byte-identity tests compare the CLI's files with what this writer makes from
+the same decision, and its float formatter with ``fmt``.
 """
 
 import math
@@ -28,8 +28,16 @@ def rows_text(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def pvalue_ids(m: int) -> list[str]:
+    """The p-value route's ids: "p" and the row index zero-padded to the digits of m."""
+    return [f"p{i:0{len(str(m))}d}" for i in range(m)]
+
+
 def decision_files(ids, values, result) -> dict[str, str]:
-    """Text of tests.csv and curve.csv for one decision, keyed "tests" and "curve"."""
+    """Text of tests.csv and curve.csv for one decision, keyed "tests" and "curve".
+    ``ids`` is a list of str, or range(m) for the p-value route's ids."""
+    if isinstance(ids, range):
+        ids = pvalue_ids(len(ids))
     rejected, curve = result.rejected, result.curve
     tests = rows_text(
         ["feature_id", "statistic", "rejected"],

@@ -1,15 +1,18 @@
 """Byte identity of tests.csv and curve.csv with the per-cell reference writer.
 
-The CLI formats whole rows with one ``%`` template per file and writes them a
-block of ``cli.BLOCK`` rows at a time; the reference (``reference_writer``)
+The CLI's table writer (``cli._table``) lays out a block of ``cli.BLOCK`` rows
+at a time in numpy arrays, its floats through a fixed-width ``%.12g``
+formatter with a fallback to Python; the reference (``reference_writer``)
 formats each cell with ``format(x, ".12g")``. Both must give the same bytes for
 every float, NaN and infinities included, for every route that writes decision
-files, and wherever the rows fall against the block boundaries.
+files, and wherever the rows fall against the block boundaries. The formatter
+is also checked on its own against floats at its rounding and notation edges.
 """
 
 import math
 import os
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -19,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfdr import cli
-from dfdr.cli import CURVE_ROW, TESTS_ROW, _fmt, _rows, _write_atomic, main
-from reference_writer import decision_files, fmt, rows_text
+from dfdr.cli import _fmt, _table, _write_atomic, main
+from reference_writer import decision_files, fmt, pvalue_ids, rows_text
 from test_cli import write_fixture
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
@@ -62,11 +65,11 @@ ids = st.text(max_size=8)
 blocks = st.integers(1, 6)
 
 
-def write_table(header, row_format, columns, block):
+def write_table(header, columns, block):
     """The bytes the table writer writes, ``block`` rows at a time."""
     with mock.patch.object(cli, "BLOCK", block), tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
-        _write_atomic(path, _rows(",".join(header), row_format, columns))
+        _write_atomic(path, _table(",".join(header), columns))
         assert os.listdir(tmp) == ["table.csv"]  # no tmp file is left behind
         return path.read_bytes()
 
@@ -83,7 +86,7 @@ def test_tests_rows_match_reference(rows, block):
     header = ["feature_id", "statistic", "rejected"]
     columns = [column(rows, 0, False), column(rows, 1, True), column(rows, 2, False)]
     expected = rows_text(header, rows).encode("utf-8")
-    assert write_table(header, TESTS_ROW, columns, block) == expected
+    assert write_table(header, columns, block) == expected
 
 
 @PROPERTY
@@ -92,13 +95,82 @@ def test_curve_rows_match_reference(rows, block):
     header = ["tau", "desirability", "dfdr", "discoveries"]
     columns = [column(rows, k, k < 3) for k in range(4)]
     expected = rows_text(header, rows).encode("utf-8")
-    assert write_table(header, CURVE_ROW, columns, block) == expected
+    assert write_table(header, columns, block) == expected
 
 
 @PROPERTY
 @given(st.one_of(floats, ints, st.booleans(), ids))
 def test_fmt_matches_reference(x):
     assert _fmt(x) == fmt(x)
+
+
+def formatted(values):
+    """Each value as the table writer formats a float column of them."""
+    text = b"".join(_table("x", [np.array(values, dtype=float)])).decode()
+    return text.splitlines()[1:]
+
+
+@PROPERTY
+@given(floats)
+def test_fmt_and_tables_agree(x):
+    # summary.txt and report.txt (_fmt) print a float as the tables do
+    assert formatted([x]) == [_fmt(x)]
+
+
+def neighbours(x):
+    with np.errstate(over="ignore"):  # next to the largest double is inf
+        return [float(np.nextafter(x, -math.inf)), x, float(np.nextafter(x, math.inf))]
+
+
+# 13 significant digits ending in 5: ties at 12 digits, but for the rounding
+# of the decimal to the nearest double
+ties = st.builds(lambda d, k: float(f"{10 * d + 5}e{k}"), st.integers(10**11, 10**12 - 1), st.integers(-30, 30))
+POWERS = [10.0**k for k in range(-6, 14)]  # across the notation switches at 1e-4 and 1e12
+CARRIES = [999999999999.5, 9.9999999999995e-5, 99999999999.95, 0.99999999999995, 9.99999999999949e13]
+EDGES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300, 1.7976931348623157e308]
+adversarial = st.one_of(
+    ties.map(neighbours),
+    st.sampled_from(POWERS + CARRIES).map(neighbours),
+    st.sampled_from(EDGES).map(neighbours),
+    st.floats(1e-310, 1e-290).map(neighbours),
+    st.floats(1e290, 1e308).map(neighbours),
+    st.floats(allow_nan=False, allow_infinity=False).map(neighbours),
+)
+
+
+@PROPERTY
+@given(st.lists(adversarial, min_size=1, max_size=8), st.booleans())
+def test_float_formatter_matches_reference(groups, negate):
+    values = [-x if negate else x for group in groups for x in group]
+    assert formatted(values) == [fmt(x) for x in values]
+
+
+@pytest.mark.parametrize("bias", [1e-9, -1e-9])
+def test_a_log10_one_off_costs_speed_not_bytes(monkeypatch, bias):
+    # beside a power of ten, floor(log10 |x|) one off puts the scaled value just
+    # outside [10^11, 10^12]: its digits are kept only within 0.01 of it
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + bias)
+    values = [10.0**k * (1 + d) for k in range(-6, 14) for d in (-3e-12, -1e-13, 0.0, 1e-13, 3e-12)]
+    assert formatted(values) == [fmt(x) for x in values]
+
+
+class CountedFormat(str):
+    """A format string that counts the values it formats."""
+
+    calls = 0
+
+    def __mod__(self, value):
+        self.calls += 1
+        return str.__mod__(self, value)
+
+
+def test_uniform_pvalues_take_the_fast_path(monkeypatch):
+    number = CountedFormat(cli.NUMBER)
+    monkeypatch.setattr(cli, "NUMBER", number)
+    x = np.random.default_rng(17).random(10**5)
+    assert formatted(x) == [fmt(v) for v in x.tolist()]
+    assert 0 < number.calls < 0.01 * len(x)  # the near-ties alone
 
 
 @pytest.fixture
@@ -108,7 +180,7 @@ def written(monkeypatch):
     real = cli._write_decision_outputs
 
     def spy(outdir, ids, values, result, summary_fields, stem=""):
-        calls.append((outdir, list(ids), np.array(values), result, stem))
+        calls.append((outdir, ids, np.array(values), result, stem))
         real(outdir, ids, values, result, summary_fields, stem)
 
     monkeypatch.setattr(cli, "_write_decision_outputs", spy)
@@ -123,8 +195,20 @@ def assert_reference_bytes(calls, n_calls=1):
             assert (outdir / f"{name}{suffix}.csv").read_bytes() == text.encode("utf-8")
 
 
+def run_quietly(capsys, argv):
+    """main(argv), which must exit 0 with nothing on stderr, numpy's warnings included."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def written_ids(out):
+    return [line.split(",")[0] for line in (out / "tests.csv").read_text().splitlines()[1:]]
+
+
 @pytest.mark.parametrize("mode", ["maximize", "control"])
-def test_pvalue_route(tmp_path, written, mode):
+def test_pvalue_route(tmp_path, written, capsys, mode):
     rng = np.random.default_rng(11)
     p = np.concatenate([rng.uniform(size=900), rng.beta(0.2, 1.0, size=200)])
     p[:40] = np.round(p[:40], 2)  # ties
@@ -132,10 +216,10 @@ def test_pvalue_route(tmp_path, written, mode):
     ppath = tmp_path / "p.txt"
     ppath.write_text(text)
     out = tmp_path / "out"
-    assert main(["analyze", "--pvalues", str(ppath), "--mode", mode, "--out", str(out)]) == 0
+    run_quietly(capsys, ["analyze", "--pvalues", str(ppath), "--mode", mode, "--out", str(out)])
     assert_reference_bytes(written)
     n = len(p) + 4
-    assert written[0][1] == [f"p{i:04d}" for i in range(n)]
+    assert written_ids(out) == [f"p{i:04d}" for i in range(n)] == pvalue_ids(n)
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -147,22 +231,30 @@ def test_pvalue_route_at_block_boundary(tmp_path, written, extra):
     rc = main(["analyze", "--pvalues", str(ppath), "--out", str(tmp_path / "out")])
     assert rc == 0
     assert_reference_bytes(written)
-    assert written[0][1] == [f"p{i:0{len(str(n))}d}" for i in range(n)]
+    assert written_ids(tmp_path / "out") == [f"p{i:0{len(str(n))}d}" for i in range(n)]
 
 
-def test_statistic_route_with_sentinel_rows(tmp_path, written):
+def test_pvalue_ids_at_a_power_of_ten(tmp_path, written):
+    # 100 ids take the three digits of 100: p000 to p099
+    ppath = tmp_path / "p.txt"
+    ppath.write_text("\n".join(map(repr, np.linspace(0.001, 1.0, 100).tolist())) + "\n")
+    assert main(["analyze", "--pvalues", str(ppath), "--out", str(tmp_path / "out")]) == 0
+    assert_reference_bytes(written)
+    assert written_ids(tmp_path / "out") == [f"p{i:03d}" for i in range(100)]
+
+
+def test_statistic_route_with_sentinel_rows(tmp_path, written, capsys):
     mpath, lpath = write_fixture(tmp_path, np.random.default_rng(12), m=60)
     with mpath.open("a") as fh:
         fh.write("g%d\t" + "\t".join(["0.1"] * 10) + "\n")  # constant: t = 0
         fh.write("split1\t" + "\t".join(["1.5"] * 5 + ["2.5"] * 5) + "\n")  # +inf
         fh.write("split2\t" + "\t".join(["-3"] * 5 + ["7"] * 5) + "\n")  # +inf
     out = tmp_path / "out"
-    rc = main([
+    run_quietly(capsys, [
         "analyze", "--matrix", str(mpath), "--labels", str(lpath),
         "--group-a", "A", "--group-b", "B", "--permutations", "30", "--seed", "3",
         "--out", str(out),
     ])
-    assert rc == 0
     assert_reference_bytes(written)
     statistics = written[0][2]
     assert np.isposinf(statistics).sum() == 2
