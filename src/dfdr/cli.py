@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -112,20 +113,12 @@ NUMBER = "%.12g"  # the float format of every output file
 BLOCK = 4096  # rows that the table writer formats and writes at a time
 PAD = b"\xff"  # fills the bytes a table cell leaves unused; never in UTF-8
 E_MAX = 297  # |x| beyond 10^+-E_MAX goes to NUMBER
-_POW10 = np.array([float(f"1e{k}") for k in range(11 - E_MAX, 12 + E_MAX)])  # 10^(11 - e) at E_MAX - e
 
 
 def _padded(texts: list[bytes], words: int = 1) -> np.ndarray:
     """The texts as table cells: rows of at least ``words`` uint64 words, the text, then PAD."""
     words = max(words, max(map(len, texts), default=0) // 8 + 1)
     return np.frombuffer(b"".join(t.ljust(8 * words, PAD) for t in texts), dtype=np.uint64).reshape(-1, words)
-
-
-# By a pair of digits: the two, each followed by PAD (where a point can go), in the low and the
-# high half of a word; and, for pair k of twelve digits, 1 + the place of its last nonzero digit.
-_LOW = np.frombuffer(b"".join(b"%d\xff%d\xff\0\0\0\0" % divmod(p, 10) for p in range(100)), dtype=np.uint64)
-_HIGH = np.frombuffer(b"".join(b"\0\0\0\0%d\xff%d\xff" % divmod(p, 10) for p in range(100)), dtype=np.uint64)
-_LAST = np.array([[p and 2 * k + 2 - (p % 10 == 0) for p in range(100)] for k in range(6)])
 
 
 def _shape(sign: str, x: int | None, sig: int) -> bytes:
@@ -139,20 +132,31 @@ def _shape(sign: str, x: int | None, sig: int) -> bytes:
     return (sign + ("0." + "0" * (-x - 1) if x is not None and x < 0 else "")).encode().ljust(8, PAD) + mask
 
 
-# rows by word; columns by (x < 0) * 204 + (x + 4 where -4 <= x < 12, else 16) * 12 + sig - 1
-_SHAPES = np.frombuffer(b"".join(_shape(sign, x, sig) for sign in ("", "-") for x in [*range(-4, 12), None]
-                                 for sig in range(1, 13)), dtype=np.uint64).reshape(-1, 4).T.copy()
-# by e + E_MAX + 1: the column of e's notation in _SHAPES less sig, and the exponent word
-_NOTATION = np.array([(e + 4 if -4 <= e < 12 else 16) * 12 - 1 for e in range(-E_MAX - 1, E_MAX + 2)])
-_EXPONENTS = _padded([b"" if -4 <= e < 12 else b"e%+03d" % e for e in range(-E_MAX - 1, E_MAX + 2)])[:, 0]
+@functools.cache
+def _float_tables() -> tuple[np.ndarray, ...]:
+    """The lookup tables of ``_float_cells``, made on the first table write (simulate writes none)."""
+    pow10 = np.array([float(f"1e{k}") for k in range(11 - E_MAX, 12 + E_MAX)])  # 10^(11 - e) at E_MAX - e
+    # By a pair of digits: the two, each followed by PAD (where a point can go), in the low and the
+    # high half of a word; and, for pair k of twelve digits, 1 + the place of its last nonzero digit.
+    low = np.frombuffer(b"".join(b"%d\xff%d\xff\0\0\0\0" % divmod(p, 10) for p in range(100)), dtype=np.uint64)
+    high = np.frombuffer(b"".join(b"\0\0\0\0%d\xff%d\xff" % divmod(p, 10) for p in range(100)), dtype=np.uint64)
+    last = np.array([[p and 2 * k + 2 - (p % 10 == 0) for p in range(100)] for k in range(6)])
+    # rows by word; columns by (x < 0) * 204 + (x + 4 where -4 <= x < 12, else 16) * 12 + sig - 1
+    shapes = np.frombuffer(b"".join(_shape(sign, x, sig) for sign in ("", "-") for x in [*range(-4, 12), None]
+                                    for sig in range(1, 13)), dtype=np.uint64).reshape(-1, 4).T.copy()
+    # by e + E_MAX + 1: the column of e's notation in shapes less sig, and the exponent word
+    notation = np.array([(e + 4 if -4 <= e < 12 else 16) * 12 - 1 for e in range(-E_MAX - 1, E_MAX + 2)])
+    exponents = _padded([b"" if -4 <= e < 12 else b"e%+03d" % e for e in range(-E_MAX - 1, E_MAX + 2)])[:, 0]
+    return pow10, low, high, last, shapes, notation, exponents
 
 
 def _float_cells(x: np.ndarray) -> np.ndarray:
     """The table cells of NUMBER % x (see the module docstring)."""
+    pow10, low, high, last, shapes, notation, exponent_words = _float_tables()
     with np.errstate(all="ignore"):  # log10 of 0, and s where the fast path does not apply
         a = np.abs(x)
         e = np.floor(np.log10(a)).astype(np.intp).clip(-E_MAX, E_MAX)
-        s = a * _POW10.take(E_MAX - e)
+        s = a * pow10.take(E_MAX - e)
         m = np.rint(s)
         fast = (np.abs(s - m) < 0.4995) & (np.abs(s - 5.5e11) < 4.5e11 + 0.01)
     m = np.where(fast, m, 1e11).astype(np.int64)
@@ -162,13 +166,13 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     for k in range(5, -1, -1):  # the pairs of digits, from the last
         q = m // 100
         pairs.insert(0, m - 100 * q)
-        sig, m = np.maximum(sig, _LAST[k].take(pairs[0])), q
-    code = _NOTATION.take(e + E_MAX + 1) + sig + 204 * (x < 0)
-    exponents = _EXPONENTS.take(e + E_MAX + 1)
-    cells = np.empty((len(x), 4 + (exponents != _EXPONENTS[E_MAX + 1]).any()), dtype=np.uint64)
-    cells[:, 0] = _SHAPES[0].take(code)
+        sig, m = np.maximum(sig, last[k].take(pairs[0])), q
+    code = notation.take(e + E_MAX + 1) + sig + 204 * (x < 0)
+    exponents = exponent_words.take(e + E_MAX + 1)
+    cells = np.empty((len(x), 4 + (exponents != exponent_words[E_MAX + 1]).any()), dtype=np.uint64)
+    cells[:, 0] = shapes[0].take(code)
     for k in range(3):
-        cells[:, k + 1] = _SHAPES[k + 1].take(code) ^ _LOW.take(pairs[2 * k]) ^ _HIGH.take(pairs[2 * k + 1])
+        cells[:, k + 1] = shapes[k + 1].take(code) ^ low.take(pairs[2 * k]) ^ high.take(pairs[2 * k + 1])
     cells[:, 4:] = exponents[:, None]
     cells[~fast] = _padded([(NUMBER % v).encode() for v in x[~fast].tolist()], cells.shape[1])
     return cells

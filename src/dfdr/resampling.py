@@ -9,12 +9,19 @@ Permutation ``b`` is drawn from the PCG64 stream of
 ``SeedSequence(entropy=seed, spawn_key=(b,))``, and its statistics, from
 ``stats.welch_abs_t``, are bitwise the same however many permutations are
 drawn and however they are batched or evaluated (README "Determinism").
+``permutation_indices`` draws one such permutation; a pass draws all of its
+own at once (``permutation_rows``): SeedSequence's hash, restated in numpy,
+derives every stream's PCG64 state words together, and numpy's Generator
+shuffles each row, so the rows are the same bits as ``permutation_indices``.
+A spawn key is then one 32-bit word, so a plan draws fewer than 2**32
+permutations.
 Null statistics are ordered by permutation index, then feature index, and
 are computed tile by tile into a summary, never whole.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -29,6 +36,11 @@ from dfdr.stats import StatisticSet, welch_abs_t, welch_tiles
 # even out the tiles that take one stage longer than the other.
 AHEAD = 2
 
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_MASK = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
 
 @dataclass(frozen=True)
 class PermutationPlan:
@@ -38,8 +50,8 @@ class PermutationPlan:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.n_permutations < 1:
-            raise ValidationError("n_permutations must be >= 1")
+        if not 1 <= self.n_permutations < 2**32:
+            raise ValidationError("n_permutations must lie in [1, 2**32)")
         if self.seed < 0:
             raise ValidationError("seed must be a nonnegative integer")
 
@@ -50,6 +62,59 @@ def permutation_indices(plan: PermutationPlan, index: int, size: int) -> np.ndar
         np.random.SeedSequence(entropy=plan.seed, spawn_key=(index,))
     )
     return rng.permutation(size)
+
+
+def permutation_rows(plan: PermutationPlan, out: np.ndarray) -> None:
+    """Fill row ``b`` of ``out`` with ``permutation_indices(plan, b, out.shape[1])``, bit for bit."""
+    out[:] = np.arange(out.shape[1])
+    generator = _generator()
+    for row, state in zip(out, _spawn_states(plan.seed, np.arange(len(out), dtype=np.uint32))):
+        generator(state).shuffle(row)
+
+
+def _spawn_states(seed: int, keys: np.ndarray) -> np.ndarray:
+    """Row i: ``SeedSequence(seed, spawn_key=(keys[i],)).generate_state(4, np.uint64)``.
+
+    ``keys`` is a uint32 array. The entropy words are the seed's, padded to
+    four, then the key's, so the pool mixed from the seed's words is the pool
+    of ``SeedSequence(seed)``, the same for every key. The key's word then
+    goes into each pool word by one hashmix and mix step, and the pool gives
+    the state's eight uint32 words.
+    """
+    past = 4 * max(4, -(-seed.bit_length() // 32))  # hashmix calls on the seed's words
+    a = _constants(_INIT_A * pow(_MULT_A, past, 2**32), _MULT_A, 5)
+    b = _constants(_INIT_B, _MULT_B, 9)
+    hashed = (keys ^ a[:4]) * a[1:]
+    hashed ^= hashed >> 16  # hashmix(key), at each pool word's hash constant
+    pool = (_MIX_L * np.random.SeedSequence(seed).pool)[:, None] - _MIX_R * hashed
+    pool ^= pool >> 16  # mix(pool word, hashmix(key))
+    words = (np.tile(pool, (2, 1)) ^ b[:8]) * b[1:]
+    words ^= words >> 16
+    words = words.astype(np.uint64)
+    # little-endian pairs, and rows contiguous: PCG64 reads a row's words by pointer
+    return np.ascontiguousarray((words[0::2] | words[1::2] << 32).T)
+
+
+def _constants(start: int, mult: int, count: int) -> np.ndarray:
+    """A column of ``count`` successive hash constants from ``start``, as uint32."""
+    return np.array([start * pow(mult, i, 2**32) & _MASK for i in range(count)], dtype=np.uint32)[:, None]
+
+
+@functools.cache
+def _generator():
+    """The function from a row of ``_spawn_states`` to the PCG64 Generator
+    that its SeedSequence seeds; numpy.random is imported on the first call,
+    so a run that draws no permutation never loads it."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class State(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):  # PCG64 asks for 4 uint64 words
+            return self.words
+
+    return lambda words: np.random.Generator(np.random.PCG64(State(words)))
 
 
 def physical_memory() -> int | None:
@@ -101,8 +166,7 @@ def permutation_null(
     values, pool, n_a = _comparison(matrix, group_a, group_b)
     splits = np.empty((plan.n_permutations + 1, pool.size), dtype=np.intp)
     splits[0] = np.arange(pool.size)
-    for b in range(plan.n_permutations):
-        splits[b + 1] = permutation_indices(plan, b, pool.size)
+    permutation_rows(plan, splits[1:])
     if into is None:
         return welch_abs_t(values, pool, n_a, splits[1:]).ravel()
     summaries = into if isinstance(into, list) else [into]

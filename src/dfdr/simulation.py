@@ -156,7 +156,7 @@ def generate_instance(config: SimulationConfig, replicate: int) -> tuple[DataMat
     if config.block_size > 1 and config.block_rho > 0.0:
         n_blocks = -(-m // config.block_size)
         shared = rng.standard_normal((n_blocks, n))
-        block_of = np.arange(m) // config.block_size
+        block_of = np.arange(m) // min(config.block_size, m)  # one block of m past m
         noise = (
             math.sqrt(1.0 - config.block_rho) * rng.standard_normal((m, n))
             + math.sqrt(config.block_rho) * shared[block_of]
@@ -288,6 +288,8 @@ def _outcomes(config: SimulationConfig, rule) -> list[ReplicateOutcome]:
         return [_replicate_outcome(config, r, rule) for r in range(n)]
     import os
     import pickle
+
+    import numpy.random  # noqa: F401  loaded once here, not again in every worker
 
     pids, reads = [], []
     try:

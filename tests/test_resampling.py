@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import run_python
 from dfdr import (
     DataMatrix,
     PermutationPlan,
@@ -9,7 +12,8 @@ from dfdr import (
     permutation_null,
     two_sample_abs_t,
 )
-from dfdr.resampling import permutation_indices
+from dfdr import resampling
+from dfdr.resampling import permutation_indices, permutation_rows
 from dfdr.stats import welch_abs_t
 
 
@@ -102,6 +106,63 @@ def test_plan_validation():
         PermutationPlan(n_permutations=0, seed=0)
     with pytest.raises(ValidationError):
         PermutationPlan(n_permutations=1, seed=-1)
+    # a spawn key is one 32-bit word in the bulk streams
+    with pytest.raises(ValidationError):
+        PermutationPlan(n_permutations=2**32, seed=5)
+    assert PermutationPlan(n_permutations=2**32 - 1, seed=5).n_permutations == 2**32 - 1
+
+
+# one to seven 32-bit entropy words
+SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**200]), st.integers(0, 2**200))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=SEEDS, b=st.integers(1, 300), n=st.integers(4, 150))
+def test_bulk_rows_are_the_one_stream_permutations(seed, b, n):
+    plan = PermutationPlan(b, seed)
+    rows = np.empty((b, n), dtype=np.intp)
+    permutation_rows(plan, rows)
+    expected = np.stack([permutation_indices(plan, k, n) for k in range(b)])
+    np.testing.assert_array_equal(rows, expected)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(seed=SEEDS)
+def test_state_words_of_the_last_spawn_key(seed):
+    key = 2**32 - 1
+    words = resampling._spawn_states(seed, np.array([0, key], dtype=np.uint32))
+    for row, k in zip(words, (0, key)):
+        expected = np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)
+        np.testing.assert_array_equal(row, expected)
+
+
+def test_pvalue_route_never_loads_numpy_random(tmp_path):
+    (tmp_path / "p.txt").write_text("0.01\n0.5\n0.003\n0.9\n")
+    code = (
+        "import sys, dfdr.cli\n"
+        "assert dfdr.cli.main(sys.argv[1:]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    out = run_python(code, "analyze", "--pvalues", str(tmp_path / "p.txt"), "--out", str(tmp_path / "out"))
+    assert out.splitlines()[-1] == "False"
+
+
+def test_simulate_forks_with_numpy_random_loaded(tmp_path):
+    # loaded once in the caller, not again in every worker
+    code = (
+        "import os, sys\n"
+        "import dfdr.cli\n"
+        "loaded, fork = [], os.fork\n"
+        "def recording_fork():\n"
+        "    loaded.append('numpy.random' in sys.modules)\n"
+        "    return fork()\n"
+        "os.fork = recording_fork\n"
+        "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+        "assert dfdr.cli.main(sys.argv[1:]) == 0\n"
+        "print(loaded)\n"
+    )
+    argv = ["simulate", "--m", "100", "--replicates", "3", "--permutations", "4", "--out", str(tmp_path)]
+    assert run_python(code, *argv).splitlines()[-1] == "[True, True]"
 
 
 def test_only_compared_groups_are_permuted():
