@@ -30,9 +30,8 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 def _load_numpy_on_one_blas_thread() -> None:
     """Imports numpy with BLAS set to one thread, then puts the caller's
-    settings back; no CLI product is large enough for BLAS to thread
-    (``stats._product``), so this decides only whether idle pool threads
-    exist (README "Command line")."""
+    settings back, so every BLAS call of the CLI runs on the thread that
+    makes it (README "Command line")."""
     caller = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(caller, "1"))
     try:
@@ -66,6 +65,7 @@ from dfdr.decision import (
 from dfdr.errors import (
     DfdrError,
     ParseError,
+    UndefinedEstimateError,
     UsageError,
     ValidationError,
 )
@@ -519,17 +519,14 @@ def run_analyze(args) -> int:
 
     # the weights before the null, whose summary holds their sums
     cb = None if args.weights is None else _load_weights(args.weights, matrix)
-    weights = None if cb is None else cb.weights
     check_null_fits(matrix.values.shape, args.permutations)
-    stats = build_statistic_set(matrix, args.group_a, args.group_b, plan, weights)
+    stats = build_statistic_set(matrix, args.group_a, args.group_b, plan, cb and cb.weights)
     base_fields += [("group_a", args.group_a), ("group_b", args.group_b)]
-
+    pi0 = resolve_pi0(stats, pi0_mode)
     if cb is not None:
-        pi0 = resolve_pi0(stats, pi0_mode, weights)
-        result = common_threshold_weighted(stats, weights, cb.benefits, pi0)
+        result = common_threshold_weighted(stats, cb.benefits, pi0)
         fields = base_fields + [("weighted", True)]
     else:
-        pi0 = resolve_pi0(stats, pi0_mode)
         value, rule_fields = _rule_from_args(args)
         if args.mode == "maximize":
             result = maximize_desirability(stats, pi0, CostBenefit.from_ratio(value))
@@ -652,7 +649,7 @@ def run_simulate(args) -> int:
             # narrower than the whole region exists
             h = None
         if h is not None:
-            boundary = measure_local_dfdr(report.outcomes, [h])[0]
+            boundary = measure_local_dfdr(report.outcomes, h)
             lines += [
                 ("boundary_offset", h),
                 ("boundary_rejections", boundary.rejections),
@@ -746,6 +743,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except UndefinedEstimateError as exc:
+        print(f"data error: {exc} (--pi0 one)", file=sys.stderr)
+        return 2
     except (DfdrError, FileExistsError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -14,8 +14,9 @@ objective break toward the largest threshold (fewest rejections).
 Every route, p-values included, is one pass over sorted values: the distinct
 candidates and their discovery counts come from where the runs of ties start
 in the sorted observed values, the null shares from the null's summary
-(``StatisticSet.null_summary``), and the whole candidate curve is kept as
-parallel arrays.
+(``StatisticSet.summary``), and the whole candidate curve is kept as
+parallel arrays. A set built with weights takes the weighted route alone,
+and one built without takes every other.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from dfdr.estimators import (
     CostBenefit,
     NullSummary,
     Pi0Estimate,
-    checked_weights,
     dfdr_from_counts,
     p_to_cost_ratio,
     resolve_pi0,
@@ -167,8 +167,10 @@ def _curve(taus, discoveries, null_share, pi0: Pi0Estimate, n_tests: int, benefi
 
 
 def _scan(stats: StatisticSet, pi0: Pi0Estimate, benefit: float, ratio: float) -> Curve:
+    if stats.summary.weights is not None:
+        raise ValidationError("a set built with weights takes common_threshold_weighted")
     taus, below = _candidates(stats.sorted_observed)
-    null_share = stats.null_summary().exceedances[below] / stats.n_null
+    null_share = stats.summary.exceedances[below] / stats.n_null
     return _curve(taus, stats.n_tests - below, null_share, pi0, stats.n_tests, benefit, ratio)
 
 
@@ -282,18 +284,19 @@ def _comparison_decisions(partition, matrix, plan, key, pi0_mode) -> dict[int, S
 
 def common_threshold_weighted(
     stats: StatisticSet,
-    weights,
     benefits,
     pi0_weighted: Pi0Estimate,
 ) -> DecisionResult:
     """One common threshold maximizing the weighted desirability estimate.
 
-    ``weights`` are the per-test sums benefit + cost and ``benefits`` the
-    per-test benefits; the null statistics must come from the pooled data,
-    each inheriting its generating test's weight. With uniform weights this
-    selects the same threshold as maximize_desirability.
+    ``stats`` is built with the per-test weights benefit + cost, and
+    ``benefits`` are the per-test benefits; the null statistics must come
+    from the pooled data, each inheriting its generating test's weight. With
+    uniform weights this selects the same threshold as maximize_desirability.
     """
-    w = checked_weights(weights, stats.n_tests, stats.n_null)
+    w = stats.summary.weights
+    if w is None:
+        raise ValidationError("common_threshold_weighted needs a set built with weights")
     b = np.asarray(benefits, dtype=float).ravel()
     if b.size != w.size or np.any(b < 0.0) or np.any(b > w):
         raise ValidationError(
@@ -303,7 +306,7 @@ def common_threshold_weighted(
     taus, below = _candidates(stats.sorted_observed)
     w_obs_ge = weight_exceedances(stats.observed, w, taus)
     b_obs_ge = weight_exceedances(stats.observed, b, taus)
-    w_null_ge = stats.null_summary(w).exceedances[below]
+    w_null_ge = stats.summary.exceedances[below]
     dfdr = dfdr_from_counts(pi0_weighted.value, w_null_ge / stats.n_null, w_obs_ge, stats.n_tests)
     curve = Curve(taus, dfdr, b_obs_ge - dfdr * w_obs_ge, stats.n_tests - below)
     pick = int(_maxima(curve.desirability)[-1])

@@ -89,9 +89,9 @@ class CostBenefit:
     """Per-test benefits of a true discovery and costs of a false discovery.
 
     Arrays of length one denote the homogeneous case (every test shares the
-    same benefit and cost). The probability threshold ``p`` attached to the
-    homogeneous case is (1 + cost/benefit)^-1: the upper bound on the
-    false-rejection probability inside an optimal rejection region.
+    same benefit and cost). The probability threshold p = (1 + cost/benefit)^-1
+    of the homogeneous case (``p_to_cost_ratio`` gives its ratio) is the upper
+    bound on the false-rejection probability inside an optimal rejection region.
     """
 
     benefits: np.ndarray
@@ -114,11 +114,6 @@ class CostBenefit:
         """Homogeneous case with benefit 1 and cost equal to the given ratio."""
         return cls(benefits=np.array([1.0]), costs=np.array([float(cost_ratio)]))
 
-    @classmethod
-    def from_probability(cls, p: float) -> "CostBenefit":
-        """Homogeneous case from a probability threshold p = (1 + c/b)^-1."""
-        return cls.from_ratio(p_to_cost_ratio(p))
-
     def homogeneous(self) -> tuple[float, float]:
         """(benefit, cost/benefit ratio); requires equal per-test values, benefit > 0
         and a ratio of at most MAX_RATIO."""
@@ -131,12 +126,6 @@ class CostBenefit:
         if not ratio <= MAX_RATIO:
             raise ValidationError(f"cost/benefit ratio {ratio!r} above {MAX_RATIO:g}")
         return b1, ratio
-
-    @property
-    def probability(self) -> float:
-        """p = (1 + c/b)^-1 for the homogeneous case."""
-        _, ratio = self.homogeneous()
-        return 1.0 / (1.0 + ratio)
 
     @property
     def weights(self) -> np.ndarray:
@@ -299,10 +288,6 @@ class NullSummary:
     def keeps_all(self) -> bool:
         """Whether every null value stays kept: at most CAP of them."""
         return self.size <= CAP
-
-    def weighs_with(self, weights) -> bool:
-        same_kind = (weights is None) == (self.weights is None)
-        return same_kind and (weights is None or np.array_equal(self.weights, weights))
 
     def feed(self, tiles) -> "NullSummary":
         summarize([self], tiles)
@@ -505,18 +490,18 @@ def estimate_pi0_from_pvalues(pvals: PValueSet) -> Pi0Estimate:
     return Pi0Estimate.estimated(frac / CENTRAL_BAND_MASS, PVALUE_BAND_THRESHOLD)
 
 
-def resolve_pi0(stats: StatisticSet, mode, weights=None) -> Pi0Estimate:
+def resolve_pi0(stats: StatisticSet, mode) -> Pi0Estimate:
     """Build a Pi0Estimate from a mode: "estimate", "one", or a number.
 
     Only "estimate" reads ``stats``, so the other modes serve the p-value
-    route too, whose estimate is ``estimate_pi0_from_pvalues``. With per-test
-    ``weights`` the estimate is weighted. Lambda is selected from the null as
-    generated, on every route.
+    route too, whose estimate is ``estimate_pi0_from_pvalues``. The estimate
+    is weighted when the set was built with weights. Lambda is selected from
+    the null as generated, on every route.
     """
     if mode == "one":
         return Pi0Estimate.fixed_one()
     if mode == "estimate":
-        summary = stats.null_summary(weights)  # which checks the weights
+        summary = stats.summary
         choose_lambda(summary)  # lambda is selected first, in a stage of its own
         return estimate_pi0(summary)
     if isinstance(mode, (int, float)) and not isinstance(mode, bool):

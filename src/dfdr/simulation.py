@@ -94,10 +94,9 @@ class ReplicateOutcome:
 
 @dataclass(frozen=True)
 class LocalBin:
-    """Realized false fraction inside one threshold interval of the rejection region."""
+    """Realized false fraction in [tau*, tau* + offset) of the rejection region."""
 
-    lo_offset: float
-    hi_offset: float
+    offset: float
     rejections: int
     false_rejections: int
     rate: float
@@ -379,37 +378,19 @@ def _replicate_outcome(config: SimulationConfig, replicate: int, rule) -> Replic
     )
 
 
-def measure_local_dfdr(outcomes, offsets) -> tuple[LocalBin, ...]:
-    """Realized false fractions in threshold intervals of the rejection region.
-
-    ``offsets`` are increasing breakpoints relative to each replicate's chosen
-    threshold; bins are [tau*, tau* + o1), [tau* + o1, tau* + o2), ..., with a
-    final bin extending to infinity. An empty offsets sequence yields the
-    single bin covering the whole rejection region. Empty bins report rate 0.
-    """
-    offsets = [float(o) for o in offsets]
-    if any(o <= 0 for o in offsets) or sorted(offsets) != offsets:
-        raise ValidationError("offsets must be positive and increasing")
-    edges = [0.0] + offsets + [math.inf]
-
+def measure_local_dfdr(outcomes, offset: float) -> LocalBin:
+    """Realized false fraction in the boundary bin [tau*, tau* + offset),
+    ``offset`` above each replicate's chosen threshold tau*; an empty bin
+    reports rate 0."""
+    if not offset > 0:
+        raise ValidationError("offset must be positive")
     rel = _offsets(outcomes)  # with each rejection's truth
     is_null = np.concatenate([np.zeros(0, dtype=bool)] + [o.rejected_is_null for o in outcomes])
-    bins = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        in_bin = (rel >= lo) & (rel < hi)
-        rejections = int(np.count_nonzero(in_bin))
-        false_rejections = int(np.count_nonzero(is_null[in_bin]))
-        rate = false_rejections / rejections if rejections else 0.0
-        bins.append(
-            LocalBin(
-                lo_offset=lo,
-                hi_offset=hi,
-                rejections=rejections,
-                false_rejections=false_rejections,
-                rate=rate,
-            )
-        )
-    return tuple(bins)
+    in_bin = rel < offset
+    rejections = int(np.count_nonzero(in_bin))
+    false_rejections = int(np.count_nonzero(is_null[in_bin]))
+    rate = false_rejections / rejections if rejections else 0.0
+    return LocalBin(offset, rejections, false_rejections, rate)
 
 
 def _offsets(outcomes) -> np.ndarray:

@@ -30,8 +30,9 @@ class StatisticSet:
     The estimators read the null only through ``summary``, a ``NullSummary``
     (see ``estimators``), taken tile by tile as ``build_statistic_set``
     computed the null or, by ``from_null``, from a stored null a few whole
-    permutations at a time. It can recompute the tiles (``summary.tiles``)
-    for another pass.
+    permutations at a time. Per-test weights are fixed there: the summary
+    counts per class of them, or unweighted without. It can recompute the
+    tiles (``summary.tiles``) for another pass.
     """
 
     observed: np.ndarray
@@ -48,12 +49,13 @@ class StatisticSet:
         check_statistics("observed", observed)
 
     @classmethod
-    def from_null(cls, observed, null, n_permutations: int) -> "StatisticSet":
+    def from_null(cls, observed, null, n_permutations: int, weights=None) -> "StatisticSet":
         """A set whose null is given whole: n_tests * n_permutations values
         ordered by permutation index, then feature index (the value at flat
-        index j was generated by the test j % n_tests)."""
+        index j was generated by the test j % n_tests), summarized with the
+        per-test ``weights`` if given."""
         from dfdr.estimators import NullSummary, array_tiles  # the engine imports this module
-        summary = NullSummary(np.size(observed), n_permutations)
+        summary = NullSummary(np.size(observed), n_permutations, weights)
         stats = cls(observed, n_permutations, summary)
         null = np.asarray(null, dtype=float).ravel()
         if null.size != stats.n_null:
@@ -75,18 +77,6 @@ class StatisticSet:
     @property
     def sorted_observed(self) -> np.ndarray:
         return self.summary.taus[:-1]  # the summary's thresholds but +inf
-
-    def null_summary(self, weights=None):
-        """The null's NullSummary, with counts per class of ``weights`` if given.
-
-        The last summary is kept; one for other weights re-reads
-        ``summary.tiles``.
-        """
-        if not self.summary.weighs_with(weights):
-            from dfdr.estimators import NullSummary
-            summary = NullSummary(self.n_tests, self.n_permutations, weights).observe(self.observed)
-            object.__setattr__(self, "summary", summary.feed(self.summary.tiles))
-        return self.summary
 
 
 def check_statistics(name: str, values: np.ndarray) -> None:
@@ -138,8 +128,6 @@ TILE = 2**18
 # about 2^-50 of sum(y^2) plus one lo-grid step per member. A spread that does
 # not exceed that bound by this factor is recomputed with two passes.
 _MARGIN = 2.0**40
-# Multiply-adds per BLAS call (see _product).
-_BLAS_SIZE = 2**18
 
 
 def welch_abs_t(values: np.ndarray, pool, n_a: int, splits) -> np.ndarray:
@@ -250,7 +238,7 @@ class _Rows:
         """|t| per split and row into ``out``, working in place in ``out``
         and in the product that gives group A's sums."""
         n_a, n_b = self.n_a, self.n_b
-        y_hi, y_lo, sq_hi, sq_lo = _product(members, self.parts)
+        y_hi, y_lo, sq_hi, sq_lo = np.matmul(members, self.parts)
         t_hi, t_lo, tsq_hi, tsq_lo = self.totals
         s1a = np.add(y_hi, y_lo, out=out)
         s1b = _rest(t_hi, y_hi, t_lo, y_lo)
@@ -305,26 +293,6 @@ class _Rows:
         constant = (hi[:, 0] == hi[:, -1]) & (lo[:, 0] == lo[:, -1])
         ss[constant] = 0.0
         return ss
-
-
-def _product(members: np.ndarray, parts: np.ndarray) -> np.ndarray:
-    """``members @ parts``, (4, c, m), as products of at most _BLAS_SIZE
-    multiply-adds, or of one column where c x n alone exceeds that (above
-    4096 subjects at CHUNK splits): one per part and window of columns.
-
-    OpenBLAS runs a product that small on the calling thread. A larger one
-    wakes a BLAS pool's workers, which then spin between calls: over the many
-    small products of ``dfdr simulate`` that doubled the CPU time on two CPUs.
-    The CLI starts BLAS with one thread (README "Command line"), so this
-    serves library callers whose BLAS keeps a pool.
-    """
-    c, n = members.shape
-    m = parts.shape[2]
-    width = max(1, _BLAS_SIZE // (c * n))
-    out = np.empty((4, c, m))
-    for j in range(0, m, width):
-        np.matmul(members, parts[:, :, j : j + width], out=out[:, :, j : j + width])
-    return out
 
 
 def _rest(total_hi, hi, total_lo, lo) -> np.ndarray:

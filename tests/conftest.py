@@ -57,7 +57,12 @@ def tiny_matrix() -> DataMatrix:
 @pytest.fixture
 def four_test_stats() -> StatisticSet:
     """The worked 4-test example: one permutation, hand-checkable counts."""
-    return StatisticSet.from_null(np.array([3.0, 2.0, 1.0, 0.5]), FOUR_TEST_NULLS, 1)
+    return four_tests()
+
+
+def four_tests(weights=None) -> StatisticSet:
+    """The worked 4-test example, built with per-test ``weights`` if given."""
+    return StatisticSet.from_null(np.array([3.0, 2.0, 1.0, 0.5]), FOUR_TEST_NULLS, 1, weights)
 
 
 FOUR_TEST_NULLS = np.array([0.5, 0.4, 0.3, 0.2])

@@ -19,6 +19,7 @@ from dfdr import (
     DfdrControlRule,
     Pi0Estimate,
     SimulationConfig,
+    StatisticSet,
     analytic_dfdr,
     boundary_offset,
     build_replicate_stats,
@@ -81,14 +82,14 @@ def test_criterion_1_conditional_probability_bound(optimizer_report):
 
 def test_criterion_2_local_boundary_bound(optimizer_report, control_report):
     h_opt = boundary_offset(optimizer_report.outcomes, 0.05)
-    boundary_opt = measure_local_dfdr(optimizer_report.outcomes, [h_opt])[0]
+    boundary_opt = measure_local_dfdr(optimizer_report.outcomes, h_opt)
     assert boundary_opt.rejections > 0
     se = math.sqrt(BOUND_P * (1.0 - BOUND_P) / boundary_opt.rejections)
     limit = BOUND_P + 3.0 * se
     bound_ok = boundary_opt.rate <= limit
 
     h_ctl = boundary_offset(control_report.outcomes, 0.05)
-    boundary_ctl = measure_local_dfdr(control_report.outcomes, [h_ctl])[0]
+    boundary_ctl = measure_local_dfdr(control_report.outcomes, h_ctl)
     directional_ok = boundary_ctl.rate > boundary_opt.rate
 
     ok = bound_ok and directional_ok
@@ -143,12 +144,13 @@ def test_criterion_4_estimator_identities():
     rng = np.random.default_rng(444)
     worst_uniform = 0.0
     for _ in range(100):
-        stats, _ = random_statistic_set(rng, max_m=40, max_b=4)
+        stats, nulls = random_statistic_set(rng, max_m=40, max_b=4)
         pi0 = Pi0Estimate.user(float(rng.uniform(0.2, 1.0)))
         scale = float(rng.uniform(0.5, 4.0))
         weights = np.full(stats.n_tests, scale)
         # both curves hold every observed value as a candidate tau
-        weighted = common_threshold_weighted(stats, weights, np.zeros(stats.n_tests), pi0).curve
+        weighted_stats = StatisticSet.from_null(stats.observed, nulls, stats.n_permutations, weights)
+        weighted = common_threshold_weighted(weighted_stats, np.zeros(stats.n_tests), pi0).curve
         plain = maximize_desirability(stats, pi0, CostBenefit.from_ratio(19.0)).curve
         assert weighted.tau.tolist() == plain.tau.tolist()
         worst_uniform = max(worst_uniform, float(np.max(np.abs(weighted.dfdr - plain.dfdr))))

@@ -2,11 +2,13 @@ import json
 import re
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import dfdr.decision
+import dfdr.estimators
 import dfdr.resampling
 from dfdr import (
     CostBenefit,
@@ -403,6 +405,30 @@ class TestAnalyzeSubsetsAndWeights:
         assert rc == 0
         summary = read_summary(out / "summary.txt")
         assert summary["weighted"] == "true"
+
+    def test_weighted_run_checks_the_weights_once_in_one_pass(self, tmp_path, monkeypatch):
+        # the weights are fixed when the set is built: one check of them, and
+        # one pass over the null into one summary, which pi0 and the scan reuse
+        rng = np.random.default_rng(102)
+        mpath, lpath = write_fixture(tmp_path, rng, m=25)
+        wpath = tmp_path / "weights.tsv"
+        wpath.write_text("feature_id\tbenefit\tcost\n" + "".join(
+            f"g{i:03d}\t{1 + i % 2}\t19\n" for i in range(25)))
+        checked = mock.Mock(wraps=dfdr.estimators.checked_weights)
+        passes = mock.Mock(wraps=dfdr.estimators.summarize)
+        monkeypatch.setattr(dfdr.estimators, "checked_weights", checked)
+        monkeypatch.setattr(dfdr.decision, "checked_weights", checked, raising=False)
+        monkeypatch.setattr(dfdr.estimators, "summarize", passes)  # a later pass
+        monkeypatch.setattr(dfdr.resampling, "summarize", passes)  # the first
+        rc = main([
+            "analyze", "--matrix", str(mpath), "--labels", str(lpath),
+            "--group-a", "A", "--group-b", "B",
+            "--weights", str(wpath), "--permutations", "10", "--seed", "1",
+            "--out", str(tmp_path / "wout"),
+        ])
+        assert rc == 0
+        assert checked.call_count == 1
+        assert passes.call_count == 1 and len(passes.call_args.args[0]) == 1
 
     def test_subsets_and_weights_conflict(self, tmp_path):
         rng = np.random.default_rng(103)
@@ -884,6 +910,14 @@ class TestSimulate:
         assert "check\tpooled_bound\t" in text
         assert "boundary_offset" not in text
 
+    def test_pi0_that_cannot_be_estimated_names_the_flag(self, tmp_path, capsys):
+        # one test and one permutation: no null statistic lies below lambda
+        args = ["simulate", "--m", "1", "--replicates", "1", "--permutations", "1"]
+        assert main(args + ["--out", str(tmp_path / "estimate")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: no null statistic below lambda=")
+        assert "--pi0 one" in err
+        assert main(args + ["--pi0", "one", "--out", str(tmp_path / "one")]) == 0
 
     def test_sentinels_at_an_infinite_threshold(self, tmp_path, capsys):
         # with a shift of 1e308 every alternative statistic is the +inf

@@ -1,10 +1,12 @@
-"""A fuzzer for ``dfdr simulate``: every flag at and beyond the edges of its
-``cli.RANGES`` row, at tiny sizes, through ``cli.main`` in-process.
+"""A fuzzer for the CLI, through ``cli.main`` in-process: ``dfdr simulate``
+with every flag at and beyond the edges of its ``cli.RANGES`` row, at tiny
+sizes, and ``dfdr analyze --weights`` with weights files of extreme,
+non-numeric, repeated and missing cells on a small generated matrix.
 
 For every case: the exit code is 0, 1 or 2; exit 1 or 2 writes no file
 under --out; exit 0 writes nothing to stderr and raises no warning, and its
-report holds no ``nan`` where a number is defined; a rerun gives the same
-exit code, stderr and report bytes.
+outputs hold no ``nan`` where a number is defined; a rerun gives the same
+exit code, stderr and output bytes.
 """
 
 import io
@@ -13,6 +15,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -77,7 +80,14 @@ def undefined_numbers(report: str, replicates: int) -> list[str]:
     return bad
 
 
-def check(argv):
+def undefined_in_report(out: Path) -> list[str]:
+    report = (out / "report.txt").read_text()
+    return undefined_numbers(report, int(report.split("replicates\t")[1].split("\n")[0]))
+
+
+def check(argv, undefined=undefined_in_report, outputs=("report.txt",)):
+    """The contracts above for ``dfdr argv``; ``undefined(out)`` lists the
+    nan printed for a defined number in the outputs of a run into ``out``."""
     with tempfile.TemporaryDirectory() as temp:
         first, second = Path(temp, "first"), Path(temp, "second")
         code, err, caught = run(argv, first)
@@ -86,12 +96,11 @@ def check(argv):
             assert not first.exists() or not any(first.iterdir()), sorted(first.iterdir())
         else:
             assert err == "" and caught == []
-            report = (first / "report.txt").read_text()
-            replicates = int(report.split("replicates\t")[1].split("\n")[0])
-            assert undefined_numbers(report, replicates) == []
+            assert undefined(first) == []
         assert run(argv, second) == (code, err.replace(str(first), str(second)), caught)
         if code == 0:
-            assert (second / "report.txt").read_bytes() == (first / "report.txt").read_bytes()
+            for name in outputs:
+                assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
 
 @FUZZ
@@ -108,3 +117,72 @@ def test_block_size_beyond_int64():
     # used to exit 3 from np.arange(m) // block_size
     check(["simulate", "--m", "19", "--replicates", "2", "--permutations", "1",
            "--block-size", "1" + "0" * 20, "--block-rho", "0.5"])
+
+
+# ``analyze --weights``: a matrix of M features, 4 vs 4 subjects, whose
+# feature 0 is constant and feature 1 a +inf sentinel; every weights row
+# starts from one ordinary (benefit, cost) pair, then cells take values
+# from CELLS, and rows go missing, repeat or name no feature.
+M = 12
+CELLS = ["nan", "inf", "-inf", "-1", "-0", "0", "1e-320", "1e308", "1e-300", "1e300",
+         "abc", "", "1", "19"]
+OUTPUTS = ("summary.txt", "tests.csv", "curve.csv")
+
+
+def write_matrix(folder: Path, seed: int) -> list[str]:
+    """The matrix and labels files in ``folder``, as analyze argv."""
+    values = np.random.default_rng(seed).normal(size=(M, 8))
+    values[:4, 4:] += 3.0
+    values[0] = 1.5
+    values[1] = [2.0] * 4 + [5.0] * 4
+    subjects = [f"s{j}" for j in range(8)]
+    rows = ["\t".join(["feature_id", *subjects])]
+    rows += ["\t".join([f"g{i}", *map(repr, row.tolist())]) for i, row in enumerate(values)]
+    (folder / "matrix.tsv").write_text("\n".join(rows) + "\n")
+    (folder / "labels.tsv").write_text("".join(f"{s}\t{'AB'[j >= 4]}\n" for j, s in enumerate(subjects)))
+    return ["analyze", "--matrix", str(folder / "matrix.tsv"), "--labels", str(folder / "labels.tsv"),
+            "--group-a", "A", "--group-b", "B"]
+
+
+@st.composite
+def weights_case(draw):
+    """(matrix seed, weights file text, analyze flags without the files)."""
+    rows = [[f"g{i}", *draw(st.sampled_from([("1", "19"), ("2", "19"), ("0.5", "3")]))] for i in range(M)]
+    for _ in range(draw(st.integers(0, 3))):
+        rows[draw(st.integers(0, M - 1))][draw(st.integers(1, 2))] = draw(st.sampled_from(CELLS))
+    for i in sorted(draw(st.sets(st.integers(0, M - 1), max_size=2)), reverse=True):
+        edit = draw(st.sampled_from(["drop", "repeat", "rename"]))
+        if edit == "drop":
+            del rows[i]
+        elif edit == "repeat":
+            rows.append(list(rows[i]))
+        else:
+            rows[i][0] = "nowhere"
+    text = "feature_id\tbenefit\tcost\n" + "".join("\t".join(row) + "\n" for row in rows)
+    flags = ["--permutations", str(draw(st.integers(1, 6))), "--seed", str(draw(st.integers(0, 9)))]
+    if draw(st.booleans()):
+        flags += ["--pi0", draw(st.sampled_from(["estimate", "one", "0.5", "0"]))]
+    return draw(st.integers(0, 3)), text, flags
+
+
+def undefined_cells(out: Path) -> list[str]:
+    """Output lines that print nan for a defined number: every cell of the
+    tables, and every summary field but lambda, which is nan unless pi0 is
+    estimated."""
+    summary = dict(line.split("\t") for line in (out / "summary.txt").read_text().splitlines())
+    bad = [f"summary {k}" for k, v in summary.items()
+           if v == "nan" and not (k == "lambda" and summary["pi0_mode"] != "estimated")]
+    for name in OUTPUTS[1:]:
+        bad += [f"{name} {line}" for line in (out / name).read_text().splitlines()
+                if "nan" in line.split(",")]
+    return bad
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(weights_case())
+def test_weights_files(case):
+    seed, text, flags = case
+    with tempfile.TemporaryDirectory() as temp:
+        (Path(temp) / "weights.tsv").write_text(text)
+        argv = write_matrix(Path(temp), seed) + flags + ["--weights", str(Path(temp) / "weights.tsv")]
+        check(argv, undefined_cells, OUTPUTS)

@@ -19,11 +19,12 @@ from dfdr import (
     control_dfdr_pvalues,
     maximize_desirability,
     maximize_desirability_pvalues,
+    p_to_cost_ratio,
     per_subset_optimize,
     resolve_pi0,
     validate_pvalues,
 )
-from conftest import random_statistic_set
+from conftest import four_tests, random_statistic_set
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +198,7 @@ class TestControlDfdr:
             stats, _ = random_statistic_set(rng)
             pi0 = Pi0Estimate.user(float(rng.uniform(0.2, 1.0)))
             p = float(rng.choice([0.05, 0.1, 0.25]))
-            optimizer = maximize_desirability(stats, pi0, CostBenefit.from_probability(p))
+            optimizer = maximize_desirability(stats, pi0, CostBenefit.from_ratio(p_to_cost_ratio(p)))
             control = control_dfdr(stats, pi0, p)
             assert control.n_rejected >= optimizer.n_rejected
 
@@ -382,11 +383,13 @@ class TestCommonThresholdWeighted:
     def test_uniform_weights_match_plain_maximize(self):
         rng = np.random.default_rng(32)
         for _ in range(20):
-            stats, _ = random_statistic_set(rng, max_m=30)
+            stats, nulls = random_statistic_set(rng, max_m=30)
             pi0 = Pi0Estimate.user(float(rng.uniform(0.3, 1.0)))
             m = stats.n_tests
             weighted = common_threshold_weighted(
-                stats, np.full(m, 20.0), np.full(m, 1.0), pi0
+                StatisticSet.from_null(stats.observed, nulls, stats.n_permutations, np.full(m, 20.0)),
+                np.full(m, 1.0),
+                pi0,
             )
             plain = maximize_desirability(stats, pi0, CostBenefit.from_ratio(19.0))
             assert weighted.tau == plain.tau
@@ -398,13 +401,12 @@ class TestCommonThresholdWeighted:
         m_sub, m_other = 12, 8
         obs = np.abs(rng.normal(size=m_sub + m_other))
         nulls = np.abs(rng.normal(size=(m_sub + m_other) * 2))
-        pooled = StatisticSet.from_null(observed=obs, null=nulls, n_permutations=2)
-
         weights = np.zeros(m_sub + m_other)
         benefits = np.zeros(m_sub + m_other)
         weights[:m_sub] = 20.0
         benefits[:m_sub] = 1.0
-        weighted = common_threshold_weighted(pooled, weights, benefits, pi0_one)
+        pooled = StatisticSet.from_null(observed=obs, null=nulls, n_permutations=2, weights=weights)
+        weighted = common_threshold_weighted(pooled, benefits, pi0_one)
 
         # solo problem: only the first subset's tests and their own nulls
         solo_nulls = np.concatenate(
@@ -422,10 +424,10 @@ class TestCommonThresholdWeighted:
             m_half = 15
             obs = np.abs(rng.normal(size=2 * m_half))
             nulls = np.tile(np.abs(rng.normal(size=2 * m_half)), 1)
-            pooled = StatisticSet.from_null(observed=obs, null=nulls, n_permutations=1)
             weights = np.concatenate([np.full(m_half, 2.0), np.full(m_half, 6.0)])
             benefits = np.concatenate([np.full(m_half, 1.0), np.full(m_half, 3.0)])
-            common = common_threshold_weighted(pooled, weights, benefits, pi0_one)
+            pooled = StatisticSet.from_null(observed=obs, null=nulls, n_permutations=1, weights=weights)
+            common = common_threshold_weighted(pooled, benefits, pi0_one)
 
             total = 0.0
             for lo, hi, b, c in ((0, m_half, 1.0, 1.0), (m_half, 2 * m_half, 3.0, 3.0)):
@@ -436,18 +438,43 @@ class TestCommonThresholdWeighted:
                 total += r.desirability
             assert total >= common.desirability - 1e-9
 
-    def test_weight_validation(self, four_test_stats, pi0_one):
+    def test_weight_validation(self, pi0_one):
         with pytest.raises(ValidationError):
-            common_threshold_weighted(four_test_stats, [0, 0, 0, 0], [0, 0, 0, 0], pi0_one)
+            common_threshold_weighted(four_tests([0, 0, 0, 0]), [0, 0, 0, 0], pi0_one)
         with pytest.raises(ValidationError):
-            common_threshold_weighted(four_test_stats, [1, 1, 1, -1], [0, 0, 0, 0], pi0_one)
+            common_threshold_weighted(four_tests([1, 1, 1, -1]), [0, 0, 0, 0], pi0_one)
         with pytest.raises(ValidationError, match="exceed"):
-            common_threshold_weighted(four_test_stats, [1, 1, 1, 1], [2, 0, 0, 0], pi0_one)
+            common_threshold_weighted(four_tests([1, 1, 1, 1]), [2, 0, 0, 0], pi0_one)
+
+    def test_deciders_refuse_a_set_of_the_other_kind(self, four_test_stats, pi0_one):
+        weighted = four_tests([20.0, 20.0, 20.0, 20.0])
+        with pytest.raises(ValidationError, match="common_threshold_weighted"):
+            maximize_desirability(weighted, pi0_one, CostBenefit.from_ratio(19.0))
+        with pytest.raises(ValidationError, match="common_threshold_weighted"):
+            control_dfdr(weighted, pi0_one, 0.05)
+        with pytest.raises(ValidationError, match="built with weights"):
+            common_threshold_weighted(four_test_stats, [1.0] * 4, pi0_one)
+
+    @pytest.mark.parametrize("weights", [None, [2.0, 3.0, 2.0, 3.0]])
+    def test_summary_is_kept_through_pi0_and_the_decision(self, weights):
+        stats = four_tests(weights)
+        summary = stats.summary
+        pi0 = resolve_pi0(stats, "estimate")
+        assert stats.summary is summary
+        if weights is None:
+            maximize_desirability(stats, pi0, CostBenefit.from_ratio(19.0))
+            control_dfdr(stats, pi0, 0.05)
+        else:
+            common_threshold_weighted(stats, [1.0] * 4, pi0)
+        assert stats.summary is summary and summary.passes == 1
 
     def test_weighted_pi0_helper(self):
         rng = np.random.default_rng(35)
-        stats, _ = random_statistic_set(rng, max_m=30, max_b=3)
-        pi0 = resolve_pi0(stats, "estimate", np.full(stats.n_tests, 3.0))
+        stats, nulls = random_statistic_set(rng, max_m=30, max_b=3)
+        weighted = StatisticSet.from_null(
+            stats.observed, nulls, stats.n_permutations, np.full(stats.n_tests, 3.0)
+        )
+        pi0 = resolve_pi0(weighted, "estimate")
         plain = resolve_pi0(stats, "estimate")
         assert pi0.value == pytest.approx(plain.value, abs=1e-12)
 
@@ -457,14 +484,15 @@ class TestCommonThresholdWeighted:
         # (8 bytes per value) alone would break the bound
         observed, nulls, b = large_null(np.random.default_rng(36))
         weights = np.random.default_rng(37).integers(2, 21, size=observed.size).astype(float)
-        stats = StatisticSet.from_null(observed, nulls, b)  # the weighted summary's pass is traced
-        peak = traced_peak(
-            lambda: common_threshold_weighted(
-                stats, weights, np.ones(stats.n_tests), resolve_pi0(stats, "estimate", weights)
-            )
-        )
-        assert peak < nulls.nbytes / 4
-        assert not hasattr(stats, "sorted_null")  # no sorted copy to cache
+        made = []
+
+        def run():  # the weighted summary's pass too
+            stats = StatisticSet.from_null(observed, nulls, b, weights)
+            common_threshold_weighted(stats, np.ones(stats.n_tests), resolve_pi0(stats, "estimate"))
+            made.append(stats)
+
+        assert traced_peak(run) < nulls.nbytes / 4
+        assert not hasattr(made[0], "sorted_null")  # no sorted copy to cache
 
 
 def large_null(rng):
@@ -497,7 +525,7 @@ def test_unweighted_routes_hold_no_copy_of_the_null():
 
     assert traced_peak(run) < nulls.nbytes / 4
     # both scans read one cached block pass: m + 1 counts
-    assert made[0].null_summary().exceedances.shape == (made[0].n_tests + 1,)
+    assert made[0].summary.exceedances.shape == (made[0].n_tests + 1,)
 
 
 class TestPvalueDecisions:

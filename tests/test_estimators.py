@@ -23,7 +23,7 @@ from dfdr import (
     weighted_dfdr_from_cdfs,
 )
 from dfdr import estimators
-from conftest import FOUR_TEST_NULLS, dfdr_at, null_summary, random_statistic_set
+from conftest import FOUR_TEST_NULLS, dfdr_at, four_tests, null_summary, random_statistic_set
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +79,8 @@ def scan(stats, pi0, ratio=19.0):
 
 def pi0_of(observed, nulls, weights=None):
     """estimate_pi0 on the summary of a stored null, at the summary's lambda."""
-    stats = StatisticSet.from_null(observed, nulls, len(nulls) // len(observed))
-    return estimate_pi0(stats.null_summary(weights))
+    stats = StatisticSet.from_null(observed, nulls, len(nulls) // len(observed), weights)
+    return estimate_pi0(stats.summary)
 
 
 class TestChooseLambda:
@@ -277,10 +277,6 @@ class TestPToCostRatio:
         with pytest.raises(ValidationError):
             p_to_cost_ratio(1.5)
 
-    def test_cost_benefit_probability_roundtrip(self):
-        cb = CostBenefit.from_probability(0.05)
-        assert cb.probability == pytest.approx(0.05)
-
 
 class TestWeightedDfdr:
     def test_uniform_weights_match_unweighted(self, four_test_stats, pi0_one):
@@ -318,23 +314,24 @@ class TestWeightedDfdr:
                 pi0.value,
                 tau,
             )
-            curve = common_threshold_weighted(stats, weights, np.zeros(stats.n_tests), pi0).curve
+            weighted = StatisticSet.from_null(stats.observed, nulls, stats.n_permutations, weights)
+            curve = common_threshold_weighted(weighted, np.zeros(stats.n_tests), pi0).curve
             got = curve.dfdr[curve_at(curve, tau)]
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
-    def test_zero_weight_on_all_rejected_gives_zero(self, four_test_stats, pi0_one):
+    def test_zero_weight_on_all_rejected_gives_zero(self, pi0_one):
         # weights vanish on every test with statistic >= 2
         weights = [0.0, 0.0, 1.0, 1.0]
-        curve = common_threshold_weighted(four_test_stats, weights, [0.0] * 4, pi0_one).curve
+        curve = common_threshold_weighted(four_tests(weights), [0.0] * 4, pi0_one).curve
         assert curve.dfdr[curve_at(curve, 2.0)] == 0.0
 
-    def test_negative_weight_rejected(self, four_test_stats, pi0_one):
+    def test_negative_weight_rejected(self, pi0_one):
         with pytest.raises(ValidationError):
-            common_threshold_weighted(four_test_stats, [1, 1, -1, 1], [0] * 4, pi0_one)
+            common_threshold_weighted(four_tests([1, 1, -1, 1]), [0] * 4, pi0_one)
 
-    def test_all_zero_weights_rejected(self, four_test_stats, pi0_one):
+    def test_all_zero_weights_rejected(self, pi0_one):
         with pytest.raises(ValidationError):
-            common_threshold_weighted(four_test_stats, [0, 0, 0, 0], [0] * 4, pi0_one)
+            common_threshold_weighted(four_tests([0, 0, 0, 0]), [0] * 4, pi0_one)
 
 
 def weight_sums_oracle(values, weights, taus):

@@ -123,7 +123,8 @@ def test_weighted_matches_brute_force(data, case, pi0):
     stats, nulls = case
     # integer weights: every weight sum is exact, so the match is exact
     weights, benefits = data.draw(integer_weights(stats.n_tests))
-    result = common_threshold_weighted(stats, weights, benefits, Pi0Estimate.user(pi0))
+    weighted = StatisticSet.from_null(stats.observed, nulls, stats.n_permutations, weights)
+    result = common_threshold_weighted(weighted, benefits, Pi0Estimate.user(pi0))
     expected = brute_force_weighted(
         stats.observed.tolist(), nulls, weights.tolist(),
         benefits.tolist(), pi0,
@@ -139,8 +140,8 @@ def test_weighted_matches_brute_force_in_small_blocks(data, case, pi0, perms_per
     # blocks of 1 or 3 permutations, B often not a whole number of blocks
     weights, benefits = data.draw(integer_weights(stats.n_tests))
     with mock.patch.object(estimators, "BLOCK", perms_per_block * stats.n_tests):
-        stats = StatisticSet.from_null(stats.observed, nulls, stats.n_permutations)  # in tiles of blocks
-        result = common_threshold_weighted(stats, weights, benefits, Pi0Estimate.user(pi0))
+        stats = StatisticSet.from_null(stats.observed, nulls, stats.n_permutations, weights)  # in tiles of blocks
+        result = common_threshold_weighted(stats, benefits, Pi0Estimate.user(pi0))
     expected = brute_force_weighted(
         stats.observed.tolist(), nulls, weights.tolist(),
         benefits.tolist(), pi0,
@@ -151,11 +152,13 @@ def test_weighted_matches_brute_force_in_small_blocks(data, case, pi0, perms_per
 @PROPERTY
 @given(statistic_sets(), pi0s, ratios, st.floats(0.1, 10.0))
 def test_constant_weights_give_unweighted_decision(case, pi0, ratio, scale):
-    stats, _ = case
+    stats, nulls = case
     m = stats.n_tests
     plain = maximize_desirability(stats, Pi0Estimate.user(pi0), CostBenefit.from_ratio(ratio))
     weighted = common_threshold_weighted(
-        stats, np.full(m, scale * (1.0 + ratio)), np.full(m, scale), Pi0Estimate.user(pi0)
+        StatisticSet.from_null(stats.observed, nulls, stats.n_permutations, np.full(m, scale * (1.0 + ratio))),
+        np.full(m, scale),
+        Pi0Estimate.user(pi0),
     )
     np.testing.assert_array_equal(weighted.curve.tau, plain.curve.tau)
     np.testing.assert_allclose(weighted.curve.dfdr, plain.curve.dfdr, rtol=1e-12)

@@ -200,25 +200,25 @@ def report():
 
 class TestLocalDfdr:
     def test_single_bin_equals_global_rate(self, report):
-        bins = measure_local_dfdr(report.outcomes, [])
-        assert len(bins) == 1
-        assert bins[0].rejections == report.total_rejections
-        assert bins[0].rate == pytest.approx(report.dfdr)
+        # an infinite offset: the bin is the whole region (no +inf sentinels here)
+        whole = measure_local_dfdr(report.outcomes, math.inf)
+        assert whole.rejections == report.total_rejections
+        assert whole.rate == pytest.approx(report.dfdr)
 
     def test_empty_bin_rate_is_zero(self, report):
-        bins = measure_local_dfdr(report.outcomes, [1e9])
-        assert bins[-1].rejections == 0
-        assert bins[-1].rate == 0.0
-
-    def test_bins_partition_the_rejections(self, report):
-        bins = measure_local_dfdr(report.outcomes, [0.3, 0.8, 1.5])
-        assert sum(b.rejections for b in bins) == report.total_rejections
-        assert sum(b.false_rejections for b in bins) == report.total_false_rejections
+        # the rejection at tau* is in every bin, so only a replicate without one leaves it empty
+        nothing = dataclasses.replace(
+            report.outcomes[0], n_rejected=0, n_false=0,
+            rejected_stats=np.zeros(0), rejected_is_null=np.zeros(0, dtype=bool),
+        )
+        empty = measure_local_dfdr([nothing], 1e9)
+        assert empty.rejections == 0
+        assert empty.rate == 0.0
 
     def test_boundary_offset_captures_requested_share(self, report):
         h = boundary_offset(report.outcomes, 0.05)
         assert h > 0
-        boundary = measure_local_dfdr(report.outcomes, [h])[0]
+        boundary = measure_local_dfdr(report.outcomes, h)
         share = boundary.rejections / report.total_rejections
         assert 0.02 <= share <= 0.10
 
@@ -232,11 +232,10 @@ class TestLocalDfdr:
             with pytest.raises(ValidationError, match="no rejections recorded"):
                 boundary_offset(outcomes)
 
-    def test_offsets_must_increase(self, report):
-        with pytest.raises(ValidationError):
-            measure_local_dfdr(report.outcomes, [2.0, 1.0])
-        with pytest.raises(ValidationError):
-            measure_local_dfdr(report.outcomes, [-1.0])
+    def test_offset_must_be_positive(self, report):
+        for offset in (-1.0, 0.0, math.nan):
+            with pytest.raises(ValidationError):
+                measure_local_dfdr(report.outcomes, offset)
 
 
 class TestAnalyticCdfs:

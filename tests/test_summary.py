@@ -58,9 +58,9 @@ def random_matrix(rng, m, n_a, n_b, shifted=0.2) -> DataMatrix:
     )
 
 
-def materialised(matrix, plan) -> StatisticSet:
+def materialised(matrix, plan, weights=None) -> StatisticSet:
     null = permutation_null(matrix, "A", "B", plan)
-    return StatisticSet.from_null(two_sample_abs_t(matrix, "A", "B"), null, plan.n_permutations)
+    return StatisticSet.from_null(two_sample_abs_t(matrix, "A", "B"), null, plan.n_permutations, weights)
 
 
 def same_decision(a, b) -> None:
@@ -102,7 +102,7 @@ def test_streamed_equals_materialised(shape, cap, monkeypatch, repasses):
     whole = materialised(matrix, plan)
     np.testing.assert_array_equal(streamed.observed, whole.observed)
     np.testing.assert_array_equal(
-        streamed.null_summary().exceedances, whole.null_summary().exceedances
+        streamed.summary.exceedances, whole.summary.exceedances
     )
     for mode in ("estimate", "one"):
         pi0 = resolve_pi0(streamed, mode)
@@ -116,14 +116,13 @@ def test_streamed_equals_materialised(shape, cap, monkeypatch, repasses):
     weights = rng.integers(2, 30, size=m).astype(float)
     benefits = np.floor(weights / 2)
     weighted = build_statistic_set(matrix, "A", "B", plan, weights)
-    np.testing.assert_array_equal(
-        weighted.null_summary(weights).exceedances, whole.null_summary(weights).exceedances
-    )
-    pi0 = resolve_pi0(weighted, "estimate", weights)
-    assert pi0 == resolve_pi0(whole, "estimate", weights)
+    whole = materialised(matrix, plan, weights)
+    np.testing.assert_array_equal(weighted.summary.exceedances, whole.summary.exceedances)
+    pi0 = resolve_pi0(weighted, "estimate")
+    assert pi0 == resolve_pi0(whole, "estimate")
     same_decision(
-        common_threshold_weighted(weighted, weights, benefits, pi0),
-        common_threshold_weighted(whole, weights, benefits, pi0),
+        common_threshold_weighted(weighted, benefits, pi0),
+        common_threshold_weighted(whole, benefits, pi0),
     )
     assert cap or not repasses  # whole nulls kept: no bracket to miss
 
@@ -158,7 +157,7 @@ def test_bracket_holds_on_tests_of_unequal_spread(m, repasses):
     rng = np.random.default_rng(m)
     nulls = (np.abs(rng.normal(size=(b, m))) * (1.0 + np.arange(m))).ravel()
     stats = StatisticSet.from_null(np.ones(m), nulls, b)
-    summary = stats.null_summary()
+    summary = stats.summary
     assert summary.size > estimators.CAP  # the bracket is used
     assert summary.n_kept < nulls.size // 10  # 2 * MARGIN ranks of a BLOCK sample
     assert estimators.choose_lambda(summary) == lambda_by_unique(nulls)
@@ -172,7 +171,7 @@ def test_narrowing_keeps_a_bracket_without_ties(monkeypatch, repasses):
     monkeypatch.setattr(estimators, "MARGIN", 256)  # a first bracket well inside CAP
     monkeypatch.setattr(estimators, "BLOCK", 4096)  # 49 tiles: CAP is reached, again and again
     nulls = np.abs(np.random.default_rng(67).normal(size=200_000))
-    summary = StatisticSet.from_null(np.ones(1), nulls, nulls.size).null_summary()
+    summary = StatisticSet.from_null(np.ones(1), nulls, nulls.size).summary
     assert summary.at is None and summary.n_kept <= 4096
     assert estimators.choose_lambda(summary) == lambda_by_unique(nulls)
     assert not repasses
@@ -298,7 +297,7 @@ def test_real_weight_sums_within_summation_bound():
     weights = rng.uniform(0.1, 3.0, size=m) + rng.uniform(0.0, 30.0, size=m)
     observed = np.round(np.abs(rng.normal(0.5, 1.0, size=m)), 2)
     with mock.patch.object(estimators, "BLOCK", 7 * m):  # many blocks and tiles
-        got = StatisticSet.from_null(observed, nulls, b).null_summary(weights).exceedances
+        got = StatisticSet.from_null(observed, nulls, b, weights).summary.exceedances
         assert_within_summation_bound(got, nulls, weights, observed, -(-b // 7))
 
 
@@ -313,7 +312,7 @@ def test_streamed_real_weight_sums_within_summation_bound(cap, monkeypatch):
     matrix = random_matrix(rng, m, 6, 6)
     weights = rng.uniform(0.1, 3.0, size=m) + rng.uniform(0.0, 30.0, size=m)
     plan = PermutationPlan(b, 5)
-    summary = build_statistic_set(matrix, "A", "B", plan, weights).null_summary(weights)
+    summary = build_statistic_set(matrix, "A", "B", plan, weights).summary
     assert summary.keeps_all == (cap is None)
     nulls = permutation_null(matrix, "A", "B", plan)
     assert_within_summation_bound(summary.exceedances, nulls, weights, summary.observed, -(-b // 7))
@@ -392,23 +391,21 @@ def test_read_ahead_equals_materialised(shape, monkeypatch, read_aheads):
     rng = np.random.default_rng(70 + m)
     matrix = random_matrix(rng, m, n_a, n_b)
     plan = PermutationPlan(b, m)
-    whole = materialised(matrix, plan)
     weights = rng.integers(2, 30, size=m).astype(float)
     for w in (None, weights):
+        whole = materialised(matrix, plan, w)
         streamed = build_statistic_set(matrix, "A", "B", plan, w)
         np.testing.assert_array_equal(streamed.observed, whole.observed)
-        np.testing.assert_array_equal(
-            streamed.null_summary(w).exceedances, whole.null_summary(w).exceedances
-        )
-        pi0 = resolve_pi0(streamed, "estimate", w)
-        assert pi0 == resolve_pi0(whole, "estimate", w)
+        np.testing.assert_array_equal(streamed.summary.exceedances, whole.summary.exceedances)
+        pi0 = resolve_pi0(streamed, "estimate")
+        assert pi0 == resolve_pi0(whole, "estimate")
         if w is None:
             cb = CostBenefit.from_ratio(19.0)
             same_decision(maximize_desirability(streamed, pi0, cb), maximize_desirability(whole, pi0, cb))
         else:
             same_decision(
-                common_threshold_weighted(streamed, w, np.ones(m), pi0),
-                common_threshold_weighted(whole, w, np.ones(m), pi0),
+                common_threshold_weighted(streamed, np.ones(m), pi0),
+                common_threshold_weighted(whole, np.ones(m), pi0),
             )
     assert read_aheads and threading.active_count() == threads
 
@@ -534,13 +531,13 @@ def test_concurrent_read_aheads_share_nothing(monkeypatch):
     # shared between passes would mix their tiles
     matrix, plan = small_comparison(monkeypatch)
     whole = materialised(matrix, plan)
-    expected = (whole.null_summary().exceedances, resolve_pi0(whole, "estimate"))
+    expected = (whole.summary.exceedances, resolve_pi0(whole, "estimate"))
     results, errors = [], []
 
     def run():
         try:
             stats = build_statistic_set(matrix, "A", "B", plan)
-            results.append((stats.null_summary().exceedances, resolve_pi0(stats, "estimate")))
+            results.append((stats.summary.exceedances, resolve_pi0(stats, "estimate")))
         except Exception as error:  # reported by the main thread below
             errors.append(error)
 

@@ -59,24 +59,24 @@ def test_few_distinct_weights_give_the_same_bits_in_any_tiles(sizes, streams, mo
     matrix = random_matrix(rng, m, 6, 7)
     weights = KINDS[rng.integers(0, KINDS.size, size=m)]
     plan = PermutationPlan(b, 11)
-    reference = materialised(matrix, plan).null_summary(weights)  # default sizes, whole null
+    reference = materialised(matrix, plan, weights).summary  # default sizes, whole null
     for name, value in sizes.items():
         module = dfdr.stats if name in ("TILE", "ROWS", "ROW_VALUES") else estimators
         monkeypatch.setattr(module, name, value)
     if streams:
         monkeypatch.setattr(estimators, "CAP", 2_048)
     stats = build_statistic_set(matrix, "A", "B", plan, weights)
-    summary = stats.null_summary(weights)
+    summary = stats.summary
     assert summary.classes is not None and summary.distinct.tolist() == sorted(KINDS.tolist())
     assert bool(read_aheads) == streams
     assert summary.counts.dtype == np.intp
     np.testing.assert_array_equal(summary.counts, reference.counts)
     np.testing.assert_array_equal(summary.exceedances, reference.exceedances)
     benefits = np.where(weights > 15, 1.5, 2.25)
-    pi0 = resolve_pi0(stats, "estimate", weights)
+    pi0 = resolve_pi0(stats, "estimate")
     same_decision(
-        common_threshold_weighted(stats, weights, benefits, pi0),
-        common_threshold_weighted(materialised(matrix, plan), weights, benefits, pi0),
+        common_threshold_weighted(stats, benefits, pi0),
+        common_threshold_weighted(materialised(matrix, plan, weights), benefits, pi0),
     )
 
 
@@ -98,9 +98,9 @@ def test_one_class_is_always_counted(monkeypatch):
     rng = np.random.default_rng(95)
     m, b = 100, 7
     nulls = np.round(np.abs(rng.normal(size=m * b)), 1)
-    stats = StatisticSet.from_null(np.abs(rng.normal(size=m)), nulls, b)
+    observed = np.abs(rng.normal(size=m))
     for weights in (None, np.full(m, 0.3)):
-        summary = stats.null_summary(weights)
+        summary = StatisticSet.from_null(observed, nulls, b, weights).summary
         assert summary.classes is not None and summary.counts.dtype == np.intp
         counts = [np.count_nonzero(nulls >= t) for t in summary.taus]
         assert summary.counts.tolist() == [counts]
@@ -114,13 +114,13 @@ def test_uniform_non_integer_weights_decide_as_unweighted(pi0_mode):
     cb = CostBenefit(np.full(m, 0.135), np.full(m, 19 * 0.135))
     plan = PermutationPlan(80, 4)
     weighted = build_statistic_set(matrix, "A", "B", plan, cb.weights)
-    assert weighted.null_summary(cb.weights).distinct.size == 1
+    assert weighted.summary.distinct.size == 1
     plain = build_statistic_set(matrix, "A", "B", plan)
-    pi0_w = resolve_pi0(weighted, pi0_mode, cb.weights)
+    pi0_w = resolve_pi0(weighted, pi0_mode)
     pi0 = resolve_pi0(plain, pi0_mode)
     assert pi0_w.lam == pi0.lam or np.isnan(pi0.lam)
     assert pi0_w.value == pytest.approx(pi0.value, rel=1e-13)
-    got = common_threshold_weighted(weighted, cb.weights, cb.benefits, pi0_w)
+    got = common_threshold_weighted(weighted, cb.benefits, pi0_w)
     expected = maximize_desirability(plain, pi0, CostBenefit.from_ratio(19.0))
     assert (got.tau, got.rejected) == (expected.tau, expected.rejected)
     np.testing.assert_array_equal(got.curve.tau, expected.curve.tau)
@@ -135,10 +135,9 @@ def test_many_distinct_weights_are_summed_by_the_argsort(m, b, block, monkeypatc
     nulls = np.round(np.abs(rng.normal(size=m * b)), 2)
     weights = rng.uniform(0.1, 3.0, size=m) + rng.uniform(0.0, 30.0, size=m)
     observed = np.round(np.abs(rng.normal(0.5, 1.0, size=m)), 2)
-    stats = StatisticSet.from_null(observed, nulls, b)  # counted unweighted: one class
     counted = mock.Mock(wraps=estimators.split)  # the class path's copies
     monkeypatch.setattr(estimators, "split", counted)
-    summary = stats.null_summary(weights)
+    summary = StatisticSet.from_null(observed, nulls, b, weights).summary
     assert summary.classes is None and summary.counts.dtype == float
     assert not counted.called
     per = max(1, estimators.BLOCK // m)  # whole permutations per stored tile and sorted block
@@ -153,7 +152,7 @@ def test_streamed_many_distinct_weights_within_the_bound(monkeypatch):
     matrix = random_matrix(rng, m, 6, 6)
     weights = rng.uniform(0.1, 3.0, size=m) + rng.uniform(0.0, 30.0, size=m)
     plan = PermutationPlan(b, 5)
-    summary = build_statistic_set(matrix, "A", "B", plan, weights).null_summary(weights)
+    summary = build_statistic_set(matrix, "A", "B", plan, weights).summary
     assert summary.classes is None and not summary.keeps_all
     nulls = permutation_null(matrix, "A", "B", plan)
     # one tile holds every row here, so its blocks are those of a stored null

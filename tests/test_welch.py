@@ -9,7 +9,6 @@ their own, outliers. Accuracy is checked against exact rational arithmetic.
 
 import math
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -158,17 +157,17 @@ class TestSentinels:
 
 class TestExactSums:
     @PROPERTY
-    @given(comparisons(), st.integers(1, 5), st.integers(1, 4), st.sampled_from([1, 50, 2**40]))
-    def test_independent_of_blocks_and_batch(self, case, rows, chunk, blas_size):
-        # blocks of rows, splits per product, and products per BLAS call
+    @given(comparisons(), st.integers(1, 5), st.integers(1, 4))
+    def test_independent_of_blocks_and_batch(self, case, rows, chunk):
+        # blocks of rows and splits per product
         values, n_a, splits = case
         pool = np.arange(values.shape[1])
         reference = welch_abs_t(values, pool, n_a, splits)
         # blocks of `rows` rows (ROW_VALUES 0) and tiles of `chunk` splits
-        names = ("ROWS", "ROW_VALUES", "CHUNK", "TILE", "_BLAS_SIZE")
+        names = ("ROWS", "ROW_VALUES", "CHUNK", "TILE")
         saved = [getattr(dfdr.stats, name) for name in names]
         try:
-            for name, value in zip(names, (rows, 0, chunk, rows * chunk, blas_size)):
+            for name, value in zip(names, (rows, 0, chunk, rows * chunk)):
                 setattr(dfdr.stats, name, value)
             for count in range(1, len(splits) + 1):
                 again = welch_abs_t(values, pool, n_a, splits[:count])
@@ -246,19 +245,6 @@ class TestLayout:
             np.testing.assert_array_equal(c, f)
         assert results[0][0].shape == (4, n, values.shape[0])
 
-    @pytest.mark.parametrize("width", [1, 7, 51, 1000])
-    def test_product_is_members_times_parts_in_any_window(self, width):
-        # windows of one column, of 7 and 51 columns (neither divides the
-        # 356 rows), and one window over all of them
-        rng = np.random.default_rng(width)
-        c, n, m = 9, 13, 356
-        members = (rng.random((c, n)) < 0.5).astype(float)
-        parts = rng.integers(-2**20, 2**20, size=(4, n, m)) * 2.0**-30
-        with mock.patch.object(dfdr.stats, "_BLAS_SIZE", width * c * n):
-            sums = dfdr.stats._product(members, parts)
-        assert sums.shape == (4, c, m) and sums[0].flags.c_contiguous
-        np.testing.assert_array_equal(sums, members @ parts)
-
 
 class TestAccuracy:
     @PROPERTY
@@ -287,12 +273,12 @@ class TestAccuracy:
         values = rng.normal(size=(3000, 40)) + 100.0
         splits = np.stack([rng.permutation(40) for _ in range(64)])
         blocked = welch_abs_t(values, np.arange(40), 25, splits)
-        saved = dfdr.stats.ROWS, dfdr.stats.CHUNK, dfdr.stats._BLAS_SIZE
+        saved = dfdr.stats.ROWS, dfdr.stats.CHUNK
         try:
-            dfdr.stats.ROWS, dfdr.stats.CHUNK, dfdr.stats._BLAS_SIZE = 4096, 64, 2**40
+            dfdr.stats.ROWS, dfdr.stats.CHUNK = 4096, 64
             whole = welch_abs_t(values, np.arange(40), 25, splits)
         finally:
-            dfdr.stats.ROWS, dfdr.stats.CHUNK, dfdr.stats._BLAS_SIZE = saved
+            dfdr.stats.ROWS, dfdr.stats.CHUNK = saved
         np.testing.assert_array_equal(whole, blocked)
 
     def test_matches_two_pass_formula_on_normal_rows(self):

@@ -15,12 +15,10 @@ import json
 import math
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 
-import dfdr.stats
 from dfdr.cli import main
 from dfdr.stats import welch_abs_t
 
@@ -37,7 +35,7 @@ def _constant(rng):
     levels = [0.1, math.log(100), -7.0, 1e-300, 1e300, 5e-324, 0.0]
     values = rng.normal(size=(40, n))
     values[::3] = np.array([levels[i % len(levels)] for i in range(0, 40, 3)])[:, None]
-    return values, np.arange(n), n_a, _splits(rng, n, 30), None
+    return values, np.arange(n), n_a, _splits(rng, n, 30)
 
 
 def _sentinels(rng):
@@ -53,7 +51,7 @@ def _sentinels(rng):
     values[1::4, -1] = np.nextafter(values[1::4, -1], math.inf)
     within = np.concatenate([rng.permutation(n_a), n_a + rng.permutation(n - n_a)])
     splits = np.vstack([np.arange(n), within, _splits(rng, n, 20)])
-    return values, np.arange(n), n_a, splits, None
+    return values, np.arange(n), n_a, splits
 
 
 def _two_pass(rng):
@@ -77,19 +75,19 @@ def _two_pass(rng):
             row = 1.0 + rng.normal(size=n) * 1e-9
             row[rng.integers(n)] = 1e6
         rows.append(row)
-    return np.array(rows), np.arange(n), n_a, _splits(rng, n, 40), None
+    return np.array(rows), np.arange(n), n_a, _splits(rng, n, 40)
 
 
 def _scales(rng):
     n, n_a = 11, 4
     values = rng.normal(size=(81, n)) * 10.0 ** np.linspace(-200, 200, 81)[:, None]
-    return values, np.arange(n), n_a, _splits(rng, n, 25), None
+    return values, np.arange(n), n_a, _splits(rng, n, 25)
 
 
 def _offset(rng):
     n, n_a = 20, 10
     values = 1e8 + rng.normal(size=(50, n)) * 1e-6
-    return values, np.arange(n), n_a, _splits(rng, n, 25), None
+    return values, np.arange(n), n_a, _splits(rng, n, 25)
 
 
 def _blocks(rng):
@@ -97,17 +95,16 @@ def _blocks(rng):
     n, n_a = 24, 11
     values = rng.normal(size=(900, n + 2)) * rng.choice([1e-3, 1.0, 1e5], size=(900, 1))
     pool = rng.permutation(n + 2)[:n]
-    return values, pool, n_a, _splits(rng, n, 70), None
+    return values, pool, n_a, _splits(rng, n, 70)
 
 
 def _shape(n):
     def case(rng):
-        # extra columns, a shuffled pool, and a BLAS size whose column
-        # windows divide neither the rows nor each other across chunks
+        # extra columns and a shuffled pool
         values = rng.normal(size=(100 + n, n + 3)) + rng.normal(size=(100 + n, 1)) * 10
         pool = rng.permutation(n + 3)[:n]
         n_a = int(rng.integers(2, n - 1))
-        return values, pool, n_a, _splits(rng, n, 70), 64 * n * 3 + 5
+        return values, pool, n_a, _splits(rng, n, 70)
 
     return case
 
@@ -125,9 +122,7 @@ CASES = {
 
 def case_digest(name: str) -> str:
     rng = np.random.default_rng(list(name.encode()))
-    values, pool, n_a, splits, blas_size = CASES[name](rng)
-    with mock.patch.object(dfdr.stats, "_BLAS_SIZE", blas_size or dfdr.stats._BLAS_SIZE):
-        t = welch_abs_t(values, pool, n_a, splits)
+    t = welch_abs_t(*CASES[name](rng))
     return hashlib.sha256(t.tobytes()).hexdigest()
 
 
