@@ -19,12 +19,11 @@ _SUBMODULES = ("cli", "data", "decision", "errors", "estimators", "resampling", 
 _EXPORTS = {name: module for module, names in {
     "data": ("DataMatrix", "load_labels", "load_matrix", "preprocess", "signed_log1p"),
     "decision": ("Curve", "DecisionResult", "Subset", "SubsetDecision", "SubsetPartition",
-                 "common_threshold_weighted", "control_dfdr", "control_dfdr_pvalues",
-                 "maximize_desirability", "maximize_desirability_pvalues",
+                 "common_threshold_weighted", "control_dfdr", "maximize_desirability",
                  "per_subset_optimize"),
     "errors": ("DfdrError", "ParseError", "PreprocessingError", "UndefinedEstimateError",
                "UsageError", "ValidationError"),
-    "estimators": ("CENTRAL_BAND_MASS", "CostBenefit", "Pi0Estimate", "choose_lambda",
+    "estimators": ("CENTRAL_BAND_MASS", "CostBenefit", "Pi0Estimate", "StatisticSet", "choose_lambda",
                    "dfdr_from_cdfs", "estimate_pi0", "estimate_pi0_from_pvalues",
                    "p_to_cost_ratio", "resolve_pi0", "weighted_dfdr_from_cdfs"),
     "resampling": ("PermutationPlan", "build_statistic_set", "permutation_null",
@@ -33,7 +32,7 @@ _EXPORTS = {name: module for module, names in {
                    "ReplicateOutcome", "SimulationConfig", "analytic_dfdr",
                    "analytic_statistic_cdfs", "boundary_offset", "build_replicate_stats",
                    "generate_instance", "measure_error_rates", "measure_local_dfdr"),
-    "stats": ("PValueSet", "StatisticSet", "validate_pvalues"),
+    "stats": ("PValueSet", "validate_pvalues"),
 }.items() for name in names}
 __all__ = list(_EXPORTS)
 

@@ -57,9 +57,7 @@ from dfdr.decision import (
     SubsetPartition,
     common_threshold_weighted,
     control_dfdr,
-    control_dfdr_pvalues,
     maximize_desirability,
-    maximize_desirability_pvalues,
     per_subset_optimize,
 )
 from dfdr.errors import (
@@ -392,7 +390,7 @@ def _write_decision_outputs(
     """tests, curve and summary of one decision; ``fields`` open the summary."""
     suffix = f"_{stem}" if stem else ""
     flags = np.zeros(len(ids), dtype=np.int8)
-    flags[np.fromiter(result.rejected, dtype=np.intp, count=len(result.rejected))] = 1
+    flags[result.rejected] = 1
     curve = "tau,desirability,dfdr,discoveries"
     tests_path, curve_path = outdir / f"tests{suffix}.csv", outdir / f"curve{suffix}.csv"
     _write_atomic(tests_path, _table("feature_id,statistic,rejected", (ids, values, flags)))
@@ -463,7 +461,10 @@ def _load_subsets(path, matrix: DataMatrix, min_size: int) -> SubsetPartition:
 def _load_weights(path, matrix: DataMatrix) -> CostBenefit:
     """Weights file: feature_id, benefit, cost (tab-separated, one header row)."""
     by_id: dict[str, tuple[int, float, float]] = {}
+    known = set(matrix.feature_ids)
     for lineno, (fid, b, c) in _read_table(path, ["feature_id", "benefit", "cost"]):
+        if fid not in known:
+            raise ValidationError(f"{path}: row {lineno}: unknown feature id {fid!r}")
         if fid in by_id:
             raise ParseError(f"{path}: rows {by_id[fid][0]} and {lineno} both give feature {fid!r}")
         try:
@@ -517,7 +518,7 @@ def run_analyze(args) -> int:
             _write_decision_outputs(outdir, sub_ids, sd.observed, result, fields, stem=subset.name)
         return 0
 
-    # the weights before the null, whose summary holds their sums
+    # the weights before the null, whose set holds their sums
     cb = None if args.weights is None else _load_weights(args.weights, matrix)
     check_null_fits(matrix.values.shape, args.permutations)
     stats = build_statistic_set(matrix, args.group_a, args.group_b, plan, cb and cb.weights)
@@ -563,9 +564,9 @@ def _analyze_pvalues(args, outdir: Path, pi0_mode) -> int:
         pi0 = resolve_pi0(pvals, pi0_mode)
     value, rule_fields = _rule_from_args(args)
     if args.mode == "maximize":
-        result = maximize_desirability_pvalues(pvals, pi0, CostBenefit.from_ratio(value))
+        result = maximize_desirability(pvals, pi0, CostBenefit.from_ratio(value))
     else:
-        result = control_dfdr_pvalues(pvals, pi0, value)
+        result = control_dfdr(pvals, pi0, value)
     fields = [
         ("command", "analyze"),
         ("mode", args.mode),

@@ -8,15 +8,15 @@ tests sharing the same cost and benefit, or one common threshold chosen by
 maximizing the weighted desirability.
 
 Candidate thresholds are exactly the observed statistic values, plus +inf as
-the implicit "reject nothing" option whose desirability is 0. Ties in the
-objective break toward the largest threshold (fewest rejections).
+the implicit "reject nothing" option whose desirability is 0 (for p-values,
+the distinct p-values and -inf).
 
-Every route, p-values included, is one pass over sorted values: the distinct
-candidates and their discovery counts come from where the runs of ties start
-in the sorted observed values, the null shares from the null's summary
-(``StatisticSet.summary``), and the whole candidate curve is kept as
-parallel arrays. A set built with weights takes the weighted route alone,
-and one built without takes every other.
+Each rule has one decider, for a ``StatisticSet`` or a ``PValueSet``: the set
+gives its candidates, with their discovery counts and null shares, in one
+pass over its sorted values, and the candidate curve is kept as parallel
+arrays. Ties, and dFDR control with no feasible candidate, go to the
+candidate with the fewest discoveries. A set built with weights takes the
+weighted route alone, and one built without takes every other.
 """
 
 from __future__ import annotations
@@ -29,15 +29,15 @@ from dfdr.data import DataMatrix
 from dfdr.errors import ValidationError
 from dfdr.estimators import (
     CostBenefit,
-    NullSummary,
     Pi0Estimate,
+    StatisticSet,
     dfdr_from_counts,
     p_to_cost_ratio,
     resolve_pi0,
     weight_exceedances,
 )
 from dfdr.resampling import PermutationPlan, permutation_null
-from dfdr.stats import PValueSet, StatisticSet
+from dfdr.stats import PValueSet, run_starts
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,17 +53,17 @@ class Curve:
         return self.tau.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecisionResult:
     """A chosen threshold with the full candidate curve behind it.
 
-    ``rejected`` is the set of test indices with statistic >= tau. For
-    p-value decisions the threshold is a p-value cutoff instead and
-    ``rejected`` holds the indices with p-value <= tau.
+    ``rejected`` holds the indices of the tests with statistic >= tau, in
+    ascending order (``np.intp``); for p-value decisions tau is a p-value
+    cutoff and they are the tests with p-value <= tau.
     """
 
     tau: float
-    rejected: frozenset[int]
+    rejected: np.ndarray
     dfdr: float
     desirability: float
     pi0: Pi0Estimate
@@ -71,7 +71,7 @@ class DecisionResult:
 
     @property
     def n_rejected(self) -> int:
-        return len(self.rejected)
+        return self.rejected.size
 
 
 @dataclass(frozen=True)
@@ -135,58 +135,26 @@ class SubsetDecision:
     observed: np.ndarray
 
 
-def _candidates(sorted_values: np.ndarray, first: float | None = None):
-    """Distinct values plus +inf, each with how many values lie below it.
-
-    The count below a distinct value is where its run of ties starts, so it
-    also indexes the value's entry in a null summary's ``exceedances``.
-    With ``first`` the values are shifted one place instead: ``first``, then
-    each distinct value but the last, with the same counts.
-    """
-    n = sorted_values.size
-    starts = np.empty(n + 1, dtype=bool)  # where a run of ties starts, and the end
-    starts[0] = starts[n] = True
-    np.not_equal(sorted_values[1:], sorted_values[:-1], out=starts[1:n])
-    below = np.flatnonzero(starts)
-    taus = np.empty(below.size)
-    if first is not None:
-        taus[0] = first
-        np.take(sorted_values, below[:-1], out=taus[1:])
-        return taus, below
-    np.take(sorted_values, below[:-1], out=taus[:-1])
-    taus[-1] = np.inf
-    if np.isposinf(sorted_values[-1]):
-        return taus[:-1], below[:-1]
-    return taus, below
-
-
-def _curve(taus, discoveries, null_share, pi0: Pi0Estimate, n_tests: int, benefit, ratio) -> Curve:
-    dfdr = dfdr_from_counts(pi0.value, null_share, discoveries, n_tests)
+def _curve(stats, pi0: Pi0Estimate, benefit: float, ratio: float) -> Curve:
+    taus, discoveries, null_share = stats.candidates()
+    dfdr = dfdr_from_counts(pi0.value, null_share, discoveries, stats.n_tests)
     desirability = benefit * (1.0 - (1.0 + ratio) * dfdr) * discoveries
     return Curve(taus, dfdr, desirability, discoveries)
 
 
-def _scan(stats: StatisticSet, pi0: Pi0Estimate, benefit: float, ratio: float) -> Curve:
-    if stats.summary.weights is not None:
-        raise ValidationError("a set built with weights takes common_threshold_weighted")
-    taus, below = _candidates(stats.sorted_observed)
-    null_share = stats.summary.exceedances[below] / stats.n_null
-    return _curve(taus, stats.n_tests - below, null_share, pi0, stats.n_tests, benefit, ratio)
-
-
-def _scan_p(pvals: PValueSet, pi0: Pi0Estimate, benefit: float, ratio: float) -> Curve:
-    # Cutoffs are -inf ("reject nothing") and the distinct p-values. p <= the
-    # j-th distinct value holds exactly for the p-values below the next one,
-    # and the uniform null share of a cutoff is the cutoff itself.
-    cutoffs, below = _candidates(pvals.sorted_pvalues, first=-np.inf)
-    return _curve(cutoffs, below, cutoffs, pi0, pvals.n_tests, benefit, ratio)
-
-
-def _result(pi0: Pi0Estimate, curve: Curve, pick: int, rejects) -> DecisionResult:
+def _decide(stats, pi0: Pi0Estimate, curve: Curve, among, most: bool = False) -> DecisionResult:
+    """The decision at the candidate with the fewest discoveries of those
+    ``among`` marks (with ``most``, the most), or, with none marked, the
+    fewest of all."""
+    marked = np.flatnonzero(among)
+    if not marked.size:
+        marked, most = np.arange(len(curve)), False
+    discoveries = curve.discoveries[marked]
+    pick = int(marked[discoveries.argmax() if most else discoveries.argmin()])
     tau = float(curve.tau[pick])
     return DecisionResult(
         tau=tau,
-        rejected=frozenset(np.flatnonzero(rejects(tau)).tolist()),
+        rejected=np.flatnonzero(stats.rejects(tau)),
         dfdr=float(curve.dfdr[pick]),
         desirability=float(curve.desirability[pick]),
         pi0=pi0,
@@ -194,42 +162,33 @@ def _result(pi0: Pi0Estimate, curve: Curve, pick: int, rejects) -> DecisionResul
     )
 
 
-def _maxima(desirability: np.ndarray) -> np.ndarray:
-    return np.flatnonzero(desirability == desirability.max())
-
-
 def maximize_desirability(
-    stats: StatisticSet, pi0: Pi0Estimate, cost_benefit: CostBenefit
+    stats: StatisticSet | PValueSet, pi0: Pi0Estimate, cost_benefit: CostBenefit
 ) -> DecisionResult:
     """Choose the threshold maximizing the estimated expected desirability.
 
     When every nonempty rejection region has negative estimated desirability,
     the empty region (desirability 0) wins and nothing is rejected.
     """
-    curve = _scan(stats, pi0, *cost_benefit.homogeneous())
-    # ties toward the largest threshold: last index among the maxima
-    pick = int(_maxima(curve.desirability)[-1])
-    return _result(pi0, curve, pick, lambda tau: stats.observed >= tau)
+    curve = _curve(stats, pi0, *cost_benefit.homogeneous())
+    return _decide(stats, pi0, curve, curve.desirability == curve.desirability.max())
 
 
 def control_dfdr(
-    stats: StatisticSet,
+    stats: StatisticSet | PValueSet,
     pi0: Pi0Estimate,
     alpha: float,
 ) -> DecisionResult:
     """Reject as many hypotheses as possible with estimated dFDR <= alpha.
 
-    Picks the smallest candidate threshold whose dFDR estimate is within the
-    bound; discovery counts only shrink as the threshold grows, so this
-    maximizes discoveries. With no feasible candidate the threshold is +inf:
-    nothing is rejected but the +inf sentinels, which every region holds (and
-    whose estimate can exceed alpha only when the nulls hold +inf as well).
+    Picks the feasible candidate with the most discoveries; with none, the
+    one with the fewest: for statistics +inf, which rejects only the +inf
+    sentinels that every region holds (their estimate can exceed alpha only
+    when the nulls hold +inf as well); for p-values -inf is always feasible.
     The reported desirability uses the ratio 1/alpha - 1 matching the bound.
     """
-    curve = _scan(stats, pi0, *_control_terms(alpha))
-    feasible = np.flatnonzero(curve.dfdr <= alpha)
-    pick = int(feasible[0]) if feasible.size else len(curve) - 1
-    return _result(pi0, curve, pick, lambda tau: stats.observed >= tau)
+    curve = _curve(stats, pi0, *_control_terms(alpha))
+    return _decide(stats, pi0, curve, curve.dfdr <= alpha, most=True)
 
 
 def _control_terms(alpha: float) -> tuple[float, float]:
@@ -250,12 +209,12 @@ def per_subset_optimize(
     Each subset gets its own null statistics (its rows of the permutation
     null), its own pi0 estimate and tuning threshold, and its own cost and
     benefit. Each comparison's null is computed once, in one pass whose tiles
-    go to a NullSummary per subset, restricted to its rows; the statistic of a
-    row does not depend on the other rows, so each summary equals one of a
-    build on the subset's rows alone, bit for bit. For a single subset
-    covering all rows this reduces exactly to maximize_desirability on the
-    whole problem. One comparison's summaries, and the permutations they keep
-    for any further pass, are released before the next comparison's are drawn.
+    go to a StatisticSet per subset, restricted to its rows; the statistic of
+    a row does not depend on the other rows, so each set equals one built on
+    the subset's rows alone, bit for bit. For a single subset covering all
+    rows this reduces exactly to maximize_desirability on the whole problem.
+    One comparison's sets, and the permutations they keep for any further
+    pass, are released before the next comparison's are drawn.
     """
     partition.validate_sizes()
     out = {}
@@ -267,15 +226,14 @@ def per_subset_optimize(
 def _comparison_decisions(partition, matrix, plan, key, pi0_mode) -> dict[int, SubsetDecision]:
     """The decisions of the subsets that compare the groups ``key``, by index."""
     b, out = plan.n_permutations, {}
-    summaries = {
-        i: NullSummary(matrix.n_features, b, rows=np.asarray(s.feature_indices, dtype=np.intp))
+    sets = {
+        i: StatisticSet(matrix.n_features, b, rows=np.asarray(s.feature_indices, dtype=np.intp))
         for i, s in enumerate(partition.subsets)
         if (s.group_a, s.group_b) == key
     }
-    permutation_null(matrix, *key, plan, into=list(summaries.values()))
-    for i, summary in summaries.items():
+    permutation_null(matrix, *key, plan, into=list(sets.values()))
+    for i, stats in sets.items():
         subset = partition.subsets[i]
-        stats = StatisticSet(summary.observed, b, summary)
         pi0 = resolve_pi0(stats, pi0_mode)
         result = maximize_desirability(stats, pi0, CostBenefit([subset.benefit], [subset.cost]))
         out[i] = SubsetDecision(subset=subset, result=result, observed=stats.observed)
@@ -294,7 +252,7 @@ def common_threshold_weighted(
     from the pooled data, each inheriting its generating test's weight. With
     uniform weights this selects the same threshold as maximize_desirability.
     """
-    w = stats.summary.weights
+    w = stats.weights
     if w is None:
         raise ValidationError("common_threshold_weighted needs a set built with weights")
     b = np.asarray(benefits, dtype=float).ravel()
@@ -303,36 +261,10 @@ def common_threshold_weighted(
             "need one nonnegative benefit per test, none to exceed its weight (cost >= 0)"
         )
 
-    taus, below = _candidates(stats.sorted_observed)
+    taus, below = run_starts(stats.sorted_observed)
     w_obs_ge = weight_exceedances(stats.observed, w, taus)
     b_obs_ge = weight_exceedances(stats.observed, b, taus)
-    w_null_ge = stats.summary.exceedances[below]
+    w_null_ge = stats.exceedances[below]
     dfdr = dfdr_from_counts(pi0_weighted.value, w_null_ge / stats.n_null, w_obs_ge, stats.n_tests)
     curve = Curve(taus, dfdr, b_obs_ge - dfdr * w_obs_ge, stats.n_tests - below)
-    pick = int(_maxima(curve.desirability)[-1])
-    return _result(pi0_weighted, curve, pick, lambda tau: stats.observed >= tau)
-
-
-def maximize_desirability_pvalues(
-    pvals: PValueSet, pi0: Pi0Estimate, cost_benefit: CostBenefit
-) -> DecisionResult:
-    """Desirability maximization over p-value cutoffs.
-
-    Candidates are the observed p-values plus the "reject nothing" option,
-    encoded as the cutoff -inf. Ties break toward the smaller cutoff (fewest
-    rejections).
-    """
-    curve = _scan_p(pvals, pi0, *cost_benefit.homogeneous())
-    pick = int(_maxima(curve.desirability)[0])
-    return _result(pi0, curve, pick, lambda cutoff: pvals.pvalues <= cutoff)
-
-
-def control_dfdr_pvalues(
-    pvals: PValueSet,
-    pi0: Pi0Estimate,
-    alpha: float,
-) -> DecisionResult:
-    """Largest p-value cutoff with estimated dFDR <= alpha."""
-    curve = _scan_p(pvals, pi0, *_control_terms(alpha))
-    pick = int(np.flatnonzero(curve.dfdr <= alpha)[-1])  # -inf is always feasible
-    return _result(pi0, curve, pick, lambda cutoff: pvals.pvalues <= cutoff)
+    return _decide(stats, pi0_weighted, curve, curve.desirability == curve.desirability.max())

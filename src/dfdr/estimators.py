@@ -7,11 +7,12 @@ the exceedance proportion of the resampled null statistics with that of the
 observed statistics, scaled by an estimate of the true-null proportion pi0.
 
 Every estimate here is pi0 * (null share) / (discoveries / m) over
-exceedance counts, so one engine serves them all. The permutation null is
-read only through a ``NullSummary``, which takes it a tile at a time, so no
-run holds it whole (README "How the scan works"). ``dfdr_from_counts`` turns
-the counts into estimates, for one threshold or for every candidate at once.
-The p-value route uses the same formula with the analytic uniform null
+exceedance counts, so one engine serves them all. A ``StatisticSet`` holds
+the observed statistics and what the estimators read of their permutation
+null, which it takes a tile at a time, so no run holds the null whole
+(README "How the scan works"). ``dfdr_from_counts`` turns the counts into
+estimates, for one threshold or for every candidate at once. A
+``PValueSet`` (``stats``) gives the same formula the analytic uniform null
 share, the cutoff itself.
 
 All threshold comparisons are inclusive: a test is rejected when its
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dfdr.errors import UndefinedEstimateError, ValidationError
-from dfdr.stats import PValueSet, StatisticSet, check_statistics
+from dfdr.stats import PValueSet, check_statistics, run_starts
 
 # P(|Z| < 1/2) for a standard normal Z: the target proportion of null
 # statistics below the pi0 tuning threshold lambda.
@@ -36,7 +37,7 @@ CENTRAL_BAND_MASS = 0.382925
 # Values per tile of a stored null (whole permutations), and per argsorted
 # block where weights have too many distinct values for classes.
 BLOCK = 2**16
-# The lambda bracket (NullSummary): sample ranks kept on each side of the
+# The lambda bracket (StatisticSet): sample ranks kept on each side of the
 # target in the first tile, about 8 standard errors of the target's rank in a
 # sample of stats.TILE values; and the most values kept inside it.
 MARGIN = 2**11
@@ -210,15 +211,15 @@ def dfdr_from_counts(pi0: float, null_share, discoveries, n_tests: int) -> np.nd
     return np.where(discoveries == 0, 0.0, values)
 
 
-def choose_lambda(summary: NullSummary) -> float:
-    """Tuning threshold for the pi0 estimate, from a null's summary.
+def choose_lambda(stats: StatisticSet) -> float:
+    """Tuning threshold for the pi0 estimate, from a set's null.
 
     Picks, among the null statistic values themselves plus +inf, the value
     whose empirical proportion of null statistics strictly below it is
     closest to CENTRAL_BAND_MASS. Ties break toward the smaller value. The
-    summary selects the value from its bracket (see ``NullSummary``).
+    set selects the value from its bracket (see ``StatisticSet``).
     """
-    return summary.lam
+    return stats.lam
 
 
 def array_tiles(values: np.ndarray, n_tests: int):
@@ -228,18 +229,21 @@ def array_tiles(values: np.ndarray, n_tests: int):
     return lambda: ((rows, table[i : i + per]) for i in range(0, table.shape[0], per))
 
 
-class NullSummary:
-    """What the estimators read of a permutation null, accumulated tile by tile.
+class StatisticSet:
+    """Observed statistics and what the estimators read of their permutation
+    null, accumulated tile by tile.
 
     ``feed(tiles)`` makes one pass over a tile source: a callable that
     returns (rows, tile) pairs, where ``tile[:, i]`` holds null statistics of
-    the test ``rows[i]`` of ``n_tests`` (with ``rows`` given, the summary
-    takes only those tests, in that order). ``observe`` gives it the observed
+    the test ``rows[i]`` of ``n_tests`` (with ``rows`` given, the set takes
+    only those tests, in that order). ``observe`` gives it the observed
     statistics, before the pass or, for a null of at most CAP values, after
-    it and before lambda is read. Each tile is read once, from one sorted
-    copy per class of equal ``weights`` (one class without; a null of at
-    most CAP values sorts each class once, at the end of the pass), and the
-    summary keeps what README "How the scan works" lists: ``counts`` per
+    it and before lambda is read. ``build_statistic_set`` feeds a set as it
+    computes the null, and ``from_null`` a stored null; ``tiles`` makes the
+    tiles again for another pass. Each tile is read once, from one sorted copy per
+    class of the per-test ``weights``, fixed here (one class without; a null
+    of at most CAP values sorts each class once, at the end of the pass), and
+    the set keeps what README "How the scan works" lists: ``counts`` per
     class at each sorted observed value and +inf, and a bracket around the
     rank of lambda with tallies per class (per test, for weights of many
     distinct values). Memory is O(m + tile + CAP), whatever the number of
@@ -247,15 +251,19 @@ class NullSummary:
     """
 
     def __init__(self, n_tests: int, n_permutations: int, weights=None, rows=None) -> None:
+        if n_permutations < 1:
+            raise ValidationError("n_permutations must be >= 1")
         self.local = None
-        if rows is not None:  # this summary's tests among the tiles' n_tests
+        if rows is not None:  # this set's tests among the tiles' n_tests
             self.local = np.full(n_tests, -1)
             self.local[rows] = np.arange(len(rows))
             n_tests = len(rows)
-        self.rows, self.n_tests = rows, n_tests
-        self.size = n_tests * n_permutations  # null values summarized
-        self.k = int(CENTRAL_BAND_MASS * self.size)
-        self.weights = None if weights is None else checked_weights(weights, n_tests, self.size)
+        if n_tests < 1:
+            raise ValidationError("need at least one observed statistic")
+        self.rows, self.n_tests, self.n_permutations = rows, n_tests, n_permutations
+        self.n_null = n_tests * n_permutations
+        self.k = int(CENTRAL_BAND_MASS * self.n_null)
+        self.weights = None if weights is None else checked_weights(weights, n_tests, self.n_null)
         self.distinct, self.classes = (  # unweighted: one class, of weight 1
             (np.ones(1, np.intp), np.zeros(n_tests, np.intp)) if weights is None
             else weight_classes(self.weights, n_tests + 1))
@@ -265,12 +273,28 @@ class NullSummary:
         self.tiles, self.passes, self._lam = None, 0, None
         self._reset(-np.inf, np.inf)
 
-    def observe(self, observed) -> "NullSummary":
+    @classmethod
+    def from_null(cls, observed, null, n_permutations: int, weights=None) -> "StatisticSet":
+        """A set whose null is given whole: n_tests * n_permutations values
+        ordered by permutation index, then feature index (the value at flat
+        index j was generated by the test j % n_tests), fed a few whole
+        permutations at a time."""
+        stats = cls(np.size(observed), n_permutations, weights)
+        null = np.asarray(null, dtype=float).ravel()
+        if null.size != stats.n_null:
+            raise ValidationError(
+                f"{null.size} null statistics for "
+                f"{stats.n_tests} tests x {n_permutations} permutations"
+            )
+        return stats.observe(observed).feed(array_tiles(null, stats.n_tests))
+
+    def observe(self, observed) -> "StatisticSet":
         """Count the nulls at the observed statistics (all tests', picked by
         ``rows``): at each tile from now on, or after a first pass of at most
         CAP values over the sorted pieces it kept whole."""
-        observed = np.asarray(observed, dtype=float)
+        observed = np.asarray(observed, dtype=float).ravel()
         self.observed = observed if self.rows is None else observed[self.rows]
+        check_statistics("observed", self.observed)
         self.taus = np.append(np.sort(self.observed), np.inf)
         shape = (self.distinct.size, self.taus.size)
         self.counts = np.zeros(shape, float if self.classes is None else np.intp)
@@ -285,11 +309,26 @@ class NullSummary:
         return class_sums(self.distinct, self.counts)
 
     @property
+    def sorted_observed(self) -> np.ndarray:
+        return self.taus[:-1]  # the thresholds of ``counts`` but +inf
+
+    def candidates(self):
+        """The run starts of the sorted observed values, plus +inf, with their
+        discoveries and null shares; a set built with weights has none."""
+        if self.weights is not None:
+            raise ValidationError("a set built with weights takes common_threshold_weighted")
+        taus, below = run_starts(self.sorted_observed)
+        return taus, self.n_tests - below, self.exceedances[below] / self.n_null
+
+    def rejects(self, tau: float) -> np.ndarray:
+        return self.observed >= tau
+
+    @property
     def keeps_all(self) -> bool:
         """Whether every null value stays kept: at most CAP of them."""
-        return self.size <= CAP
+        return self.n_null <= CAP
 
-    def feed(self, tiles) -> "NullSummary":
+    def feed(self, tiles) -> "StatisticSet":
         summarize([self], tiles)
         return self
 
@@ -360,7 +399,7 @@ class NullSummary:
         if self.at is not None or self.n_kept == 0:
             return
         last = self.n_kept - 1
-        j = min(max(self.k * self.seen // self.size - int(self.below.sum()), 0), last)
+        j = min(max(self.k * self.seen // self.n_null - int(self.below.sum()), 0), last)
         if j - margin <= 0 and j + margin >= last:
             return
         part = np.concatenate([values for values, _ in self.kept])
@@ -388,7 +427,7 @@ class NullSummary:
         return self._lam
 
     def _select(self) -> None:
-        k, n = self.k, self.size
+        k, n = self.k, self.n_null
         while True:
             below = int(self.below.sum())
             inside = self.n_kept if self.at is None else int(self.at.sum())
@@ -442,42 +481,42 @@ def _tally(tallies, bins, start: int, stop: int) -> None:
         tallies[bins] += stop - start
 
 
-def summarize(summaries, tiles) -> None:
-    """One pass over the tile source ``tiles`` into every summary, which keeps
+def summarize(sets, tiles) -> None:
+    """One pass over the tile source ``tiles`` into every set, which keeps
     ``tiles`` for any later pass its lambda needs. Each tile goes to every
-    summary before the next is asked for, and no summary keeps a tile (only
-    copies or counts), so a source may reuse a tile's memory once the next is
-    asked for, as a streamed null's does (``resampling.read_ahead``)."""
-    for summary in summaries:
-        summary.tiles = tiles
-        summary.passes += 1
+    set before the next is asked for, and no set keeps a tile (only copies or
+    counts), so a source may reuse a tile's memory once the next is asked
+    for, as a streamed null's does (``resampling.read_ahead``)."""
+    for stats in sets:
+        stats.tiles = tiles
+        stats.passes += 1
     for rows, tile in tiles():
-        for summary in summaries:
-            summary.add(rows, tile)
-    for summary in summaries:
-        summary.end_pass()
+        for stats in sets:
+            stats.add(rows, tile)
+    for stats in sets:
+        stats.end_pass()
 
 
-def estimate_pi0(summary: NullSummary) -> Pi0Estimate:
-    """Quantile-matching pi0 estimate at the summary's tuning threshold lambda.
+def estimate_pi0(stats: StatisticSet) -> Pi0Estimate:
+    """Quantile-matching pi0 estimate at the set's tuning threshold lambda.
 
     The raw ratio (share of observed statistics below lambda) / (share of
     null statistics below lambda) is clamped into [0, 1]; raw values above 1
-    are meaningless as a proportion. A summary with per-test ``weights``
-    gives weight sums instead, each null inheriting its test's weight: the
-    null weight below lambda is each class's count below lambda times its
-    weight, added in class order. Raises UndefinedEstimateError when no null
+    are meaningless as a proportion. A set with per-test ``weights`` gives
+    weight sums instead, each null inheriting its test's weight: the null
+    weight below lambda is each class's count below lambda times its weight,
+    added in class order. Raises UndefinedEstimateError when no null
     statistic (no positive null weight) falls below lambda.
     """
-    obs, w, lam = summary.observed, summary.weights, summary.lam
-    null_below = class_sums(summary.bins, summary.below_lam)
+    obs, w, lam = stats.observed, stats.weights, stats.lam
+    null_below = class_sums(stats.bins, stats.below_lam)
     obs_below = np.count_nonzero(obs < lam) if w is None else float(np.sum(w[obs < lam]))
     if null_below == 0:
         counted = "null statistic" if w is None else "positive null weight"
         raise UndefinedEstimateError(
             f"no {counted} below lambda={lam!r}; consider the conservative mode pi0 = 1"
         )
-    return Pi0Estimate.estimated(float((obs_below / obs.size) / (null_below / summary.size)), lam)
+    return Pi0Estimate.estimated(float((obs_below / obs.size) / (null_below / stats.n_null)), lam)
 
 
 def estimate_pi0_from_pvalues(pvals: PValueSet) -> Pi0Estimate:
@@ -501,9 +540,8 @@ def resolve_pi0(stats: StatisticSet, mode) -> Pi0Estimate:
     if mode == "one":
         return Pi0Estimate.fixed_one()
     if mode == "estimate":
-        summary = stats.summary
-        choose_lambda(summary)  # lambda is selected first, in a stage of its own
-        return estimate_pi0(summary)
+        choose_lambda(stats)  # lambda is selected first, in a stage of its own
+        return estimate_pi0(stats)
     if isinstance(mode, (int, float)) and not isinstance(mode, bool):
         return Pi0Estimate.user(float(mode))
     raise ValidationError(f"unknown pi0 mode {mode!r}")

@@ -16,7 +16,7 @@ shuffles each row, so the rows are the same bits as ``permutation_indices``.
 A spawn key is then one 32-bit word, so a plan draws fewer than 2**32
 permutations.
 Null statistics are ordered by permutation index, then feature index, and
-are computed tile by tile into a summary, never whole.
+are computed tile by tile into a ``StatisticSet``, never whole.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ import numpy as np
 
 from dfdr.data import DataMatrix
 from dfdr.errors import ValidationError
-from dfdr.estimators import NullSummary, summarize
-from dfdr.stats import StatisticSet, welch_abs_t, welch_tiles
+from dfdr.estimators import StatisticSet, summarize
+from dfdr.stats import welch_abs_t, welch_tiles
 
-# Tiles a streamed null's worker makes past the one the summaries hold: two
+# Tiles a streamed null's worker makes past the one the sets hold: two
 # even out the tiles that take one stage longer than the other.
 AHEAD = 2
 
@@ -154,11 +154,11 @@ def permutation_null(
 ):
     """Null statistics from ``plan.n_permutations`` random label permutations.
 
-    Returns the null whole. With ``into`` (a NullSummary or a list of them),
-    each tile goes to every summary as it is computed and ``into`` is
-    returned; the summaries keep the means to recompute the tiles for any
-    later pass. They observe the statistics of the identity split first; a
-    null that they all keep whole takes the identity split in its own pass
+    Returns the null whole. With ``into`` (a StatisticSet or a list of
+    them), each tile goes to every set as it is computed and ``into`` is
+    returned; the sets keep the means to recompute the tiles for any later
+    pass. They observe the statistics of the identity split first; a null
+    that they all keep whole takes the identity split in its own pass
     instead, so its row blocks are prepared once, and runs on the calling
     thread alone. Every pass over any other null is read ahead on one worker
     thread (``read_ahead``; README "How the scan works").
@@ -169,10 +169,10 @@ def permutation_null(
     permutation_rows(plan, splits[1:])
     if into is None:
         return welch_abs_t(values, pool, n_a, splits[1:]).ravel()
-    summaries = into if isinstance(into, list) else [into]
+    sets = into if isinstance(into, list) else [into]
     observed = np.empty(values.shape[0])
 
-    together = all(summary.keeps_all for summary in summaries)
+    together = all(stats.keeps_all for stats in sets)
 
     def null():  # a tile source of the null alone; a streamed one is read ahead
         tiles = welch_tiles(values, pool, n_a, splits[1:], 1 if together else AHEAD + 1)
@@ -188,13 +188,13 @@ def permutation_null(
 
     if not together:
         observed[:] = welch_abs_t(values, pool, n_a, splits[:1])[0]
-        for summary in summaries:
-            summary.observe(observed)
-    summarize(summaries, with_identity if together else null)
-    for summary in summaries:
-        summary.tiles = null  # any later pass
+        for stats in sets:
+            stats.observe(observed)
+    summarize(sets, with_identity if together else null)
+    for stats in sets:
+        stats.tiles = null  # any later pass
         if together:
-            summary.observe(observed)
+            stats.observe(observed)
     return into
 
 
@@ -226,13 +226,12 @@ def build_statistic_set(
     plan: PermutationPlan,
     weights=None,
 ) -> StatisticSet:
-    """Observed statistics and their null, summarized as it is computed.
+    """Observed statistics and their null, fed to the set as it is computed.
 
-    With per-test ``weights`` the summary counts the null per class of weights.
+    With per-test ``weights`` the set counts the null per class of weights.
     """
-    summary = NullSummary(matrix.n_features, plan.n_permutations, weights)
-    permutation_null(matrix, group_a, group_b, plan, into=summary)
-    return StatisticSet(summary.observed, plan.n_permutations, summary)
+    stats = StatisticSet(matrix.n_features, plan.n_permutations, weights)
+    return permutation_null(matrix, group_a, group_b, plan, into=stats)
 
 
 def two_sample_abs_t(matrix: DataMatrix, group_a: str, group_b: str) -> np.ndarray:

@@ -29,11 +29,11 @@ from dfdr.decision import DecisionResult, control_dfdr, maximize_desirability
 from dfdr.errors import ValidationError
 from dfdr.estimators import (
     CostBenefit,
+    StatisticSet,
     dfdr_from_cdfs,
     resolve_pi0,
 )
 from dfdr.resampling import PermutationPlan, build_statistic_set
-from dfdr.stats import StatisticSet
 
 
 @dataclass(frozen=True)
@@ -364,7 +364,7 @@ def _replicate_outcome(config: SimulationConfig, replicate: int, rule) -> Replic
     released before the next replicate's are drawn."""
     stats, h = build_replicate_stats(config, replicate)
     decision = rule(stats)
-    idx = np.fromiter(decision.rejected, dtype=int, count=len(decision.rejected))
+    idx = decision.rejected
     is_null = h[idx] == 0
     order = np.argsort(stats.observed[idx])
     return ReplicateOutcome(

@@ -1,4 +1,4 @@
-"""Per-test observed statistics and p-value intake.
+"""Per-test observed statistics, and p-values as a set to decide on.
 
 The default statistic is the absolute two-sample t with unequal-variance
 (Welch) standard error and n-1 sample variances. One kernel, ``welch_abs_t``,
@@ -10,73 +10,21 @@ each group. When both groups of a feature have zero spread, the statistic is
 sentinel otherwise; the sentinel ranks above every finite statistic and falls
 inside every threshold region. A positive spread (above 2^-500 of the row's
 range) never gives a sentinel.
+
+A ``PValueSet`` is decided on as a ``StatisticSet`` (``estimators``) is:
+by its candidate thresholds, from the runs of ties in its sorted values
+(``run_starts``), and the tests a threshold rejects.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from dfdr.errors import ValidationError
-
-
-@dataclass(frozen=True)
-class StatisticSet:
-    """Observed statistics plus the summary of their permutation null.
-
-    The estimators read the null only through ``summary``, a ``NullSummary``
-    (see ``estimators``), taken tile by tile as ``build_statistic_set``
-    computed the null or, by ``from_null``, from a stored null a few whole
-    permutations at a time. Per-test weights are fixed there: the summary
-    counts per class of them, or unweighted without. It can recompute the
-    tiles (``summary.tiles``) for another pass.
-    """
-
-    observed: np.ndarray
-    n_permutations: int
-    summary: object = field(repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        observed = np.asarray(self.observed, dtype=float).ravel()
-        object.__setattr__(self, "observed", observed)
-        if observed.size < 1:
-            raise ValidationError("need at least one observed statistic")
-        if self.n_permutations < 1:
-            raise ValidationError("n_permutations must be >= 1")
-        check_statistics("observed", observed)
-
-    @classmethod
-    def from_null(cls, observed, null, n_permutations: int, weights=None) -> "StatisticSet":
-        """A set whose null is given whole: n_tests * n_permutations values
-        ordered by permutation index, then feature index (the value at flat
-        index j was generated by the test j % n_tests), summarized with the
-        per-test ``weights`` if given."""
-        from dfdr.estimators import NullSummary, array_tiles  # the engine imports this module
-        summary = NullSummary(np.size(observed), n_permutations, weights)
-        stats = cls(observed, n_permutations, summary)
-        null = np.asarray(null, dtype=float).ravel()
-        if null.size != stats.n_null:
-            raise ValidationError(
-                f"{null.size} null statistics for "
-                f"{stats.n_tests} tests x {n_permutations} permutations"
-            )
-        summary.observe(stats.observed).feed(array_tiles(null, stats.n_tests))
-        return stats
-
-    @property
-    def n_tests(self) -> int:
-        return self.observed.size
-
-    @property
-    def n_null(self) -> int:
-        return self.observed.size * self.n_permutations
-
-    @property
-    def sorted_observed(self) -> np.ndarray:
-        return self.summary.taus[:-1]  # the summary's thresholds but +inf
 
 
 def check_statistics(name: str, values: np.ndarray) -> None:
@@ -87,7 +35,8 @@ def check_statistics(name: str, values: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class PValueSet:
-    """Validated per-test p-values, each in [0, 1]."""
+    """Per-test p-values, each in [0, 1], decided against the uniform null:
+    the null share of a cutoff is the cutoff itself."""
 
     pvalues: np.ndarray
 
@@ -96,6 +45,10 @@ class PValueSet:
         object.__setattr__(self, "pvalues", p)
         if p.size < 1:
             raise ValidationError("need at least one p-value")
+        bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
+        if bad.size:
+            i = int(bad[0])
+            raise ValidationError(f"p-value out of [0, 1] at index {i}: {float(p[i])}")
 
     @property
     def n_tests(self) -> int:
@@ -105,15 +58,45 @@ class PValueSet:
     def sorted_pvalues(self) -> np.ndarray:
         return np.sort(self.pvalues)
 
+    def candidates(self):
+        """Cutoffs -inf ("reject nothing") and each distinct p-value, with
+        their discoveries (p <= a distinct value holds exactly for the
+        p-values below the next) and the cutoffs as their null shares."""
+        cutoffs, below = run_starts(self.sorted_pvalues, first=-np.inf)
+        return cutoffs, below, cutoffs
+
+    def rejects(self, cutoff: float) -> np.ndarray:
+        return self.pvalues <= cutoff
+
 
 def validate_pvalues(raw) -> PValueSet:
-    """Check that every value lies in [0, 1] and wrap them in a PValueSet."""
-    p = np.asarray(raw, dtype=float).ravel()
-    bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
-    if bad.size:
-        i = int(bad[0])
-        raise ValidationError(f"p-value out of [0, 1] at index {i}: {float(p[i])}")
-    return PValueSet(pvalues=p)
+    """The values as a PValueSet, which checks that each lies in [0, 1]."""
+    return PValueSet(raw)
+
+
+def run_starts(sorted_values: np.ndarray, first: float | None = None):
+    """Distinct values plus +inf, each with how many values lie below it.
+
+    The count below a distinct value is where its run of ties starts, so it
+    also indexes the value's entry in a ``StatisticSet``'s ``exceedances``.
+    With ``first`` the values are shifted one place instead: ``first``, then
+    each distinct value, with the same counts.
+    """
+    n = sorted_values.size
+    starts = np.empty(n + 1, dtype=bool)  # where a run of ties starts, and the end
+    starts[0] = starts[n] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=starts[1:n])
+    below = np.flatnonzero(starts)
+    taus = np.empty(below.size)
+    if first is not None:
+        taus[0] = first
+        np.take(sorted_values, below[:-1], out=taus[1:])
+        return taus, below
+    np.take(sorted_values, below[:-1], out=taus[:-1])
+    taus[-1] = np.inf
+    if np.isposinf(sorted_values[-1]):
+        return taus[:-1], below[:-1]
+    return taus, below
 
 
 # Rows per block: at least ROWS, and enough that a block holds about

@@ -10,7 +10,7 @@ import pytest
 
 from dfdr import DataMatrix, DecisionResult, Pi0Estimate, StatisticSet, resolve_pi0
 from dfdr.decision import Curve
-from dfdr.estimators import NullSummary, array_tiles, dfdr_from_counts, weight_exceedances
+from dfdr.estimators import array_tiles, dfdr_from_counts, weight_exceedances
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -87,23 +87,23 @@ def random_statistic_set(
     return StatisticSet.from_null(observed, nulls, b), nulls
 
 
-def null_summary(nulls) -> NullSummary:
-    """The summary of a stored null as one test's permutations: what
+def null_summary(nulls) -> StatisticSet:
+    """A stored null as one test's permutations, unobserved: what
     ``choose_lambda`` reads of the values."""
     nulls = np.asarray(nulls, dtype=float).ravel()
-    return NullSummary(1, nulls.size).feed(array_tiles(nulls, 1))
+    return StatisticSet(1, nulls.size).feed(array_tiles(nulls, 1))
 
 
 def dfdr_at(stats: StatisticSet, pi0: Pi0Estimate, tau: float, weights=None):
     """(dFDR, discoveries, null exceedances) of [tau, inf), from the engine's counts.
 
-    The null is read tile by tile from its summary's tile source, so a null
+    The null is read tile by tile from the set's tile source, so a null
     that was never held whole (from ``build_statistic_set``) is recomputed
     here.
     """
     w = np.ones(stats.n_tests, np.intp) if weights is None else np.asarray(weights, dtype=float)
     obs = weight_exceedances(stats.observed, w, tau)
-    null = sum(weight_exceedances(tile.ravel(), w[rows], tau) for rows, tile in stats.summary.tiles())
+    null = sum(weight_exceedances(tile.ravel(), w[rows], tau) for rows, tile in stats.tiles())
     value = dfdr_from_counts(pi0.value, null / stats.n_null, obs, stats.n_tests)
     return float(value), obs, null
 
@@ -119,7 +119,7 @@ class FixedThresholdRule:
         pi0 = resolve_pi0(stats, self.pi0_mode)
         return DecisionResult(
             tau=float(self.tau),
-            rejected=frozenset(np.flatnonzero(stats.observed >= self.tau).tolist()),
+            rejected=np.flatnonzero(stats.observed >= self.tau),
             dfdr=dfdr_at(stats, pi0, self.tau)[0],
             desirability=math.nan,
             pi0=pi0,

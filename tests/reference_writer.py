@@ -38,7 +38,7 @@ def decision_files(ids, values, result) -> dict[str, str]:
     ``ids`` is a list of str, or range(m) for the p-value route's ids."""
     if isinstance(ids, range):
         ids = pvalue_ids(len(ids))
-    rejected, curve = result.rejected, result.curve
+    rejected, curve = set(result.rejected.tolist()), result.curve
     tests = rows_text(
         ["feature_id", "statistic", "rejected"],
         ((ids[i], float(values[i]), 1 if i in rejected else 0) for i in range(len(ids))),

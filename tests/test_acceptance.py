@@ -122,7 +122,7 @@ def test_criterion_3_optimizer_matches_brute_force():
         )
         if not (
             result.tau == tau
-            and result.rejected == rejected
+            and result.rejected.tolist() == rejected
             and result.dfdr == dfdr
             and result.desirability == desir
         ):
@@ -132,7 +132,7 @@ def test_criterion_3_optimizer_matches_brute_force():
         tau_c, rejected_c, dfdr_c = brute_force_control(
             stats.observed.tolist(), nulls.tolist(), pi0_value, alpha
         )
-        if not (ctl.tau == tau_c and ctl.rejected == rejected_c and ctl.dfdr == dfdr_c):
+        if not (ctl.tau == tau_c and ctl.rejected.tolist() == rejected_c and ctl.dfdr == dfdr_c):
             mismatches += 1
 
     ok = mismatches == 0
@@ -262,7 +262,7 @@ def test_criterion_7_benefit_scaling_invariance():
         pi0 = Pi0Estimate.user(float(rng.uniform(0.2, 1.0)))
         base = maximize_desirability(stats, pi0, CostBenefit([1.0], [19.0]))
         scaled = maximize_desirability(stats, pi0, CostBenefit([10.0], [190.0]))
-        if base.rejected != scaled.rejected:
+        if base.rejected.tolist() != scaled.rejected.tolist():
             all_ok = False
             break
     # also on full-pipeline replicates
@@ -275,7 +275,7 @@ def test_criterion_7_benefit_scaling_invariance():
         pi0 = resolve_pi0(stats, "estimate")
         base = maximize_desirability(stats, pi0, CostBenefit([1.0], [19.0]))
         scaled = maximize_desirability(stats, pi0, CostBenefit([10.0], [190.0]))
-        if base.rejected != scaled.rejected:
+        if base.rejected.tolist() != scaled.rejected.tolist():
             all_ok = False
             break
     verdict(7, "benefit scaling invariance", all_ok, "rejected sets identical under x10")

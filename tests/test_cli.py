@@ -464,6 +464,16 @@ class TestAnalyzeSubsetsAndWeights:
         assert self.run_with(tmp_path, "--weights", "\n".join(rows) + "\n") == 2
         assert "rows 4 and 7 both give feature 'g002'" in capsys.readouterr().err
 
+    def test_unknown_weights_feature_is_data_error(self, tmp_path, capsys):
+        # a row for no feature of the matrix is refused as in a subsets file,
+        # whatever its cells, and nothing is written
+        rows = ["feature_id\tbenefit\tcost"] + [f"g{i:03d}\t1\t19" for i in range(10)]
+        rows.insert(4, "nowhere\t1\t-5")
+        assert self.run_with(tmp_path, "--weights", "\n".join(rows) + "\n") == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {tmp_path / 'table.tsv'}: row 5: unknown feature id 'nowhere'\n"
+        assert not any((tmp_path / "o").iterdir())
+
 
 class TestExtremeWeights:
     """Weights whose null sums overflow, or whose shares of the null round to

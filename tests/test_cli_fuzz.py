@@ -1,7 +1,10 @@
 """A fuzzer for the CLI, through ``cli.main`` in-process: ``dfdr simulate``
 with every flag at and beyond the edges of its ``cli.RANGES`` row, at tiny
-sizes, and ``dfdr analyze --weights`` with weights files of extreme,
-non-numeric, repeated and missing cells on a small generated matrix.
+sizes; ``dfdr analyze --weights`` with weights files of extreme,
+non-numeric, repeated and missing cells on a small generated matrix; and
+``dfdr analyze --subsets`` with subsets files of such cells, names that
+cannot name a file, unknown, repeated and overlapping features, unknown
+groups and ``--min-subset-size`` at its edges, on the same matrix.
 
 For every case: the exit code is 0, 1 or 2; exit 1 or 2 writes no file
 under --out; exit 0 writes nothing to stderr and raises no warning, and its
@@ -85,7 +88,7 @@ def undefined_in_report(out: Path) -> list[str]:
     return undefined_numbers(report, int(report.split("replicates\t")[1].split("\n")[0]))
 
 
-def check(argv, undefined=undefined_in_report, outputs=("report.txt",)):
+def check(argv, undefined=undefined_in_report):
     """The contracts above for ``dfdr argv``; ``undefined(out)`` lists the
     nan printed for a defined number in the outputs of a run into ``out``."""
     with tempfile.TemporaryDirectory() as temp:
@@ -99,7 +102,9 @@ def check(argv, undefined=undefined_in_report, outputs=("report.txt",)):
             assert undefined(first) == []
         assert run(argv, second) == (code, err.replace(str(first), str(second)), caught)
         if code == 0:
-            for name in outputs:
+            names = sorted(p.name for p in first.iterdir())
+            assert names == sorted(p.name for p in second.iterdir())
+            for name in names:
                 assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
 
@@ -126,7 +131,6 @@ def test_block_size_beyond_int64():
 M = 12
 CELLS = ["nan", "inf", "-inf", "-1", "-0", "0", "1e-320", "1e308", "1e-300", "1e300",
          "abc", "", "1", "19"]
-OUTPUTS = ("summary.txt", "tests.csv", "curve.csv")
 
 
 def write_matrix(folder: Path, seed: int) -> list[str]:
@@ -168,13 +172,16 @@ def weights_case(draw):
 def undefined_cells(out: Path) -> list[str]:
     """Output lines that print nan for a defined number: every cell of the
     tables, and every summary field but lambda, which is nan unless pi0 is
-    estimated."""
-    summary = dict(line.split("\t") for line in (out / "summary.txt").read_text().splitlines())
-    bad = [f"summary {k}" for k, v in summary.items()
-           if v == "nan" and not (k == "lambda" and summary["pi0_mode"] != "estimated")]
-    for name in OUTPUTS[1:]:
-        bad += [f"{name} {line}" for line in (out / name).read_text().splitlines()
-                if "nan" in line.split(",")]
+    estimated; in each decision's files (one per subset with --subsets)."""
+    bad = []
+    for path in sorted(out.iterdir()):
+        lines = path.read_text().splitlines()
+        if path.name.startswith("summary"):
+            summary = dict(line.split("\t") for line in lines)
+            bad += [f"{path.name} {k}" for k, v in summary.items()
+                    if v == "nan" and not (k == "lambda" and summary["pi0_mode"] != "estimated")]
+        else:
+            bad += [f"{path.name} {line}" for line in lines if "nan" in line.split(",")]
     return bad
 
 
@@ -185,4 +192,68 @@ def test_weights_files(case):
     with tempfile.TemporaryDirectory() as temp:
         (Path(temp) / "weights.tsv").write_text(text)
         argv = write_matrix(Path(temp), seed) + flags + ["--weights", str(Path(temp) / "weights.tsv")]
-        check(argv, undefined_cells, OUTPUTS)
+        check(argv, undefined_cells)
+
+
+# ``analyze --subsets`` on the same matrix: its features fall into one to
+# three subsets s, t and u, each comparing A with B or B with A (a
+# comparison of its own, which may share features with A vs B) at an
+# ordinary (benefit, cost) pair. Then up to two edits: a subset's costs, or
+# one row's, take values from CELLS; a row takes a name from NAMES; a
+# subset's groups become a pair of PAIRS (Z is no group); a row goes
+# missing, repeats, joins a second subset or names no feature.
+NAMES = ["", ".", "..", "a/b", "a\x00b", "n" * 300, "s", "t", "v"]
+PAIRS = [("A", "B"), ("B", "A"), ("A", "Z"), ("Z", "B"), ("A", "A")]
+ORDINARY = [("1", "19"), ("2", "19"), ("0.5", "3")]
+EDITS = ["costs", "cell", "name", "groups", "drop", "repeat", "join", "rename"]
+MIN_SIZES = ["-1", "0", str(M), str(M + 1), "1" + "0" * 30, "nan", "2.5"]
+
+
+@st.composite
+def subsets_case(draw):
+    """(matrix seed, subsets file text, analyze flags without the files)."""
+    subsets = [[name, *draw(st.sampled_from(PAIRS[:2])), *draw(st.sampled_from(ORDINARY))]
+               for name in "stu"[: draw(st.integers(1, 3))]]
+    rows = [[f"g{i}", *draw(st.sampled_from(subsets))] for i in range(M)]
+    for _ in range(draw(st.integers(0, 2))):
+        edit, i = draw(st.sampled_from(EDITS)), draw(st.integers(0, len(rows) - 1))
+        if edit in ("costs", "groups"):  # in every row of one subset
+            name = draw(st.sampled_from(subsets))[0]
+            if edit == "costs":
+                columns, values = [draw(st.integers(4, 5))], [draw(st.sampled_from(CELLS))]
+            else:
+                columns, values = [2, 3], draw(st.sampled_from(PAIRS))
+            for row in rows:
+                if row[1] == name:
+                    for column, value in zip(columns, values):
+                        row[column] = value
+        elif edit == "cell":
+            rows[i][draw(st.integers(4, 5))] = draw(st.sampled_from(CELLS))
+        elif edit == "name":
+            rows[i][1] = draw(st.sampled_from(NAMES))
+        elif edit == "drop":
+            del rows[i]
+        elif edit == "repeat":
+            rows.append(list(rows[i]))
+        elif edit == "join":
+            rows.append([rows[i][0], *draw(st.sampled_from(subsets))])
+        else:
+            rows[i][0] = "nowhere"
+    header = "feature_id\tsubset\tgroup_a\tgroup_b\tbenefit\tcost\n"
+    text = header + "".join("\t".join(row) + "\n" for row in rows)
+    min_size = draw(st.one_of(st.integers(1, 4).map(str), st.sampled_from(MIN_SIZES)))
+    flags = ["--min-subset-size", min_size,
+             "--permutations", str(draw(st.integers(1, 6))), "--seed", str(draw(st.integers(0, 9)))]
+    if draw(st.booleans()):
+        flags += ["--pi0", draw(st.sampled_from(["estimate", "one", "0.5", "0"]))]
+    return draw(st.integers(0, 3)), text, flags
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(subsets_case())
+def test_subsets_files(case):
+    seed, text, flags = case
+    with tempfile.TemporaryDirectory() as temp:
+        (Path(temp) / "subsets.tsv").write_text(text)
+        argv = write_matrix(Path(temp), seed) + flags + ["--subsets", str(Path(temp) / "subsets.tsv")]
+        check(argv, undefined_cells)

@@ -16,9 +16,7 @@ from dfdr import (
     build_statistic_set,
     common_threshold_weighted,
     control_dfdr,
-    control_dfdr_pvalues,
     maximize_desirability,
-    maximize_desirability_pvalues,
     p_to_cost_ratio,
     per_subset_optimize,
     resolve_pi0,
@@ -58,14 +56,14 @@ def brute_force_maximize(observed, nulls, pi0, benefit, ratio):
     for tau, dfdr, desir, k_obs in brute_force_curve(observed, nulls, pi0, benefit, ratio):
         if best is None or desir >= best[2]:
             best = (tau, dfdr, desir, k_obs)
-    rejected = frozenset(i for i, v in enumerate(observed) if v >= best[0])
+    rejected = [i for i, v in enumerate(observed) if v >= best[0]]
     return best[0], rejected, best[1], best[2]
 
 
 def brute_force_control(observed, nulls, pi0, alpha):
     for tau, dfdr, _, _ in brute_force_curve(observed, nulls, pi0, 1.0, 0.0):
         if dfdr <= alpha:
-            rejected = frozenset(i for i, v in enumerate(observed) if v >= tau)
+            rejected = [i for i, v in enumerate(observed) if v >= tau]
             return tau, rejected, dfdr
     raise AssertionError("unreachable: the +inf candidate is always feasible")
 
@@ -74,7 +72,7 @@ class TestMaximizeDesirability:
     def test_worked_example(self, four_test_stats, pi0_one):
         result = maximize_desirability(four_test_stats, pi0_one, CostBenefit.from_ratio(19.0))
         assert result.tau == 1.0
-        assert result.rejected == frozenset({0, 1, 2})
+        assert result.rejected.tolist() == [0, 1, 2]
         assert result.dfdr == 0.0
         assert result.desirability == 3.0
         finite = np.isfinite(result.curve.tau)
@@ -88,7 +86,7 @@ class TestMaximizeDesirability:
             n_permutations=3,
         )
         result = maximize_desirability(stats, pi0_one, CostBenefit.from_ratio(1e6))
-        assert result.rejected == frozenset()
+        assert result.rejected.tolist() == []
         assert result.desirability == 0.0
         assert result.tau == math.inf
 
@@ -104,8 +102,8 @@ class TestMaximizeDesirability:
             stats, _ = random_statistic_set(rng)
             pi0 = Pi0Estimate.user(float(rng.uniform(0.2, 1.0)))
             result = maximize_desirability(stats, pi0, CostBenefit.from_ratio(9.0))
-            expected = frozenset(int(i) for i in np.flatnonzero(stats.observed >= result.tau))
-            assert result.rejected == expected
+            expected = np.flatnonzero(stats.observed >= result.tau).tolist()
+            assert result.rejected.tolist() == expected
 
     def test_argmax_correctness_by_rescan(self):
         rng = np.random.default_rng(23)
@@ -126,7 +124,7 @@ class TestMaximizeDesirability:
             scaled = maximize_desirability(
                 stats, pi0, CostBenefit([10.0], [190.0])
             )
-            assert base.rejected == scaled.rejected
+            assert base.rejected.tolist() == scaled.rejected.tolist()
             assert base.tau == scaled.tau
 
     def test_ties_break_toward_largest_tau(self, pi0_one):
@@ -138,7 +136,7 @@ class TestMaximizeDesirability:
         )
         result = maximize_desirability(stats, pi0_one, CostBenefit.from_ratio(0.0))
         assert result.tau == 2.0
-        assert result.rejected == frozenset({0})
+        assert result.rejected.tolist() == [0]
 
     def test_tie_with_empty_region_rejects_nothing(self, pi0_one):
         # every rejection region scores 0, as does rejecting nothing; the
@@ -146,15 +144,29 @@ class TestMaximizeDesirability:
         stats = StatisticSet.from_null(observed=[1.0], null=[2.0], n_permutations=1)
         result = maximize_desirability(stats, pi0_one, CostBenefit.from_ratio(0.0))
         assert result.tau == math.inf
-        assert result.rejected == frozenset()
+        assert result.rejected.tolist() == []
         assert result.desirability == 0.0
+
+
+def test_rejected_is_a_sorted_index_array(four_test_stats, pi0_one):
+    pvals = validate_pvalues([0.2, 0.01, 0.9, 0.04])
+    for result in (
+        maximize_desirability(four_test_stats, pi0_one, CostBenefit.from_ratio(19.0)),
+        control_dfdr(four_test_stats, pi0_one, 0.05),
+        common_threshold_weighted(four_tests([20.0] * 4), [1.0] * 4, pi0_one),
+        maximize_desirability(pvals, pi0_one, CostBenefit.from_ratio(19.0)),
+        control_dfdr(pvals, pi0_one, 0.1),
+    ):
+        assert result.rejected.dtype == np.intp
+        assert result.n_rejected == result.rejected.size > 0
+        assert np.all(np.diff(result.rejected) > 0)
 
 
 class TestControlDfdr:
     def test_worked_example(self, four_test_stats, pi0_one):
         result = control_dfdr(four_test_stats, pi0_one, 0.05)
         assert result.tau == 1.0
-        assert result.rejected == frozenset({0, 1, 2})
+        assert result.rejected.tolist() == [0, 1, 2]
         assert result.dfdr == 0.0
 
     def test_infeasible_bound_rejects_nothing(self, pi0_one):
@@ -162,7 +174,7 @@ class TestControlDfdr:
             observed=[1.0, 0.9], null=[1.5, 1.4], n_permutations=1
         )
         result = control_dfdr(stats, pi0_one, 0.01)
-        assert result.rejected == frozenset()
+        assert result.rejected.tolist() == []
         assert result.tau == math.inf
 
     def test_infeasible_sentinels_reject_only_themselves(self, pi0_one):
@@ -173,7 +185,7 @@ class TestControlDfdr:
         )
         result = control_dfdr(stats, pi0_one, 0.01)
         assert result.tau == math.inf
-        assert result.rejected == frozenset({1})
+        assert result.rejected.tolist() == [1]
         assert result.dfdr == 0.5
 
     def test_alpha_validation(self, four_test_stats, pi0_one):
@@ -217,7 +229,7 @@ class TestBruteForceAgreement:
                 stats.observed.tolist(), nulls.tolist(), pi0_value, 1.0, ratio
             )
             assert result.tau == tau
-            assert result.rejected == rejected
+            assert result.rejected.tolist() == rejected
             assert result.dfdr == dfdr
             assert result.desirability == desir
 
@@ -232,7 +244,7 @@ class TestBruteForceAgreement:
                 stats.observed.tolist(), nulls.tolist(), pi0_value, alpha
             )
             assert result.tau == tau
-            assert result.rejected == rejected
+            assert result.rejected.tolist() == rejected
             assert result.dfdr == dfdr
 
 
@@ -269,7 +281,7 @@ class TestPerSubsetOptimize:
         pi0 = resolve_pi0(stats, "estimate")
         direct = maximize_desirability(stats, pi0, CostBenefit.from_ratio(19.0))
         assert decisions[0].result.tau == direct.tau
-        assert decisions[0].result.rejected == direct.rejected
+        assert decisions[0].result.rejected.tolist() == direct.rejected.tolist()
         assert decisions[0].result.desirability == direct.desirability
 
     def test_single_subset_reproduces_whole_problem_bitwise(self):
@@ -290,7 +302,7 @@ class TestPerSubsetOptimize:
         assert (result.tau, result.dfdr, result.desirability) == (
             direct.tau, direct.dfdr, direct.desirability
         )
-        assert result.rejected == direct.rejected
+        assert result.rejected.tolist() == direct.rejected.tolist()
         for name in ("tau", "dfdr", "desirability", "discoveries"):
             np.testing.assert_array_equal(getattr(result.curve, name), getattr(direct.curve, name))
 
@@ -322,7 +334,7 @@ class TestPerSubsetOptimize:
             cb = CostBenefit([d.subset.benefit], [d.subset.cost])
             direct = maximize_desirability(stats, resolve_pi0(stats, "estimate"), cb)
             assert (d.result.tau, d.result.dfdr) == (direct.tau, direct.dfdr)
-            assert d.result.rejected == direct.rejected
+            assert d.result.rejected.tolist() == direct.rejected.tolist()
 
     def test_identical_subsets_get_identical_thresholds(self):
         rng = np.random.default_rng(30)
@@ -393,7 +405,7 @@ class TestCommonThresholdWeighted:
             )
             plain = maximize_desirability(stats, pi0, CostBenefit.from_ratio(19.0))
             assert weighted.tau == plain.tau
-            assert weighted.rejected == plain.rejected
+            assert weighted.rejected.tolist() == plain.rejected.tolist()
             assert weighted.dfdr == pytest.approx(plain.dfdr, rel=1e-12, abs=1e-15)
 
     def test_mass_on_one_subset_equals_solo_optimum(self, pi0_one):
@@ -458,15 +470,13 @@ class TestCommonThresholdWeighted:
     @pytest.mark.parametrize("weights", [None, [2.0, 3.0, 2.0, 3.0]])
     def test_summary_is_kept_through_pi0_and_the_decision(self, weights):
         stats = four_tests(weights)
-        summary = stats.summary
         pi0 = resolve_pi0(stats, "estimate")
-        assert stats.summary is summary
         if weights is None:
             maximize_desirability(stats, pi0, CostBenefit.from_ratio(19.0))
             control_dfdr(stats, pi0, 0.05)
         else:
             common_threshold_weighted(stats, [1.0] * 4, pi0)
-        assert stats.summary is summary and summary.passes == 1
+        assert stats.passes == 1
 
     def test_weighted_pi0_helper(self):
         rng = np.random.default_rng(35)
@@ -525,29 +535,29 @@ def test_unweighted_routes_hold_no_copy_of_the_null():
 
     assert traced_peak(run) < nulls.nbytes / 4
     # both scans read one cached block pass: m + 1 counts
-    assert made[0].summary.exceedances.shape == (made[0].n_tests + 1,)
+    assert made[0].exceedances.shape == (made[0].n_tests + 1,)
 
 
 class TestPvalueDecisions:
     def test_maximize_over_pvalue_cutoffs(self, pi0_one):
         pvals = validate_pvalues([0.01, 0.04, 0.2, 0.9])
-        result = maximize_desirability_pvalues(pvals, pi0_one, CostBenefit.from_ratio(19.0))
+        result = maximize_desirability(pvals, pi0_one, CostBenefit.from_ratio(19.0))
         # cutoffs: 0.01 -> dfdr 0.04, D = 0.2; all larger cutoffs negative
         assert result.tau == 0.01
-        assert result.rejected == frozenset({0})
+        assert result.rejected.tolist() == [0]
         assert result.dfdr == pytest.approx(0.04, abs=1e-15)
         assert result.desirability == pytest.approx(0.2, abs=1e-12)
 
     def test_maximize_can_reject_nothing(self, pi0_one):
         pvals = validate_pvalues([0.6, 0.9])
-        result = maximize_desirability_pvalues(pvals, pi0_one, CostBenefit.from_ratio(19.0))
-        assert result.rejected == frozenset()
+        result = maximize_desirability(pvals, pi0_one, CostBenefit.from_ratio(19.0))
+        assert result.rejected.tolist() == []
         assert result.desirability == 0.0
 
     def test_control_over_pvalue_cutoffs(self, pi0_one):
         pvals = validate_pvalues([0.01, 0.04, 0.2, 0.9])
-        result = control_dfdr_pvalues(pvals, pi0_one, 0.1)
+        result = control_dfdr(pvals, pi0_one, 0.1)
         # dfdr at cutoffs: 0.01->0.04, 0.04->0.08, 0.2->0.267, 0.9->0.9
         assert result.tau == 0.04
-        assert result.rejected == frozenset({0, 1})
+        assert result.rejected.tolist() == [0, 1]
         assert result.dfdr == pytest.approx(0.08, abs=1e-15)

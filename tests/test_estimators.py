@@ -17,7 +17,6 @@ from dfdr import (
     estimate_pi0,
     estimate_pi0_from_pvalues,
     maximize_desirability,
-    maximize_desirability_pvalues,
     p_to_cost_ratio,
     validate_pvalues,
     weighted_dfdr_from_cdfs,
@@ -80,7 +79,7 @@ def scan(stats, pi0, ratio=19.0):
 def pi0_of(observed, nulls, weights=None):
     """estimate_pi0 on the summary of a stored null, at the summary's lambda."""
     stats = StatisticSet.from_null(observed, nulls, len(nulls) // len(observed), weights)
-    return estimate_pi0(stats.summary)
+    return estimate_pi0(stats)
 
 
 class TestChooseLambda:
@@ -217,7 +216,7 @@ class TestDfdrAtTau(object):
 class TestDfdrAtPvalue:
     def pvalue_scan(self, p):
         cb = CostBenefit.from_ratio(19.0)
-        return maximize_desirability_pvalues(validate_pvalues(p), Pi0Estimate.fixed_one(), cb).curve
+        return maximize_desirability(validate_pvalues(p), Pi0Estimate.fixed_one(), cb).curve
 
     def test_counting_example(self):
         # the cutoff 0.04: uniform null share 0.04 over 2 of 4 discoveries

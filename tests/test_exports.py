@@ -34,6 +34,14 @@ def test_submodules_resolve_as_attributes():
     assert {"cli", "stats", "StatisticSet"} <= set(dir(dfdr))
 
 
+def test_one_set_class_and_one_decider_per_rule():
+    assert dfdr.StatisticSet is dfdr.estimators.StatisticSet
+    for gone in ("NullSummary", "maximize_desirability_pvalues", "control_dfdr_pvalues"):
+        assert gone not in dfdr.__all__
+        assert not hasattr(dfdr.estimators, gone) and not hasattr(dfdr.decision, gone)
+    assert not hasattr(dfdr.stats, "StatisticSet")
+
+
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="module 'dfdr' has no attribute 'nothing'"):
         dfdr.nothing

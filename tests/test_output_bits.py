@@ -121,7 +121,7 @@ def test_weights_route_class_sums_against_exact_sums(tmp_path):
     matrix = load_matrix(inputs["matrix"], inputs["labels"])
     weights = _load_weights(inputs["weights"], matrix).weights
     plan = PermutationPlan(500, 3)
-    summary = build_statistic_set(matrix, "ALL", "AML", plan, weights).summary
+    summary = build_statistic_set(matrix, "ALL", "AML", plan, weights)
     null = permutation_null(matrix, "ALL", "AML", plan).reshape(500, -1)
     d = summary.distinct.size
     assert d == 4 and summary.classes is not None

@@ -19,9 +19,7 @@ from dfdr import (
     choose_lambda,
     common_threshold_weighted,
     control_dfdr,
-    control_dfdr_pvalues,
     maximize_desirability,
-    maximize_desirability_pvalues,
     validate_pvalues,
 )
 from dfdr import estimators
@@ -77,7 +75,7 @@ def brute_force_weighted(observed, nulls, weights, benefits, pi0):
         desirability = b_obs - dfdr * w_obs
         if best is None or desirability >= best[2]:
             best = (tau, dfdr, desirability)
-    rejected = frozenset(i for i, v in enumerate(observed) if v >= best[0])
+    rejected = [i for i, v in enumerate(observed) if v >= best[0]]
     return best[0], rejected, best[1], best[2]
 
 
@@ -99,7 +97,7 @@ def test_maximize_matches_brute_force(case, pi0, ratio):
     expected = brute_force_maximize(
         stats.observed.tolist(), nulls, pi0, 1.0, ratio
     )
-    assert (result.tau, result.rejected, result.dfdr, result.desirability) == expected
+    assert (result.tau, result.rejected.tolist(), result.dfdr, result.desirability) == expected
     assert len(result.curve) == len(brute_force_candidates(stats.observed.tolist()))
 
 
@@ -112,8 +110,8 @@ def test_control_matches_brute_force(case, pi0, alpha):
     curve = brute_force_curve(observed, nulls, pi0, 1.0, 0.0)
     # nothing is feasible only when +inf sentinels alone exceed the bound
     tau, dfdr = ([c for c in curve if c[1] <= alpha] or curve[-1:])[0][:2]
-    rejected = frozenset(i for i, v in enumerate(observed) if v >= tau)
-    assert (result.tau, result.rejected, result.dfdr) == (tau, rejected, dfdr)
+    rejected = [i for i, v in enumerate(observed) if v >= tau]
+    assert (result.tau, result.rejected.tolist(), result.dfdr) == (tau, rejected, dfdr)
     assert len(result.curve) == len(brute_force_candidates(stats.observed.tolist()))
 
 
@@ -129,7 +127,7 @@ def test_weighted_matches_brute_force(data, case, pi0):
         stats.observed.tolist(), nulls, weights.tolist(),
         benefits.tolist(), pi0,
     )
-    assert (result.tau, result.rejected, result.dfdr, result.desirability) == expected
+    assert (result.tau, result.rejected.tolist(), result.dfdr, result.desirability) == expected
     assert len(result.curve) == len(brute_force_candidates(stats.observed.tolist()))
 
 
@@ -146,7 +144,7 @@ def test_weighted_matches_brute_force_in_small_blocks(data, case, pi0, perms_per
         stats.observed.tolist(), nulls, weights.tolist(),
         benefits.tolist(), pi0,
     )
-    assert (result.tau, result.rejected, result.dfdr, result.desirability) == expected
+    assert (result.tau, result.rejected.tolist(), result.dfdr, result.desirability) == expected
 
 
 @PROPERTY
@@ -168,7 +166,7 @@ def test_constant_weights_give_unweighted_decision(case, pi0, ratio, scale):
     # the decisions agree unless two candidates tie to within rounding
     top = plain.curve.desirability
     if np.count_nonzero(top >= top.max() - 1e-9 * max(1.0, abs(top.max()))) == 1:
-        assert (weighted.tau, weighted.rejected) == (plain.tau, plain.rejected)
+        assert (weighted.tau, weighted.rejected.tolist()) == (plain.tau, plain.rejected.tolist())
 
 
 @PROPERTY
@@ -242,13 +240,13 @@ def test_choose_lambda_recovers_exactly_from_missed_brackets(monkeypatch):
     rng = np.random.default_rng(50)
     nulls = np.round(np.abs(rng.normal(size=5000)), 2)
     passes = []
-    repass = estimators.NullSummary._repass
+    repass = estimators.StatisticSet._repass
 
     def spy(summary, lo, hi):
         passes.append((lo, hi))
         repass(summary, lo, hi)
 
-    monkeypatch.setattr(estimators.NullSummary, "_repass", spy)
+    monkeypatch.setattr(estimators.StatisticSet, "_repass", spy)
     monkeypatch.setattr(estimators, "BLOCK", 64)
     monkeypatch.setattr(estimators, "MARGIN", 1)
     monkeypatch.setattr(estimators, "CAP", 256)
@@ -261,7 +259,7 @@ def test_choose_lambda_recovers_exactly_from_missed_brackets(monkeypatch):
 def test_pvalue_scan_matches_pointwise_estimates(p, pi0, ratio):
     pvals = validate_pvalues(p)
     pi0_est = Pi0Estimate.user(pi0)
-    result = maximize_desirability_pvalues(pvals, pi0_est, CostBenefit.from_ratio(ratio))
+    result = maximize_desirability(pvals, pi0_est, CostBenefit.from_ratio(ratio))
     curve = brute_force_pvalue_curve(p, pi0, ratio)
     assert len(result.curve) == len(curve) == len(set(p)) + 1
     assert result.curve.tau.tolist() == [c[0] for c in curve]
@@ -272,17 +270,17 @@ def test_pvalue_scan_matches_pointwise_estimates(p, pi0, ratio):
     best = max(c[2] for c in curve)
     tau = next(c[0] for c in curve if c[2] == best)
     assert result.tau == tau
-    assert result.rejected == frozenset(i for i, x in enumerate(p) if x <= tau)
+    assert result.rejected.tolist() == [i for i, x in enumerate(p) if x <= tau]
 
 
 @PROPERTY
 @given(st.lists(pvalues, min_size=1, max_size=30), pi0s, st.sampled_from([0.01, 0.05, 0.2]))
 def test_pvalue_control_matches_brute_force(p, pi0, alpha):
-    result = control_dfdr_pvalues(validate_pvalues(p), Pi0Estimate.user(pi0), alpha)
+    result = control_dfdr(validate_pvalues(p), Pi0Estimate.user(pi0), alpha)
     curve = brute_force_pvalue_curve(p, pi0, 1.0 / alpha - 1.0)
     tau, dfdr = [(c[0], c[1]) for c in curve if c[1] <= alpha][-1]
     assert (result.tau, result.dfdr) == (tau, dfdr)
-    assert result.rejected == frozenset(i for i, x in enumerate(p) if x <= tau)
+    assert result.rejected.tolist() == [i for i, x in enumerate(p) if x <= tau]
     assert len(result.curve) == len(set(p)) + 1
 
 
@@ -301,14 +299,14 @@ def test_pvalue_route_is_the_statistic_route_on_a_grid(k, data, pi0, ratio, alph
     pvals, fixed = validate_pvalues(p), Pi0Estimate.user(pi0)
     cb = CostBenefit.from_ratio(ratio)
     pairs = [
-        (maximize_desirability_pvalues(pvals, fixed, cb), maximize_desirability(stats, fixed, cb)),
-        (control_dfdr_pvalues(pvals, fixed, alpha), control_dfdr(stats, fixed, alpha)),
+        (maximize_desirability(pvals, fixed, cb), maximize_desirability(stats, fixed, cb)),
+        (control_dfdr(pvals, fixed, alpha), control_dfdr(stats, fixed, alpha)),
     ]
     for by_p, by_s in pairs:
         # the curves, one reversed, with cutoff 1 - tau (-inf for +inf)
         np.testing.assert_array_equal(by_p.curve.tau, 1.0 - by_s.curve.tau[::-1])
         for field in ("dfdr", "desirability", "discoveries"):
             np.testing.assert_array_equal(getattr(by_p.curve, field), getattr(by_s.curve, field)[::-1])
-        assert (by_p.tau, by_p.rejected, by_p.dfdr, by_p.desirability) == (
-            1.0 - by_s.tau, by_s.rejected, by_s.dfdr, by_s.desirability
+        assert (by_p.tau, by_p.rejected.tolist(), by_p.dfdr, by_p.desirability) == (
+            1.0 - by_s.tau, by_s.rejected.tolist(), by_s.dfdr, by_s.desirability
         )

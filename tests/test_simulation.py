@@ -189,7 +189,7 @@ class TestMeasureErrorRates:
             pi0 = resolve_pi0(stats, "estimate")
             base = maximize_desirability(stats, pi0, CostBenefit([1.0], [19.0]))
             scaled = maximize_desirability(stats, pi0, CostBenefit([2.0], [38.0]))
-            assert base.rejected == scaled.rejected
+            assert base.rejected.tolist() == scaled.rejected.tolist()
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,6 @@
 """The sorted-tile summary against the null held whole.
 
-A NullSummary reads each tile once: a sorted copy per class of equal
+A StatisticSet reads each tile once: a sorted copy per class of equal
 weights (one class without weights), or, where the weights have too many
 distinct values, blocks of whole permutations argsorted with each value's
 test; binary searches and slices of that copy give all it keeps. Drawn
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from dfdr import UndefinedEstimateError, ValidationError
 from dfdr import estimators
-from dfdr.estimators import NullSummary, array_tiles, class_sums, estimate_pi0
+from dfdr.estimators import StatisticSet, array_tiles, class_sums, estimate_pi0
 from test_estimators import lambda_oracle
 from test_summary import assert_within_summation_bound
 
@@ -144,7 +144,7 @@ def test_sorted_tiles_equal_the_materialised_null(problem):
     for patch in patches:
         patch.start()
     try:
-        summary = NullSummary(m_all, b, weights, rows)
+        summary = StatisticSet(m_all, b, weights, rows)
         observed_all = np.zeros(m_all)
         observed_all[slice(None) if rows is None else rows] = observed
         # a null kept whole may be observed after its pass, as permutation_null does
@@ -175,7 +175,7 @@ def test_a_tile_with_nan_or_minus_inf_is_refused(bad, observe_first, cap, weight
     null = np.abs(np.random.default_rng(5).normal(size=(40, 3)))
     null[17, 1] = bad
     with mock.patch.object(estimators, "CAP", cap), mock.patch.object(estimators, "BLOCK", 8):
-        summary = NullSummary(3, 40, weights)
+        summary = StatisticSet(3, 40, weights)
         assert (summary.classes is None) == (weights == [1.0, 2.0, 3.0])
         with pytest.raises(ValidationError, match="^null statistics must be finite or \\+inf$"):
             if observe_first or not summary.keeps_all:
@@ -190,7 +190,7 @@ def test_observing_a_null_not_kept_whole_is_refused(cap, weights):
     null keeps only its bracket, and reading lambda drops what was kept."""
     null = np.abs(np.random.default_rng(6).normal(size=(40, 3)))
     with mock.patch.object(estimators, "CAP", cap), mock.patch.object(estimators, "BLOCK", 8):
-        summary = NullSummary(3, 40, weights).feed(array_tiles(null.ravel(), 3))
+        summary = StatisticSet(3, 40, weights).feed(array_tiles(null.ravel(), 3))
         if summary.keeps_all:
             summary.lam  # noqa: B018 - lambda first, then the counts
         with pytest.raises(ValidationError, match="^a null observed after its pass must be kept whole"):

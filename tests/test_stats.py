@@ -5,6 +5,7 @@ import pytest
 
 from dfdr import (
     DataMatrix,
+    PValueSet,
     StatisticSet,
     ValidationError,
     two_sample_abs_t,
@@ -106,6 +107,15 @@ class TestStatisticSet:
         with pytest.raises(ValidationError, match=f"^{where} statistics must be finite or \\+inf$"):
             StatisticSet.from_null(observed=arrays["observed"], null=arrays["null"], n_permutations=2)
 
+    @pytest.mark.parametrize("tests, permutations, rows, message", [
+        (3, 0, None, "n_permutations must be >= 1"),
+        (0, 2, None, "need at least one observed statistic"),
+        (3, 2, [], "need at least one observed statistic"),
+    ])
+    def test_needs_a_permutation_and_a_test(self, tests, permutations, rows, message):
+        with pytest.raises(ValidationError, match=message):
+            StatisticSet(tests, permutations, rows=rows)
+
     def test_accepts_inf_sentinel(self):
         s = StatisticSet.from_null(observed=[np.inf, 1.0], null=[0.5, 0.2], n_permutations=1)
         assert s.n_tests == 2
@@ -126,3 +136,7 @@ class TestValidatePvalues:
     def test_rejects_above_one_with_index(self):
         with pytest.raises(ValidationError, match="index 2"):
             validate_pvalues([0.2, 0.3, 1.5])
+
+    def test_the_set_checks_its_own_range(self):
+        with pytest.raises(ValidationError, match="out of \\[0, 1\\] at index 1: nan"):
+            PValueSet([0.2, np.nan])

@@ -1,6 +1,6 @@
 """The null summary: a streamed null read like a stored one, in bounded memory.
 
-``build_statistic_set`` never holds the null: its NullSummary takes it tile
+``build_statistic_set`` never holds the null: its StatisticSet takes it tile
 by tile. Every quantity the estimators read must equal the one read from the
 same null held whole (``permutation_null``), bit for bit, on every route;
 the lambda bracket must hold on the first pass, and recover exactly when it
@@ -41,7 +41,6 @@ from dfdr import (
     two_sample_abs_t,
 )
 from dfdr import estimators
-from dfdr.estimators import NullSummary
 from test_cli import write_fixture
 from test_properties import lambda_by_unique
 
@@ -64,8 +63,8 @@ def materialised(matrix, plan, weights=None) -> StatisticSet:
 
 
 def same_decision(a, b) -> None:
-    assert (a.tau, a.rejected, a.dfdr, a.desirability, a.pi0) == (
-        b.tau, b.rejected, b.dfdr, b.desirability, b.pi0
+    assert (a.tau, a.rejected.tolist(), a.dfdr, a.desirability, a.pi0) == (
+        b.tau, b.rejected.tolist(), b.dfdr, b.desirability, b.pi0
     )
     for field in ("tau", "dfdr", "desirability", "discoveries"):
         np.testing.assert_array_equal(getattr(a.curve, field), getattr(b.curve, field))
@@ -75,13 +74,13 @@ def same_decision(a, b) -> None:
 def repasses(monkeypatch):
     """Counts the passes a summary takes after its first, its bracket missed."""
     counted = []
-    repass = NullSummary._repass
+    repass = StatisticSet._repass
 
     def spy(summary, lo, hi):
         counted.append((lo, hi))
         repass(summary, lo, hi)
 
-    monkeypatch.setattr(NullSummary, "_repass", spy)
+    monkeypatch.setattr(StatisticSet, "_repass", spy)
     return counted
 
 
@@ -102,7 +101,7 @@ def test_streamed_equals_materialised(shape, cap, monkeypatch, repasses):
     whole = materialised(matrix, plan)
     np.testing.assert_array_equal(streamed.observed, whole.observed)
     np.testing.assert_array_equal(
-        streamed.summary.exceedances, whole.summary.exceedances
+        streamed.exceedances, whole.exceedances
     )
     for mode in ("estimate", "one"):
         pi0 = resolve_pi0(streamed, mode)
@@ -117,7 +116,7 @@ def test_streamed_equals_materialised(shape, cap, monkeypatch, repasses):
     benefits = np.floor(weights / 2)
     weighted = build_statistic_set(matrix, "A", "B", plan, weights)
     whole = materialised(matrix, plan, weights)
-    np.testing.assert_array_equal(weighted.summary.exceedances, whole.summary.exceedances)
+    np.testing.assert_array_equal(weighted.exceedances, whole.exceedances)
     pi0 = resolve_pi0(weighted, "estimate")
     assert pi0 == resolve_pi0(whole, "estimate")
     same_decision(
@@ -157,10 +156,9 @@ def test_bracket_holds_on_tests_of_unequal_spread(m, repasses):
     rng = np.random.default_rng(m)
     nulls = (np.abs(rng.normal(size=(b, m))) * (1.0 + np.arange(m))).ravel()
     stats = StatisticSet.from_null(np.ones(m), nulls, b)
-    summary = stats.summary
-    assert summary.size > estimators.CAP  # the bracket is used
-    assert summary.n_kept < nulls.size // 10  # 2 * MARGIN ranks of a BLOCK sample
-    assert estimators.choose_lambda(summary) == lambda_by_unique(nulls)
+    assert stats.n_null > estimators.CAP  # the bracket is used
+    assert stats.n_kept < nulls.size // 10  # 2 * MARGIN ranks of a BLOCK sample
+    assert estimators.choose_lambda(stats) == lambda_by_unique(nulls)
     assert not repasses
 
 
@@ -171,7 +169,7 @@ def test_narrowing_keeps_a_bracket_without_ties(monkeypatch, repasses):
     monkeypatch.setattr(estimators, "MARGIN", 256)  # a first bracket well inside CAP
     monkeypatch.setattr(estimators, "BLOCK", 4096)  # 49 tiles: CAP is reached, again and again
     nulls = np.abs(np.random.default_rng(67).normal(size=200_000))
-    summary = StatisticSet.from_null(np.ones(1), nulls, nulls.size).summary
+    summary = StatisticSet.from_null(np.ones(1), nulls, nulls.size)
     assert summary.at is None and summary.n_kept <= 4096
     assert estimators.choose_lambda(summary) == lambda_by_unique(nulls)
     assert not repasses
@@ -219,18 +217,18 @@ def test_no_cli_route_holds_a_null(tmp_path, monkeypatch):
     # a null held whole comes from permutation_null without a summary to feed
     # and reaches a summary only through array_tiles (StatisticSet.from_null)
     built, held = [], []
-    post_init, tiles = StatisticSet.__post_init__, estimators.array_tiles
+    init, tiles = StatisticSet.__init__, estimators.array_tiles
     null = dfdr.resampling.permutation_null
 
-    def spy(stats):
+    def spy(stats, *args, **kwargs):
         built.append(stats)
-        post_init(stats)
+        init(stats, *args, **kwargs)
 
     def whole(*args, into=None):
         held.append(into is None)
         return null(*args, into=into)
 
-    monkeypatch.setattr(StatisticSet, "__post_init__", spy)
+    monkeypatch.setattr(StatisticSet, "__init__", spy)
     monkeypatch.setattr(estimators, "array_tiles", lambda *args: held.append(True) or tiles(*args))
     monkeypatch.setattr(dfdr.resampling, "permutation_null", whole)
     monkeypatch.setattr(dfdr.decision, "permutation_null", whole)
@@ -297,7 +295,7 @@ def test_real_weight_sums_within_summation_bound():
     weights = rng.uniform(0.1, 3.0, size=m) + rng.uniform(0.0, 30.0, size=m)
     observed = np.round(np.abs(rng.normal(0.5, 1.0, size=m)), 2)
     with mock.patch.object(estimators, "BLOCK", 7 * m):  # many blocks and tiles
-        got = StatisticSet.from_null(observed, nulls, b, weights).summary.exceedances
+        got = StatisticSet.from_null(observed, nulls, b, weights).exceedances
         assert_within_summation_bound(got, nulls, weights, observed, -(-b // 7))
 
 
@@ -312,7 +310,7 @@ def test_streamed_real_weight_sums_within_summation_bound(cap, monkeypatch):
     matrix = random_matrix(rng, m, 6, 6)
     weights = rng.uniform(0.1, 3.0, size=m) + rng.uniform(0.0, 30.0, size=m)
     plan = PermutationPlan(b, 5)
-    summary = build_statistic_set(matrix, "A", "B", plan, weights).summary
+    summary = build_statistic_set(matrix, "A", "B", plan, weights)
     assert summary.keeps_all == (cap is None)
     nulls = permutation_null(matrix, "A", "B", plan)
     assert_within_summation_bound(summary.exceedances, nulls, weights, summary.observed, -(-b // 7))
@@ -396,7 +394,7 @@ def test_read_ahead_equals_materialised(shape, monkeypatch, read_aheads):
         whole = materialised(matrix, plan, w)
         streamed = build_statistic_set(matrix, "A", "B", plan, w)
         np.testing.assert_array_equal(streamed.observed, whole.observed)
-        np.testing.assert_array_equal(streamed.summary.exceedances, whole.summary.exceedances)
+        np.testing.assert_array_equal(streamed.exceedances, whole.exceedances)
         pi0 = resolve_pi0(streamed, "estimate")
         assert pi0 == resolve_pi0(whole, "estimate")
         if w is None:
@@ -472,7 +470,7 @@ def test_producer_error_reaches_the_caller(monkeypatch, read_aheads):
 def test_consumer_error_stops_the_producer(monkeypatch, read_aheads):
     matrix, plan = small_comparison(monkeypatch)
     welch_tiles, made, taken = dfdr.resampling.welch_tiles, [], []
-    add = NullSummary.add
+    add = StatisticSet.add
 
     def counted(*args):
         for made_tile in welch_tiles(*args):
@@ -486,7 +484,7 @@ def test_consumer_error_stops_the_producer(monkeypatch, read_aheads):
         add(summary, rows, tile)
 
     monkeypatch.setattr(dfdr.resampling, "welch_tiles", counted)
-    monkeypatch.setattr(NullSummary, "add", failing)
+    monkeypatch.setattr(StatisticSet, "add", failing)
     threads = threading.active_count()
     with pytest.raises(LookupError, match="in the summary"):
         build_statistic_set(matrix, "A", "B", plan)
@@ -500,7 +498,7 @@ def test_early_stop_joins_the_producer(monkeypatch):
     matrix, plan = small_comparison(monkeypatch)
     stats = build_statistic_set(matrix, "A", "B", plan)
     threads = threading.active_count()
-    tiles = stats.summary.tiles()
+    tiles = stats.tiles()
     next(tiles)
     assert threading.active_count() == threads + 1
     tiles.close()
@@ -514,7 +512,7 @@ def test_slow_consumer_sees_no_tile_overwritten(monkeypatch):
     table = permutation_null(matrix, "A", "B", plan).reshape(plan.n_permutations, -1)
     stats = build_statistic_set(matrix, "A", "B", plan)
     start = covered = count = 0
-    for rows, tile in stats.summary.tiles():
+    for rows, tile in stats.tiles():
         expected = table[start : start + tile.shape[0], rows]
         np.testing.assert_array_equal(tile, expected)
         time.sleep(0.01)
@@ -531,13 +529,13 @@ def test_concurrent_read_aheads_share_nothing(monkeypatch):
     # shared between passes would mix their tiles
     matrix, plan = small_comparison(monkeypatch)
     whole = materialised(matrix, plan)
-    expected = (whole.summary.exceedances, resolve_pi0(whole, "estimate"))
+    expected = (whole.exceedances, resolve_pi0(whole, "estimate"))
     results, errors = [], []
 
     def run():
         try:
             stats = build_statistic_set(matrix, "A", "B", plan)
-            results.append((stats.summary.exceedances, resolve_pi0(stats, "estimate")))
+            results.append((stats.exceedances, resolve_pi0(stats, "estimate")))
         except Exception as error:  # reported by the main thread below
             errors.append(error)
 
