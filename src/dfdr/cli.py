@@ -50,7 +50,7 @@ if "numpy" not in sys.modules:
 import numpy as np
 
 from dfdr import __version__
-from dfdr.data import DataMatrix, load_matrix, preprocess, read_text, whole_lines
+from dfdr.data import DataMatrix, load_matrix, preprocess, read_table
 from dfdr.decision import (
     DecisionResult,
     Subset,
@@ -408,37 +408,15 @@ def _write_decision_outputs(
     _write_atomic(outdir / f"summary{suffix}.txt", (f"{k}\t{_fmt(v)}\n".encode() for k, v in fields))
 
 
-def _read_table(path, header: list[str]) -> list[tuple[int, list[str]]]:
-    """(row number, fields) for each row of a tab-separated file after its header."""
-    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
-    expected = "<TAB>".join(header)
-    if not lines:
-        raise ParseError(f"{path}: empty file, expected the header {expected!r}")
-    if [c.strip() for c in lines[0].split("\t")] != header:
-        raise ParseError(f"{path}: header must be {expected!r}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = [c.strip() for c in line.split("\t")]
-        if len(fields) != len(header):
-            raise ParseError(
-                f"{path}: row {lineno}: expected {len(header)} fields, got {len(fields)}"
-            )
-        rows.append((lineno, fields))
-    return rows
-
-
 def _load_subsets(path, matrix: DataMatrix, min_size: int) -> SubsetPartition:
     """Subsets file: feature_id, subset, group_a, group_b, benefit, cost."""
     rows: dict[str, dict] = {}
     feature_index = {fid: i for i, fid in enumerate(matrix.feature_ids)}
-    header = ["feature_id", "subset", "group_a", "group_b", "benefit", "cost"]
-    for lineno, (fid, name, ga, gb, b, c) in _read_table(path, header):
+    _, table, values = read_table(path, ["feature_id", "subset", "group_a", "group_b", "benefit", "cost"], 4)
+    for (lineno, fid, name, ga, gb), (b, c) in zip(table, values.tolist()):
         if fid not in feature_index:
             raise ValidationError(f"{path}: row {lineno}: unknown feature id {fid!r}")
-        try:
-            params = (ga, gb, float(b), float(c))
-        except ValueError:
-            raise ParseError(f"{path}: row {lineno}: non-numeric benefit or cost") from None
+        params = (ga, gb, b, c)
         entry = rows.get(name)
         if entry is None or entry["params"] != params:  # checked as each subset is met
             longest = f"summary_{name}.txt.tmp"  # of the files named after it, in bytes at most 255
@@ -452,30 +430,27 @@ def _load_subsets(path, matrix: DataMatrix, min_size: int) -> SubsetPartition:
                 raise ValidationError(f"{path}: subset {name!r} has inconsistent groups or costs")
             entry = rows[name] = {"params": params, "features": []}
         entry["features"].append(feature_index[fid])
-    subsets = tuple(
-        Subset(name, tuple(entry["features"]), *entry["params"]) for name, entry in rows.items()
-    )
+    try:  # each subset's costs against its size
+        subsets = tuple(Subset(name, tuple(e["features"]), *e["params"]) for name, e in rows.items())
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     return SubsetPartition(subsets=subsets, min_size=min_size)
 
 
 def _load_weights(path, matrix: DataMatrix) -> CostBenefit:
-    """Weights file: feature_id, benefit, cost (tab-separated, one header row)."""
-    by_id: dict[str, tuple[int, float, float]] = {}
-    known = set(matrix.feature_ids)
-    for lineno, (fid, b, c) in _read_table(path, ["feature_id", "benefit", "cost"]):
+    """Weights file: feature_id, benefit, cost."""
+    _, rows, values = read_table(path, ["feature_id", "benefit", "cost"], 1)
+    known, at = set(matrix.feature_ids), {}  # feature id -> its place in rows
+    for i, (lineno, fid) in enumerate(rows):
         if fid not in known:
             raise ValidationError(f"{path}: row {lineno}: unknown feature id {fid!r}")
-        if fid in by_id:
-            raise ParseError(f"{path}: rows {by_id[fid][0]} and {lineno} both give feature {fid!r}")
-        try:
-            by_id[fid] = (lineno, float(b), float(c))
-        except ValueError:
-            raise ParseError(f"{path}: row {lineno}: non-numeric benefit or cost") from None
-    missing = [fid for fid in matrix.feature_ids if fid not in by_id]
+        if fid in at:
+            raise ParseError(f"{path}: rows {rows[at[fid]][0]} and {lineno} both give feature {fid!r}")
+        at[fid] = i
+    missing = [fid for fid in matrix.feature_ids if fid not in at]
     if missing:
         raise ValidationError(f"{path}: no weights for feature {missing[0]!r}")
-    benefits = np.array([by_id[fid][1] for fid in matrix.feature_ids])
-    costs = np.array([by_id[fid][2] for fid in matrix.feature_ids])
+    benefits, costs = values[[at[fid] for fid in matrix.feature_ids]].T
     return CostBenefit(benefits, costs)
 
 
@@ -538,26 +513,8 @@ def run_analyze(args) -> int:
     return 0
 
 
-def _read_pvalues(path) -> np.ndarray:
-    """The values of the non-blank lines, as ``str.splitlines`` splits the text (at
-    \\x0c or \\u2028 too); row numbers in errors count every line."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            lines = (line for piece in whole_lines(f) for line in piece.splitlines())
-            return np.fromiter(map(float, filter(str.strip, lines)), dtype=float)
-        except ValueError:
-            # not UTF-8 (read_text's data error), or a value float() rejects
-            for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-                try:
-                    float(line.strip() or 0)
-                except ValueError:
-                    why = f"{path}: row {lineno}: non-numeric p-value {line.strip()!r}"
-                    raise ParseError(why) from None
-            raise
-
-
 def _analyze_pvalues(args, outdir: Path, pi0_mode) -> int:
-    pvals = validate_pvalues(_read_pvalues(args.pvalues))
+    pvals = validate_pvalues(read_table(args.pvalues, 1, 0)[2][:, 0])
     if pi0_mode == "estimate":
         pi0 = estimate_pi0_from_pvalues(pvals)
     else:

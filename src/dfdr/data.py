@@ -1,15 +1,12 @@
-"""Measurement-matrix ingestion and per-subject normalization.
+"""Input files and per-subject normalization.
 
-The expected on-disk layout is a tab-separated matrix file (header row of
-subject identifiers, one leading feature-identifier column) plus a two-column
-labels file mapping each subject to a group tag. Missing values are not
-supported: a blank, NA or NaN cell, a cell float() cannot read and an
-infinite cell are parse errors, and the error names the first bad row or cell
-in file order.
+Every input file is a tab table, read by ``read_table`` under the one set of
+rules of README "File formats".
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,18 +81,9 @@ def read_text(path) -> str:
 
 
 def load_labels(path) -> dict[str, str]:
-    """Read a two-column (subject id, group tag) tab-separated file."""
+    """The group tag of each subject in a labels file (README "File formats")."""
     labels: dict[str, str] = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) != 2:
-            raise ParseError(
-                f"{path}: row {lineno}: expected 2 tab-separated fields, "
-                f"got {len(fields)}"
-            )
-        subject, tag = fields[0].strip(), fields[1].strip()
+    for lineno, subject, tag in read_table(path, 2, 2)[1]:
         if not subject or not tag:
             raise ParseError(f"{path}: row {lineno}: empty subject id or group tag")
         if subject in labels:
@@ -107,23 +95,22 @@ def load_labels(path) -> dict[str, str]:
 
 
 def load_matrix(matrix_path, labels_path) -> DataMatrix:
-    """Read a tab-separated measurement matrix plus its labels file.
+    """A measurement matrix and its labels file (README "File formats").
 
-    The matrix header row carries subject identifiers (its first cell is
-    ignored); every following row is a feature identifier and one numeric
-    value per subject. Every subject must appear in the labels file; label
-    entries for unknown subjects are ignored.
+    Every subject must appear in the labels file; label entries for unknown
+    subjects are ignored.
     """
     label_map = load_labels(labels_path)
-    subject_ids, feature_ids, values = _read_fast(matrix_path) or _read_plain(matrix_path)
+    header, rows, values = read_table(matrix_path, None, 1, finite=True)
+    subject_ids = header[1:]
+    if len(subject_ids) < 2 or not rows:
+        raise ParseError(f"{matrix_path}: need a header row naming two subjects or more, then a feature row")
     missing = [s for s in subject_ids if s not in label_map]
     if missing:
-        raise ValidationError(
-            f"{labels_path}: no group label for subject {missing[0]!r}"
-        )
+        raise ValidationError(f"{labels_path}: no group label for subject {missing[0]!r}")
     return DataMatrix(
         values=values,
-        feature_ids=tuple(feature_ids),
+        feature_ids=tuple(fid for _, fid in rows),
         subject_ids=tuple(subject_ids),
         labels=tuple(label_map[s] for s in subject_ids),
     )
@@ -139,88 +126,94 @@ def whole_lines(f):
     return iter(lambda: f.read(2**16) + f.readline(), "")
 
 
-def _read_fast(path):
-    """(subject ids, feature ids, values) by ``np.loadtxt``, or None.
+def read_table(path, columns, strings: int, finite: bool = False):
+    """(header, rows, values) of the tab table at ``path``, read by the rules
+    of README "File formats".
 
-    None wherever the plain parser may decide otherwise: a line it would
-    split elsewhere, a row without one cell per subject, fewer than two
-    subjects or no row, a cell ``np.loadtxt`` does not read (it reads no cell
-    that float() rejects, and the others to the same bits; it rejects some
-    that float() reads, such as ``1_0``), or a value that is not finite. The
-    rows are checked a piece of whole lines at a time before ``np.loadtxt``
-    reads them.
+    ``columns`` is the header the table opens with (a list of names), None
+    for a header that sets the number of columns, or the number of columns
+    of a table without a header. The first ``strings`` columns are text:
+    ``rows`` holds each row's number and its text cells, and is empty for a
+    table without text columns (which has no header). ``values`` holds the
+    other cells' numbers, a row per row; with ``finite`` (the matrix) each is
+    finite.
+
+    A scan of the whole file decides whether np.loadtxt may read the numbers:
+    not where it could split lines or rows otherwise than str.splitlines and
+    a tab. loadtxt raises on a whitespace-only line (it skips only empty
+    ones), and its table is dropped where a number is not finite. Then
+    float() reads cell by cell: it names the first bad row or cell, or reads
+    what loadtxt did not.
     """
+    width = len(columns) if isinstance(columns, list) else columns
+    head = 0 if isinstance(columns, int) else None  # the header's row number
+    header, rows, fast, data, lineno = None, [], True, False, 0
     try:
         with open(path, encoding="utf-8") as f:
-            header = f.readline()
-            n = header.count("\t")
-            feature_ids = []
             for piece in whole_lines(f):
-                lines = piece.splitlines()  # at "\n" alone, in a piece that passes
-                if any(c in piece for c in _UNLIKE_LINES) or any(line.count("\t") != n for line in lines):
-                    return None
-                feature_ids += [line.partition("\t")[0].strip() for line in lines]
-            if n < 2 or not feature_ids or any(c in header for c in _UNLIKE_LINES):
-                return None
+                fast = fast and not any(c in piece for c in _UNLIKE_LINES)
+                data = data or not piece.isspace()
+                for line in piece.splitlines() if strings else ():
+                    lineno += 1
+                    if not line or line.isspace():
+                        continue
+                    if head is None:
+                        header, head = [c.strip() for c in line.split("\t")], lineno
+                        width = len(header)
+                    else:
+                        fast = fast and line.count("\t") == width - 1
+                        rows.append((lineno, *(c.strip() for c in line.split("\t", strings)[:strings])))
+            # errors only now that all of the file is decoded: a byte that is not UTF-8 comes first
+            named = isinstance(columns, list) and "<TAB>".join(columns)
+            if head is None:
+                expected = f"the header {named!r}" if named else "a header row"
+                raise ParseError(f"{path}: empty file, expected {expected}")
+            if named and header != columns:
+                raise ParseError(f"{path}: header must be {named!r}")
+            if head and "" in header[strings:]:
+                col = header.index("", strings) + 1
+                raise ParseError(f"{path}: row {head}, column {col}: blank header cell")
+            if fast and width > strings and (rows or not strings and data):
+                f.seek(0)
+                with contextlib.suppress(ValueError):  # float() reads the cells below
+                    values = np.loadtxt(f, delimiter="\t", comments=None, skiprows=head, ndmin=2,
+                                        usecols=range(strings, width) if strings else None)
+                    if values.shape[1] == width - strings and np.isfinite(values).all():
+                        return header, rows, values
             f.seek(0)
-            values = np.loadtxt(
-                f, delimiter="\t", comments=None, skiprows=1, usecols=range(1, n + 1), ndmin=2
-            )
-    except (OSError, UnicodeDecodeError, ValueError):
-        return None  # the plain parser raises the error, or reads what loadtxt did not
-    if values.shape != (len(feature_ids), n) or not np.isfinite(values).all():
-        return None
-    subject_ids = [cell.strip() for cell in header.rstrip("\n").split("\t")[1:]]
-    return subject_ids, feature_ids, values
+            numbers, lineno, n = [], 0, 0
+            for piece in whole_lines(f):
+                for line in piece.splitlines():
+                    lineno += 1
+                    if lineno <= head or not line or line.isspace():
+                        continue
+                    cells, n = line.split("\t"), n + 1
+                    if len(cells) != width:
+                        raise ParseError(f"{path}: row {lineno}: expected {width} fields, got {len(cells)}")
+                    for col, cell in enumerate(cells[strings:], start=strings + 1):
+                        try:
+                            numbers.append(_number(cell.strip(), finite))
+                        except ValueError as exc:
+                            raise ParseError(f"{path}: row {lineno}, column {col}: {exc}") from None
+            return header, rows, np.array(numbers, dtype=float).reshape(n, width - strings)
+    except UnicodeDecodeError:
+        read_text(path)  # raises the ParseError that names the first bad byte
+        raise
 
 
-def _read_plain(path):
-    """(subject ids, feature ids, values), by float() on every cell.
-
-    One pass in file order. A row is parsed whole; only a row that does not
-    give finite floats is walked cell by cell, to name its first bad cell: a
-    blank, NA or NaN cell is a missing value, any other must give a finite
-    float().
-    """
-    lines = read_text(path).splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if len(lines) < 2:
-        raise ParseError(f"{path}: need a header row and at least one feature row")
-    header = lines[0].split("\t")
-    subject_ids = [cell.strip() for cell in header[1:]]
-    n = len(subject_ids)
-    if n < 2:
-        raise ParseError(f"{path}: header row names fewer than two subjects")
-    feature_ids: list[str] = []
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split("\t")
-        if len(fields) != n + 1:
-            raise ParseError(f"{path}: row {lineno}: expected {n + 1} fields, got {len(fields)}")
-        try:
-            row = list(map(float, fields[1:]))
-            bad = not all(map(math.isfinite, row))
-        except ValueError:
-            bad = True
-        if bad:
-            for col, cell in enumerate(fields[1:], start=2):
-                cell = cell.strip()
-                if not cell or cell.upper() in ("NA", "NAN"):
-                    raise ParseError(f"{path}: row {lineno}, column {col}: missing value")
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {lineno}, column {col}: non-numeric cell {cell!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"{path}: row {lineno}, column {col}: non-finite cell {cell!r}"
-                    )
-        feature_ids.append(fields[0].strip())
-        rows.append(row)
-    return subject_ids, feature_ids, np.array(rows, dtype=float)
+def _number(cell: str, finite: bool) -> float:
+    """float(cell), or a ValueError that says what is wrong with the cell:
+    with ``finite``, blank, NA and NaN are missing values and every other
+    number must be finite."""
+    if finite and cell.upper() in ("", "NA", "NAN"):
+        raise ValueError("missing value")
+    try:
+        x = float(cell)
+    except ValueError:
+        raise ValueError(f"non-numeric cell {cell!r}") from None
+    if finite and not math.isfinite(x):
+        raise ValueError(f"non-finite cell {cell!r}")
+    return x
 
 
 def signed_log1p(x):

@@ -87,7 +87,7 @@ class Subset:
 
     def __post_init__(self) -> None:
         try:
-            CostBenefit([self.benefit], [self.cost]).homogeneous()
+            CostBenefit([self.benefit], [self.cost]).homogeneous(len(self.feature_indices))
         except ValidationError as exc:
             raise ValidationError(f"subset {self.name!r}: {exc}") from None
         if len(set(self.feature_indices)) != len(self.feature_indices):
@@ -170,7 +170,7 @@ def maximize_desirability(
     When every nonempty rejection region has negative estimated desirability,
     the empty region (desirability 0) wins and nothing is rejected.
     """
-    curve = _curve(stats, pi0, *cost_benefit.homogeneous())
+    curve = _curve(stats, pi0, *cost_benefit.homogeneous(stats.n_tests))
     return _decide(stats, pi0, curve, curve.desirability == curve.desirability.max())
 
 

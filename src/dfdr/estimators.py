@@ -115,9 +115,11 @@ class CostBenefit:
         """Homogeneous case with benefit 1 and cost equal to the given ratio."""
         return cls(benefits=np.array([1.0]), costs=np.array([float(cost_ratio)]))
 
-    def homogeneous(self) -> tuple[float, float]:
-        """(benefit, cost/benefit ratio); requires equal per-test values, benefit > 0
-        and a ratio of at most MAX_RATIO."""
+    def homogeneous(self, n_tests: int) -> tuple[float, float]:
+        """(benefit, cost/benefit ratio); requires equal per-test values, benefit > 0,
+        a ratio of at most MAX_RATIO and, over ``n_tests`` tests, desirabilities
+        and their terms within half the float range: |desirability| is at most
+        benefit (2 + ratio) n_tests, as the dFDR of k discoveries is at most n_tests / k."""
         if np.any(self.benefits != self.benefits[0]) or np.any(self.costs != self.costs[0]):
             raise ValidationError("costs and benefits differ between tests")
         b1 = float(self.benefits[0])
@@ -126,6 +128,9 @@ class CostBenefit:
         ratio = float(self.costs[0]) / b1
         if not ratio <= MAX_RATIO:
             raise ValidationError(f"cost/benefit ratio {ratio!r} above {MAX_RATIO:g}")
+        if not max(b1, 1.0) * ((2.0 + ratio) * n_tests) <= np.finfo(float).max / 2:
+            raise ValidationError(f"benefit {b1!r} at cost/benefit ratio {ratio!r} overflows the "
+                                  f"desirability of {n_tests} tests")
         return b1, ratio
 
     @property

@@ -10,6 +10,7 @@ import pytest
 
 from dfdr import DataMatrix, DecisionResult, Pi0Estimate, StatisticSet, resolve_pi0
 from dfdr.decision import Curve
+from dfdr.errors import ParseError
 from dfdr.estimators import array_tiles, dfdr_from_counts, weight_exceedances
 
 
@@ -125,3 +126,62 @@ class FixedThresholdRule:
             pi0=pi0,
             curve=Curve(*[np.empty(0)] * 4),  # no candidates scanned
         )
+
+
+# The read_table arguments of each input file: (columns, text columns, finite).
+WEIGHTS_HEADER = ["feature_id", "benefit", "cost"]
+SUBSETS_HEADER = ["feature_id", "subset", "group_a", "group_b", "benefit", "cost"]
+TABLE_KINDS = {
+    "matrix": (None, 1, True),
+    "labels": (2, 2, False),
+    "pvalues": (1, 0, False),
+    "weights": (WEIGHTS_HEADER, 1, False),
+    "subsets": (SUBSETS_HEADER, 4, False),
+}
+
+
+def oracle_cell(cell: str, finite: bool) -> float:
+    """float() of a stripped cell, or a ValueError saying what is wrong with it."""
+    if finite and cell.upper() in ("", "NA", "NAN"):
+        raise ValueError("missing value")
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ValueError(f"non-numeric cell {cell!r}") from None
+    if finite and not math.isfinite(value):
+        raise ValueError(f"non-finite cell {cell!r}")
+    return value
+
+
+def oracle_table(path, columns, strings, finite=False):
+    """``data.read_table`` by README "File formats", on the whole text: lines
+    as ``str.splitlines`` ends them, whitespace-only lines skipped but
+    counted, the header the first line left, then float() on each number."""
+    lines = [(n, line) for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1)
+             if line.strip()]
+    header, width = None, columns
+    if not isinstance(columns, int):
+        if not lines:
+            what = "a header row" if columns is None else f"the header {'<TAB>'.join(columns)!r}"
+            raise ParseError(f"{path}: empty file, expected {what}")
+        (head, line), lines = lines[0], lines[1:]
+        header = [c.strip() for c in line.split("\t")]
+        if columns is not None and header != columns:
+            raise ParseError(f"{path}: header must be {'<TAB>'.join(columns)!r}")
+        for col, name in enumerate(header[strings:], start=strings + 1):
+            if not name:
+                raise ParseError(f"{path}: row {head}, column {col}: blank header cell")
+        width = len(header)
+    rows, values = [], []
+    for lineno, line in lines:
+        cells = line.split("\t")
+        if len(cells) != width:
+            raise ParseError(f"{path}: row {lineno}: expected {width} fields, got {len(cells)}")
+        for col, cell in enumerate(cells[strings:], start=strings + 1):
+            try:
+                values.append(oracle_cell(cell.strip(), finite))
+            except ValueError as exc:
+                raise ParseError(f"{path}: row {lineno}, column {col}: {exc}") from None
+        if strings:
+            rows.append((lineno, *(c.strip() for c in cells[:strings])))
+    return header, rows, np.array(values, dtype=float).reshape(len(lines), width - strings)

@@ -18,10 +18,10 @@ from dfdr import (
     maximize_desirability,
     resolve_pi0,
 )
-from dfdr.cli import _read_pvalues, main
-from dfdr.data import read_text
+from dfdr.cli import main
+from dfdr.data import read_table, read_text
 from dfdr.errors import ParseError
-from conftest import PRINT_TASKS, needs_proc_tasks, run_python
+from conftest import PRINT_TASKS, needs_proc_tasks, oracle_table, run_python
 
 
 def write_fixture(tmp_path, rng, m=40, n_a=5, n_b=5, shifted=8, shift=2.5):
@@ -201,19 +201,15 @@ def test_subnormal_constant_row_warns_nothing(tmp_path, capsys):
     assert "g005,0,0\n" in (out / "tests.csv").read_text()
 
 
-def reference_read_pvalues(path):
-    """The p-value reader on the whole text: the values of the non-blank lines
-    of ``str.splitlines``, and the error of the first one float() rejects."""
-    values = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if line.strip():
-            try:
-                values.append(float(line))
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {lineno}: non-numeric p-value {line.strip()!r}"
-                ) from None
-    return np.array(values, dtype=float)
+def read_pvalues(path):
+    """The p-values of a file, as ``analyze --pvalues`` reads them."""
+    return read_table(path, 1, 0)[2][:, 0]
+
+
+def referenceread_pvalues(path):
+    """The oracle's p-values on the whole text: the values of the non-blank
+    lines of ``str.splitlines``, and the error of the first one float() rejects."""
+    return oracle_table(path, 1, 0)[2][:, 0]
 
 
 def separated(rng, n, separators, bad_at=None):
@@ -244,9 +240,9 @@ class TestReadPvalues:
     def test_values(self, tmp_path, text, values):
         path = tmp_path / "p.txt"
         path.write_bytes(text.encode("utf-8"))
-        got = _read_pvalues(path)
+        got = read_pvalues(path)
         assert got.dtype == np.float64 and got.tolist() == values
-        assert got.tobytes() == reference_read_pvalues(path).tobytes()
+        assert got.tobytes() == referenceread_pvalues(path).tobytes()
 
     @pytest.mark.parametrize(
         "text, row, cell",
@@ -262,12 +258,20 @@ class TestReadPvalues:
     def test_bad_cell_row(self, tmp_path, text, row, cell):
         path = tmp_path / "p.txt"
         path.write_bytes(text.encode("utf-8"))
-        message = f"{path}: row {row}: non-numeric p-value {cell!r}"
+        message = f"{path}: row {row}, column 1: non-numeric cell {cell!r}"
         with pytest.raises(ParseError) as got:
-            _read_pvalues(path)
+            read_pvalues(path)
         assert str(got.value) == message
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
-            reference_read_pvalues(path)
+            referenceread_pvalues(path)
+
+    @pytest.mark.parametrize("text", ["0.1\t0.2\n0.3\t0.4\n", "0.1\t\n"], ids=["two-columns", "trailing-tab"])
+    def test_a_tab_makes_a_second_cell(self, tmp_path, text):
+        # np.loadtxt reads a table of two columns, which is one too many
+        path = tmp_path / "p.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=r": row 1: expected 1 fields, got 2$"):
+            read_pvalues(path)
 
     @pytest.mark.parametrize("bad_at", [None, 2900, 11990])
     def test_long_file_across_pieces(self, tmp_path, bad_at):
@@ -277,12 +281,12 @@ class TestReadPvalues:
         path = tmp_path / "p.txt"
         path.write_bytes(text.encode("utf-8"))
         if bad_at is None:
-            assert _read_pvalues(path).tobytes() == reference_read_pvalues(path).tobytes()
+            assert read_pvalues(path).tobytes() == referenceread_pvalues(path).tobytes()
             return
         with pytest.raises(ParseError) as want:
-            reference_read_pvalues(path)
+            referenceread_pvalues(path)
         with pytest.raises(ParseError) as got:
-            _read_pvalues(path)
+            read_pvalues(path)
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("sep", ["\r\n", "\r", "\x0c", "\u2028"], ids=repr)
@@ -294,9 +298,9 @@ class TestReadPvalues:
         assert text.index(sep) == at
         path = tmp_path / "p.txt"
         path.write_bytes(text.encode("utf-8"))
-        got = _read_pvalues(path)
+        got = read_pvalues(path)
         assert got.size == 13_002 and got[-1] == 0.75
-        assert got.tobytes() == reference_read_pvalues(path).tobytes()
+        assert got.tobytes() == referenceread_pvalues(path).tobytes()
 
     def test_bytes_not_utf8_raise_as_from_the_whole_text(self, tmp_path):
         # a bad cell before the bad byte: the decoding error still wins
@@ -305,7 +309,7 @@ class TestReadPvalues:
         with pytest.raises(ParseError) as want:
             read_text(path)
         with pytest.raises(ParseError) as got:
-            _read_pvalues(path)
+            read_pvalues(path)
         assert str(got.value) == str(want.value)
         assert str(got.value).endswith("not UTF-8 text: byte 0xff at offset 9")
 
@@ -348,7 +352,7 @@ class TestAnalyzePvalues:
         rc = main(["analyze", "--pvalues", str(ppath), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err == (
-            f"data error: {ppath}: row 5: non-numeric p-value 'abc'\n"
+            f"data error: {ppath}: row 5, column 1: non-numeric cell 'abc'\n"
         )
 
     def test_nan_pvalue_is_out_of_range_at_its_index(self, tmp_path, capsys):
@@ -551,12 +555,45 @@ class TestSubsetsFile:
         err = self.run(tmp_path, capsys, monkeypatch, [("z", 1, 19)] * 20 + [("", 1, 19)] * 20)
         assert "row 22: subset name '' cannot be a file name stem" in err
 
+    @pytest.mark.parametrize("cost", ["0", "19"])
+    def test_benefit_whose_desirability_overflows(self, tmp_path, capsys, monkeypatch, cost):
+        # 2 + ratio times benefit 1e308 times the subset's 40 tests is beyond the float
+        # range: the run used to exit 0 with an overflow warning, desirability inf
+        # and a tie among infinities
+        err = self.run(tmp_path, capsys, monkeypatch, [("z", "1e308", cost)] * 40)
+        ratio = float(cost) / 1e308
+        assert err == (f"data error: {tmp_path / 'subsets.tsv'}: subset 'z': benefit 1e+308 at "
+                       f"cost/benefit ratio {ratio!r} overflows the desirability of 40 tests\n")
+
     @pytest.mark.parametrize("at", [0, 5], ids=["first-row", "later-row"])
     def test_nan_benefit_is_named(self, tmp_path, capsys, monkeypatch, at):
         rows = [("z", 1, 19)] * 40
         rows[at] = ("z", "nan", 19)
         err = self.run(tmp_path, capsys, monkeypatch, rows)
         assert err.endswith(f"row {at + 2}: subset 'z': benefits, costs and their sums must be finite\n")
+
+
+# Each input file, by its flag: a first line, then (after two blank lines) a good
+# row on line 4 and a bad one on line 5.
+ROW_FIVE = {
+    "--matrix": ["id\t" + "\t".join(f"s{j:02d}" for j in range(10)), "g0" + "\t1" * 10,
+                 "g1\tx" + "\t1" * 9],
+    "--labels": ["s00\tA", "s01\tA", "s02\t "],
+    "--pvalues": ["0.5", "0.25", "x"],
+    "--weights": ["feature_id\tbenefit\tcost", "g000\t1\t19", "g001\tx\t19"],
+    "--subsets": ["feature_id\tsubset\tgroup_a\tgroup_b\tbenefit\tcost", "g000\ts\tA\tB\t1\t19",
+                  "g001\ts\tA\tB\tx\t19"],
+}
+
+
+@pytest.mark.parametrize("flag", ROW_FIVE)
+def test_rows_count_every_line(tmp_path, capsys, flag):
+    # blank lines were left out of the count of the weights and subsets files
+    path = tmp_path / "input.tsv"
+    first, *rest = ROW_FIVE[flag]
+    path.write_text("\n".join([first, "", " \t "] + rest) + "\n")
+    assert main(TestUnreadableInput.argv(tmp_path, flag, path)) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {path}: row 5")
 
 
 class TestUnreadableInput:

@@ -1,10 +1,11 @@
 """A fuzzer for the CLI, through ``cli.main`` in-process: ``dfdr simulate``
 with every flag at and beyond the edges of its ``cli.RANGES`` row, at tiny
 sizes; ``dfdr analyze --weights`` with weights files of extreme,
-non-numeric, repeated and missing cells on a small generated matrix; and
+non-numeric, repeated and missing cells on a small generated matrix;
 ``dfdr analyze --subsets`` with subsets files of such cells, names that
 cannot name a file, unknown, repeated and overlapping features, unknown
-groups and ``--min-subset-size`` at its edges, on the same matrix.
+groups and ``--min-subset-size`` at its edges, on the same matrix; and
+``dfdr analyze`` on edited copies of that matrix and its labels file.
 
 For every case: the exit code is 0, 1 or 2; exit 1 or 2 writes no file
 under --out; exit 0 writes nothing to stderr and raises no warning, and its
@@ -257,3 +258,72 @@ def test_subsets_files(case):
         (Path(temp) / "subsets.tsv").write_text(text)
         argv = write_matrix(Path(temp), seed) + flags + ["--subsets", str(Path(temp) / "subsets.tsv")]
         check(argv, undefined_cells)
+
+
+# ``analyze`` on generated matrices and labels files, the same 4 vs 4
+# subjects: up to three edits of the matrix, among them ragged, constant,
+# tiny, huge and subnormal rows, blank, repeated and non-UTF-8 feature or
+# subject ids, and a character of ``data._UNLIKE_LINES`` anywhere; and of
+# the labels file, missing, extra and repeated subjects and one-member
+# groups; then a comparison with group B, a group C or group A itself.
+UNLIKE = ["\x00", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", " ", " "]
+ROWS = {
+    "constant": lambda rng: np.full(8, 2.5),
+    "tiny": lambda rng: rng.normal(size=8) * 1e-300,
+    "huge": lambda rng: rng.normal(size=8) * 1e300,
+    "extreme": lambda rng: rng.choice([1e308, -1e308, 1.7e308], size=8),
+    "subnormal": lambda rng: rng.choice([5e-324, -5e-324, 1e-320, 0.0], size=8),
+}
+IDS = ["", " ", "g0", "s0", "\udcff"]  # "\udcff" is written as the byte 0xff, which is not UTF-8
+
+
+@st.composite
+def matrix_case(draw):
+    """(matrix lines, labels lines, analyze flags without the files)."""
+    rng = np.random.default_rng(draw(st.integers(0, 3)))
+    values = rng.normal(size=(M, 8))
+    values[:4, 4:] += 3.0
+    cells = [list(map(repr, row)) for row in values.tolist()]
+    ids, subjects, tags = [f"g{i}" for i in range(M)], [f"s{j}" for j in range(8)], list("AAAABBBB")
+    for _ in range(draw(st.integers(0, 3))):
+        edit, i = draw(st.sampled_from(["row"] * 4 + ["ragged", "id", "subject"])), draw(st.integers(0, M - 1))
+        if edit == "row":
+            cells[i] = list(map(repr, ROWS[draw(st.sampled_from(sorted(ROWS)))](rng).tolist()))
+        elif edit == "ragged":
+            cells[i] = cells[i][:-1] if draw(st.booleans()) else cells[i] + ["1.0"]
+        elif edit == "id":
+            ids[i] = draw(st.sampled_from(IDS))
+        else:
+            subjects[i % 8] = draw(st.sampled_from(IDS))
+    labels = [f"s{j}\t{tag}" for j, tag in enumerate(tags)]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        edit, j = draw(st.sampled_from(["missing", "repeat"] + ["extra", "alone"] * 3)), draw(st.integers(0, 7))
+        if edit == "missing":
+            labels = [line for line in labels if not line.startswith(f"s{j}\t")]
+        elif edit == "extra":
+            labels.append(draw(st.sampled_from(["s9\tA", "s9\tC", "x\tB"])))
+        elif edit == "repeat":
+            labels.append(f"s{j}\t{draw(st.sampled_from('AB'))}")
+        else:  # s{j} the one member of group C
+            labels = [f"s{j}\tC" if line.startswith(f"s{j}\t") else line for line in labels]
+    lines = ["\t".join(["feature_id", *subjects])] + ["\t".join([g, *row]) for g, row in zip(ids, cells)]
+    if draw(st.integers(0, 5)) == 0:
+        k = draw(st.integers(0, len(lines) - 1))
+        at = draw(st.integers(0, len(lines[k])))
+        lines[k] = lines[k][:at] + draw(st.sampled_from(UNLIKE)) + lines[k][at:]
+    flags = ["--group-b", draw(st.sampled_from("BBBCA")),  # A: a group compared with itself
+             "--permutations", str(draw(st.integers(1, 6))), "--seed", str(draw(st.integers(0, 9)))]
+    flags += draw(st.sampled_from([[], ["--preprocess"], ["--pi0", "one"], ["--mode", "control"]]))
+    return lines, labels, flags
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(matrix_case())
+def test_matrix_and_labels_files(case):
+    lines, labels, flags = case
+    with tempfile.TemporaryDirectory() as temp:
+        mpath, lpath = Path(temp, "matrix.tsv"), Path(temp, "labels.tsv")
+        mpath.write_bytes("".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape"))
+        lpath.write_text("".join(line + "\n" for line in labels))
+        check(["analyze", "--matrix", str(mpath), "--labels", str(lpath), "--group-a", "A", *flags],
+              undefined_cells)

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import TABLE_KINDS, oracle_table
 from dfdr import data
 from dfdr import (
     DataMatrix,
@@ -201,27 +203,76 @@ cells = st.one_of(
 )
 
 
+def outcome(read):
+    """What ``read()`` returns, with the values as their bytes, or its error's type and text."""
+    try:
+        header, rows, values = read()
+    except (ParseError, ValidationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return header, rows, values.shape, values.tobytes()
+
+
+def read_both(path, kind):
+    """(read_table's outcome, the oracle's, whether float() read a cell), for
+    the file kind ``kind``; float() reads cells only where np.loadtxt's table
+    was not taken."""
+    with mock.patch.object(data, "_number", wraps=data._number) as cells:
+        got = outcome(lambda: data.read_table(path, *TABLE_KINDS[kind]))
+    return got, outcome(lambda: oracle_table(path, *TABLE_KINDS[kind])), cells.called
+
+
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(cells, st.integers(0, 2), st.integers(1, 3))
 def test_fast_reader_agrees_with_float(tmp_path_factory, cell, row, col):
-    # Whatever np.loadtxt accepts, the plain float() parser reads to the same
-    # bits; whatever float() rejects, loadtxt rejects too (None).
+    # Whatever np.loadtxt reads, float() reads to the same bits; whatever
+    # float() rejects, loadtxt rejects too, and float() names the error.
     path = tmp_path_factory.mktemp("cells") / "matrix.tsv"
     rows = [["g0", "1.5", "-2", "3e-3"], ["g1", "0.25", "7", "8"], ["g2", "1", "2", "3"]]
     rows[row][col] = cell
     path.write_text("id\ts1\ts2\ts3\n" + "".join("\t".join(r) + "\n" for r in rows),
                     encoding="utf-8")
-    fast = data._read_fast(path)
-    try:
-        plain = data._read_plain(path)
-    except ParseError:
-        plain = None
-    if fast is not None:
-        assert plain is not None
-        assert fast[:2] == plain[:2]
-        assert fast[2].tobytes() == plain[2].tobytes()
-        if not any(c in cell for c in "\t\r\n"):  # the cell is one cell
-            assert np.float64(float(cell)).tobytes() == fast[2][row, col - 1].tobytes()
+    got, want, _ = read_both(path, "matrix")
+    assert got == want
+    if not isinstance(got, str) and not any(c in cell for c in "\t\r\n"):  # the cell is one cell
+        assert np.float64(float(cell)).tobytes() == got[3][8 * (3 * row + col - 1):][:8]
+
+
+# Lines of every file kind: a row of the right width, of one cell fewer or
+# more, or a blank line; cells from ``cells`` or ordinary numbers and ids.
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0c", "\u2028", "\x1c", "\n\n", "\n \t \n"]
+
+
+@st.composite
+def table_text(draw):
+    kind = draw(st.sampled_from(sorted(TABLE_KINDS)))
+    columns, strings, _ = TABLE_KINDS[kind]
+    width = 4 if columns is None else len(columns) if isinstance(columns, list) else columns
+    text = ""
+    if not isinstance(columns, int):
+        names = list(columns) if isinstance(columns, list) else ["id", "s1", "s2", "s3"]
+        if draw(st.integers(0, 9)) == 0:
+            names[draw(st.integers(0, width - 1))] = draw(st.sampled_from(["", " ", "x"]))
+        text = "\t".join(names) + draw(st.sampled_from(LINE_ENDS))
+    for i in range(draw(st.integers(0, 6))):
+        n = width + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+        row = [f"id{i}" if j < strings else draw(st.sampled_from(["0.5", "1", "-2e-3", "7"]))
+               for j in range(max(n, 1))]
+        if draw(st.booleans()):
+            row[draw(st.integers(0, len(row) - 1))] = draw(cells)
+        text += "\t".join(row) + draw(st.sampled_from(LINE_ENDS))
+    return kind, text
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(table_text())
+def test_reader_agrees_with_the_oracle_for_every_file_kind(tmp_path_factory, case):
+    # the same header, rows and value bits as str.splitlines and float() on
+    # the whole text, or the same error
+    kind, text = case
+    path = tmp_path_factory.mktemp("tables") / "table.tsv"
+    path.write_text(text, encoding="utf-8", newline="")
+    got, want, _ = read_both(path, kind)
+    assert got == want
 
 
 class TestDataMatrixValidation:
@@ -349,9 +400,10 @@ class TestPreprocess:
         np.testing.assert_allclose(signed_log1p(-x), -signed_log1p(x), atol=1e-15)
 
 
-# Text that np.loadtxt would read otherwise than the plain parser: line
+# Text that np.loadtxt would read otherwise than float() cell by cell: line
 # breaks that only str.splitlines knows, NUL, a ragged row, a cell float()
-# reads and loadtxt does not, and a trailing blank line.
+# reads and loadtxt does not, a whitespace-only line and a cell that is not
+# finite; then text that loadtxt reads, among it blank lines anywhere.
 GOOD = ["id\ts1\ts2\ts3", "g0\t1.5\t-2\t3e-3", "g1\t0.25\t7\t8"]
 UNLIKE_LINES = {"nul": "\x00", "vt": "\x0b", "ff": "\x0c", "fs": "\x1c", "gs": "\x1d", "rs": "\x1e",
                 "nel": "\x85", "ls": "\u2028", "ps": "\u2029"}
@@ -360,39 +412,56 @@ DECLINED = {
     **{f"{name}-in-row": GOOD[:2] + ["g1\t0.25" + char + "\t7\t8"] for name, char in UNLIKE_LINES.items()},
     "ragged-row": GOOD[:2] + ["g1\t0.25\t7"],
     "1_0-cell": GOOD[:2] + ["g1\t1_0\t7\t8"],
-    "trailing-blank-line": GOOD + [""],
+    "whitespace-only-line": GOOD[:2] + [" \t "] + GOOD[2:],
+    "inf-cell": GOOD[:2] + ["g1\tinf\t7\t8"],
 }
-
-
-def outcome(read):
-    try:
-        return read()
-    except (ParseError, ValidationError) as exc:
-        return f"{type(exc).__name__}: {exc}"
+ACCEPTED = {
+    "plain": GOOD,
+    "trailing-blank-lines": GOOD + ["", ""],
+    "interior-blank-lines": GOOD[:2] + ["", ""] + GOOD[2:],
+    "leading-blank-lines": ["", ""] + GOOD,
+    "beyond-ascii": ["id\ts1\tsé2\ts3", "gè0\t1.5\t-2\t3e-3", "g1\t0.25\t7\t 8"],
+}
 
 
 @pytest.mark.parametrize("lines", DECLINED.values(), ids=DECLINED.keys())
 def test_fast_reader_leaves_to_the_plain_parser(tmp_path, lines):
-    mpath, lpath = tmp_path / "m.tsv", tmp_path / "l.tsv"
-    mpath.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert data._read_fast(mpath) is None
-    expected = outcome(lambda: data._read_plain(mpath))
-    subjects = ["s1", "s2", "s3"] if isinstance(expected, str) else expected[0]
-    write_labels(lpath, [(s, "A") for s in subjects])
-    got = outcome(lambda: load_matrix(mpath, lpath))
-    if isinstance(expected, str):
-        assert got == expected
-    else:
-        assert (list(got.subject_ids), list(got.feature_ids)) == (expected[0], expected[1])
-        assert got.values.tobytes() == expected[2].tobytes()
-
-
-def test_fast_reader_takes_other_text_beyond_ascii(tmp_path):
-    # non-ASCII text without those characters is read by np.loadtxt
     path = tmp_path / "m.tsv"
-    rows = "".join(f"gè{i}\t1.5\t-2\t3e-3\ng{i}\t0.25\t7\t 8\n" for i in range(3))
-    path.write_text("id\ts1\tsé2\ts3\n" + rows, encoding="utf-8")
-    fast = data._read_fast(path)
-    assert fast is not None
-    plain = data._read_plain(path)
-    assert fast[:2] == plain[:2] and fast[2].tobytes() == plain[2].tobytes()
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    got, want, by_float = read_both(path, "matrix")
+    assert by_float and got == want
+
+
+@pytest.mark.parametrize("lines", ACCEPTED.values(), ids=ACCEPTED.keys())
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_fast_reader_takes_other_text(tmp_path, lines, end):
+    # one np.loadtxt call reads the numbers, and float() none
+    path = tmp_path / "m.tsv"
+    path.write_text(end.join(lines) + end, encoding="utf-8", newline="")
+    with mock.patch.object(data.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        got, want, by_float = read_both(path, "matrix")
+    assert loadtxt.call_count == 1 and not by_float and got == want
+    assert got[0] == next(filter(None, lines)).split("\t")
+
+
+def test_blank_subject_id_names_the_matrix_column(tmp_path):
+    # it was blamed on the labels file, as a subject '' without a label
+    mpath, lpath = tmp_path / "m.tsv", tmp_path / "l.tsv"
+    for blank in ("", " \xa0"):
+        write_tsv(mpath, ["id", "s1", blank, "s3"], [["g0", 1, 2, 3]])
+        write_labels(lpath, [("s1", "A"), ("s3", "B")])
+        with pytest.raises(ParseError) as err:
+            load_matrix(mpath, lpath)
+        assert str(err.value) == f"{mpath}: row 1, column 3: blank header cell"
+
+
+def test_interior_blank_lines_are_skipped_but_counted(matrix_files):
+    mpath, lpath = matrix_files
+    plain = load_matrix(mpath, lpath)
+    lines = mpath.read_text().splitlines()
+    mpath.write_text("\n".join(lines[:2] + ["", " \t "] + lines[2:]) + "\n")
+    matrix = load_matrix(mpath, lpath)
+    assert matrix.feature_ids == plain.feature_ids and matrix.values.tobytes() == plain.values.tobytes()
+    mpath.write_text(mpath.read_text().replace("6.0", "six"))
+    with pytest.raises(ParseError, match="row 5, column 3: non-numeric cell 'six'"):
+        load_matrix(mpath, lpath)

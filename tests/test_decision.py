@@ -127,6 +127,14 @@ class TestMaximizeDesirability:
             assert base.rejected.tolist() == scaled.rejected.tolist()
             assert base.tau == scaled.tau
 
+    def test_benefit_whose_desirability_overflows_is_refused(self, four_test_stats, pi0_one):
+        # benefit (2 + ratio) m bounds every desirability of m tests and its
+        # terms: 1e308 overflowed to inf and tied the best candidates
+        with pytest.raises(ValidationError, match="overflows the desirability of 4 tests"):
+            maximize_desirability(four_test_stats, pi0_one, CostBenefit([1e308], [0.0]))
+        huge = maximize_desirability(four_test_stats, pi0_one, CostBenefit([1e300], [19e300]))
+        assert huge.rejected.tolist() == [0, 1, 2] and huge.desirability == 3e300
+
     def test_ties_break_toward_largest_tau(self, pi0_one):
         # candidates 1.0 and 2.0 tie at desirability 1:
         #   tau=1: dfdr (1/2)/(2/2) = 0.5, D = (1 - 0.5) * 2 = 1
