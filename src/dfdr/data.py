@@ -21,7 +21,8 @@ class DataMatrix:
     """Feature-by-subject measurement matrix with group labels.
 
     ``values`` has shape (n_features, n_subjects); ``labels[j]`` is the group
-    tag of subject ``j``. Feature and subject identifiers must be unique.
+    tag of subject ``j``. Feature and subject identifiers must be unique and
+    not blank.
     """
 
     values: np.ndarray
@@ -49,8 +50,8 @@ class DataMatrix:
                 f"for {n} columns"
             )
         for kind, ids in (("feature", self.feature_ids), ("subject", self.subject_ids)):
-            if len(set(ids)) != len(ids):  # walk the ids only to name the repeat
-                raise ValidationError(f"duplicate {kind} id {_first_duplicate(ids)!r}")
+            if bad := _misnamed(ids, f"{kind} id"):
+                raise ValidationError(bad[1])
         if not np.all(np.isfinite(values)):
             raise ValidationError("matrix contains non-finite values")
 
@@ -87,7 +88,7 @@ def load_labels(path) -> dict[str, str]:
         if not subject or not tag:
             raise ParseError(f"{path}: row {lineno}: empty subject id or group tag")
         if subject in labels:
-            raise ValidationError(f"{path}: duplicate subject id {subject!r}")
+            raise ValidationError(f"{path}: row {lineno}: duplicate subject id {subject!r}")
         labels[subject] = tag
     if not labels:
         raise ParseError(f"{path}: no label rows found")
@@ -105,12 +106,15 @@ def load_matrix(matrix_path, labels_path) -> DataMatrix:
     subject_ids = header[1:]
     if len(subject_ids) < 2 or not rows:
         raise ParseError(f"{matrix_path}: need a header row naming two subjects or more, then a feature row")
+    feature_ids = tuple(fid for _, fid in rows)
+    if bad := _misnamed(feature_ids, "feature id"):
+        raise ParseError(f"{matrix_path}: row {rows[bad[0]][0]}, column 1: {bad[1]}")
     missing = [s for s in subject_ids if s not in label_map]
     if missing:
         raise ValidationError(f"{labels_path}: no group label for subject {missing[0]!r}")
     return DataMatrix(
         values=values,
-        feature_ids=tuple(fid for _, fid in rows),
+        feature_ids=feature_ids,
         subject_ids=tuple(subject_ids),
         labels=tuple(label_map[s] for s in subject_ids),
     )
@@ -170,9 +174,8 @@ def read_table(path, columns, strings: int, finite: bool = False):
                 raise ParseError(f"{path}: empty file, expected {expected}")
             if named and header != columns:
                 raise ParseError(f"{path}: header must be {named!r}")
-            if head and "" in header[strings:]:
-                col = header.index("", strings) + 1
-                raise ParseError(f"{path}: row {head}, column {col}: blank header cell")
+            if head and (bad := _misnamed(header[strings:], "header cell")):
+                raise ParseError(f"{path}: row {head}, column {strings + bad[0] + 1}: {bad[1]}")
             if fast and width > strings and (rows or not strings and data):
                 f.seek(0)
                 with contextlib.suppress(ValueError):  # float() reads the cells below
@@ -250,10 +253,13 @@ def preprocess(matrix: DataMatrix) -> DataMatrix:
     )
 
 
-def _first_duplicate(items) -> str | None:
+def _misnamed(names, kind: str) -> tuple[int, str] | None:
+    """The index of the first blank name or repeat of an earlier one, and
+    what is wrong with it (a ``kind``); None if the names are unique."""
+    if "" not in names and len(set(names)) == len(names):  # walk them only to find it
+        return None
     seen = set()
-    for item in items:
-        if item in seen:
-            return item
-        seen.add(item)
-    return None
+    for i, name in enumerate(names):
+        if not name or name in seen:
+            return i, f"duplicate {kind} {name!r}" if name else f"blank {kind}"
+        seen.add(name)

@@ -36,7 +36,7 @@ from dfdr.estimators import (
     resolve_pi0,
     weight_exceedances,
 )
-from dfdr.resampling import PermutationPlan, permutation_null
+from dfdr.resampling import PermutationPlan, null_passes
 from dfdr.stats import PValueSet, run_starts
 
 
@@ -206,15 +206,13 @@ def per_subset_optimize(
 ) -> tuple[SubsetDecision, ...]:
     """Desirability maximization run independently on each subset of tests.
 
-    Each subset gets its own null statistics (its rows of the permutation
-    null), its own pi0 estimate and tuning threshold, and its own cost and
-    benefit. Each comparison's null is computed once, in one pass whose tiles
-    go to a StatisticSet per subset, restricted to its rows; the statistic of
-    a row does not depend on the other rows, so each set equals one built on
-    the subset's rows alone, bit for bit. For a single subset covering all
+    Each subset gets its own null statistics, pi0 estimate and tuning
+    threshold, and its own cost and benefit: one ordinary pass of its
+    comparison's null over the subset's rows alone (``null_passes``), its
+    set built, decided and dropped before the next subset's pass. Each
+    comparison's permutations are drawn once for its subsets and released
+    before the next comparison's are drawn. For a single subset covering all
     rows this reduces exactly to maximize_desirability on the whole problem.
-    One comparison's sets, and the permutations they keep for any further
-    pass, are released before the next comparison's are drawn.
     """
     partition.validate_sizes()
     out = {}
@@ -225,19 +223,17 @@ def per_subset_optimize(
 
 def _comparison_decisions(partition, matrix, plan, key, pi0_mode) -> dict[int, SubsetDecision]:
     """The decisions of the subsets that compare the groups ``key``, by index."""
-    b, out = plan.n_permutations, {}
-    sets = {
-        i: StatisticSet(matrix.n_features, b, rows=np.asarray(s.feature_indices, dtype=np.intp))
-        for i, s in enumerate(partition.subsets)
-        if (s.group_a, s.group_b) == key
-    }
-    permutation_null(matrix, *key, plan, into=list(sets.values()))
-    for i, stats in sets.items():
-        subset = partition.subsets[i]
-        pi0 = resolve_pi0(stats, pi0_mode)
-        result = maximize_desirability(stats, pi0, CostBenefit([subset.benefit], [subset.cost]))
-        out[i] = SubsetDecision(subset=subset, result=result, observed=stats.observed)
-    return out
+    feed = null_passes(matrix, *key, plan)
+    return {i: _subset_decision(s, feed, plan, pi0_mode)
+            for i, s in enumerate(partition.subsets) if (s.group_a, s.group_b) == key}
+
+
+def _subset_decision(subset: Subset, feed, plan, pi0_mode) -> SubsetDecision:
+    rows = np.asarray(subset.feature_indices, dtype=np.intp)
+    stats = feed(StatisticSet(rows.size, plan.n_permutations), rows)
+    pi0 = resolve_pi0(stats, pi0_mode)
+    result = maximize_desirability(stats, pi0, CostBenefit([subset.benefit], [subset.cost]))
+    return SubsetDecision(subset=subset, result=result, observed=stats.observed)
 
 
 def common_threshold_weighted(

@@ -240,12 +240,13 @@ class StatisticSet:
 
     ``feed(tiles)`` makes one pass over a tile source: a callable that
     returns (rows, tile) pairs, where ``tile[:, i]`` holds null statistics of
-    the test ``rows[i]`` of ``n_tests`` (with ``rows`` given, the set takes
-    only those tests, in that order). ``observe`` gives it the observed
+    the test ``rows[i]`` of ``n_tests``. ``observe`` gives it the observed
     statistics, before the pass or, for a null of at most CAP values, after
-    it and before lambda is read. ``build_statistic_set`` feeds a set as it
-    computes the null, and ``from_null`` a stored null; ``tiles`` makes the
-    tiles again for another pass. Each tile is read once, from one sorted copy per
+    it and before lambda is read. ``resampling.null_passes`` feeds a set the
+    null of its rows (every row for ``build_statistic_set``, a subset's for
+    ``per_subset_optimize``) as it computes it, and ``from_null`` a stored
+    null; ``tiles`` makes the tiles again for another pass, which feeds this
+    set alone. Each tile is read once, from one sorted copy per
     class of the per-test ``weights``, fixed here (one class without; a null
     of at most CAP values sorts each class once, at the end of the pass), and
     the set keeps what README "How the scan works" lists: ``counts`` per
@@ -255,17 +256,12 @@ class StatisticSet:
     permutations.
     """
 
-    def __init__(self, n_tests: int, n_permutations: int, weights=None, rows=None) -> None:
+    def __init__(self, n_tests: int, n_permutations: int, weights=None) -> None:
         if n_permutations < 1:
             raise ValidationError("n_permutations must be >= 1")
-        self.local = None
-        if rows is not None:  # this set's tests among the tiles' n_tests
-            self.local = np.full(n_tests, -1)
-            self.local[rows] = np.arange(len(rows))
-            n_tests = len(rows)
         if n_tests < 1:
             raise ValidationError("need at least one observed statistic")
-        self.rows, self.n_tests, self.n_permutations = rows, n_tests, n_permutations
+        self.n_tests, self.n_permutations = n_tests, n_permutations
         self.n_null = n_tests * n_permutations
         self.k = int(CENTRAL_BAND_MASS * self.n_null)
         self.weights = None if weights is None else checked_weights(weights, n_tests, self.n_null)
@@ -294,11 +290,10 @@ class StatisticSet:
         return stats.observe(observed).feed(array_tiles(null, stats.n_tests))
 
     def observe(self, observed) -> "StatisticSet":
-        """Count the nulls at the observed statistics (all tests', picked by
-        ``rows``): at each tile from now on, or after a first pass of at most
-        CAP values over the sorted pieces it kept whole."""
-        observed = np.asarray(observed, dtype=float).ravel()
-        self.observed = observed if self.rows is None else observed[self.rows]
+        """Count the nulls at the observed statistics: at each tile from now
+        on, or after a first pass of at most CAP values over the sorted
+        pieces it kept whole."""
+        self.observed = np.asarray(observed, dtype=float).ravel()
         check_statistics("observed", self.observed)
         self.taus = np.append(np.sort(self.observed), np.inf)
         shape = (self.distinct.size, self.taus.size)
@@ -334,17 +329,19 @@ class StatisticSet:
         return self.n_null <= CAP
 
     def feed(self, tiles) -> "StatisticSet":
-        summarize([self], tiles)
+        """One pass over the tile source ``tiles``, kept for any later pass
+        its lambda needs. Each tile is read before the next is asked for, and
+        none is kept (only copies or counts), so a source may reuse a tile's
+        memory once the next is asked for, as a streamed null's does
+        (``resampling.read_ahead``)."""
+        self.tiles = tiles
+        self.passes += 1
+        for rows, tile in tiles():
+            self.add(rows, tile)
+        self.end_pass()
         return self
 
     def add(self, rows, tile) -> None:
-        if self.local is not None:
-            rows = self.local[rows]
-            mine = rows >= 0
-            if not mine.all():
-                rows, tile = rows[mine], tile.compress(mine, axis=1)
-                if not rows.size:
-                    return
         first = self.passes == 1 and self.seen == 0 and not self.keeps_all
         self.seen += tile.size
         classes = None if self.classes is None else self.classes[rows]
@@ -362,7 +359,8 @@ class StatisticSet:
         its counts take one binary search per class and candidate, not per tile."""
         if self.keeps_all and self.classes is not None:
             pieces, self.kept = self.kept, []
-            merged = [np.concatenate([v for v, b in pieces if b == c]) for c in range(self.distinct.size)]
+            merged = [[v for v, b in pieces if b == c] for c in range(self.distinct.size)]
+            merged = [own[0] if len(own) == 1 else np.concatenate(own) for own in merged]  # split copies
             for values in merged:
                 values.sort()
             self._take([(values, c) for c, values in enumerate(merged) if values.size])
@@ -484,22 +482,6 @@ def _tally(tallies, bins, start: int, stop: int) -> None:
         tallies += np.bincount(bins[start:stop], minlength=tallies.size)
     else:
         tallies[bins] += stop - start
-
-
-def summarize(sets, tiles) -> None:
-    """One pass over the tile source ``tiles`` into every set, which keeps
-    ``tiles`` for any later pass its lambda needs. Each tile goes to every
-    set before the next is asked for, and no set keeps a tile (only copies or
-    counts), so a source may reuse a tile's memory once the next is asked
-    for, as a streamed null's does (``resampling.read_ahead``)."""
-    for stats in sets:
-        stats.tiles = tiles
-        stats.passes += 1
-    for rows, tile in tiles():
-        for stats in sets:
-            stats.add(rows, tile)
-    for stats in sets:
-        stats.end_pass()
 
 
 def estimate_pi0(stats: StatisticSet) -> Pi0Estimate:

@@ -29,10 +29,10 @@ import numpy as np
 
 from dfdr.data import DataMatrix
 from dfdr.errors import ValidationError
-from dfdr.estimators import StatisticSet, summarize
+from dfdr.estimators import StatisticSet
 from dfdr.stats import welch_abs_t, welch_tiles
 
-# Tiles a streamed null's worker makes past the one the sets hold: two
+# Tiles a streamed null's worker makes past the one the set holds: two
 # even out the tiles that take one stage longer than the other.
 AHEAD = 2
 
@@ -154,48 +154,58 @@ def permutation_null(
 ):
     """Null statistics from ``plan.n_permutations`` random label permutations.
 
-    Returns the null whole. With ``into`` (a StatisticSet or a list of
-    them), each tile goes to every set as it is computed and ``into`` is
-    returned; the sets keep the means to recompute the tiles for any later
-    pass. They observe the statistics of the identity split first; a null
-    that they all keep whole takes the identity split in its own pass
-    instead, so its row blocks are prepared once, and runs on the calling
-    thread alone. Every pass over any other null is read ahead on one worker
-    thread (``read_ahead``; README "How the scan works").
+    Returns the null whole. With ``into``, a StatisticSet of every row of
+    the matrix, feeds it one pass (``null_passes``) and returns it.
     """
+    if into is not None:
+        return null_passes(matrix, group_a, group_b, plan)(into, np.arange(matrix.n_features))
     values, pool, n_a = _comparison(matrix, group_a, group_b)
-    splits = np.empty((plan.n_permutations + 1, pool.size), dtype=np.intp)
-    splits[0] = np.arange(pool.size)
-    permutation_rows(plan, splits[1:])
-    if into is None:
-        return welch_abs_t(values, pool, n_a, splits[1:]).ravel()
-    sets = into if isinstance(into, list) else [into]
-    observed = np.empty(values.shape[0])
+    return welch_abs_t(values, pool, n_a, _splits(plan, pool.size)[1:]).ravel()
 
-    together = all(stats.keeps_all for stats in sets)
 
-    def null():  # a tile source of the null alone; a streamed one is read ahead
-        tiles = welch_tiles(values, pool, n_a, splits[1:], 1 if together else AHEAD + 1)
-        pairs = ((rows, tile) for rows, _, tile in tiles)
-        return pairs if together else read_ahead(pairs, AHEAD)
+def null_passes(matrix: DataMatrix, group_a: str, group_b: str, plan: PermutationPlan):
+    """The comparison's permutations, drawn once, as a function ``feed(stats,
+    rows)`` that gives the StatisticSet ``stats`` one pass of the null of the
+    matrix rows ``rows`` (its tests, in order), keeping the means to repeat
+    it, and returns the set. The set observes the identity split first; a
+    null that it keeps whole takes the identity split in its own pass
+    instead, and runs on the calling thread alone. Every pass over any other
+    null is read ahead on one worker thread (``read_ahead``; README "How the
+    scan works")."""
+    values, pool, n_a = _comparison(matrix, group_a, group_b)
+    splits = _splits(plan, pool.size)
 
-    def with_identity():  # split 0 of each row block's first tile is the identity
-        for rows, start, tile in welch_tiles(values, pool, n_a, splits):
-            if start == 0:
-                observed[rows], tile = tile[0], tile[1:]
-            if tile.size:
-                yield rows, tile
+    def feed(stats: StatisticSet, rows) -> StatisticSet:
+        whole, observed = stats.keeps_all, np.empty(len(rows))
 
-    if not together:
-        observed[:] = welch_abs_t(values, pool, n_a, splits[:1])[0]
-        for stats in sets:
-            stats.observe(observed)
-    summarize(sets, with_identity if together else null)
-    for stats in sets:
+        def null():  # a tile source of the null alone; a streamed one is read ahead
+            tiles = welch_tiles(values, pool, n_a, splits[1:], rows, 1 if whole else AHEAD + 1)
+            pairs = ((block, tile) for block, _, tile in tiles)
+            return pairs if whole else read_ahead(pairs, AHEAD)
+
+        def with_identity():  # split 0 of each row block's first tile is the identity
+            for block, start, tile in welch_tiles(values, pool, n_a, splits, rows):
+                if start == 0:
+                    observed[block], tile = tile[0], tile[1:]
+                if tile.size:
+                    yield block, tile
+
+        if whole:
+            stats.feed(with_identity).observe(observed)
+        else:
+            stats.observe(welch_abs_t(values, pool, n_a, splits[:1], rows)[0]).feed(null)
         stats.tiles = null  # any later pass
-        if together:
-            stats.observe(observed)
-    return into
+        return stats
+
+    return feed
+
+
+def _splits(plan: PermutationPlan, size: int) -> np.ndarray:
+    """The identity split of ``size`` pool positions, then the plan's permutations."""
+    splits = np.empty((plan.n_permutations + 1, size), dtype=np.intp)
+    splits[0] = np.arange(size)
+    permutation_rows(plan, splits[1:])
+    return splits
 
 
 def read_ahead(items, ahead: int):

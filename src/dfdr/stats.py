@@ -101,8 +101,9 @@ def run_starts(sorted_values: np.ndarray, first: float | None = None):
 
 # Rows per block: at least ROWS, and enough that a block holds about
 # ROW_VALUES data values (a 2000 x 20 simulate matrix takes five blocks).
-# Splits per matrix product: CHUNK. Statistics per tile: TILE. The statistics
-# depend on none of these; they size the temporaries.
+# Splits per matrix product: CHUNK, or about ROWS * CHUNK statistics' worth in
+# a block of fewer rows. Statistics per tile: TILE. The statistics depend on
+# none of these; they size the temporaries.
 ROWS = 256
 ROW_VALUES = 2**13
 CHUNK = 64
@@ -113,12 +114,13 @@ TILE = 2**18
 _MARGIN = 2.0**40
 
 
-def welch_abs_t(values: np.ndarray, pool, n_a: int, splits) -> np.ndarray:
-    """Absolute Welch t of every row of ``values[:, pool]`` for each split.
+def welch_abs_t(values: np.ndarray, pool, n_a: int, splits, rows=None) -> np.ndarray:
+    """Absolute Welch t of the rows ``rows`` (every row without) of
+    ``values[:, pool]`` for each split.
 
     A split (row of ``splits``) is a permutation of the pool positions
     ``0..n-1``: its first ``n_a`` entries form group A, the rest group B.
-    Returns shape (len(splits), n_rows).
+    Returns shape (len(splits), len(rows)).
 
     Each row is centred on its midrange and split into hi and lo parts on
     fixed grids, so group A's sums are exact 0/1 matrix products on any BLAS
@@ -128,23 +130,25 @@ def welch_abs_t(values: np.ndarray, pool, n_a: int, splits) -> np.ndarray:
     determinism contract: the statistic of a split depends only on the row
     and on which values fall in each group.
     """
-    out = np.empty((np.shape(splits)[0], values.shape[0]))
-    for rows, start, tile in welch_tiles(values, pool, n_a, splits):
-        out[start : start + tile.shape[0], rows] = tile
+    rows = np.arange(values.shape[0]) if rows is None else rows
+    out = np.empty((np.shape(splits)[0], len(rows)))
+    for block, start, tile in welch_tiles(values, pool, n_a, splits, rows):
+        out[start : start + tile.shape[0], block] = tile
     return out
 
 
-def welch_tiles(values: np.ndarray, pool, n_a: int, splits, buffers: int = 1):
-    """``welch_abs_t`` one tile at a time: (rows, first split, tile) triples.
+def welch_tiles(values: np.ndarray, pool, n_a: int, splits, rows, buffers: int = 1):
+    """``welch_abs_t`` of the rows ``rows`` one tile at a time: (block,
+    first split, tile) triples.
 
     ``tile[s, i]`` is the statistic of split ``first + s`` for row
-    ``rows[i]``. The splits go in groups, each over every block of rows, so
+    ``rows[block[i]]``. The splits go in groups, each over every block, so
     the tiles of a group cover all rows before the next group starts; a
     block's parts are prepared once per group. Blocks hold at least ROWS rows
     and ROW_VALUES data values; the first block's rows are strided across all
-    rows, so the first tile samples the whole matrix, and the other blocks
-    take the remaining rows in order. A tile holds at most TILE values (one
-    split's, if a block's rows alone exceed it).
+    rows, so the first tile samples them all, and the other blocks take the
+    remaining rows in order. A tile holds at most TILE values (one split's,
+    if a block's rows alone exceed it).
 
     The tiles take turns in ``buffers`` buffers: a tile's memory is reused
     by the tile ``buffers`` places later, and not before. A consumer that
@@ -155,7 +159,7 @@ def welch_tiles(values: np.ndarray, pool, n_a: int, splits, buffers: int = 1):
     splits = np.asarray(splits, dtype=np.intp)
     if n_a < 2 or pool.size - n_a < 2:
         raise ValidationError("both groups need at least two members")
-    count, m = splits.shape[0], values.shape[0]
+    count, m = splits.shape[0], len(rows)
     size = min(m, max(ROWS, ROW_VALUES // pool.size))
     first = np.arange(0, m, -(-m // size))
     rest = np.delete(np.arange(m), first)
@@ -164,14 +168,15 @@ def welch_tiles(values: np.ndarray, pool, n_a: int, splits, buffers: int = 1):
     for start in range(0, count, group):
         part = splits[start : start + group]
         members = np.zeros((part.shape[0], pool.size))
-        members[np.arange(part.shape[0])[:, None], part[:, :n_a]] = 1.0
-        for rows in [first] + [rest[r : r + size] for r in range(0, rest.size, size)]:
-            block = _Rows(values[rows][:, pool], n_a)  # column-major: C-order x.T in _Rows
-            tile = next(turns)[: part.shape[0] * rows.size].reshape(-1, rows.size)
-            for c in range(0, part.shape[0], CHUNK):
-                chunk = slice(c, c + CHUNK)
-                block.abs_t(members[chunk], part[chunk], tile[chunk])
-            yield rows, start, tile
+        members.ravel()[(part[:, :n_a] + pool.size * np.arange(part.shape[0])[:, None]).ravel()] = 1.0
+        for block in [first] + [rest[r : r + size] for r in range(0, rest.size, size)]:
+            parts = _Rows(values[rows[block]][:, pool], n_a)  # column-major: C-order x.T in _Rows
+            tile = next(turns)[: part.shape[0] * block.size].reshape(-1, block.size)
+            step = max(CHUNK, ROWS * CHUNK // block.size)
+            for c in range(0, part.shape[0], step):
+                chunk = slice(c, c + step)
+                parts.abs_t(members[chunk], part[chunk], tile[chunk])
+            yield block, start, tile
 
 
 class _Rows:

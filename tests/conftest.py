@@ -171,6 +171,8 @@ def oracle_table(path, columns, strings, finite=False):
         for col, name in enumerate(header[strings:], start=strings + 1):
             if not name:
                 raise ParseError(f"{path}: row {head}, column {col}: blank header cell")
+            if name in header[strings : col - 1]:
+                raise ParseError(f"{path}: row {head}, column {col}: duplicate header cell {name!r}")
         width = len(header)
     rows, values = [], []
     for lineno, line in lines:

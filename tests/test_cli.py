@@ -419,11 +419,11 @@ class TestAnalyzeSubsetsAndWeights:
         wpath.write_text("feature_id\tbenefit\tcost\n" + "".join(
             f"g{i:03d}\t{1 + i % 2}\t19\n" for i in range(25)))
         checked = mock.Mock(wraps=dfdr.estimators.checked_weights)
-        passes = mock.Mock(wraps=dfdr.estimators.summarize)
+        passes, feed = [], dfdr.estimators.StatisticSet.feed
         monkeypatch.setattr(dfdr.estimators, "checked_weights", checked)
         monkeypatch.setattr(dfdr.decision, "checked_weights", checked, raising=False)
-        monkeypatch.setattr(dfdr.estimators, "summarize", passes)  # a later pass
-        monkeypatch.setattr(dfdr.resampling, "summarize", passes)  # the first
+        monkeypatch.setattr(dfdr.estimators.StatisticSet, "feed",
+                            lambda stats, tiles: passes.append(stats) or feed(stats, tiles))
         rc = main([
             "analyze", "--matrix", str(mpath), "--labels", str(lpath),
             "--group-a", "A", "--group-b", "B",
@@ -432,7 +432,7 @@ class TestAnalyzeSubsetsAndWeights:
         ])
         assert rc == 0
         assert checked.call_count == 1
-        assert passes.call_count == 1 and len(passes.call_args.args[0]) == 1
+        assert len(passes) == 1 and passes[0].passes == 1
 
     def test_subsets_and_weights_conflict(self, tmp_path):
         rng = np.random.default_rng(103)
@@ -527,8 +527,8 @@ class TestSubsetsFile:
         spath = tmp_path / "subsets.tsv"
         spath.write_text("feature_id\tsubset\tgroup_a\tgroup_b\tbenefit\tcost\n" + "".join(
             f"g{i:03d}\t{name}\tA\tB\t{benefit}\t{cost}\n" for i, (name, benefit, cost) in enumerate(rows)))
-        nulls, null = [], dfdr.decision.permutation_null
-        monkeypatch.setattr(dfdr.decision, "permutation_null",
+        nulls, null = [], dfdr.decision.null_passes
+        monkeypatch.setattr(dfdr.decision, "null_passes",
                             lambda *args, **kw: nulls.append(args) or null(*args, **kw))
         out = tmp_path / "out"
         rc = main(["analyze", "--matrix", str(mpath), "--labels", str(lpath), "--group-a", "A",

@@ -4,8 +4,9 @@ sizes; ``dfdr analyze --weights`` with weights files of extreme,
 non-numeric, repeated and missing cells on a small generated matrix;
 ``dfdr analyze --subsets`` with subsets files of such cells, names that
 cannot name a file, unknown, repeated and overlapping features, unknown
-groups and ``--min-subset-size`` at its edges, on the same matrix; and
-``dfdr analyze`` on edited copies of that matrix and its labels file.
+groups and ``--min-subset-size`` at its edges, on the same matrix;
+``dfdr analyze`` on edited copies of that matrix and its labels file; and
+``dfdr reproduce`` with every flag at and beyond the edges of its rules.
 
 For every case: the exit code is 0, 1 or 2; exit 1 or 2 writes no file
 under --out; exit 0 writes nothing to stderr and raises no warning, and its
@@ -327,3 +328,52 @@ def test_matrix_and_labels_files(case):
         lpath.write_text("".join(line + "\n" for line in labels))
         check(["analyze", "--matrix", str(mpath), "--labels", str(lpath), "--group-a", "A", *flags],
               undefined_cells)
+
+
+# ``reproduce`` on a matrix of 50 features (the second comparison's subset
+# needs the default minimum of 50) and 4 ALL, 4 AML and 4 TALL subjects:
+# --permutations and --seed at and beyond the edges of their rules and
+# ``cli.RANGES`` rows, and each group flag an ordinary group, another
+# flag's group, or a group that no subject has.
+REPRODUCE = {
+    "--permutations": ["-1", "0", "1", "4", str(2**32 - 1), str(2**32), *NOT_INTS],
+    "--seed": FLAGS["--seed"],
+    "--group-a": ["ALL", "AML", "Z"],
+    "--group-b": ["AML", "ALL", "TALL", "Z"],
+    "--group-t": ["TALL", "ALL", "AML", "Z"],
+}
+
+
+def undefined_in_comparison(out: Path) -> list[str]:
+    """Rows of comparison.csv that print nan: every number in it is defined."""
+    return [line for line in (out / "comparison.csv").read_text().splitlines() if "nan" in line.split(",")]
+
+
+def write_reference_matrix(folder: Path, seed: int) -> list[str]:
+    """The matrix and labels files in ``folder``, as reproduce argv."""
+    values = np.random.default_rng(seed).lognormal(size=(50, 12))
+    values[:10, 4:8] *= 3.0
+    subjects = [f"s{j}" for j in range(12)]
+    rows = ["\t".join(["feature_id", *subjects])]
+    rows += ["\t".join([f"g{i}", *map(repr, row)]) for i, row in enumerate(values.tolist())]
+    (folder / "matrix.tsv").write_text("\n".join(rows) + "\n")
+    (folder / "labels.tsv").write_text("".join(f"{s}\t{('ALL', 'AML', 'TALL')[j // 4]}\n"
+                                               for j, s in enumerate(subjects)))
+    return ["reproduce", "--matrix", str(folder / "matrix.tsv"), "--labels", str(folder / "labels.tsv")]
+
+
+@st.composite
+def reproduce_flags(draw):
+    """(matrix seed, up to five flags from REPRODUCE after --permutations 3)."""
+    flags = ["--permutations", "3"]
+    for flag in draw(st.lists(st.sampled_from(sorted(REPRODUCE)), max_size=5, unique=True)):
+        flags += [flag, draw(st.sampled_from(REPRODUCE[flag]))]
+    return draw(st.integers(0, 3)), flags
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(reproduce_flags())
+def test_reproduce_flags(case):
+    seed, flags = case
+    with tempfile.TemporaryDirectory() as temp:
+        check(write_reference_matrix(Path(temp), seed) + flags, undefined_in_comparison)

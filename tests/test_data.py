@@ -66,19 +66,45 @@ class TestLoadMatrix:
             load_matrix(mpath, lpath)
 
     def test_duplicate_feature_id_named(self, matrix_files):
+        # the file, the row of the repeat and its column
         mpath, lpath = matrix_files
         text = mpath.read_text().replace("g3", "g1")
         mpath.write_text(text)
-        with pytest.raises(ValidationError, match="^duplicate feature id 'g1'$"):
+        with pytest.raises(ParseError) as err:
             load_matrix(mpath, lpath)
+        assert str(err.value) == f"{mpath}: row 4, column 1: duplicate feature id 'g1'"
 
     def test_duplicate_subject_id_named(self, tmp_path):
         mpath = tmp_path / "m.tsv"
         lpath = tmp_path / "l.tsv"
         write_tsv(mpath, ["id", "s1", "s1"], [["g1", 1, 2]])
         write_labels(lpath, [("s1", "A")])
-        with pytest.raises(ValidationError, match="^duplicate subject id 's1'$"):
+        with pytest.raises(ParseError) as err:
             load_matrix(mpath, lpath)
+        assert str(err.value) == f"{mpath}: row 1, column 3: duplicate header cell 's1'"
+
+    @pytest.mark.parametrize("blank", ["", " "])
+    def test_blank_feature_id_names_row_and_column(self, matrix_files, blank):
+        # a row that starts with a tab, or with spaces and a tab, has a blank feature id
+        mpath, lpath = matrix_files
+        mpath.write_text(mpath.read_text().replace("g2\t", blank + "\t"))
+        with pytest.raises(ParseError) as err:
+            load_matrix(mpath, lpath)
+        assert str(err.value) == f"{mpath}: row 3, column 1: blank feature id"
+
+    def test_repeated_label_subject_names_its_row(self, matrix_files):
+        mpath, lpath = matrix_files
+        lpath.write_text(lpath.read_text() + "\n\ns2\tB\n")
+        with pytest.raises(ValidationError) as err:
+            load_matrix(mpath, lpath)
+        assert str(err.value) == f"{lpath}: row 7: duplicate subject id 's2'"
+
+    def test_data_matrix_refuses_blank_and_repeated_ids(self):
+        ids = {"feature_ids": ("g1", "g2"), "subject_ids": ("s1", "s2"), "labels": ("A", "B")}
+        for key, bad, message in [("feature_ids", ("g1", ""), "blank feature id"),
+                                  ("subject_ids", ("s1", "s1"), "duplicate subject id 's1'")]:
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                DataMatrix(values=np.ones((2, 2)), **{**ids, key: bad})
 
     def test_missing_label_named(self, matrix_files, tmp_path):
         mpath, _ = matrix_files
@@ -251,7 +277,7 @@ def table_text(draw):
     if not isinstance(columns, int):
         names = list(columns) if isinstance(columns, list) else ["id", "s1", "s2", "s3"]
         if draw(st.integers(0, 9)) == 0:
-            names[draw(st.integers(0, width - 1))] = draw(st.sampled_from(["", " ", "x"]))
+            names[draw(st.integers(0, width - 1))] = draw(st.sampled_from(["", " ", "x", "s1"]))
         text = "\t".join(names) + draw(st.sampled_from(LINE_ENDS))
     for i in range(draw(st.integers(0, 6))):
         n = width + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))

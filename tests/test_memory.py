@@ -1,4 +1,5 @@
-"""Peak memory of the p-value route: it grows by the bytes of its arrays alone.
+"""Peak memory: the p-value route grows by the bytes of its arrays alone, and
+a run of many subsets peaks no higher than one subset of all rows.
 
 The CLI is spawned from ``peak_rss.py``, a launcher that has not imported
 numpy, and its ``ru_maxrss`` is read with ``os.wait4``. Spawned from this test
@@ -53,3 +54,27 @@ def test_pvalue_route_peak_grows_by_its_arrays(tmp_path):
     per_test = (peaks[1] - peaks[0]) * 1024 / (sizes[1] - sizes[0])
     # a list of the lines or of the rows' strings costs hundreds of bytes a test
     assert per_test < 150, f"peak RSS {peaks} KiB: {per_test:.0f} bytes per test"
+
+
+def test_per_subset_peak_is_one_subsets(tmp_path):
+    # 2000 features, 20 vs 20 subjects, 5000 permutations: 40 subsets of 50
+    # rows each keep their whole null (250,000 values), one subset at a time,
+    # so the run peaks no higher than one subset of all rows, whose null streams
+    m = 2000
+    rng = np.random.default_rng(74)
+    values = rng.normal(size=(m, 40))
+    values[: m // 5, 20:] += 1.0
+    lines = ["\t".join(["id", *(f"s{j}" for j in range(40))])]
+    lines += ["\t".join([f"g{i}", *map(repr, row)]) for i, row in enumerate(values.tolist())]
+    (tmp_path / "matrix.tsv").write_text("\n".join(lines) + "\n")
+    (tmp_path / "labels.tsv").write_text("".join(f"s{j}\t{'AB'[j >= 20]}\n" for j in range(40)))
+    peaks = {}
+    for size in (50, m):
+        spath = tmp_path / f"subsets{size}.tsv"
+        spath.write_text("feature_id\tsubset\tgroup_a\tgroup_b\tbenefit\tcost\n" + "".join(
+            f"g{i}\ts{i // size}\tA\tB\t1\t19\n" for i in range(m)))
+        peaks[size] = peak_rss_kib(
+            ["analyze", "--matrix", str(tmp_path / "matrix.tsv"), "--labels", str(tmp_path / "labels.tsv"),
+             "--group-a", "A", "--group-b", "B", "--subsets", str(spath), "--permutations", "5000",
+             "--out", str(tmp_path / f"out{size}")])
+    assert peaks[50] <= 1.1 * peaks[m], f"peak RSS {peaks} KiB by subset size"

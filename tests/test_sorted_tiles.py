@@ -138,24 +138,23 @@ def check_pi0(summary, table, observed, weights):
 @given(problems())
 def test_sorted_tiles_equal_the_materialised_null(problem):
     null, observed, rows, weights = (problem[k] for k in ("null", "observed", "rows", "weights"))
-    b, m_all = null.shape
     table = null if rows is None else null[:, rows]
+    b, n = table.shape
     patches = patched(problem["sizes"])
     for patch in patches:
         patch.start()
     try:
-        summary = StatisticSet(m_all, b, weights, rows)
-        observed_all = np.zeros(m_all)
-        observed_all[slice(None) if rows is None else rows] = observed
-        # a null kept whole may be observed after its pass, as permutation_null does
+        # a subset's set takes its rows' columns of the null, as its own pass gives them
+        summary = StatisticSet(n, b, weights)
+        # a null kept whole may be observed after its pass, as resampling.null_passes does
         first = problem["observe_first"] or not summary.keeps_all
         if first:
-            summary.observe(observed_all)
-        summary.feed(array_tiles(null.ravel(), m_all))
+            summary.observe(observed)
+        summary.feed(array_tiles(np.ascontiguousarray(table).ravel(), n))
         bins = bins_of(summary, table)
         check_bracket(summary, table, bins)
         if not first:
-            summary.observe(observed_all)
+            summary.observe(observed)
         check_counts(summary, table, observed, weights)
         assert summary.lam == lambda_oracle(table.ravel().tolist())
         below_lam = np.bincount(bins[table < summary.lam], minlength=summary.bins.size)

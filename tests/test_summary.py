@@ -149,6 +149,26 @@ def test_subsets_equal_slices_of_the_materialised_null(monkeypatch):
         same_decision(decision.result, maximize_desirability(sliced, pi0, cb))
 
 
+@pytest.mark.parametrize("size", [60, 12, 7, 1])
+def test_per_subset_sets_take_each_null_value_once(size, monkeypatch):
+    # one ordinary pass per subset, over its rows alone: the tiles handed to
+    # the sets hold m * B values whatever the number of subsets, two
+    # comparisons' m * B when a second compares B with A
+    m, b = 60, 30
+    matrix = random_matrix(np.random.default_rng(73), m, 5, 6)
+    order = np.random.default_rng(size).permutation(m).tolist()
+    subsets = [Subset(f"{groups[0]}{k}", tuple(order[k : k + size]), *groups, 1.0, 19.0)
+               for groups in (("A", "B"), ("B", "A")) for k in range(0, m, size)]
+    sizes, add = [], StatisticSet.add
+    monkeypatch.setattr(StatisticSet, "add",
+                        lambda stats, rows, tile: sizes.append(tile.size) or add(stats, rows, tile))
+    for count in (1, 2):
+        sizes.clear()
+        partition = SubsetPartition(tuple(subsets[: len(subsets) * count // 2]), min_size=1)
+        per_subset_optimize(partition, matrix, PermutationPlan(b, 4))
+        assert sum(sizes) == count * m * b
+
+
 @pytest.mark.parametrize("m", [16, 17])
 def test_bracket_holds_on_tests_of_unequal_spread(m, repasses):
     # test j's nulls are scaled by 1 + j: a sample of a few tests would miss
@@ -215,7 +235,8 @@ def test_second_pass_never_runs_on_a_bracketed_fixture(tmp_path, repasses):
 
 def test_no_cli_route_holds_a_null(tmp_path, monkeypatch):
     # a null held whole comes from permutation_null without a summary to feed
-    # and reaches a summary only through array_tiles (StatisticSet.from_null)
+    # and reaches a summary only through array_tiles (StatisticSet.from_null);
+    # the per-subset route feeds its sets through resampling.null_passes alone
     built, held = [], []
     init, tiles = StatisticSet.__init__, estimators.array_tiles
     null = dfdr.resampling.permutation_null
@@ -231,7 +252,6 @@ def test_no_cli_route_holds_a_null(tmp_path, monkeypatch):
     monkeypatch.setattr(StatisticSet, "__init__", spy)
     monkeypatch.setattr(estimators, "array_tiles", lambda *args: held.append(True) or tiles(*args))
     monkeypatch.setattr(dfdr.resampling, "permutation_null", whole)
-    monkeypatch.setattr(dfdr.decision, "permutation_null", whole)
     mpath, lpath = write_fixture(tmp_path, np.random.default_rng(64), m=60)
     spath, wpath = tmp_path / "subsets.tsv", tmp_path / "weights.tsv"
     spath.write_text("feature_id\tsubset\tgroup_a\tgroup_b\tbenefit\tcost\n" + "".join(
@@ -317,27 +337,25 @@ def test_streamed_real_weight_sums_within_summation_bound(cap, monkeypatch):
 
 
 def test_one_comparison_holds_its_permutations_at_a_time(tmp_path, monkeypatch):
-    # check_null_fits counts one comparison's permutations: each summary keeps
+    # check_null_fits counts one comparison's permutations: each set keeps
     # its comparison's permutations for any further pass, so every route
-    # releases a comparison's summaries before it draws the next's
-    alive, calls = [], []
-    null = dfdr.resampling.permutation_null
+    # releases a comparison's sets before it draws the next's permutations
+    alive, draws = [], []
+    rows = dfdr.resampling.permutation_rows
 
-    def spy(*args, into=None):
+    def spy(plan, out):
         assert not any(ref() is not None for ref in alive)
-        calls.append(into is not None)
-        summaries = null(*args, into=into)
-        alive.extend(map(weakref.ref, summaries if isinstance(summaries, list) else [summaries]))
-        return summaries
+        rows(plan, out)
+        draws.append(plan)
+        alive.append(weakref.ref(out.base))  # the identity split, then these
 
-    monkeypatch.setattr(dfdr.resampling, "permutation_null", spy)
-    monkeypatch.setattr(dfdr.decision, "permutation_null", spy)
+    monkeypatch.setattr(dfdr.resampling, "permutation_rows", spy)
     mpath, lpath = write_fixture(tmp_path, np.random.default_rng(69), m=60, n_a=6, n_b=9)
     lpath.write_text("".join(
         f"s{j:02d}\t{'ALL' if j < 6 else 'AML' if j < 11 else 'TALL'}\n" for j in range(15)))
     spath = tmp_path / "subsets.tsv"
     spath.write_text("feature_id\tsubset\tgroup_a\tgroup_b\tbenefit\tcost\n" + "".join(
-        f"g{i:03d}\t{'u' if i < 30 else 'v'}\tALL\t{'AML' if i < 30 else 'TALL'}\t1\t19\n"
+        f"g{i:03d}\t{'uvwx'[i // 15]}\tALL\t{'AML' if i < 30 else 'TALL'}\t1\t19\n"
         for i in range(60)))
     runs = [
         ["reproduce", "--matrix", str(mpath), "--labels", str(lpath), "--group-t", "TALL",
@@ -347,10 +365,12 @@ def test_one_comparison_holds_its_permutations_at_a_time(tmp_path, monkeypatch):
          "--permutations", "40"],
         ["simulate", "--m", "100", "--replicates", "3"],
     ]
-    for i, run in enumerate(runs):
-        calls.clear()
+    # the subsets share their comparison's draw: four subsets, two draws; a
+    # simulate replicate is drawn here or in a forked worker
+    for i, (run, most) in enumerate(zip(runs, [2, 2, 3])):
+        draws.clear()
         assert dfdr.cli.main(run + ["--out", str(tmp_path / f"o{i}")]) == 0
-        assert len(calls) >= 2 and all(calls)
+        assert 2 <= len(draws) <= most
 
 
 # The read-ahead: a streamed null (one that some summary does not keep whole)
