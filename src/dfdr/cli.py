@@ -75,7 +75,7 @@ from dfdr.estimators import (
     p_to_cost_ratio,
     resolve_pi0,
 )
-from dfdr.resampling import PermutationPlan, build_statistic_set, check_null_fits
+from dfdr.resampling import PermutationPlan, build_statistic_set, check_null_fits, worker_count
 from dfdr.simulation import (
     DesirabilityRule,
     DfdrControlRule,
@@ -83,7 +83,6 @@ from dfdr.simulation import (
     boundary_offset,
     measure_error_rates,
     measure_local_dfdr,
-    worker_count,
 )
 from dfdr.stats import validate_pvalues
 

@@ -36,7 +36,7 @@ from dfdr.estimators import (
     resolve_pi0,
     weight_exceedances,
 )
-from dfdr.resampling import PermutationPlan, null_passes
+from dfdr.resampling import PermutationPlan, in_workers, null_passes
 from dfdr.stats import PValueSet, run_starts
 
 
@@ -209,10 +209,11 @@ def per_subset_optimize(
     Each subset gets its own null statistics, pi0 estimate and tuning
     threshold, and its own cost and benefit: one ordinary pass of its
     comparison's null over the subset's rows alone (``null_passes``), its
-    set built, decided and dropped before the next subset's pass. Each
-    comparison's permutations are drawn once for its subsets and released
-    before the next comparison's are drawn. For a single subset covering all
-    rows this reduces exactly to maximize_desirability on the whole problem.
+    set built, decided and dropped before the same process's next subset.
+    Each comparison's permutations are drawn once for its subsets, which are
+    dealt to the processes of ``in_workers``, and released before the next
+    comparison's are drawn. For a single subset covering all rows this
+    reduces exactly to maximize_desirability on the whole problem.
     """
     partition.validate_sizes()
     out = {}
@@ -222,10 +223,12 @@ def per_subset_optimize(
 
 
 def _comparison_decisions(partition, matrix, plan, key, pi0_mode) -> dict[int, SubsetDecision]:
-    """The decisions of the subsets that compare the groups ``key``, by index."""
+    """The decisions of the subsets that compare the groups ``key``, by
+    index, each decided whole in one process of ``in_workers``."""
     feed = null_passes(matrix, *key, plan)
-    return {i: _subset_decision(s, feed, plan, pi0_mode)
-            for i, s in enumerate(partition.subsets) if (s.group_a, s.group_b) == key}
+    chosen = [i for i, s in enumerate(partition.subsets) if (s.group_a, s.group_b) == key]
+    return dict(zip(chosen, in_workers(
+        lambda i: _subset_decision(partition.subsets[i], feed, plan, pi0_mode), chosen)))
 
 
 def _subset_decision(subset: Subset, feed, plan, pi0_mode) -> SubsetDecision:

@@ -238,21 +238,21 @@ class StatisticSet:
     """Observed statistics and what the estimators read of their permutation
     null, accumulated tile by tile.
 
-    ``feed(tiles)`` makes one pass over a tile source: a callable that
-    returns (rows, tile) pairs, where ``tile[:, i]`` holds null statistics of
-    the test ``rows[i]`` of ``n_tests``. ``observe`` gives it the observed
-    statistics, before the pass or, for a null of at most CAP values, after
-    it and before lambda is read. ``resampling.null_passes`` feeds a set the
-    null of its rows (every row for ``build_statistic_set``, a subset's for
-    ``per_subset_optimize``) as it computes it, and ``from_null`` a stored
-    null; ``tiles`` makes the tiles again for another pass, which feeds this
-    set alone. Each tile is read once, from one sorted copy per
-    class of the per-test ``weights``, fixed here (one class without; a null
-    of at most CAP values sorts each class once, at the end of the pass), and
-    the set keeps what README "How the scan works" lists: ``counts`` per
-    class at each sorted observed value and +inf, and a bracket around the
-    rank of lambda with tallies per class (per test, for weights of many
-    distinct values). Memory is O(m + tile + CAP), whatever the number of
+    ``feed(tiles)`` makes one pass over a tile source: a callable that returns
+    (rows, tile) pairs, where ``tile[:, i]`` holds null statistics of the test
+    ``rows[i]`` of ``n_tests``. ``observe`` gives it the observed statistics,
+    before the pass or, for a null of at most CAP values, after it and before
+    lambda is read. ``resampling.null_passes`` feeds a set the null of its rows
+    (every row for ``build_statistic_set``, a subset's for
+    ``per_subset_optimize``) as it computes it, or ``merge``s the sets of its
+    ranges, and ``from_null`` a stored null; ``tiles`` makes the tiles again
+    for another pass, which feeds this set alone. Each tile is read once, from
+    one sorted copy per class of the per-test ``weights``, fixed here (one
+    class without; a null of at most CAP values sorts each class once, at the
+    end of the pass), and the set keeps what README "How the scan works" lists:
+    ``counts`` per class at each sorted observed value and +inf, and a bracket
+    around the rank of lambda with tallies per class (per test, for weights of
+    many distinct values). Memory is O(m + tile + CAP), whatever the number of
     permutations.
     """
 
@@ -332,8 +332,7 @@ class StatisticSet:
         """One pass over the tile source ``tiles``, kept for any later pass
         its lambda needs. Each tile is read before the next is asked for, and
         none is kept (only copies or counts), so a source may reuse a tile's
-        memory once the next is asked for, as a streamed null's does
-        (``resampling.read_ahead``)."""
+        memory once the next is asked for, as ``stats.welch_tiles`` does."""
         self.tiles = tiles
         self.passes += 1
         for rows, tile in tiles():
@@ -411,12 +410,36 @@ class StatisticSet:
         hi = part[j + margin] if j + margin <= last else self.hi
         if np.count_nonzero((part >= lo) & (part <= hi)) > 3 * CAP // 4:
             lo = hi = part[j]  # long ties at the bounds: keep counts of one value
-        pieces, self.kept, self.n_kept = self.kept, [], 0
-        self.lo, self.hi = lo, hi
+        self._recut(lo, hi, self.kept)
+
+    def _recut(self, lo, hi, pieces) -> None:
+        """[lo, hi] as the bracket, and the sorted ``pieces`` cut against it."""
+        self.lo, self.hi, self.kept, self.n_kept = lo, hi, [], 0
         if lo == hi:
             self.at = np.zeros_like(self.below)
         for piece in pieces:
             self._cut(*piece)
+
+    def merge(self, shares) -> None:
+        """Take as this set's first pass the passes of ``shares``: sets of its
+        tests, observed as it is, each fed its own range of the permutations.
+        Counts and tallies add; the bracket is the intersection of theirs,
+        which every value they kept is cut against again. Where that is
+        empty, lambda takes a pass of its own."""
+        self.passes, self.seen = self.passes + 1, sum(share.seen for share in shares)
+        self.counts += sum(share.counts for share in shares)
+        lo, hi = max(share.lo for share in shares), min(share.hi for share in shares)
+        if lo > hi:
+            return self._repass(-np.inf, np.inf)
+        self._recut(lo, hi, [piece for share in shares for piece in share.kept])
+        for share in shares:
+            self.below += share.below
+            self.above += share.above
+            self.above_min = min(self.above_min, share.above_min)
+            if share.at is not None:  # closed on the one value of the intersection
+                self.at += share.at
+        if self.n_kept > CAP:
+            self._narrow(CAP // 4)
 
     def _repass(self, lo, hi) -> None:
         """Another pass, for lambda alone, with [lo, hi] as the bracket."""

@@ -15,14 +15,16 @@ derives every stream's PCG64 state words together, and numpy's Generator
 shuffles each row, so the rows are the same bits as ``permutation_indices``.
 A spawn key is then one 32-bit word, so a plan draws fewer than 2**32
 permutations.
-Null statistics are ordered by permutation index, then feature index, and
-are computed tile by tile into a ``StatisticSet``, never whole.
+Null statistics are ordered by permutation index, then feature index; they
+are computed tile by tile, never whole, on every CPU (``in_workers``).
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import pickle
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +32,7 @@ import numpy as np
 from dfdr.data import DataMatrix
 from dfdr.errors import ValidationError
 from dfdr.estimators import StatisticSet
-from dfdr.stats import welch_abs_t, welch_tiles
-
-# Tiles a streamed null's worker makes past the one the set holds: two
-# even out the tiles that take one stage longer than the other.
-AHEAD = 2
+from dfdr.stats import memberships, welch_abs_t, welch_tiles
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
 _MASK = 0xFFFFFFFF
@@ -132,6 +130,7 @@ def check_null_fits(shape: tuple[int, int], n_permutations: int, at_once: int = 
     (README, "Memory:"): what grows with the number of permutations is the
     permutations, n_permutations * subjects 8-byte indices, counted here with
     the matrix, ``at_once`` times where that many comparisons run at once.
+    Their group-A memberships, one byte each, are left out of the count.
     """
     (m, n), b = shape, n_permutations
     need = 8 * n * (b + m) * at_once
@@ -164,37 +163,45 @@ def permutation_null(
 
 
 def null_passes(matrix: DataMatrix, group_a: str, group_b: str, plan: PermutationPlan):
-    """The comparison's permutations, drawn once, as a function ``feed(stats,
-    rows)`` that gives the StatisticSet ``stats`` one pass of the null of the
-    matrix rows ``rows`` (its tests, in order), keeping the means to repeat
-    it, and returns the set. The set observes the identity split first; a
-    null that it keeps whole takes the identity split in its own pass
-    instead, and runs on the calling thread alone. Every pass over any other
-    null is read ahead on one worker thread (``read_ahead``; README "How the
-    scan works")."""
+    """The comparison's permutations and their group-A memberships, drawn
+    once, as a function ``feed(stats, rows)`` that gives the StatisticSet
+    ``stats`` one pass of the null of the matrix rows ``rows`` (its tests,
+    in order), keeping the means to repeat it on the calling thread, and
+    returns the set. A null that the set keeps whole takes the identity
+    split in its own pass. Any other is observed first and dealt in
+    contiguous ranges of permutations to ``in_workers``, each range fed to
+    a set that ``stats`` merges (README "How the scan works")."""
     values, pool, n_a = _comparison(matrix, group_a, group_b)
     splits = _splits(plan, pool.size)
+    members = memberships(splits, n_a)
+    b = plan.n_permutations
 
     def feed(stats: StatisticSet, rows) -> StatisticSet:
-        whole, observed = stats.keeps_all, np.empty(len(rows))
+        def null(start=1, stop=b + 1):  # a tile source of the splits start..stop-1
+            return lambda: ((block, tile) for block, _, tile in
+                            welch_tiles(values, pool, n_a, splits[start:stop], rows, members[start:stop]))
 
-        def null():  # a tile source of the null alone; a streamed one is read ahead
-            tiles = welch_tiles(values, pool, n_a, splits[1:], rows, 1 if whole else AHEAD + 1)
-            pairs = ((block, tile) for block, _, tile in tiles)
-            return pairs if whole else read_ahead(pairs, AHEAD)
+        def share(bounds):  # the splits start..stop-1, fed to a set of their own
+            part = StatisticSet(len(rows), bounds[1] - bounds[0], stats.weights).observe(stats.observed)
+            part.feed(null(*bounds)).tiles = None  # a closure, which cannot be pickled
+            return part
 
-        def with_identity():  # split 0 of each row block's first tile is the identity
-            for block, start, tile in welch_tiles(values, pool, n_a, splits, rows):
-                if start == 0:
-                    observed[block], tile = tile[0], tile[1:]
-                if tile.size:
-                    yield block, tile
+        if stats.keeps_all:
+            observed = np.empty(len(rows))
 
-        if whole:
-            stats.feed(with_identity).observe(observed)
+            def with_identity():  # split 0 of each row block's first tile is the identity
+                for block, start, tile in welch_tiles(values, pool, n_a, splits, rows, members):
+                    if start == 0:
+                        observed[block], tile = tile[0], tile[1:]
+                    if tile.size:
+                        yield block, tile
+
+            stats.feed(with_identity).observe(observed).tiles = null()  # any later pass
         else:
-            stats.observe(welch_abs_t(values, pool, n_a, splits[:1], rows)[0]).feed(null)
-        stats.tiles = null  # any later pass
+            stats.observe(welch_abs_t(values, pool, n_a, splits[:1], rows)[0]).tiles = null()
+            # the argsort path's float weight sums follow the order of the tiles: one share
+            w = worker_count(b) if stats.classes is not None else 1
+            stats.merge(in_workers(share, [(1 + b * k // w, 1 + b * (k + 1) // w) for k in range(w)]))
         return stats
 
     return feed
@@ -208,25 +215,94 @@ def _splits(plan: PermutationPlan, size: int) -> np.ndarray:
     return splits
 
 
-def read_ahead(items, ahead: int):
-    """The items of the iterator ``items``, made on one worker thread while
-    the caller works on earlier ones.
+# True while ``in_workers`` runs shares in w > 1 processes, in each of them
+_sharing = False
 
-    The items come out in order, and the worker makes at most ``ahead``
-    items past the one the caller holds. An error in the worker is raised
-    here, in the caller; a caller that stops early, by an error or
-    otherwise, stops the worker once the items asked of it are made. The
-    worker has ended when the iteration does.
-    """
-    from collections import deque
-    from concurrent.futures import ThreadPoolExecutor
 
-    end = object()
-    with ThreadPoolExecutor(1, thread_name_prefix="dfdr-read-ahead") as worker:
-        asked = deque(worker.submit(next, items, end) for _ in range(ahead))
-        while (item := asked.popleft().result()) is not end:
-            asked.append(worker.submit(next, items, end))
-            yield item
+def worker_count(tasks: int) -> int:
+    """How many processes ``in_workers`` deals ``tasks`` items to: one per
+    CPU this process may run on, at most one per item, and only the caller
+    inside a share of several, where ``os.fork`` is missing or where another
+    thread runs (forking a multi-threaded process is unsafe)."""
+    if _sharing or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, tasks)
+
+
+def in_workers(work, items) -> list:
+    """``[work(item) for item in items]``, the sequence ``items`` dealt to
+    w = ``worker_count(len(items))`` processes, item j to share j % w: the
+    caller computes share 0, and forked worker k computes share k and sends
+    it back through a pipe as one pickle, or the exception that stopped it,
+    which is raised here. While the shares of w > 1 run, ``worker_count`` is
+    1: no share forks again. A caller that fails or is interrupted first stops
+    the workers, and every worker has been reaped when this returns or raises."""
+    global _sharing
+    w = worker_count(len(items))
+    if w <= 1:
+        return [work(item) for item in items]
+    import numpy.random  # noqa: F401  loaded once here, not again in every worker
+
+    pids, reads, results = [], [], [None] * len(items)
+    _sharing = True
+    try:
+        for k in range(1, w):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(write, reads, work, items[k::w])
+            finally:
+                os.close(write)
+            pids.append(pid)
+        results[::w] = [work(item) for item in items[::w]]
+        for k, read in enumerate(reads, 1):
+            with open(read, "rb", closefd=False) as pipe:
+                try:
+                    error, share = pickle.load(pipe)
+                except Exception as exc:  # a worker that ended early sent a part
+                    error = exc
+            code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1])
+            if code != 0:
+                raise RuntimeError(f"worker {k} of {w} ended without its outcomes (exit status {code})")
+            if error is not None:
+                raise error
+            results[k::w] = share
+        return results
+    finally:
+        _sharing = False
+        for read in reads:
+            os.close(read)
+        if pids:  # an error or an interrupt left workers running
+            import signal
+
+            for pid in pids:
+                os.kill(pid, signal.SIGTERM)
+            for pid in pids:
+                os.waitpid(pid, 0)
+
+
+def _work(write: int, reads: list[int], work, items):
+    """The life of a forked worker: ``[work(item) for item in items]``, or
+    the exception that stopped it, sent as one pickle to the pipe end
+    ``write`` once the inherited read ends are closed; exit 0 once sent."""
+    try:
+        for fd in reads:
+            os.close(fd)
+        try:
+            payload = pickle.dumps((None, [work(item) for item in items]), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:
+            try:
+                payload = pickle.dumps((exc, None), pickle.HIGHEST_PROTOCOL)
+            except Exception:
+                payload = pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), None))
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
 def build_statistic_set(

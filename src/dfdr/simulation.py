@@ -13,7 +13,8 @@ probability of any rejection), the pFDR (conditional false fraction), the PFP
 (ratio of expected counts, undefined without rejections), and the dFDR (the
 PFP when defined, else 0). The pooled false fraction among rejected tests is
 also the realized conditional probability that a rejected hypothesis is a
-true null. Replicates run on every CPU the process may use (``_outcomes``).
+true null. Replicates run on every CPU the process may use
+(``resampling.in_workers``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dfdr.estimators import (
     dfdr_from_cdfs,
     resolve_pi0,
 )
-from dfdr.resampling import PermutationPlan, build_statistic_set
+from dfdr.resampling import PermutationPlan, build_statistic_set, in_workers
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,8 @@ class DfdrControlRule:
 
 def measure_error_rates(config: SimulationConfig, rule) -> ErrorRateReport:
     """Run the full pipeline per replicate and pool the realized error rates."""
-    outcomes = _outcomes(config, rule)
+    # each replicate is a pure function of (seed, replicate): no outcome depends on the workers
+    outcomes = in_workers(lambda r: _replicate_outcome(config, r, rule), range(config.replicates))
 
     n = config.replicates
     n_false = np.array([o.n_false for o in outcomes])
@@ -253,110 +255,6 @@ def measure_error_rates(config: SimulationConfig, rule) -> ErrorRateReport:
         replicates=n,
         outcomes=tuple(outcomes),
     )
-
-
-def worker_count(replicates: int) -> int:
-    """How many processes run replicates at once: one per CPU this process
-    may run on, at most one per replicate, and only the caller where
-    ``os.fork`` is missing or another thread runs (forking a multi-threaded
-    process is unsafe)."""
-    import os
-    import threading
-
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cpus or 1, replicates)
-
-
-def _outcomes(config: SimulationConfig, rule) -> list[ReplicateOutcome]:
-    """Every replicate's outcome, in replicate order, from ``worker_count``
-    processes W.
-
-    The caller runs the replicates r % W == 0; forked worker k runs those
-    with r % W == k and sends its outcomes back through a pipe as one
-    pickle, or the exception that stopped it, which is raised here. Each
-    replicate is a pure function of (seed, replicate), so the outcomes do
-    not depend on W. If the caller fails or is interrupted first, it closes
-    the pipes and stops the workers; every worker has been reaped when this
-    returns or raises.
-    """
-    n = config.replicates
-    w = worker_count(n)
-    if w == 1:
-        return [_replicate_outcome(config, r, rule) for r in range(n)]
-    import os
-    import pickle
-
-    import numpy.random  # noqa: F401  loaded once here, not again in every worker
-
-    pids, reads = [], []
-    try:
-        for k in range(1, w):
-            read, write = os.pipe()
-            reads.append(read)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _work(write, reads, config, rule, k, w)
-            finally:
-                os.close(write)
-            pids.append(pid)
-        outcomes = [None] * n
-        outcomes[::w] = [_replicate_outcome(config, r, rule) for r in range(0, n, w)]
-        for k, read in enumerate(reads, 1):
-            with open(read, "rb", closefd=False) as pipe:
-                try:
-                    error, share = pickle.load(pipe)
-                except Exception as exc:  # a worker that ended early sent a part
-                    error = exc
-            _, status = os.waitpid(pids.pop(0), 0)
-            if os.waitstatus_to_exitcode(status) != 0:
-                raise RuntimeError(
-                    f"replicate worker {k} of {w} ended without its outcomes "
-                    f"(exit status {os.waitstatus_to_exitcode(status)})"
-                )
-            if error is not None:
-                raise error
-            outcomes[k::w] = share
-        return outcomes
-    finally:
-        for read in reads:
-            os.close(read)
-        if pids:  # an error or an interrupt left workers running
-            import signal
-
-            for pid in pids:
-                os.kill(pid, signal.SIGTERM)
-            for pid in pids:
-                os.waitpid(pid, 0)
-
-
-def _work(write: int, reads: list[int], config: SimulationConfig, rule, k: int, w: int):
-    """The life of forked worker k of w: its replicates' outcomes, or the
-    exception that stopped them, sent as one pickle to the pipe end
-    ``write``, once it has closed the read ends it inherited. It never
-    returns, and exits 0 only once all is sent."""
-    import os
-    import pickle
-
-    code = 1
-    try:
-        for fd in reads:
-            os.close(fd)
-        try:
-            share = [_replicate_outcome(config, r, rule) for r in range(k, config.replicates, w)]
-            payload = pickle.dumps((None, share), pickle.HIGHEST_PROTOCOL)
-        except BaseException as exc:
-            try:
-                payload = pickle.dumps((exc, None), pickle.HIGHEST_PROTOCOL)
-            except Exception:
-                payload = pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), None))
-        with open(write, "wb") as pipe:
-            pipe.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def _replicate_outcome(config: SimulationConfig, replicate: int, rule) -> ReplicateOutcome:

@@ -18,7 +18,6 @@ by its candidate thresholds, from the runs of ties in its sorted values
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -131,15 +130,22 @@ def welch_abs_t(values: np.ndarray, pool, n_a: int, splits, rows=None) -> np.nda
     and on which values fall in each group.
     """
     rows = np.arange(values.shape[0]) if rows is None else rows
-    out = np.empty((np.shape(splits)[0], len(rows)))
-    for block, start, tile in welch_tiles(values, pool, n_a, splits, rows):
+    splits = np.asarray(splits, dtype=np.intp)
+    out = np.empty((splits.shape[0], len(rows)))
+    for block, start, tile in welch_tiles(values, pool, n_a, splits, rows, memberships(splits, n_a)):
         out[start : start + tile.shape[0], block] = tile
     return out
 
 
-def welch_tiles(values: np.ndarray, pool, n_a: int, splits, rows, buffers: int = 1):
+def memberships(splits: np.ndarray, n_a: int) -> np.ndarray:
+    """``members[s, j]``: whether pool position j is in group A of split s,
+    its place in the split (the inverse permutation) being below ``n_a``."""
+    return np.argsort(splits, axis=1) < n_a
+
+
+def welch_tiles(values: np.ndarray, pool, n_a: int, splits, rows, members):
     """``welch_abs_t`` of the rows ``rows`` one tile at a time: (block,
-    first split, tile) triples.
+    first split, tile) triples; ``members`` is ``memberships(splits, n_a)``.
 
     ``tile[s, i]`` is the statistic of split ``first + s`` for row
     ``rows[block[i]]``. The splits go in groups, each over every block, so
@@ -148,15 +154,10 @@ def welch_tiles(values: np.ndarray, pool, n_a: int, splits, rows, buffers: int =
     and ROW_VALUES data values; the first block's rows are strided across all
     rows, so the first tile samples them all, and the other blocks take the
     remaining rows in order. A tile holds at most TILE values (one split's,
-    if a block's rows alone exceed it).
-
-    The tiles take turns in ``buffers`` buffers: a tile's memory is reused
-    by the tile ``buffers`` places later, and not before. A consumer that
-    takes tiles as they are made (one buffer) reads each until it asks for
-    the next; one that reads a tile while the next k are made needs k + 1.
+    if a block's rows alone exceed it), and its memory is reused by the
+    next: a consumer reads each tile before it asks for the next.
     """
     pool = np.asarray(pool, dtype=np.intp)
-    splits = np.asarray(splits, dtype=np.intp)
     if n_a < 2 or pool.size - n_a < 2:
         raise ValidationError("both groups need at least two members")
     count, m = splits.shape[0], len(rows)
@@ -164,18 +165,17 @@ def welch_tiles(values: np.ndarray, pool, n_a: int, splits, rows, buffers: int =
     first = np.arange(0, m, -(-m // size))
     rest = np.delete(np.arange(m), first)
     group = max(1, min(count, TILE // size))
-    turns = itertools.cycle([np.empty(group * size) for _ in range(buffers)])
+    buffer = np.empty(group * size)
     for start in range(0, count, group):
         part = splits[start : start + group]
-        members = np.zeros((part.shape[0], pool.size))
-        members.ravel()[(part[:, :n_a] + pool.size * np.arange(part.shape[0])[:, None]).ravel()] = 1.0
+        chosen = members[start : start + group].astype(float)  # 0/1 rows of the products
         for block in [first] + [rest[r : r + size] for r in range(0, rest.size, size)]:
             parts = _Rows(values[rows[block]][:, pool], n_a)  # column-major: C-order x.T in _Rows
-            tile = next(turns)[: part.shape[0] * block.size].reshape(-1, block.size)
+            tile = buffer[: part.shape[0] * block.size].reshape(-1, block.size)
             step = max(CHUNK, ROWS * CHUNK // block.size)
             for c in range(0, part.shape[0], step):
                 chunk = slice(c, c + step)
-                parts.abs_t(members[chunk], part[chunk], tile[chunk])
+                parts.abs_t(chosen[chunk], part[chunk], tile[chunk])
             yield block, start, tile
 
 

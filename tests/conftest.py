@@ -39,6 +39,19 @@ def run_python(code: str, *args: str, env: dict | None = None) -> str:
 
 
 @pytest.fixture
+def cpus(monkeypatch):
+    """Sets how many CPUs ``resampling.worker_count`` sees, and checks that
+    every worker has been reaped when the test ends."""
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    yield set_cpus
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
 def tiny_matrix() -> DataMatrix:
     """3 features x 4 subjects, two groups of two."""
     return DataMatrix(

@@ -19,10 +19,12 @@ from dfdr import (
     maximize_desirability,
     measure_error_rates,
     measure_local_dfdr,
+    resampling,
     resolve_pi0,
     simulation,
 )
 from dfdr.cli import main
+from test_cli import write_fixture
 from conftest import FixedThresholdRule, needs_proc_tasks, run_python
 
 
@@ -272,19 +274,6 @@ class TestAnalyticCdfs:
             analytic_statistic_cdfs(config)
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Sets how many CPUs worker_count sees, and checks that every worker
-    has been reaped when the test ends."""
-
-    def set_cpus(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-    yield set_cpus
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def assert_bitwise_equal(got, expected):
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
@@ -312,7 +301,7 @@ class TestReplicateWorkers:
 
     def test_one_worker_per_cpu_at_most_one_per_replicate(self, cpus):
         cpus(3)
-        assert [simulation.worker_count(n) for n in (1, 2, 3, 200)] == [1, 2, 3, 3]
+        assert [resampling.worker_count(n) for n in (1, 2, 3, 200)] == [1, 2, 3, 3]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_outcomes_do_not_depend_on_the_worker_count(self, cpus, workers):
@@ -322,8 +311,8 @@ class TestReplicateWorkers:
         serial = [simulation._replicate_outcome(config, r, rule) for r in range(7)]
         assert sum(o.n_rejected for o in serial) > 0
         cpus(workers)
-        assert simulation.worker_count(7) == workers
-        assert_bitwise_equal(simulation._outcomes(config, rule), serial)
+        assert resampling.worker_count(7) == workers
+        assert_bitwise_equal(measure_error_rates(config, rule).outcomes, serial)
 
     def test_another_thread_keeps_the_replicates_in_the_caller(self, cpus):
         import threading
@@ -333,11 +322,11 @@ class TestReplicateWorkers:
         other = threading.Thread(target=release.wait)
         other.start()
         try:
-            assert simulation.worker_count(4) == 1
+            assert resampling.worker_count(4) == 1
         finally:
             release.set()
             other.join()
-        assert simulation.worker_count(4) == 2
+        assert resampling.worker_count(4) == 2
 
     @needs_proc_tasks
     def test_cli_forks_beside_no_other_os_thread(self, tmp_path):
@@ -356,9 +345,15 @@ class TestReplicateWorkers:
             "print(tasks)\n"
         )
         argv = ["simulate", "--m", "200", "--replicates", "6", "--permutations", "5",
-                "--out", str(tmp_path)]
+                "--out", str(tmp_path / "sim")]
         out = run_python(code, *argv, env={"OPENBLAS_NUM_THREADS": "2"})
         assert out.splitlines()[-1] == "[1, 1]"  # two workers, each forked from one thread
+        # a null of 600 x 1000 values streams: its permutations go to two workers
+        mpath, lpath = write_fixture(tmp_path, np.random.default_rng(80), m=600)
+        argv = ["analyze", "--matrix", str(mpath), "--labels", str(lpath), "--group-a", "A",
+                "--group-b", "B", "--permutations", "1000", "--out", str(tmp_path / "analyze")]
+        out = run_python(code, *argv, env={"OPENBLAS_NUM_THREADS": "2"})
+        assert out.splitlines()[-1] == "[1, 1]"
 
     @pytest.mark.parametrize("error", [ValidationError, AssertionError, KeyError])
     def test_worker_error_reaches_the_caller(self, cpus, monkeypatch, error):

@@ -4,14 +4,13 @@
 by tile. Every quantity the estimators read must equal the one read from the
 same null held whole (``permutation_null``), bit for bit, on every route;
 the lambda bracket must hold on the first pass, and recover exactly when it
-is forced to miss. A null that streams is computed a tile ahead on a worker
-thread: that must change no bit, overwrite no tile still in use, raise
-either side's errors in the caller and end the worker with the pass.
+is forced to miss. A null that streams is dealt in ranges of its
+permutations to forked workers, whose sets the caller merges: that must
+change no bit whatever the number of workers, and a worker's error must
+reach the caller.
 """
 
-import sys
-import threading
-import time
+import os
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -27,14 +26,18 @@ import dfdr.stats
 from dfdr import (
     CostBenefit,
     DataMatrix,
+    DesirabilityRule,
     PermutationPlan,
+    SimulationConfig,
     StatisticSet,
     Subset,
     SubsetPartition,
+    ValidationError,
     build_statistic_set,
     common_threshold_weighted,
     control_dfdr,
     maximize_desirability,
+    measure_error_rates,
     per_subset_optimize,
     permutation_null,
     resolve_pi0,
@@ -150,10 +153,11 @@ def test_subsets_equal_slices_of_the_materialised_null(monkeypatch):
 
 
 @pytest.mark.parametrize("size", [60, 12, 7, 1])
-def test_per_subset_sets_take_each_null_value_once(size, monkeypatch):
+def test_per_subset_sets_take_each_null_value_once(size, monkeypatch, cpus):
     # one ordinary pass per subset, over its rows alone: the tiles handed to
     # the sets hold m * B values whatever the number of subsets, two
     # comparisons' m * B when a second compares B with A
+    cpus(1)  # every pass in this process, where the spy sees it
     m, b = 60, 30
     matrix = random_matrix(np.random.default_rng(73), m, 5, 6)
     order = np.random.default_rng(size).permutation(m).tolist()
@@ -233,10 +237,11 @@ def test_second_pass_never_runs_on_a_bracketed_fixture(tmp_path, repasses):
     assert not repasses
 
 
-def test_no_cli_route_holds_a_null(tmp_path, monkeypatch):
+def test_no_cli_route_holds_a_null(tmp_path, monkeypatch, cpus):
     # a null held whole comes from permutation_null without a summary to feed
     # and reaches a summary only through array_tiles (StatisticSet.from_null);
     # the per-subset route feeds its sets through resampling.null_passes alone
+    cpus(1)  # every set built in this process, where the spies see it
     built, held = [], []
     init, tiles = StatisticSet.__init__, estimators.array_tiles
     null = dfdr.resampling.permutation_null
@@ -271,8 +276,9 @@ def test_no_cli_route_holds_a_null(tmp_path, monkeypatch):
     assert built and held and not any(held)
 
 
-def test_bounded_memory_at_twenty_thousand_permutations():
+def test_bounded_memory_at_twenty_thousand_permutations(cpus):
     # 1000 tests x 20,000 permutations: a null of 160 MB if it were held
+    cpus(1)  # the whole pass in this process, where tracemalloc sees it
     rng = np.random.default_rng(65)
     matrix = random_matrix(rng, 1000, 10, 10)
     plan = PermutationPlan(20_000, 1)
@@ -373,26 +379,14 @@ def test_one_comparison_holds_its_permutations_at_a_time(tmp_path, monkeypatch):
         assert 2 <= len(draws) <= most
 
 
-# The read-ahead: a streamed null (one that some summary does not keep whole)
-# is computed a tile ahead on one worker thread. TILE, CAP and MARGIN patched
-# small give many tiles, a streamed first pass and, at CAP 64 and MARGIN 0,
-# further passes after a miss, all of them read ahead.
+# Forked workers: a streamed null (one that its set does not keep whole) is
+# dealt in contiguous ranges of its permutations to one process per CPU, each
+# range fed to a set of its own that the caller merges; a comparison's
+# subsets are dealt one by one. TILE, CAP and MARGIN patched small give
+# streamed nulls of many tiles; at CAP 64 and MARGIN 0 each range's bracket
+# closes on a value of its own, and lambda takes a further pass.
 SMALL = {"tile": 1_000, "cap": 2_048, "margin": 64}
 MISSING = {"tile": 100, "cap": 64, "margin": 0}
-
-
-@pytest.fixture
-def read_aheads(monkeypatch):
-    """Counts the passes read ahead on a worker thread."""
-    counted = []
-    read_ahead = dfdr.resampling.read_ahead
-
-    def spy(items, ahead):
-        counted.append(ahead)
-        return read_ahead(items, ahead)
-
-    monkeypatch.setattr(dfdr.resampling, "read_ahead", spy)
-    return counted
 
 
 def patch_small(monkeypatch, tile, cap, margin) -> None:
@@ -401,176 +395,160 @@ def patch_small(monkeypatch, tile, cap, margin) -> None:
     monkeypatch.setattr(estimators, "MARGIN", margin)
 
 
-@pytest.mark.parametrize("shape", [(300, 6, 5, 60), (700, 4, 4, 25), (1, 5, 5, 3_000)])
-def test_read_ahead_equals_materialised(shape, monkeypatch, read_aheads):
-    m, n_a, n_b, b = shape
-    patch_small(monkeypatch, **SMALL)
-    threads = threading.active_count()
-    rng = np.random.default_rng(70 + m)
-    matrix = random_matrix(rng, m, n_a, n_b)
-    plan = PermutationPlan(b, m)
-    weights = rng.integers(2, 30, size=m).astype(float)
-    for w in (None, weights):
-        whole = materialised(matrix, plan, w)
-        streamed = build_statistic_set(matrix, "A", "B", plan, w)
-        np.testing.assert_array_equal(streamed.observed, whole.observed)
-        np.testing.assert_array_equal(streamed.exceedances, whole.exceedances)
-        pi0 = resolve_pi0(streamed, "estimate")
-        assert pi0 == resolve_pi0(whole, "estimate")
-        if w is None:
-            cb = CostBenefit.from_ratio(19.0)
-            same_decision(maximize_desirability(streamed, pi0, cb), maximize_desirability(whole, pi0, cb))
-        else:
-            same_decision(
-                common_threshold_weighted(streamed, np.ones(m), pi0),
-                common_threshold_weighted(whole, np.ones(m), pi0),
-            )
-    assert read_aheads and threading.active_count() == threads
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the forks of this process; a fork in a worker fails the test."""
+    made, fork, caller = [], os.fork, os.getpid()
+
+    def spy():
+        if os.getpid() != caller:
+            raise AssertionError("a worker forked")
+        made.append(caller)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", spy)
+    return made
 
 
-@pytest.mark.parametrize("small", [SMALL, MISSING])
-def test_read_ahead_routes_give_identical_outputs(small, tmp_path, monkeypatch, read_aheads, repasses):
+@pytest.fixture
+def merges(monkeypatch):
+    """(shares, whether the bracket is one value) of each merge in this
+    process; a merged set, like any other, keeps at most CAP values."""
+    made, merge = [], StatisticSet.merge
+
+    def spy(stats, shares):
+        merge(stats, shares)
+        assert stats.n_kept <= estimators.CAP
+        made.append((len(shares), stats.at is not None))
+
+    monkeypatch.setattr(StatisticSet, "merge", spy)
+    return made
+
+
+def write_worker_inputs(tmp_path) -> list:
     mpath, lpath = write_fixture(tmp_path, np.random.default_rng(71), m=300, n_a=6, n_b=9)
-    lpath.write_text("".join(
-        f"s{j:02d}\t{'ALL' if j < 6 else 'AML' if j < 11 else 'TALL'}\n" for j in range(15)))
-    spath, wpath = tmp_path / "subsets.tsv", tmp_path / "weights.tsv"
-    spath.write_text("feature_id\tsubset\tgroup_a\tgroup_b\tbenefit\tcost\n" + "".join(
-        f"g{i:03d}\t{'u' if i < 120 else 'v' if i < 250 else 'w'}\tALL\t"
-        f"{'TALL' if i >= 250 else 'AML'}\t1\t19\n" for i in range(300)))
-    wpath.write_text("feature_id\tbenefit\tcost\n" + "".join(
+    lines = mpath.read_text().splitlines()
+    # 180 of 300 rows constant: every range's rank k lies in a run of zeros
+    constant = [line.split("\t")[0] + "\t1.5" * 15 for line in lines[1:181]]
+    (tmp_path / "constant.tsv").write_text("\n".join(lines[:1] + constant + lines[181:]) + "\n")
+    (tmp_path / "classes.tsv").write_text("feature_id\tbenefit\tcost\n" + "".join(
         f"g{i:03d}\t{1 + i % 2}\t{19 + i % 3}\n" for i in range(300)))
-    inputs = ["--matrix", str(mpath), "--labels", str(lpath), "--permutations", "200"]
-    analyze = ["analyze", *inputs, "--group-a", "ALL", "--group-b", "AML"]
-    runs = [analyze, analyze + ["--mode", "control"], analyze + ["--weights", str(wpath)],
-            analyze + ["--subsets", str(spath), "--min-subset-size", "40"],
-            ["reproduce", *inputs, "--group-t", "TALL"]]
-
-    def outputs(tag):
-        for i, run in enumerate(runs):
-            out = tmp_path / f"{tag}{i}"
-            assert dfdr.cli.main(run + ["--out", str(out)]) == 0
-            yield {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-
-    threads = threading.active_count()
-    serial = list(outputs("serial"))  # 60,000 nulls a comparison: kept whole
-    assert not read_aheads and not repasses
-    patch_small(monkeypatch, **small)
-    assert list(outputs("ahead")) == serial
-    assert len(read_aheads) >= len(runs) + 2  # two comparisons in two of the runs
-    assert bool(repasses) == (small is MISSING)
-    assert threading.active_count() == threads
+    (tmp_path / "distinct.tsv").write_text("feature_id\tbenefit\tcost\n" + "".join(
+        f"g{i:03d}\t1\t{19 + i / 7!r}\n" for i in range(300)))
+    (tmp_path / "seven.tsv").write_text("feature_id\tsubset\tgroup_a\tgroup_b\tbenefit\tcost\n" + "".join(
+        f"g{i:03d}\ts{i % 7}\tA\tB\t{1 + i % 7 % 2}\t19\n" for i in range(300)))
+    return ["--labels", str(lpath), "--group-a", "A", "--group-b", "B", "--permutations", "200"]
 
 
-def small_comparison(monkeypatch, m=200, b=60):
-    """A matrix and plan whose null streams, in many tiles."""
+# sizes, matrix, further flags (files in the test's directory)
+WORKER_CASES = {
+    "weights in classes": (SMALL, "matrix", ["--weights", "classes.tsv"]),
+    # 60,000 nulls stream, and a half or a third of them is kept whole
+    "ranges kept whole": ({"tile": 1_000, "cap": 40_000, "margin": 64}, "matrix", ["--weights", "classes.tsv"]),
+    "weights of many values": (SMALL, "matrix", ["--weights", "distinct.tsv"]),
+    "unweighted": (SMALL, "matrix", []),
+    "a further pass": (MISSING, "matrix", []),
+    "a bracket of one value": (SMALL, "constant", []),
+    "seven subsets": (None, "matrix", ["--subsets", "seven.tsv", "--min-subset-size", "40"]),
+}
+
+
+@pytest.mark.parametrize("case", WORKER_CASES)
+def test_outputs_do_not_depend_on_the_worker_count(case, tmp_path, monkeypatch, cpus, forks,
+                                                   merges, repasses):
+    small, matrix, extra = WORKER_CASES[case]
+    argv = ["analyze", "--matrix", str(tmp_path / f"{matrix}.tsv"), *write_worker_inputs(tmp_path)]
+    argv += [str(tmp_path / flag) if flag.endswith(".tsv") else flag for flag in extra]
+    if small:
+        patch_small(monkeypatch, **small)
+    outputs = []
+    for n in (1, 2, 3):
+        cpus(n)
+        for spied in (forks, merges, repasses):
+            spied.clear()
+        out = tmp_path / f"out{n}"
+        assert dfdr.cli.main(argv + ["--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        # the argsort path's float sums follow the tiles' order: one share
+        shares = 1 if case == "weights of many values" else n
+        assert len(forks) == shares - 1
+        if small:  # one streamed null, merged from its shares
+            assert [count for count, _ in merges] == [shares]
+        assert bool(repasses) == (case == "a further pass")
+        if case == "a bracket of one value":
+            assert merges == [(n, True)]
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert len(outputs[0]) == (21 if case == "seven subsets" else 3)
+
+
+def test_no_fork_inside_a_share(monkeypatch, cpus, forks, merges):
+    # three processes share five replicates whose nulls stream: each null
+    # is fed in its replicate's process, as one share
     patch_small(monkeypatch, **SMALL)
-    matrix = random_matrix(np.random.default_rng(72), m, 5, 5)
-    return matrix, PermutationPlan(b, 9)
+    cpus(3)
+    config = SimulationConfig(n_tests=200, pi0=0.8, n_permutations=30, replicates=5)
+    assert config.n_tests * config.n_permutations > estimators.CAP
+    report = measure_error_rates(config, DesirabilityRule(9.0))
+    assert len(forks) == 2  # the replicate workers
+    assert merges == [(1, False), (1, False)]  # the caller's replicates 0 and 3
+    assert report.total_rejections > 0
 
 
-def test_producer_error_reaches_the_caller(monkeypatch, read_aheads):
-    matrix, plan = small_comparison(monkeypatch)
-    welch_tiles, made = dfdr.resampling.welch_tiles, []
+def fail_in_a_worker(monkeypatch, act) -> None:
+    """Makes every pass of a null that a forked worker feeds start with ``act()``."""
+    caller, feed = os.getpid(), StatisticSet.feed
 
-    def failing(*args):
-        for made_tile in welch_tiles(*args):
-            if len(made) == 3:
-                raise ArithmeticError("in the kernel")
-            made.append(made_tile)
-            yield made_tile
+    def spy(stats, tiles):
+        if os.getpid() != caller:
+            act()
+        return feed(stats, tiles)
 
-    monkeypatch.setattr(dfdr.resampling, "welch_tiles", failing)
-    threads = threading.active_count()
-    with pytest.raises(ArithmeticError, match="in the kernel"):
-        build_statistic_set(matrix, "A", "B", plan)
-    assert read_aheads and len(made) == 3
-    assert threading.active_count() == threads
+    monkeypatch.setattr(StatisticSet, "feed", spy)
 
 
-def test_consumer_error_stops_the_producer(monkeypatch, read_aheads):
-    matrix, plan = small_comparison(monkeypatch)
-    welch_tiles, made, taken = dfdr.resampling.welch_tiles, [], []
-    add = StatisticSet.add
+def test_null_worker_validation_error_exits_2(tmp_path, monkeypatch, cpus, capsys):
+    def fail():
+        raise ValidationError("the second range failed")
 
-    def counted(*args):
-        for made_tile in welch_tiles(*args):
-            made.append(made_tile)
-            yield made_tile
-
-    def failing(summary, rows, tile):
-        if len(taken) == 2:
-            raise LookupError("in the summary")
-        taken.append(tile)
-        add(summary, rows, tile)
-
-    monkeypatch.setattr(dfdr.resampling, "welch_tiles", counted)
-    monkeypatch.setattr(StatisticSet, "add", failing)
-    threads = threading.active_count()
-    with pytest.raises(LookupError, match="in the summary"):
-        build_statistic_set(matrix, "A", "B", plan)
-    assert threading.active_count() == threads
-    # the third tile was refused while the worker made the next AHEAD, its last
-    total = -(-plan.n_permutations * matrix.n_features // dfdr.stats.TILE)
-    assert read_aheads and len(made) == 3 + dfdr.resampling.AHEAD < total
+    patch_small(monkeypatch, **SMALL)
+    cpus(2)
+    fail_in_a_worker(monkeypatch, fail)
+    mpath, lpath = write_fixture(tmp_path, np.random.default_rng(75), m=100)
+    out = tmp_path / "out"
+    assert dfdr.cli.main(["analyze", "--matrix", str(mpath), "--labels", str(lpath), "--group-a", "A",
+                          "--group-b", "B", "--permutations", "100", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "data error: the second range failed\n"
+    assert not any(out.iterdir())
 
 
-def test_early_stop_joins_the_producer(monkeypatch):
-    matrix, plan = small_comparison(monkeypatch)
-    stats = build_statistic_set(matrix, "A", "B", plan)
-    threads = threading.active_count()
-    tiles = stats.tiles()
-    next(tiles)
-    assert threading.active_count() == threads + 1
-    tiles.close()
-    assert threading.active_count() == threads
+def test_null_worker_that_dies_is_an_error(monkeypatch, cpus):
+    patch_small(monkeypatch, **SMALL)
+    cpus(2)
+    fail_in_a_worker(monkeypatch, lambda: os._exit(7))
+    matrix = random_matrix(np.random.default_rng(76), 100, 5, 5)
+    with pytest.raises(RuntimeError, match=r"^worker 1 of 2 ended without its outcomes \(exit status 7\)$"):
+        build_statistic_set(matrix, "A", "B", PermutationPlan(100, 1))
 
 
-def test_slow_consumer_sees_no_tile_overwritten(monkeypatch):
-    # Each tile is checked as it arrives and again after a pause, by which
-    # time the worker has made the next AHEAD: none may reuse its memory.
-    matrix, plan = small_comparison(monkeypatch, m=300, b=50)
-    table = permutation_null(matrix, "A", "B", plan).reshape(plan.n_permutations, -1)
-    stats = build_statistic_set(matrix, "A", "B", plan)
-    start = covered = count = 0
-    for rows, tile in stats.tiles():
-        expected = table[start : start + tile.shape[0], rows]
-        np.testing.assert_array_equal(tile, expected)
-        time.sleep(0.01)
-        np.testing.assert_array_equal(tile, expected)
-        covered, count = covered + rows.size, count + 1
-        if covered == matrix.n_features:  # a group of splits covers every row
-            start, covered = start + tile.shape[0], 0
-    assert start == plan.n_permutations and count > 2 * (dfdr.resampling.AHEAD + 1)
+@pytest.mark.parametrize("cap", [None, 64], ids=["kept", "streamed"])
+def test_memberships_are_built_once_per_comparison(cap, monkeypatch, cpus):
+    # four subsets over two comparisons: each comparison's group-A
+    # memberships are built with its splits, and every pass slices them (a
+    # streamed subset's observed statistics build their one split's own)
+    cpus(1)  # every pass in this process, where the spy sees it
+    monkeypatch.setattr(estimators, "CAP", cap or estimators.CAP)
+    built, memberships = [], dfdr.stats.memberships
 
+    def spy(splits, n_a):
+        built.append(len(splits))
+        return memberships(splits, n_a)
 
-def test_concurrent_read_aheads_share_nothing(monkeypatch):
-    # three passes at once, each with its own worker (six threads on two
-    # CPUs), switching threads every few microseconds: a buffer or hand-off
-    # shared between passes would mix their tiles
-    matrix, plan = small_comparison(monkeypatch)
-    whole = materialised(matrix, plan)
-    expected = (whole.exceedances, resolve_pi0(whole, "estimate"))
-    results, errors = [], []
-
-    def run():
-        try:
-            stats = build_statistic_set(matrix, "A", "B", plan)
-            results.append((stats.exceedances, resolve_pi0(stats, "estimate")))
-        except Exception as error:  # reported by the main thread below
-            errors.append(error)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        runners = [threading.Thread(target=run) for _ in range(3)]
-        for runner in runners:
-            runner.start()
-        for runner in runners:
-            runner.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(runner.is_alive() for runner in runners)
-    assert not errors and len(results) == 3
-    for exceedances, pi0 in results:
-        np.testing.assert_array_equal(exceedances, expected[0])
-        assert pi0 == expected[1]
+    monkeypatch.setattr(dfdr.stats, "memberships", spy)
+    monkeypatch.setattr(dfdr.resampling, "memberships", spy)
+    matrix = random_matrix(np.random.default_rng(77), 60, 5, 6)
+    subsets = tuple(Subset(f"{a}{k}", tuple(range(k, 60, 2)), a, b, 1.0, 19.0)
+                    for a, b in (("A", "B"), ("B", "A")) for k in (0, 1))
+    per_subset_optimize(SubsetPartition(subsets, min_size=1), matrix, PermutationPlan(40, 2))
+    # the identity split and 40 permutations, once per comparison
+    assert [count for count in built if count > 1] == [41, 41]
+    assert built.count(1) == (0 if cap is None else 4)

@@ -3,7 +3,8 @@
 A weighted StatisticSet keeps, for each distinct weight, integer counts of
 the nulls at or above each candidate; the weight sums are formed from them
 when read. Counts are exact whatever the tiles, row blocks, sorted pieces or
-read-ahead, so the sums are the same bits under every one of those. Weights
+ranges of permutations merged from workers, so the sums are the same bits
+under every one of those. Weights
 of many distinct values (d * (m + 1) > BLOCK) are summed by the sorted-block
 argsort instead, within the summation bound of ``test_summary``.
 """
@@ -25,11 +26,10 @@ from dfdr import (
     resolve_pi0,
 )
 from dfdr import estimators
-from test_summary import (  # read_aheads: a fixture
+from test_summary import (
     assert_within_summation_bound,
     materialised,
     random_matrix,
-    read_aheads,
     same_decision,
 )
 
@@ -40,7 +40,8 @@ KINDS = np.array([1.5 + 19.3, 2.25 + 19.3, 1.5 + 7.7, 2.25 + 7.7])
 
 # BLOCK: values per sorted piece (and per stored tile); TILE: values per
 # streamed tile; ROWS with ROW_VALUES 0: rows per block; CAP: a null of more
-# values streams, read ahead, instead of being kept and counted after its pass
+# values streams, in ranges merged from the workers, instead of being kept
+# and counted after its pass
 SIZES = [
     {},
     {"BLOCK": 900},  # 4 classes x 201 counts fit
@@ -50,10 +51,9 @@ SIZES = [
 ]
 
 
-@pytest.mark.parametrize("streams", [False, True], ids=["kept", "read-ahead"])
+@pytest.mark.parametrize("streams", [False, True], ids=["kept", "streamed"])
 @pytest.mark.parametrize("sizes", SIZES, ids=lambda sizes: str(sizes)[1:-1] or "default")
-def test_few_distinct_weights_give_the_same_bits_in_any_tiles(sizes, streams, monkeypatch,
-                                                              read_aheads):
+def test_few_distinct_weights_give_the_same_bits_in_any_tiles(sizes, streams, monkeypatch):
     rng = np.random.default_rng(90)
     m, b = 200, 60
     matrix = random_matrix(rng, m, 6, 7)
@@ -67,7 +67,7 @@ def test_few_distinct_weights_give_the_same_bits_in_any_tiles(sizes, streams, mo
         monkeypatch.setattr(estimators, "CAP", 2_048)
     stats = build_statistic_set(matrix, "A", "B", plan, weights)
     assert stats.classes is not None and stats.distinct.tolist() == sorted(KINDS.tolist())
-    assert bool(read_aheads) == streams
+    assert stats.keeps_all != streams
     assert stats.counts.dtype == np.intp
     np.testing.assert_array_equal(stats.counts, reference.counts)
     np.testing.assert_array_equal(stats.exceedances, reference.exceedances)
