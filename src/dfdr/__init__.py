@@ -24,8 +24,8 @@ _EXPORTS = {name: module for module, names in {
     "errors": ("DfdrError", "ParseError", "PreprocessingError", "UndefinedEstimateError",
                "UsageError", "ValidationError"),
     "estimators": ("CENTRAL_BAND_MASS", "CostBenefit", "Pi0Estimate", "StatisticSet", "choose_lambda",
-                   "dfdr_from_cdfs", "estimate_pi0", "estimate_pi0_from_pvalues",
-                   "p_to_cost_ratio", "resolve_pi0", "weighted_dfdr_from_cdfs"),
+                   "dfdr_from_cdfs", "estimate_pi0", "p_to_cost_ratio", "resolve_pi0",
+                   "weighted_dfdr_from_cdfs"),
     "resampling": ("PermutationPlan", "build_statistic_set", "permutation_null",
                    "two_sample_abs_t"),
     "simulation": ("DesirabilityRule", "DfdrControlRule", "ErrorRateReport", "LocalBin",

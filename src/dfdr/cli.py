@@ -56,8 +56,6 @@ from dfdr.decision import (
     Subset,
     SubsetPartition,
     common_threshold_weighted,
-    control_dfdr,
-    maximize_desirability,
     per_subset_optimize,
 )
 from dfdr.errors import (
@@ -70,8 +68,6 @@ from dfdr.errors import (
 from dfdr.estimators import (
     MAX_RATIO,
     CostBenefit,
-    Pi0Estimate,
-    estimate_pi0_from_pvalues,
     p_to_cost_ratio,
     resolve_pi0,
 )
@@ -363,19 +359,20 @@ def _check_flags(args) -> None:
             raise UsageError(message)
 
 
-def _rule_from_args(args) -> tuple[float, list[tuple[str, object]]]:
-    """The decision rule's parameter, with its summary field.
+def _rule_from_args(args, pi0_mode) -> tuple[DesirabilityRule | DfdrControlRule, list[tuple[str, object]]]:
+    """The decision rule of the flags, with its summary field.
 
-    Maximize: the cost ratio, --cost-ratio or 1/p - 1 for --p-threshold p
-    (default p = 0.05). Control: the dFDR bound --alpha (default 0.05).
+    Maximize: a DesirabilityRule at the cost ratio --cost-ratio, or 1/p - 1
+    for --p-threshold p (default p = 0.05). Control: a DfdrControlRule at the
+    dFDR bound --alpha (default 0.05).
     """
     if args.mode == "control":
         alpha = 0.05 if args.alpha is None else args.alpha
-        return alpha, [("alpha", alpha)]
+        return DfdrControlRule(alpha, pi0_mode), [("alpha", alpha)]
     ratio = args.cost_ratio
     if ratio is None:
         ratio = p_to_cost_ratio(0.05 if args.p_threshold is None else args.p_threshold)
-    return ratio, [("cost_ratio", ratio)]
+    return DesirabilityRule(ratio, pi0_mode), [("cost_ratio", ratio)]
 
 
 def _write_decision_outputs(
@@ -497,16 +494,12 @@ def run_analyze(args) -> int:
     check_null_fits(matrix.values.shape, args.permutations)
     stats = build_statistic_set(matrix, args.group_a, args.group_b, plan, cb and cb.weights)
     base_fields += [("group_a", args.group_a), ("group_b", args.group_b)]
-    pi0 = resolve_pi0(stats, pi0_mode)
     if cb is not None:
-        result = common_threshold_weighted(stats, cb.benefits, pi0)
+        result = common_threshold_weighted(stats, cb.benefits, resolve_pi0(stats, pi0_mode))
         fields = base_fields + [("weighted", True)]
     else:
-        value, rule_fields = _rule_from_args(args)
-        if args.mode == "maximize":
-            result = maximize_desirability(stats, pi0, CostBenefit.from_ratio(value))
-        else:
-            result = control_dfdr(stats, pi0, value)
+        rule, rule_fields = _rule_from_args(args, pi0_mode)
+        result = rule(stats)
         fields = base_fields + rule_fields
     _write_decision_outputs(outdir, list(matrix.feature_ids), stats.observed, result, fields)
     return 0
@@ -514,15 +507,7 @@ def run_analyze(args) -> int:
 
 def _analyze_pvalues(args, outdir: Path, pi0_mode) -> int:
     pvals = validate_pvalues(read_table(args.pvalues, 1, 0)[2][:, 0])
-    if pi0_mode == "estimate":
-        pi0 = estimate_pi0_from_pvalues(pvals)
-    else:
-        pi0 = resolve_pi0(pvals, pi0_mode)
-    value, rule_fields = _rule_from_args(args)
-    if args.mode == "maximize":
-        result = maximize_desirability(pvals, pi0, CostBenefit.from_ratio(value))
-    else:
-        result = control_dfdr(pvals, pi0, value)
+    rule, rule_fields = _rule_from_args(args, pi0_mode)
     fields = [
         ("command", "analyze"),
         ("mode", args.mode),
@@ -530,7 +515,7 @@ def _analyze_pvalues(args, outdir: Path, pi0_mode) -> int:
         ("m", pvals.n_tests),
         ("seed", args.seed),
     ]
-    _write_decision_outputs(outdir, range(pvals.n_tests), pvals.pvalues, result, fields + rule_fields)
+    _write_decision_outputs(outdir, range(pvals.n_tests), pvals.pvalues, rule(pvals), fields + rule_fields)
     return 0
 
 
@@ -557,13 +542,8 @@ def run_simulate(args) -> int:
         config.n_permutations,
         at_once=worker_count(config.replicates),
     )
-    value, rule_fields = _rule_from_args(args)
-    if args.mode == "maximize":
-        bound = 1.0 / (1.0 + value)
-        rule = DesirabilityRule(cost_ratio=value, pi0_mode=pi0_mode)
-    else:
-        bound = value
-        rule = DfdrControlRule(alpha=value, pi0_mode=pi0_mode)
+    rule, rule_fields = _rule_from_args(args, pi0_mode)
+    bound = rule.bound
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     report = measure_error_rates(config, rule)
@@ -648,8 +628,11 @@ def run_reproduce(args) -> int:
     check_null_fits(matrix.values.shape, args.permutations)
     stats = build_statistic_set(matrix, args.group_a, args.group_b, plan)
 
-    pi0_by_mode = {"estimate": resolve_pi0(stats, "estimate"), "one": Pi0Estimate.fixed_one()}
-    pi0 = pi0_by_mode["estimate"].value
+    rules = {"maximize": functools.partial(DesirabilityRule, 19.0),
+             "control": functools.partial(DfdrControlRule, 0.05)}
+    results = {(mode, pi0_mode): rules[mode](pi0_mode)(stats) for mode, pi0_mode in REFERENCE_RESULTS}
+    del stats  # its permutations go before the second comparison's are drawn
+    pi0 = results["maximize", "estimate"].pi0.value
     rows: list[tuple] = [("pi0", "pi0", pi0, REFERENCE_PI0, pi0 - REFERENCE_PI0)]
 
     def compare(name: str, result: DecisionResult, reference: dict) -> None:
@@ -657,15 +640,8 @@ def run_reproduce(args) -> int:
         for metric, actual in actuals:
             rows.append((name, metric, actual, reference[metric], actual - reference[metric]))
 
-    for mode in ("maximize", "control"):
-        for pi0_mode in ("estimate", "one"):
-            pi0 = pi0_by_mode[pi0_mode]
-            if mode == "maximize":
-                result = maximize_desirability(stats, pi0, CostBenefit.from_ratio(19.0))
-            else:
-                result = control_dfdr(stats, pi0, 0.05)
-            compare(f"{mode}/pi0={pi0_mode}", result, REFERENCE_RESULTS[(mode, pi0_mode)])
-    del stats  # its permutations go before the second comparison's are drawn
+    for (mode, pi0_mode), result in results.items():
+        compare(f"{mode}/pi0={pi0_mode}", result, REFERENCE_RESULTS[mode, pi0_mode])
 
     if args.group_t is not None:
         # Per-subset thresholds for two comparisons: the first (benefit 1,

@@ -185,17 +185,13 @@ def control_dfdr(
     one with the fewest: for statistics +inf, which rejects only the +inf
     sentinels that every region holds (their estimate can exceed alpha only
     when the nulls hold +inf as well); for p-values -inf is always feasible.
-    The reported desirability uses the ratio 1/alpha - 1 matching the bound.
+    The reported desirability uses benefit 1 and the ratio 1/alpha - 1
+    matching the bound.
     """
-    curve = _curve(stats, pi0, *_control_terms(alpha))
-    return _decide(stats, pi0, curve, curve.dfdr <= alpha, most=True)
-
-
-def _control_terms(alpha: float) -> tuple[float, float]:
-    """Benefit 1 and the cost ratio 1/alpha - 1 matching the bound."""
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha!r}")
-    return 1.0, p_to_cost_ratio(alpha)
+    curve = _curve(stats, pi0, 1.0, p_to_cost_ratio(alpha))
+    return _decide(stats, pi0, curve, curve.dfdr <= alpha, most=True)
 
 
 def per_subset_optimize(

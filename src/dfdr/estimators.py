@@ -12,8 +12,8 @@ the observed statistics and what the estimators read of their permutation
 null, which it takes a tile at a time, so no run holds the null whole
 (README "How the scan works"). ``dfdr_from_counts`` turns the counts into
 estimates, for one threshold or for every candidate at once. A
-``PValueSet`` (``stats``) gives the same formula the analytic uniform null
-share, the cutoff itself.
+``PValueSet`` (``stats``) gives the same formulas the analytic uniform null:
+the cutoff itself as its null share, and CENTRAL_BAND_MASS past its lambda.
 
 All threshold comparisons are inclusive: a test is rejected when its
 statistic is >= tau (for p-values, <= the cutoff). Rejection regions are
@@ -28,11 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dfdr.errors import UndefinedEstimateError, ValidationError
-from dfdr.stats import PValueSet, check_statistics, run_starts
-
-# P(|Z| < 1/2) for a standard normal Z: the target proportion of null
-# statistics below the pi0 tuning threshold lambda.
-CENTRAL_BAND_MASS = 0.382925
+from dfdr.stats import CENTRAL_BAND_MASS, PValueSet, check_statistics, run_starts
 
 # Values per tile of a stored null (whole permutations), and per argsorted
 # block where weights have too many distinct values for classes.
@@ -46,10 +42,6 @@ CAP = 2**19
 # The largest cost/benefit ratio: (1 + ratio) times a dFDR estimate, at most
 # m, stays finite for up to 1e8 tests. A validation bound, not a tuning one.
 MAX_RATIO = 1e300
-
-# Null p-values are uniform, so the tuning threshold needs no resampling:
-# the null share of p-values above 1 - CENTRAL_BAND_MASS is CENTRAL_BAND_MASS.
-PVALUE_BAND_THRESHOLD = 1.0 - CENTRAL_BAND_MASS
 
 
 @dataclass(frozen=True)
@@ -216,13 +208,13 @@ def dfdr_from_counts(pi0: float, null_share, discoveries, n_tests: int) -> np.nd
     return np.where(discoveries == 0, 0.0, values)
 
 
-def choose_lambda(stats: StatisticSet) -> float:
-    """Tuning threshold for the pi0 estimate, from a set's null.
+def choose_lambda(stats: StatisticSet | PValueSet) -> float:
+    """Tuning threshold for the pi0 estimate: the set's ``lam``.
 
-    Picks, among the null statistic values themselves plus +inf, the value
-    whose empirical proportion of null statistics strictly below it is
-    closest to CENTRAL_BAND_MASS. Ties break toward the smaller value. The
-    set selects the value from its bracket (see ``StatisticSet``).
+    A StatisticSet picks, among its null statistic values themselves plus
+    +inf, the value whose empirical proportion of null statistics strictly
+    below it is closest to CENTRAL_BAND_MASS. Ties break toward the smaller
+    value. The set selects the value from its bracket (see ``StatisticSet``).
     """
     return stats.lam
 
@@ -363,6 +355,13 @@ class StatisticSet:
             for values in merged:
                 values.sort()
             self._take([(values, c) for c, values in enumerate(merged) if values.size])
+        self._check_tallies()
+
+    def _check_tallies(self) -> None:
+        """RuntimeError unless each null value was seen and tallied once: ``_select`` would repass forever."""
+        tallied = int(self.below.sum()) + self.inside + self.above
+        if not self.seen == tallied == self.n_null:
+            raise RuntimeError(f"a pass saw {self.seen} and tallied {tallied} of {self.n_null} null values")
 
     def _take(self, pieces) -> None:
         """Count (in the first pass, once observed) and bracket sorted pieces of the null."""
@@ -440,11 +439,16 @@ class StatisticSet:
                 self.at += share.at
         if self.n_kept > CAP:
             self._narrow(CAP // 4)
+        self._check_tallies()
 
     def _repass(self, lo, hi) -> None:
         """Another pass, for lambda alone, with [lo, hi] as the bracket."""
         self._reset(lo, hi)
         self.feed(self.tiles)
+
+    @property
+    def inside(self) -> int:  # values of the pass in the bracket
+        return self.n_kept if self.at is None else int(self.at.sum())
 
     @property
     def lam(self) -> float:
@@ -455,8 +459,7 @@ class StatisticSet:
     def _select(self) -> None:
         k, n = self.k, self.n_null
         while True:
-            below = int(self.below.sum())
-            inside = self.n_kept if self.at is None else int(self.at.sum())
+            below, inside = int(self.below.sum()), self.inside
             if below <= k < below + inside:
                 break
             # rank k lies in the pass's region, below the bracket or above it
@@ -498,6 +501,23 @@ class StatisticSet:
             self.below_lam += self.at
         self.kept, self.n_kept = [], 0
 
+    def null_side_shares(self) -> tuple[float, float]:
+        """The shares of the observed statistics and of the null below
+        lambda. With per-test ``weights`` they are shares of weight, each null
+        inheriting its test's weight: the null weight below lambda is each
+        class's count below lambda times its weight, added in class order.
+        Raises UndefinedEstimateError when no null statistic (no positive
+        null weight) falls below lambda."""
+        obs, w, lam = self.observed, self.weights, self.lam
+        null_below = class_sums(self.bins, self.below_lam)
+        obs_below = np.count_nonzero(obs < lam) if w is None else float(np.sum(w[obs < lam]))
+        if null_below == 0:
+            counted = "null statistic" if w is None else "positive null weight"
+            raise UndefinedEstimateError(
+                f"no {counted} below lambda={lam!r}; consider the conservative mode pi0 = 1"
+            )
+        return obs_below / obs.size, null_below / self.n_null
+
 
 def _tally(tallies, bins, start: int, stop: int) -> None:
     """Add the sorted values ``start:stop`` to ``tallies``: all to one bin, or each to its own."""
@@ -507,45 +527,24 @@ def _tally(tallies, bins, start: int, stop: int) -> None:
         tallies[bins] += stop - start
 
 
-def estimate_pi0(stats: StatisticSet) -> Pi0Estimate:
+def estimate_pi0(stats: StatisticSet | PValueSet) -> Pi0Estimate:
     """Quantile-matching pi0 estimate at the set's tuning threshold lambda.
 
-    The raw ratio (share of observed statistics below lambda) / (share of
-    null statistics below lambda) is clamped into [0, 1]; raw values above 1
-    are meaningless as a proportion. A set with per-test ``weights`` gives
-    weight sums instead, each null inheriting its test's weight: the null
-    weight below lambda is each class's count below lambda times its weight,
-    added in class order. Raises UndefinedEstimateError when no null
-    statistic (no positive null weight) falls below lambda.
+    The raw ratio (observed share on the null side of lambda) / (null share
+    there), from the set's ``null_side_shares``, is clamped into [0, 1]; raw
+    values above 1 are meaningless as a proportion.
     """
-    obs, w, lam = stats.observed, stats.weights, stats.lam
-    null_below = class_sums(stats.bins, stats.below_lam)
-    obs_below = np.count_nonzero(obs < lam) if w is None else float(np.sum(w[obs < lam]))
-    if null_below == 0:
-        counted = "null statistic" if w is None else "positive null weight"
-        raise UndefinedEstimateError(
-            f"no {counted} below lambda={lam!r}; consider the conservative mode pi0 = 1"
-        )
-    return Pi0Estimate.estimated(float((obs_below / obs.size) / (null_below / stats.n_null)), lam)
+    observed, null = stats.null_side_shares()
+    return Pi0Estimate.estimated(float(observed / null), stats.lam)
 
 
-def estimate_pi0_from_pvalues(pvals: PValueSet) -> Pi0Estimate:
-    """pi0 estimate for the p-value route, using the analytic uniform null.
-
-    The share of p-values above PVALUE_BAND_THRESHOLD, divided by the null
-    share CENTRAL_BAND_MASS, clamped into [0, 1].
-    """
-    frac = np.count_nonzero(pvals.pvalues > PVALUE_BAND_THRESHOLD) / pvals.n_tests
-    return Pi0Estimate.estimated(frac / CENTRAL_BAND_MASS, PVALUE_BAND_THRESHOLD)
-
-
-def resolve_pi0(stats: StatisticSet, mode) -> Pi0Estimate:
+def resolve_pi0(stats: StatisticSet | PValueSet, mode) -> Pi0Estimate:
     """Build a Pi0Estimate from a mode: "estimate", "one", or a number.
 
-    Only "estimate" reads ``stats``, so the other modes serve the p-value
-    route too, whose estimate is ``estimate_pi0_from_pvalues``. The estimate
-    is weighted when the set was built with weights. Lambda is selected from
-    the null as generated, on every route.
+    Only "estimate" reads ``stats``, through ``choose_lambda`` and then
+    ``estimate_pi0``; the estimate is weighted when the set was built with
+    weights. A StatisticSet selects lambda from its null as generated, on
+    every route.
     """
     if mode == "one":
         return Pi0Estimate.fixed_one()

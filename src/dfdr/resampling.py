@@ -234,10 +234,11 @@ def in_workers(work, items) -> list:
     """``[work(item) for item in items]``, the sequence ``items`` dealt to
     w = ``worker_count(len(items))`` processes, item j to share j % w: the
     caller computes share 0, and forked worker k computes share k and sends
-    it back through a pipe as one pickle, or the exception that stopped it,
-    which is raised here. While the shares of w > 1 run, ``worker_count`` is
-    1: no share forks again. A caller that fails or is interrupted first stops
-    the workers, and every worker has been reaped when this returns or raises."""
+    it back through a pipe, each result as its own pickle, up to the
+    exception that stopped it, which is raised here. While the shares of
+    w > 1 run, ``worker_count`` is 1: no share forks again. A caller that
+    fails or is interrupted first stops the workers, and every worker has
+    been reaped when this returns or raises."""
     global _sharing
     w = worker_count(len(items))
     if w <= 1:
@@ -261,7 +262,10 @@ def in_workers(work, items) -> list:
         for k, read in enumerate(reads, 1):
             with open(read, "rb", closefd=False) as pipe:
                 try:
-                    error, share = pickle.load(pipe)
+                    for j in range(k, len(items), w):
+                        error, results[j] = pickle.load(pipe)
+                        if error is not None:
+                            break
                 except Exception as exc:  # a worker that ended early sent a part
                     error = exc
             code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1])
@@ -269,7 +273,6 @@ def in_workers(work, items) -> list:
                 raise RuntimeError(f"worker {k} of {w} ended without its outcomes (exit status {code})")
             if error is not None:
                 raise error
-            results[k::w] = share
         return results
     finally:
         _sharing = False
@@ -285,21 +288,26 @@ def in_workers(work, items) -> list:
 
 
 def _work(write: int, reads: list[int], work, items):
-    """The life of a forked worker: ``[work(item) for item in items]``, or
-    the exception that stopped it, sent as one pickle to the pipe end
-    ``write`` once the inherited read ends are closed; exit 0 once sent."""
+    """The life of a forked worker: each item's result pickled on its own,
+    so that no memo holds every result's copies, up to the exception that
+    stops it, pickled in its place, and the pickles sent to the pipe end
+    ``write`` once the share is done and the inherited read ends are closed;
+    exit 0 once sent. At protocol 4 a small array loads owning its data; at
+    5 it loads as two arrays over a bytes object, twice the memory."""
     try:
         for fd in reads:
             os.close(fd)
+        records = []
         try:
-            payload = pickle.dumps((None, [work(item) for item in items]), pickle.HIGHEST_PROTOCOL)
+            for item in items:
+                records.append(pickle.dumps((None, work(item)), 4))
         except BaseException as exc:
             try:
-                payload = pickle.dumps((exc, None), pickle.HIGHEST_PROTOCOL)
+                records.append(pickle.dumps((exc, None), 4))
             except Exception:
-                payload = pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), None))
+                records.append(pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), None)))
         with open(write, "wb") as pipe:
-            pipe.write(payload)
+            pipe.writelines(records)  # not as they come: the caller reads once its share is done
         os._exit(0)
     finally:
         os._exit(1)

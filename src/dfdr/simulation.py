@@ -35,6 +35,7 @@ from dfdr.estimators import (
     resolve_pi0,
 )
 from dfdr.resampling import PermutationPlan, build_statistic_set, in_workers
+from dfdr.stats import PValueSet
 
 
 @dataclass(frozen=True)
@@ -192,24 +193,34 @@ def build_replicate_stats(config: SimulationConfig, replicate: int) -> tuple[Sta
 
 @dataclass(frozen=True)
 class DesirabilityRule:
-    """Decision rule: maximize desirability at a fixed cost-to-benefit ratio."""
+    """Decision rule: maximize desirability at a fixed cost-to-benefit ratio,
+    on a StatisticSet or a PValueSet; ``bound`` is p = 1/(1 + ratio)."""
 
     cost_ratio: float = 19.0
     pi0_mode: object = "estimate"
 
-    def __call__(self, stats: StatisticSet) -> DecisionResult:
+    @property
+    def bound(self) -> float:
+        return 1.0 / (1.0 + self.cost_ratio)
+
+    def __call__(self, stats: StatisticSet | PValueSet) -> DecisionResult:
         pi0 = resolve_pi0(stats, self.pi0_mode)
         return maximize_desirability(stats, pi0, CostBenefit.from_ratio(self.cost_ratio))
 
 
 @dataclass(frozen=True)
 class DfdrControlRule:
-    """Decision rule: reject as much as possible with estimated dFDR <= alpha."""
+    """Decision rule: reject as much as possible with estimated dFDR <= alpha,
+    the ``bound``, on either kind of set."""
 
     alpha: float = 0.05
     pi0_mode: object = "estimate"
 
-    def __call__(self, stats: StatisticSet) -> DecisionResult:
+    @property
+    def bound(self) -> float:
+        return self.alpha
+
+    def __call__(self, stats: StatisticSet | PValueSet) -> DecisionResult:
         pi0 = resolve_pi0(stats, self.pi0_mode)
         return control_dfdr(stats, pi0, self.alpha)
 

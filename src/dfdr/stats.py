@@ -13,17 +13,21 @@ range) never gives a sentinel.
 
 A ``PValueSet`` is decided on as a ``StatisticSet`` (``estimators``) is:
 by its candidate thresholds, from the runs of ties in its sorted values
-(``run_starts``), and the tests a threshold rejects.
+(``run_starts``), the tests a threshold rejects, and the shares on the
+null side of its pi0 tuning threshold ``lam``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from dfdr.errors import ValidationError
+
+# P(|Z| < 1/2) for a standard normal Z: the target proportion of null
+# statistics below the pi0 tuning threshold lambda.
+CENTRAL_BAND_MASS = 0.382925
 
 
 def check_statistics(name: str, values: np.ndarray) -> None:
@@ -35,9 +39,11 @@ def check_statistics(name: str, values: np.ndarray) -> None:
 @dataclass(frozen=True)
 class PValueSet:
     """Per-test p-values, each in [0, 1], decided against the uniform null:
-    the null share of a cutoff is the cutoff itself."""
+    the null share of a cutoff is the cutoff itself, and the null side of
+    the tuning threshold ``lam`` lies above it, with share CENTRAL_BAND_MASS."""
 
     pvalues: np.ndarray
+    lam = 1.0 - CENTRAL_BAND_MASS
 
     def __post_init__(self) -> None:
         p = np.asarray(self.pvalues, dtype=float).ravel()
@@ -53,19 +59,19 @@ class PValueSet:
     def n_tests(self) -> int:
         return self.pvalues.size
 
-    @cached_property
-    def sorted_pvalues(self) -> np.ndarray:
-        return np.sort(self.pvalues)
-
     def candidates(self):
         """Cutoffs -inf ("reject nothing") and each distinct p-value, with
         their discoveries (p <= a distinct value holds exactly for the
         p-values below the next) and the cutoffs as their null shares."""
-        cutoffs, below = run_starts(self.sorted_pvalues, first=-np.inf)
+        cutoffs, below = run_starts(np.sort(self.pvalues), first=-np.inf)
         return cutoffs, below, cutoffs
 
     def rejects(self, cutoff: float) -> np.ndarray:
         return self.pvalues <= cutoff
+
+    def null_side_shares(self) -> tuple[float, float]:
+        """The shares of the p-values and of the uniform null above ``lam``."""
+        return np.count_nonzero(self.pvalues > self.lam) / self.n_tests, CENTRAL_BAND_MASS
 
 
 def validate_pvalues(raw) -> PValueSet:

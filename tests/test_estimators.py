@@ -7,17 +7,20 @@ import pytest
 from dfdr import (
     CENTRAL_BAND_MASS,
     CostBenefit,
+    DesirabilityRule,
+    DfdrControlRule,
     Pi0Estimate,
     StatisticSet,
     UndefinedEstimateError,
     ValidationError,
     choose_lambda,
     common_threshold_weighted,
+    control_dfdr,
     dfdr_from_cdfs,
     estimate_pi0,
-    estimate_pi0_from_pvalues,
     maximize_desirability,
     p_to_cost_ratio,
+    resolve_pi0,
     validate_pvalues,
     weighted_dfdr_from_cdfs,
 )
@@ -421,17 +424,47 @@ class TestWeightedPi0:
             pi0_of(obs, nulls, weights=[0.0, 1.0])
 
 
+def pvalue_pi0_oracle(pvalues):
+    """The analytic pi0 of uniform null p-values: the share of p-values above
+    lambda = 1 - 0.382925 over the uniform null's share there, 0.382925."""
+    lam = 1.0 - 0.382925
+    share = sum(1 for p in pvalues if p > lam) / len(pvalues)
+    return Pi0Estimate.estimated(share / 0.382925, lam)
+
+
 class TestPvaluePi0:
     def test_uniform_pvalues_estimate_near_one(self):
         rng = np.random.default_rng(17)
         pvals = validate_pvalues(rng.uniform(size=5000))
-        assert estimate_pi0_from_pvalues(pvals).value > 0.9
+        assert estimate_pi0(pvals).value > 0.9
 
     def test_enriched_small_pvalues_shrink_estimate(self):
         rng = np.random.default_rng(18)
         p = np.concatenate([rng.uniform(size=500), rng.uniform(0, 0.01, size=500)])
-        est = estimate_pi0_from_pvalues(validate_pvalues(p))
+        est = estimate_pi0(validate_pvalues(p))
         assert 0.3 < est.value < 0.75
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rules_and_pi0_decide_a_pvalue_set(self, seed):
+        # the same bits as each decider at the analytic estimate
+        rng = np.random.default_rng(seed)
+        p = rng.random(300)
+        p[:60] = rng.beta(0.3, 1.0, size=60)
+        p[60:90] = np.round(p[60:90], 2)  # ties
+        pvals = validate_pvalues(p)
+        oracle = pvalue_pi0_oracle(p.tolist())
+        assert choose_lambda(pvals) == oracle.lam
+        assert resolve_pi0(pvals, "estimate") == estimate_pi0(pvals) == oracle
+        deciders = (
+            (DesirabilityRule(9.0), lambda: maximize_desirability(pvals, oracle, CostBenefit.from_ratio(9.0))),
+            (DfdrControlRule(0.1), lambda: control_dfdr(pvals, oracle, 0.1)),
+        )
+        for rule, decide in deciders:
+            got, want = rule(pvals), decide()
+            assert (got.tau, got.dfdr, got.desirability, got.pi0) == (want.tau, want.dfdr, want.desirability, want.pi0)
+            assert got.rejected.tolist() == want.rejected.tolist()
+            for name in ("tau", "dfdr", "desirability", "discoveries"):
+                assert getattr(got.curve, name).tobytes() == getattr(want.curve, name).tobytes()
 
 
 class TestClosedFormMixtureIdentity:

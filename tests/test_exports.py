@@ -36,7 +36,8 @@ def test_submodules_resolve_as_attributes():
 
 def test_one_set_class_and_one_decider_per_rule():
     assert dfdr.StatisticSet is dfdr.estimators.StatisticSet
-    for gone in ("NullSummary", "maximize_desirability_pvalues", "control_dfdr_pvalues"):
+    for gone in ("NullSummary", "maximize_desirability_pvalues", "control_dfdr_pvalues",
+                 "estimate_pi0_from_pvalues"):
         assert gone not in dfdr.__all__
         assert not hasattr(dfdr.estimators, gone) and not hasattr(dfdr.decision, gone)
     assert not hasattr(dfdr.stats, "StatisticSet")

@@ -5,12 +5,15 @@ it writes (``summary*.txt``, ``tests*.csv``, ``curve*.csv``, and
 ``comparison.csv`` for ``reproduce``) must match ``output_bits.json``. The
 routes: maximize (on a null large enough to stream), control, non-integer
 ``--weights`` (streamed as well), two-comparison ``--subsets``, ``--pvalues``
-in both modes, ``reproduce`` with and without ``--group-t``, and a matrix
+in both modes and with ``--pi0 one`` and a number, ``reproduce`` with and
+without ``--group-t``, and a matrix
 with a ``1_0`` cell, which ``np.loadtxt`` refuses, so the plain parser reads
 it. The digests were recorded at commit f51f16a, except the ``weights``
 route's ``curve.csv``, recorded again on top of a423a9b when the null weight
 sums came to be formed from exact counts per distinct weight (7 of its 1202
-rows moved in the 12th significant digit). Regenerate them only for a change
+rows moved in the 12th significant digit), and the ``pvalues_one`` and
+``pvalues_number`` routes, recorded at 5caa740, before the p-value route's
+pi0 came to be decided by the same rule as the matrix route's. Regenerate them only for a change
 that is meant to move output bytes, with
 
     PYTHONPATH=src python tests/test_output_bits.py
@@ -82,6 +85,8 @@ def routes(inputs: dict[str, str]) -> dict[str, list[str]]:
         "subsets": matrix + ["--subsets", inputs["subsets"], "--permutations", "60"],
         "pvalues_maximize": ["analyze", "--pvalues", inputs["pvalues"], "--cost-ratio", "9"],
         "pvalues_control": ["analyze", "--pvalues", inputs["pvalues"], "--mode", "control"],
+        "pvalues_one": ["analyze", "--pvalues", inputs["pvalues"], "--pi0", "one"],
+        "pvalues_number": ["analyze", "--pvalues", inputs["pvalues"], "--pi0", "0.7", "--mode", "control"],
         "reproduce": reproduce,
         "reproduce_group_t": reproduce + ["--group-t", "TALL"],
         "plain_parser": ["analyze", "--matrix", inputs["plain"], "--labels", inputs["labels"],

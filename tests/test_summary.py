@@ -11,6 +11,7 @@ reach the caller.
 """
 
 import os
+import signal
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -492,6 +493,47 @@ def test_no_fork_inside_a_share(monkeypatch, cpus, forks, merges):
     assert len(forks) == 2  # the replicate workers
     assert merges == [(1, False), (1, False)]  # the caller's replicates 0 and 3
     assert report.total_rejections > 0
+
+
+def drop_below(stats, shares):
+    for share in shares:
+        share.below[:] = 0
+    return MERGE(stats, shares)
+
+
+def skip_a_row(stats, rows, tile):
+    ADD(stats, rows, tile[1:])
+    stats.seen += tile.shape[1]
+
+
+MERGE, ADD = StatisticSet.merge, StatisticSet.add
+# a defect that leaves null values untallied, in a merge or in a pass
+UNTALLIED = {"merge drops the shares' below": ("merge", drop_below),
+             "a pass skips a row of each tile": ("add", skip_a_row)}
+
+
+@pytest.mark.parametrize("case", UNTALLIED)
+def test_untallied_null_values_raise_instead_of_repassing_forever(case, monkeypatch, cpus):
+    # _select would look for rank k in repass after repass; the tally check
+    # after every pass and merge raises first (exit 3 from the CLI)
+    patch_small(monkeypatch, **SMALL)
+    cpus(2)
+    monkeypatch.setattr(StatisticSet, *UNTALLIED[case])
+    rng = np.random.default_rng(76)
+    matrix = DataMatrix(rng.normal(size=(300, 15)), [f"g{i}" for i in range(300)],
+                        [f"s{j}" for j in range(15)], ["A"] * 6 + ["B"] * 9)
+
+    def too_long(*_):
+        raise TimeoutError("lambda still unselected after 30 s")
+
+    previous = signal.signal(signal.SIGALRM, too_long)
+    signal.setitimer(signal.ITIMER_REAL, 30)
+    try:
+        with pytest.raises(RuntimeError, match="tallied"):
+            build_statistic_set(matrix, "A", "B", PermutationPlan(200, 0)).lam
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def fail_in_a_worker(monkeypatch, act) -> None:
