@@ -14,7 +14,7 @@ own at once (``permutation_rows``): SeedSequence's hash, restated in numpy,
 derives every stream's PCG64 state words together, and numpy's Generator
 shuffles each row, so the rows are the same bits as ``permutation_indices``.
 A spawn key is then one 32-bit word, so a plan draws fewer than 2**32
-permutations.
+permutations. The passes hold and read a draw only as its group-A memberships.
 Null statistics are ordered by permutation index, then feature index; they
 are computed tile by tile, never whole, on every CPU (``in_workers``).
 """
@@ -127,10 +127,10 @@ def check_null_fits(shape: tuple[int, int], n_permutations: int, at_once: int = 
     """Refuse, before allocating, permutations that cannot fit in physical memory.
 
     ``shape`` is the data matrix's (tests, subjects). The null is never held
-    (README, "Memory:"): what grows with the number of permutations is the
-    permutations, n_permutations * subjects 8-byte indices, counted here with
-    the matrix, ``at_once`` times where that many comparisons run at once.
-    Their group-A memberships, one byte each, are left out of the count.
+    (README, "Memory:"): what grows with the number of permutations is their
+    draw, n_permutations * subjects 8-byte indices, counted here with the
+    matrix, ``at_once`` times where that many comparisons run at once; the
+    group-A memberships kept in their place, one byte each, are left out.
     """
     (m, n), b = shape, n_permutations
     need = 8 * n * (b + m) * at_once
@@ -163,34 +163,32 @@ def permutation_null(
 
 
 def null_passes(matrix: DataMatrix, group_a: str, group_b: str, plan: PermutationPlan):
-    """The comparison's permutations and their group-A memberships, drawn
-    once, as a function ``feed(stats, rows)`` that gives the StatisticSet
-    ``stats`` one pass of the null of the matrix rows ``rows`` (its tests,
-    in order), keeping the means to repeat it on the calling thread, and
-    returns the set. A null that the set keeps whole takes the identity
-    split in its own pass. Any other is observed first and dealt in
+    """The comparison's permutations, drawn once and held only as their
+    group-A memberships, as a function ``feed(stats, rows)`` that gives the
+    StatisticSet ``stats`` one pass of the null of the matrix rows ``rows``
+    (its tests, in order), keeping the means to repeat it on the calling
+    thread, and returns the set. A null that the set keeps whole takes the
+    identity split in its own pass. Any other is observed first and dealt in
     contiguous ranges of permutations to ``in_workers``, each range fed to
     a set that ``stats`` merges (README "How the scan works")."""
     values, pool, n_a = _comparison(matrix, group_a, group_b)
-    splits = _splits(plan, pool.size)
-    members = memberships(splits, n_a)
+    members = memberships(_splits(plan, pool.size), n_a)
     b = plan.n_permutations
 
     def feed(stats: StatisticSet, rows) -> StatisticSet:
         def null(start=1, stop=b + 1):  # a tile source of the splits start..stop-1
             return lambda: ((block, tile) for block, _, tile in
-                            welch_tiles(values, pool, n_a, splits[start:stop], rows, members[start:stop]))
+                            welch_tiles(values, pool, members[start:stop], rows))
 
         def share(bounds):  # the splits start..stop-1, fed to a set of their own
             part = StatisticSet(len(rows), bounds[1] - bounds[0], stats.weights).observe(stats.observed)
             part.feed(null(*bounds)).tiles = None  # a closure, which cannot be pickled
             return part
 
+        observed = np.empty(len(rows))
         if stats.keeps_all:
-            observed = np.empty(len(rows))
-
             def with_identity():  # split 0 of each row block's first tile is the identity
-                for block, start, tile in welch_tiles(values, pool, n_a, splits, rows, members):
+                for block, start, tile in welch_tiles(values, pool, members, rows):
                     if start == 0:
                         observed[block], tile = tile[0], tile[1:]
                     if tile.size:
@@ -198,7 +196,9 @@ def null_passes(matrix: DataMatrix, group_a: str, group_b: str, plan: Permutatio
 
             stats.feed(with_identity).observe(observed).tiles = null()  # any later pass
         else:
-            stats.observe(welch_abs_t(values, pool, n_a, splits[:1], rows)[0]).tiles = null()
+            for block, _, tile in welch_tiles(values, pool, members[:1], rows):
+                observed[block] = tile[0]
+            stats.observe(observed).tiles = null()
             # the argsort path's float weight sums follow the order of the tiles: one share
             w = worker_count(b) if stats.classes is not None else 1
             stats.merge(in_workers(share, [(1 + b * k // w, 1 + b * (k + 1) // w) for k in range(w)]))
@@ -224,10 +224,15 @@ def worker_count(tasks: int) -> int:
     CPU this process may run on, at most one per item, and only the caller
     inside a share of several, where ``os.fork`` is missing or where another
     thread runs (forking a multi-threaded process is unsafe)."""
-    if _sharing or not hasattr(os, "fork") or threading.active_count() > 1:
+    if _sharing or not hasattr(os, "fork") or os_threads() > 1:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(cpus or 1, tasks)
+
+
+def os_threads() -> int:
+    """This process's OS threads (a BLAS pool's too), or its Python threads where /proc is missing."""
+    return len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else threading.active_count()
 
 
 def in_workers(work, items) -> list:

@@ -3,10 +3,11 @@
 The default statistic is the absolute two-sample t with unequal-variance
 (Welch) standard error and n-1 sample variances. One kernel, ``welch_abs_t``,
 computes it for the observed labels and for every permutation alike: group
-sums are exact 0/1 matrix products of an error-free hi/lo split of each row
-(see its docstring), so a statistic depends only on the values that fall in
-each group. When both groups of a feature have zero spread, the statistic is
-0 if their means are equal (an exactly constant feature) and the +inf
+sums are exact products of a split's 0/1 group-A memberships, the only form
+of a draw that ``welch_tiles`` reads, with an error-free hi/lo split of each
+row (see its docstring), so a statistic depends only on the values that fall
+in each group. When both groups of a feature have zero spread, the statistic
+is 0 if their means are equal (an exactly constant feature) and the +inf
 sentinel otherwise; the sentinel ranks above every finite statistic and falls
 inside every threshold region. A positive spread (above 2^-500 of the row's
 range) never gives a sentinel.
@@ -63,7 +64,8 @@ class PValueSet:
         """Cutoffs -inf ("reject nothing") and each distinct p-value, with
         their discoveries (p <= a distinct value holds exactly for the
         p-values below the next) and the cutoffs as their null shares."""
-        cutoffs, below = run_starts(np.sort(self.pvalues), first=-np.inf)
+        values, below = run_starts(np.sort(self.pvalues))
+        cutoffs = np.concatenate(([-np.inf], values[:-1]))  # -inf, then each distinct value
         return cutoffs, below, cutoffs
 
     def rejects(self, cutoff: float) -> np.ndarray:
@@ -79,13 +81,11 @@ def validate_pvalues(raw) -> PValueSet:
     return PValueSet(raw)
 
 
-def run_starts(sorted_values: np.ndarray, first: float | None = None):
+def run_starts(sorted_values: np.ndarray):
     """Distinct values plus +inf, each with how many values lie below it.
 
     The count below a distinct value is where its run of ties starts, so it
     also indexes the value's entry in a ``StatisticSet``'s ``exceedances``.
-    With ``first`` the values are shifted one place instead: ``first``, then
-    each distinct value, with the same counts.
     """
     n = sorted_values.size
     starts = np.empty(n + 1, dtype=bool)  # where a run of ties starts, and the end
@@ -93,10 +93,6 @@ def run_starts(sorted_values: np.ndarray, first: float | None = None):
     np.not_equal(sorted_values[1:], sorted_values[:-1], out=starts[1:n])
     below = np.flatnonzero(starts)
     taus = np.empty(below.size)
-    if first is not None:
-        taus[0] = first
-        np.take(sorted_values, below[:-1], out=taus[1:])
-        return taus, below
     np.take(sorted_values, below[:-1], out=taus[:-1])
     taus[-1] = np.inf
     if np.isposinf(sorted_values[-1]):
@@ -125,7 +121,7 @@ def welch_abs_t(values: np.ndarray, pool, n_a: int, splits, rows=None) -> np.nda
 
     A split (row of ``splits``) is a permutation of the pool positions
     ``0..n-1``: its first ``n_a`` entries form group A, the rest group B.
-    Returns shape (len(splits), len(rows)).
+    Returns shape (len(splits), len(rows)), from the splits' ``memberships``.
 
     Each row is centred on its midrange and split into hi and lo parts on
     fixed grids, so group A's sums are exact 0/1 matrix products on any BLAS
@@ -136,22 +132,23 @@ def welch_abs_t(values: np.ndarray, pool, n_a: int, splits, rows=None) -> np.nda
     and on which values fall in each group.
     """
     rows = np.arange(values.shape[0]) if rows is None else rows
-    splits = np.asarray(splits, dtype=np.intp)
-    out = np.empty((splits.shape[0], len(rows)))
-    for block, start, tile in welch_tiles(values, pool, n_a, splits, rows, memberships(splits, n_a)):
+    members = memberships(np.asarray(splits, dtype=np.intp), n_a)
+    out = np.empty((members.shape[0], len(rows)))
+    for block, start, tile in welch_tiles(values, pool, members, rows):
         out[start : start + tile.shape[0], block] = tile
     return out
 
 
 def memberships(splits: np.ndarray, n_a: int) -> np.ndarray:
-    """``members[s, j]``: whether pool position j is in group A of split s,
-    its place in the split (the inverse permutation) being below ``n_a``."""
-    return np.argsort(splits, axis=1) < n_a
+    """``members[s, j]``: whether pool position j is among the first ``n_a`` entries of split s."""
+    members = np.zeros(splits.shape, dtype=bool)
+    np.put_along_axis(members, splits[:, :n_a], True, axis=1)
+    return members
 
 
-def welch_tiles(values: np.ndarray, pool, n_a: int, splits, rows, members):
+def welch_tiles(values: np.ndarray, pool, members, rows):
     """``welch_abs_t`` of the rows ``rows`` one tile at a time: (block,
-    first split, tile) triples; ``members`` is ``memberships(splits, n_a)``.
+    first split, tile) triples; row s of ``members`` marks split s's group A.
 
     ``tile[s, i]`` is the statistic of split ``first + s`` for row
     ``rows[block[i]]``. The splits go in groups, each over every block, so
@@ -164,24 +161,23 @@ def welch_tiles(values: np.ndarray, pool, n_a: int, splits, rows, members):
     next: a consumer reads each tile before it asks for the next.
     """
     pool = np.asarray(pool, dtype=np.intp)
+    n_a = np.count_nonzero(members[:1])  # every split's group A has this size
     if n_a < 2 or pool.size - n_a < 2:
         raise ValidationError("both groups need at least two members")
-    count, m = splits.shape[0], len(rows)
+    count, m = members.shape[0], len(rows)
     size = min(m, max(ROWS, ROW_VALUES // pool.size))
     first = np.arange(0, m, -(-m // size))
     rest = np.delete(np.arange(m), first)
     group = max(1, min(count, TILE // size))
     buffer = np.empty(group * size)
     for start in range(0, count, group):
-        part = splits[start : start + group]
         chosen = members[start : start + group].astype(float)  # 0/1 rows of the products
         for block in [first] + [rest[r : r + size] for r in range(0, rest.size, size)]:
             parts = _Rows(values[rows[block]][:, pool], n_a)  # column-major: C-order x.T in _Rows
-            tile = buffer[: part.shape[0] * block.size].reshape(-1, block.size)
+            tile = buffer[: chosen.shape[0] * block.size].reshape(-1, block.size)
             step = max(CHUNK, ROWS * CHUNK // block.size)
-            for c in range(0, part.shape[0], step):
-                chunk = slice(c, c + step)
-                parts.abs_t(chosen[chunk], part[chunk], tile[chunk])
+            for c in range(0, chosen.shape[0], step):
+                parts.abs_t(chosen[c : c + step], tile[c : c + step])
             yield block, start, tile
 
 
@@ -228,9 +224,9 @@ class _Rows:
         _round(sq_lo, self.lo_step, out=sq_lo)
         self.totals = parts.sum(axis=1)  # exact: every part lies on the grid
 
-    def abs_t(self, members, splits, out) -> None:
-        """|t| per split and row into ``out``, working in place in ``out``
-        and in the product that gives group A's sums."""
+    def abs_t(self, members, out) -> None:
+        """|t| per split (a 0/1 group-A row of ``members``) and row into ``out``,
+        working in place in ``out`` and in the product that gives group A's sums."""
         n_a, n_b = self.n_a, self.n_b
         y_hi, y_lo, sq_hi, sq_lo = np.matmul(members, self.parts)
         t_hi, t_lo, tsq_hi, tsq_lo = self.totals
@@ -239,9 +235,9 @@ class _Rows:
         s2a = np.add(sq_hi, sq_lo, out=y_lo)
         s2b = _rest(tsq_hi, sq_hi, tsq_lo, sq_lo)
         mean_a = np.divide(s1a, n_a, out=sq_lo)
-        ss_a = self._spread(s1a, s2a, mean_a, splits[:, :n_a])
+        ss_a = self._spread(s1a, s2a, mean_a, members, 1.0)
         mean_b = np.divide(s1b, n_b, out=s2a)
-        ss_b = self._spread(s1b, s2b, mean_b, splits[:, n_a:])
+        ss_b = self._spread(s1b, s2b, mean_b, members, 0.0)
         # se = sqrt(ss_a / (n_a (n_a - 1)) + ss_b / (n_b (n_b - 1)))
         ss_a *= 1.0 / (n_a * (n_a - 1))
         ss_b *= 1.0 / (n_b * (n_b - 1))
@@ -255,33 +251,32 @@ class _Rows:
         if self.constant.size:
             out[:, self.constant] = 0.0
 
-    def _spread(self, s1, s2, mean, members) -> np.ndarray:
-        """Sum of squared deviations per (split, row), in place of ``s1``.
-
-        Overwrites ``s2``.
-        """
-        k = members.shape[1]
+    def _spread(self, s1, s2, mean, members, side) -> np.ndarray:
+        """Sum of squared deviations per (split, row) of the group marked
+        ``side`` (1: A, 0: B) in ``members``, in place of ``s1``; overwrites ``s2``."""
+        k = self.n_a if side else self.n_b
         s1 *= mean
         ss = np.subtract(s2, s1, out=s1)
         s2 *= _MARGIN * 2.0**-50
         s2 += k * _MARGIN * self.lo_step
         redo = ss <= s2
+        redo[:, self.constant] = False  # constant rows are set to 0 in abs_t
         if redo.any():
-            redo[:, self.constant] = False
             split, row = np.nonzero(redo)
-            ss[split, row] = self._two_pass(row, members[split], mean[split, row])
+            ss[split, row] = self._two_pass(row, members[split] == side, mean[split, row])
         return ss
 
-    def _two_pass(self, rows, members, mean) -> np.ndarray:
-        """Spread of each listed group from its values, summed in sorted order."""
-        hi = self.parts[0][members, rows[:, None]]
-        lo = self.parts[1][members, rows[:, None]]
+    def _two_pass(self, rows, in_group, mean) -> np.ndarray:
+        """Spread of each group marked in a row of ``in_group``, from its values in sorted order."""
+        positions = np.nonzero(in_group)[1].reshape(len(rows), -1)
+        hi = self.parts[0][positions, rows[:, None]]
+        lo = self.parts[1][positions, rows[:, None]]
         order = np.lexsort((lo, hi), axis=-1)
         hi = np.take_along_axis(hi, order, axis=-1)
         lo = np.take_along_axis(lo, order, axis=-1)
         dev = hi - mean[:, None]
         dev += lo
-        dev -= (np.cumsum(dev, axis=-1)[:, -1] / members.shape[1])[:, None]
+        dev -= (np.cumsum(dev, axis=-1)[:, -1] / positions.shape[1])[:, None]
         dev *= dev
         ss = np.cumsum(dev, axis=-1)[:, -1]
         constant = (hi[:, 0] == hi[:, -1]) & (lo[:, 0] == lo[:, -1])

@@ -2,13 +2,14 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dfdr import DataMatrix, DecisionResult, Pi0Estimate, StatisticSet, resolve_pi0
+from dfdr import DataMatrix, DecisionResult, Pi0Estimate, StatisticSet, resampling, resolve_pi0
 from dfdr.decision import Curve
 from dfdr.errors import ParseError
 from dfdr.estimators import array_tiles, dfdr_from_counts, weight_exceedances
@@ -40,11 +41,14 @@ def run_python(code: str, *args: str, env: dict | None = None) -> str:
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Sets how many CPUs ``resampling.worker_count`` sees, and checks that
+    """Sets how many CPUs ``resampling.worker_count`` sees, and that it sees
+    only the Python threads (one, unless a test starts more): numpy's BLAS
+    pool in this process would keep every share in the caller. Checks that
     every worker has been reaped when the test ends."""
 
     def set_cpus(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        monkeypatch.setattr(resampling, "os_threads", threading.active_count)
 
     yield set_cpus
     with pytest.raises(ChildProcessError):

@@ -355,6 +355,21 @@ class TestReplicateWorkers:
         out = run_python(code, *argv, env={"OPENBLAS_NUM_THREADS": "2"})
         assert out.splitlines()[-1] == "[1, 1]"
 
+    @needs_proc_tasks
+    def test_library_caller_beside_blas_threads_forks_no_worker(self):
+        # numpy imported first starts OpenBLAS's pool: worker_count counts
+        # the OS threads, not the Python threads alone, and forks no worker
+        code = (
+            "import os, numpy\n"
+            "from dfdr import resampling\n"
+            "os.sched_getaffinity = lambda pid: set(range(8))\n"
+            "print(len(os.listdir('/proc/self/task')), resampling.worker_count(8))\n"
+        )
+        tasks, workers = map(int, run_python(code, env={"OPENBLAS_NUM_THREADS": "2"}).split())
+        if tasks == 1:
+            pytest.skip("numpy's BLAS started no thread of its own on this machine")
+        assert workers == 1
+
     @pytest.mark.parametrize("error", [ValidationError, AssertionError, KeyError])
     def test_worker_error_reaches_the_caller(self, cpus, monkeypatch, error):
         def fail(replicate):

@@ -576,7 +576,7 @@ def test_null_worker_that_dies_is_an_error(monkeypatch, cpus):
 def test_memberships_are_built_once_per_comparison(cap, monkeypatch, cpus):
     # four subsets over two comparisons: each comparison's group-A
     # memberships are built with its splits, and every pass slices them (a
-    # streamed subset's observed statistics build their one split's own)
+    # streamed subset's observed statistics too, from the identity's row)
     cpus(1)  # every pass in this process, where the spy sees it
     monkeypatch.setattr(estimators, "CAP", cap or estimators.CAP)
     built, memberships = [], dfdr.stats.memberships
@@ -592,5 +592,29 @@ def test_memberships_are_built_once_per_comparison(cap, monkeypatch, cpus):
                     for a, b in (("A", "B"), ("B", "A")) for k in (0, 1))
     per_subset_optimize(SubsetPartition(subsets, min_size=1), matrix, PermutationPlan(40, 2))
     # the identity split and 40 permutations, once per comparison
-    assert [count for count in built if count > 1] == [41, 41]
-    assert built.count(1) == (0 if cap is None else 4)
+    assert built == [41, 41]
+
+
+def test_subsets_hold_no_permutation_indices(monkeypatch, cpus):
+    # 7129 features, 20 vs 20 subjects, 5000 permutations in 143 subsets of
+    # at most 50 rows: the draw is held as (B + 1) x n group-A memberships,
+    # one byte each, and its (B + 1) x n indices are gone before any subset
+    cpus(1)  # every subset in this process, where tracemalloc sees it
+    b, n = 5000, 40
+    matrix = random_matrix(np.random.default_rng(78), 7129, 20, 20)
+    subsets = tuple(Subset(f"s{k}", tuple(range(50 * k, min(50 * k + 50, 7129))), "A", "B", 1.0, 19.0)
+                    for k in range(143))
+    held, decide = [], dfdr.decision._subset_decision
+
+    def spy(subset, *args):
+        sizes = [trace.size for trace in tracemalloc.take_snapshot().traces]
+        held.append((sizes.count((b + 1) * n * np.dtype(np.intp).itemsize), sizes.count((b + 1) * n)))
+        return decide(subset, *args)
+
+    monkeypatch.setattr(dfdr.decision, "_subset_decision", spy)
+    tracemalloc.start()
+    try:
+        per_subset_optimize(SubsetPartition(subsets, min_size=20), matrix, PermutationPlan(b, 4))
+    finally:
+        tracemalloc.stop()
+    assert held == [(0, 1)] * 143

@@ -239,11 +239,76 @@ class TestLayout:
         for order in "CF":
             block = dfdr.stats._Rows(np.array(values, order=order), n_a)
             out = np.empty((splits.shape[0], values.shape[0]))
-            block.abs_t(members, splits, out)
+            block.abs_t(members, out)
             results.append((block.parts, block.totals, block.constant, out))
         for c, f in zip(*results):
             np.testing.assert_array_equal(c, f)
         assert results[0][0].shape == (4, n, values.shape[0])
+
+
+def tiles_of(values, pool, members, rows, ranges):
+    """The statistics ``welch_tiles`` gives over the memberships, each range
+    of splits a pass of its own, as ``welch_abs_t`` lays them out."""
+    out = np.full((members.shape[0], len(rows)), np.nan)
+    for start, stop in ranges:
+        for block, first, tile in dfdr.stats.welch_tiles(values, pool, members[start:stop], rows):
+            out[start + first : start + first + tile.shape[0], block] = tile
+    return out
+
+
+def marked(splits, n_a):
+    """Each split's group-A memberships, marked one split at a time."""
+    members = np.zeros(splits.shape, dtype=bool)
+    for s, split in enumerate(splits):
+        members[s, split[:n_a]] = True
+    return members
+
+
+class TestMemberships:
+    """The null passes hold a draw only as group-A memberships: the
+    statistics read from them are the splits' own, bit for bit."""
+
+    @PROPERTY
+    @given(comparisons(), st.integers(0, 2**32 - 1))
+    def test_tiles_over_memberships_are_the_splits_bits(self, case, seed):
+        values, n_a, splits = case
+        rng = np.random.default_rng(seed)
+        pool = rng.permutation(values.shape[1])
+        rows = rng.permutation(values.shape[0])[: rng.integers(1, values.shape[0] + 1)]
+        cut = int(rng.integers(1, len(splits)))  # two passes, as two shares of the null
+        np.testing.assert_array_equal(
+            tiles_of(values, pool, marked(splits, n_a), rows, [(0, cut), (cut, len(splits))]),
+            welch_abs_t(values, pool, n_a, splits, rows),
+        )
+
+    @pytest.mark.parametrize("n_a, n_b", [(3, 8), (8, 3), (2, 11)])
+    def test_two_pass_in_each_group_of_unequal_sizes(self, n_a, n_b, monkeypatch):
+        # rows near-constant within each group, at levels far apart: both
+        # groups' one-pass spreads cancel and are redone with two passes
+        rng = np.random.default_rng(n_a * n_b)
+        n = n_a + n_b
+        splits = np.stack([np.arange(n)] + [rng.permutation(n) for _ in range(30)])
+        values = np.stack([
+            adversarial_row(kind, n, rng, splits[-1][:n_a]) for kind in ("narrow", "clusters") * 3
+        ])
+        sizes, two_pass = [], dfdr.stats._Rows._two_pass
+
+        def spy(self, rows, in_group, mean):
+            sizes.extend(np.count_nonzero(in_group, axis=1).tolist())
+            return two_pass(self, rows, in_group, mean)
+
+        monkeypatch.setattr(dfdr.stats._Rows, "_two_pass", spy)
+        pool = np.arange(n)
+        expected = welch_abs_t(values, pool, n_a, splits)
+        assert set(sizes) == {n_a, n_b}
+        np.testing.assert_array_equal(
+            tiles_of(values, pool, marked(splits, n_a), np.arange(values.shape[0]), [(0, len(splits))]),
+            expected,
+        )
+        for s, split in enumerate(splits):
+            a, b = groups(values, n_a, split)
+            for i in range(values.shape[0]):
+                assert expected[s, i] == pytest.approx(exact_abs_t(a[i], b[i]), rel=2.0**-40)
 
 
 class TestAccuracy:
