@@ -9,12 +9,13 @@ Permutation ``b`` is drawn from the PCG64 stream of
 ``SeedSequence(entropy=seed, spawn_key=(b,))``, and its statistics, from
 ``stats.welch_abs_t``, are bitwise the same however many permutations are
 drawn and however they are batched or evaluated (README "Determinism").
-``permutation_indices`` draws one such permutation; a pass draws all of its
-own at once (``permutation_rows``): SeedSequence's hash, restated in numpy,
-derives every stream's PCG64 state words together, and numpy's Generator
-shuffles each row, so the rows are the same bits as ``permutation_indices``.
-A spawn key is then one 32-bit word, so a plan draws fewer than 2**32
-permutations. The passes hold and read a draw only as its group-A memberships.
+``permutation_indices`` draws one such permutation. A comparison draws all
+of its own once, straight into the group-A memberships its passes read
+(``permutation_memberships``): SeedSequence's hash, restated in numpy,
+derives a block's PCG64 state words together, and numpy's Generator
+shuffles each permutation in one reused buffer before its first n_a entries
+are marked, so the rows are the same bits as ``permutation_indices``. A
+spawn key is one 32-bit word, so a plan draws fewer than 2**32 permutations.
 Null statistics are ordered by permutation index, then feature index; they
 are computed tile by tile, never whole, on every CPU (``in_workers``).
 """
@@ -32,7 +33,7 @@ import numpy as np
 from dfdr.data import DataMatrix
 from dfdr.errors import ValidationError
 from dfdr.estimators import StatisticSet
-from dfdr.stats import memberships, welch_abs_t, welch_tiles
+from dfdr.stats import TILE, welch_abs_t, welch_table, welch_tiles
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
 _MASK = 0xFFFFFFFF
@@ -62,12 +63,25 @@ def permutation_indices(plan: PermutationPlan, index: int, size: int) -> np.ndar
     return rng.permutation(size)
 
 
-def permutation_rows(plan: PermutationPlan, out: np.ndarray) -> None:
-    """Fill row ``b`` of ``out`` with ``permutation_indices(plan, b, out.shape[1])``, bit for bit."""
-    out[:] = np.arange(out.shape[1])
-    generator = _generator()
-    for row, state in zip(out, _spawn_states(plan.seed, np.arange(len(out), dtype=np.uint32))):
-        generator(state).shuffle(row)
+def permutation_memberships(plan: PermutationPlan, n_a: int, size: int) -> np.ndarray:
+    """Group-A memberships of ``size`` pool positions: row 0 marks the first
+    ``n_a`` (the identity), row b the first ``n_a`` entries of
+    ``permutation_indices(plan, b - 1, size)``, bit for bit. About TILE
+    indices are shuffled at a time, in one buffer, and marked; no index is
+    held per subject and permutation."""
+    b = plan.n_permutations
+    members = np.zeros((b + 1, size), dtype=bool)
+    members[0, :n_a] = True
+    step = min(b, max(1, TILE // size))
+    buffer, generator = np.empty((step, size), dtype=np.intp), _generator()
+    for start in range(0, b, step):
+        keys = np.arange(start, min(start + step, b), dtype=np.uint32)
+        rows = buffer[: keys.size]
+        rows[:] = np.arange(size)
+        for row, state in zip(rows, _spawn_states(plan.seed, keys)):
+            generator(state).shuffle(row)
+        np.put_along_axis(members[1 + start : 1 + start + keys.size], rows[:, :n_a], True, axis=1)
+    return members
 
 
 def _spawn_states(seed: int, keys: np.ndarray) -> np.ndarray:
@@ -127,20 +141,21 @@ def check_null_fits(shape: tuple[int, int], n_permutations: int, at_once: int = 
     """Refuse, before allocating, permutations that cannot fit in physical memory.
 
     ``shape`` is the data matrix's (tests, subjects). The null is never held
-    (README, "Memory:"): what grows with the number of permutations is their
-    draw, n_permutations * subjects 8-byte indices, counted here with the
-    matrix, ``at_once`` times where that many comparisons run at once; the
-    group-A memberships kept in their place, one byte each, are left out.
+    (README, "Memory:"): what grows with the number of permutations is what
+    a comparison holds of them, its (n_permutations + 1) x subjects group-A
+    memberships, one byte each (``permutation_memberships``), counted here
+    with the matrix's 8-byte values, ``at_once`` times where that many
+    comparisons run at once.
     """
     (m, n), b = shape, n_permutations
-    need = 8 * n * (b + m) * at_once
+    need = ((b + 1) * n + 8 * m * n) * at_once
     have = physical_memory()
     if have is not None and need > have:
         each = f", for each of {at_once} replicates run at once" if at_once > 1 else ""
         raise ValidationError(
             f"the permutations need about {need / 2**20:.0f} MiB "
-            f"({b} permutations x {n} subjects, and the matrix{each}), more than "
-            f"the {have / 2**20:.0f} MiB of physical memory; lower --permutations"
+            f"({b} permutations and the identity x {n} subjects, a byte each, and the matrix{each}), "
+            f"more than the {have / 2**20:.0f} MiB of physical memory; lower --permutations"
         )
 
 
@@ -159,7 +174,7 @@ def permutation_null(
     if into is not None:
         return null_passes(matrix, group_a, group_b, plan)(into, np.arange(matrix.n_features))
     values, pool, n_a = _comparison(matrix, group_a, group_b)
-    return welch_abs_t(values, pool, n_a, _splits(plan, pool.size)[1:]).ravel()
+    return welch_table(values, pool, permutation_memberships(plan, n_a, pool.size)[1:]).ravel()
 
 
 def null_passes(matrix: DataMatrix, group_a: str, group_b: str, plan: PermutationPlan):
@@ -172,7 +187,7 @@ def null_passes(matrix: DataMatrix, group_a: str, group_b: str, plan: Permutatio
     contiguous ranges of permutations to ``in_workers``, each range fed to
     a set that ``stats`` merges (README "How the scan works")."""
     values, pool, n_a = _comparison(matrix, group_a, group_b)
-    members = memberships(_splits(plan, pool.size), n_a)
+    members = permutation_memberships(plan, n_a, pool.size)
     b = plan.n_permutations
 
     def feed(stats: StatisticSet, rows) -> StatisticSet:
@@ -205,14 +220,6 @@ def null_passes(matrix: DataMatrix, group_a: str, group_b: str, plan: Permutatio
         return stats
 
     return feed
-
-
-def _splits(plan: PermutationPlan, size: int) -> np.ndarray:
-    """The identity split of ``size`` pool positions, then the plan's permutations."""
-    splits = np.empty((plan.n_permutations + 1, size), dtype=np.intp)
-    splits[0] = np.arange(size)
-    permutation_rows(plan, splits[1:])
-    return splits
 
 
 # True while ``in_workers`` runs shares in w > 1 processes, in each of them

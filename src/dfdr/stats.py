@@ -131,8 +131,13 @@ def welch_abs_t(values: np.ndarray, pool, n_a: int, splits, rows=None) -> np.nda
     determinism contract: the statistic of a split depends only on the row
     and on which values fall in each group.
     """
+    return welch_table(values, pool, memberships(np.asarray(splits, dtype=np.intp), n_a), rows)
+
+
+def welch_table(values: np.ndarray, pool, members, rows=None) -> np.ndarray:
+    """``welch_abs_t`` as one (len(members), len(rows)) array from
+    ``welch_tiles``: row s of ``members`` marks split s's group A."""
     rows = np.arange(values.shape[0]) if rows is None else rows
-    members = memberships(np.asarray(splits, dtype=np.intp), n_a)
     out = np.empty((members.shape[0], len(rows)))
     for block, start, tile in welch_tiles(values, pool, members, rows):
         out[start : start + tile.shape[0], block] = tile

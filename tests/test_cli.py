@@ -815,12 +815,13 @@ class TestOneBlasThread:
 
 
 class TestMemoryCheck:
-    """Each route counts what grows with the permutations, at the exact byte boundary.
+    """Each route counts what it holds of the permutations, at the exact byte boundary.
 
     The null is never held: its summary takes it tile by tile. What grows
-    with the number of permutations is the permutations themselves. 40 tests
-    x 10 subjects x 100 permutations: the permutations are 8,000 bytes and
-    the matrix 3,200.
+    with the number of permutations is their group-A memberships, one byte
+    per subject for each permutation and the identity. 40 tests x 10
+    subjects x 100 permutations: the memberships are 101 x 10 = 1,010 bytes
+    and the matrix 3,200.
     """
 
     @staticmethod
@@ -831,6 +832,7 @@ class TestMemoryCheck:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert "physical memory" in err and "--permutations" in err
+        assert "subjects, a byte each, and the matrix" in err
         assert not out.exists() or not any(out.iterdir())  # nothing written
         monkeypatch.setattr(dfdr.resampling, "physical_memory", lambda: need)
         assert main(args) == 0
@@ -846,7 +848,7 @@ class TestMemoryCheck:
 
     def test_null_too_large_for_memory_is_a_data_error(self, tmp_path, monkeypatch, capsys):
         args = self.analyze_args(tmp_path, 120)
-        self.refused_below(monkeypatch, capsys, args, 8_000 + 3_200, tmp_path / "out")
+        self.refused_below(monkeypatch, capsys, args, 1_010 + 3_200, tmp_path / "out")
 
     def test_weights_count_the_permutations_alone(self, tmp_path, monkeypatch, capsys):
         wpath = tmp_path / "weights.tsv"
@@ -854,7 +856,7 @@ class TestMemoryCheck:
             "feature_id\tbenefit\tcost\n" + "".join(f"g{i:03d}\t1\t19\n" for i in range(40))
         )
         args = self.analyze_args(tmp_path, 121, "--weights", str(wpath))
-        self.refused_below(monkeypatch, capsys, args, 8_000 + 3_200, tmp_path / "out")
+        self.refused_below(monkeypatch, capsys, args, 1_010 + 3_200, tmp_path / "out")
 
     def test_subsets_count_the_permutations_alone(self, tmp_path, monkeypatch, capsys):
         spath = tmp_path / "subsets.tsv"
@@ -865,14 +867,14 @@ class TestMemoryCheck:
             tmp_path, 122, "--subsets", str(spath), "--min-subset-size", "10"
         )
         # one summary per subset, but no null and no slice of one
-        self.refused_below(monkeypatch, capsys, args, 8_000 + 3_200, tmp_path / "out")
+        self.refused_below(monkeypatch, capsys, args, 1_010 + 3_200, tmp_path / "out")
 
     def test_simulate_checks_one_replicate_before_any_runs(self, tmp_path, monkeypatch, capsys):
         import dfdr.cli
         import dfdr.resampling
 
-        # 50 tests x 20 subjects: permutations 16,000 bytes, matrix 8,000,
-        # for each replicate run at once
+        # 50 tests x 20 subjects: memberships 101 x 20 = 2,020 bytes, matrix
+        # 8,000, for each replicate run at once
         for at_once in (1, 2):
             out = tmp_path / f"sim{at_once}"
             args = [
@@ -880,7 +882,7 @@ class TestMemoryCheck:
                 "--out", str(out),
             ]
             monkeypatch.setattr(dfdr.cli, "worker_count", lambda replicates: at_once)
-            self.refused_below(monkeypatch, capsys, args, at_once * (16_000 + 8_000), out)
+            self.refused_below(monkeypatch, capsys, args, at_once * (2_020 + 8_000), out)
         # permutations far beyond memory are refused before anything is allocated
         monkeypatch.setattr(dfdr.resampling, "physical_memory", lambda: 2**30)
         args[args.index("100")] = "2000000000"

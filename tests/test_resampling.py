@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,8 @@ from dfdr import (
     two_sample_abs_t,
 )
 from dfdr import resampling
-from dfdr.resampling import permutation_indices, permutation_rows
-from dfdr.stats import welch_abs_t
+from dfdr.resampling import null_passes, permutation_indices, permutation_memberships
+from dfdr.stats import TILE, welch_abs_t
 
 
 def random_matrix(rng, m=6, n_a=4, n_b=3):
@@ -117,13 +119,42 @@ SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**200]), st.
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(seed=SEEDS, b=st.integers(1, 300), n=st.integers(4, 150))
-def test_bulk_rows_are_the_one_stream_permutations(seed, b, n):
+@given(seed=SEEDS, b=st.integers(1, 300), n=st.integers(4, 150), data=st.data())
+def test_bulk_rows_are_the_one_stream_permutations(seed, b, n, data):
+    # row 0 marks the identity's group A; row k + 1 the first n_a entries of
+    # permutation k, drawn in blocks of TILE // n permutations: TILE is shrunk
+    # so that the draw spans at least three blocks once b >= 3
+    n_a = data.draw(st.integers(0, n))
     plan = PermutationPlan(b, seed)
-    rows = np.empty((b, n), dtype=np.intp)
-    permutation_rows(plan, rows)
-    expected = np.stack([permutation_indices(plan, k, n) for k in range(b)])
-    np.testing.assert_array_equal(rows, expected)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(resampling, "TILE", n * max(1, b // 3))
+        members = permutation_memberships(plan, n_a, n)
+    expected = np.zeros((b + 1, n), dtype=bool)
+    expected[0, :n_a] = True
+    for k in range(b):
+        expected[k + 1, permutation_indices(plan, k, n)[:n_a]] = True
+    np.testing.assert_array_equal(members, expected)
+
+
+@pytest.mark.parametrize("n", [20, 72])
+def test_draw_peaks_within_its_memberships_and_one_block(n):
+    # a comparison's draw holds (B + 1) x n group-A memberships, one byte
+    # each, and one block's buffers: the TILE // n permutations' indices
+    # (8 bytes each), and their PCG64 state words with the hash's and the
+    # marking's temporaries (about 200 bytes a permutation; 384 allowed),
+    # never an index per subject and permutation of the whole draw
+    b = 50_000
+    matrix = random_matrix(np.random.default_rng(3), m=3, n_a=n // 2, n_b=n - n // 2)
+    null_passes(matrix, "A", "B", PermutationPlan(10, 1))  # numpy.random loaded before tracing
+    tracemalloc.start()
+    try:
+        feed = null_passes(matrix, "A", "B", PermutationPlan(b, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del feed
+    step = TILE // n
+    assert peak <= (b + 1) * n + 8 * step * n + 384 * step
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)

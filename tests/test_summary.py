@@ -348,15 +348,16 @@ def test_one_comparison_holds_its_permutations_at_a_time(tmp_path, monkeypatch):
     # its comparison's permutations for any further pass, so every route
     # releases a comparison's sets before it draws the next's permutations
     alive, draws = [], []
-    rows = dfdr.resampling.permutation_rows
+    draw = dfdr.resampling.permutation_memberships
 
-    def spy(plan, out):
+    def spy(plan, n_a, size):
         assert not any(ref() is not None for ref in alive)
-        rows(plan, out)
+        members = draw(plan, n_a, size)
         draws.append(plan)
-        alive.append(weakref.ref(out.base))  # the identity split, then these
+        alive.append(weakref.ref(members))  # the identity's row, then the permutations'
+        return members
 
-    monkeypatch.setattr(dfdr.resampling, "permutation_rows", spy)
+    monkeypatch.setattr(dfdr.resampling, "permutation_memberships", spy)
     mpath, lpath = write_fixture(tmp_path, np.random.default_rng(69), m=60, n_a=6, n_b=9)
     lpath.write_text("".join(
         f"s{j:02d}\t{'ALL' if j < 6 else 'AML' if j < 11 else 'TALL'}\n" for j in range(15)))
@@ -575,18 +576,23 @@ def test_null_worker_that_dies_is_an_error(monkeypatch, cpus):
 @pytest.mark.parametrize("cap", [None, 64], ids=["kept", "streamed"])
 def test_memberships_are_built_once_per_comparison(cap, monkeypatch, cpus):
     # four subsets over two comparisons: each comparison's group-A
-    # memberships are built with its splits, and every pass slices them (a
-    # streamed subset's observed statistics too, from the identity's row)
+    # memberships are drawn once, and every pass slices them (a streamed
+    # subset's observed statistics too, from the identity's row)
     cpus(1)  # every pass in this process, where the spy sees it
     monkeypatch.setattr(estimators, "CAP", cap or estimators.CAP)
-    built, memberships = [], dfdr.stats.memberships
+    built, memberships, draw = [], dfdr.stats.memberships, dfdr.resampling.permutation_memberships
 
     def spy(splits, n_a):
         built.append(len(splits))
         return memberships(splits, n_a)
 
+    def drawn(plan, n_a, size):
+        members = draw(plan, n_a, size)
+        built.append(len(members))
+        return members
+
     monkeypatch.setattr(dfdr.stats, "memberships", spy)
-    monkeypatch.setattr(dfdr.resampling, "memberships", spy)
+    monkeypatch.setattr(dfdr.resampling, "permutation_memberships", drawn)
     matrix = random_matrix(np.random.default_rng(77), 60, 5, 6)
     subsets = tuple(Subset(f"{a}{k}", tuple(range(k, 60, 2)), a, b, 1.0, 19.0)
                     for a, b in (("A", "B"), ("B", "A")) for k in (0, 1))
