@@ -523,19 +523,14 @@ def run_simulate(args) -> int:
     _check_flags(args)
     pi0_mode = _parse_pi0_mode(args.pi0)
 
-    config = SimulationConfig(
-        n_tests=args.m,
-        pi0=args.pi0_true,
-        n_a=args.n_a,
-        n_b=args.n_b,
-        effect=args.delta,
-        n_permutations=args.permutations,
-        replicates=args.replicates,
-        seed=args.seed,
-        truth_mode=args.truth_mode,
-        block_size=args.block_size,
-        block_rho=args.block_rho,
+    # each parameter's flag (its argparse dest, and its name in report.txt,
+    # in that file's order) and the SimulationConfig field it sets
+    parameters = (
+        ("m", "n_tests"), ("pi0_true", "pi0"), ("delta", "effect"), ("n_a", "n_a"), ("n_b", "n_b"),
+        ("replicates", "replicates"), ("permutations", "n_permutations"), ("seed", "seed"),
+        ("truth_mode", "truth_mode"), ("block_size", "block_size"), ("block_rho", "block_rho"),
     )
+    config = SimulationConfig(**{field: getattr(args, flag) for flag, field in parameters})
     # one replicate's matrix and permutations in each process at a time
     check_null_fits(
         (config.n_tests, config.n_a + config.n_b),
@@ -548,20 +543,7 @@ def run_simulate(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     report = measure_error_rates(config, rule)
 
-    lines: list[tuple[str, object]] = [
-        ("command", "simulate"),
-        ("m", config.n_tests),
-        ("pi0_true", config.pi0),
-        ("delta", config.effect),
-        ("n_a", config.n_a),
-        ("n_b", config.n_b),
-        ("replicates", config.replicates),
-        ("permutations", config.n_permutations),
-        ("seed", config.seed),
-        ("truth_mode", config.truth_mode),
-        ("block_size", config.block_size),
-        ("block_rho", config.block_rho),
-    ]
+    lines = [("command", "simulate"), *((flag, getattr(config, field)) for flag, field in parameters)]
     lines += [("rule", args.mode), *rule_fields, ("bound", bound)]
     lines += [
         ("fdr", report.fdr),

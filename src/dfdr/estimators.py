@@ -397,8 +397,6 @@ class StatisticSet:
 
     def _narrow(self, margin: int) -> None:
         """Keep ``margin`` ranks each side of the estimated rank of k."""
-        if self.at is not None or self.n_kept == 0:
-            return
         last = self.n_kept - 1
         j = min(max(self.k * self.seen // self.n_null - int(self.below.sum()), 0), last)
         if j - margin <= 0 and j + margin >= last:

@@ -7,8 +7,9 @@ permutation group; the identity permutation is not excluded.
 
 Permutation ``b`` is drawn from the PCG64 stream of
 ``SeedSequence(entropy=seed, spawn_key=(b,))``, and its statistics, from
-``stats.welch_abs_t``, are bitwise the same however many permutations are
-drawn and however they are batched or evaluated (README "Determinism").
+``stats.welch_abs_t(values, pool, members)`` on its row of group-A
+memberships, are bitwise the same however many permutations are drawn and
+however they are batched or evaluated (README "Determinism").
 ``permutation_indices`` draws one such permutation. A comparison draws all
 of its own once, straight into the group-A memberships its passes read
 (``permutation_memberships``): SeedSequence's hash, restated in numpy,
@@ -33,7 +34,7 @@ import numpy as np
 from dfdr.data import DataMatrix
 from dfdr.errors import ValidationError
 from dfdr.estimators import StatisticSet
-from dfdr.stats import TILE, welch_abs_t, welch_table, welch_tiles
+from dfdr.stats import TILE, welch_abs_t, welch_tiles
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
 _MASK = 0xFFFFFFFF
@@ -174,7 +175,7 @@ def permutation_null(
     if into is not None:
         return null_passes(matrix, group_a, group_b, plan)(into, np.arange(matrix.n_features))
     values, pool, n_a = _comparison(matrix, group_a, group_b)
-    return welch_table(values, pool, permutation_memberships(plan, n_a, pool.size)[1:]).ravel()
+    return welch_abs_t(values, pool, permutation_memberships(plan, n_a, pool.size)[1:]).ravel()
 
 
 def null_passes(matrix: DataMatrix, group_a: str, group_b: str, plan: PermutationPlan):
@@ -200,8 +201,9 @@ def null_passes(matrix: DataMatrix, group_a: str, group_b: str, plan: Permutatio
             part.feed(null(*bounds)).tiles = None  # a closure, which cannot be pickled
             return part
 
-        observed = np.empty(len(rows))
         if stats.keeps_all:
+            observed = np.empty(len(rows))
+
             def with_identity():  # split 0 of each row block's first tile is the identity
                 for block, start, tile in welch_tiles(values, pool, members, rows):
                     if start == 0:
@@ -211,9 +213,7 @@ def null_passes(matrix: DataMatrix, group_a: str, group_b: str, plan: Permutatio
 
             stats.feed(with_identity).observe(observed).tiles = null()  # any later pass
         else:
-            for block, _, tile in welch_tiles(values, pool, members[:1], rows):
-                observed[block] = tile[0]
-            stats.observe(observed).tiles = null()
+            stats.observe(welch_abs_t(values, pool, members[:1], rows)[0]).tiles = null()
             # the argsort path's float weight sums follow the order of the tiles: one share
             w = worker_count(b) if stats.classes is not None else 1
             stats.merge(in_workers(share, [(1 + b * k // w, 1 + b * (k + 1) // w) for k in range(w)]))
@@ -343,7 +343,7 @@ def build_statistic_set(
 def two_sample_abs_t(matrix: DataMatrix, group_a: str, group_b: str) -> np.ndarray:
     """Absolute two-sample t statistic per feature for the two named groups."""
     values, pool, n_a = _comparison(matrix, group_a, group_b)
-    return welch_abs_t(values, pool, n_a, np.arange(pool.size)[None, :])[0]
+    return welch_abs_t(values, pool, np.arange(pool.size)[None, :] < n_a)[0]
 
 
 def _comparison(matrix: DataMatrix, group_a: str, group_b: str):

@@ -1,16 +1,17 @@
 """Per-test observed statistics, and p-values as a set to decide on.
 
 The default statistic is the absolute two-sample t with unequal-variance
-(Welch) standard error and n-1 sample variances. One kernel, ``welch_abs_t``,
-computes it for the observed labels and for every permutation alike: group
-sums are exact products of a split's 0/1 group-A memberships, the only form
-of a draw that ``welch_tiles`` reads, with an error-free hi/lo split of each
-row (see its docstring), so a statistic depends only on the values that fall
-in each group. When both groups of a feature have zero spread, the statistic
-is 0 if their means are equal (an exactly constant feature) and the +inf
-sentinel otherwise; the sentinel ranks above every finite statistic and falls
-inside every threshold region. A positive spread (above 2^-500 of the row's
-range) never gives a sentinel.
+(Welch) standard error and n-1 sample variances. One kernel,
+``welch_abs_t(values, pool, members, rows)``, computes it for the observed
+labels and for every permutation alike, from each split's 0/1 group-A
+memberships (a row of ``members``), the only form of a split it reads: group
+sums are exact products of the memberships with an error-free hi/lo split of
+each row (see its docstring), so a statistic depends only on the values that
+fall in each group. When both groups of a feature have zero spread, the
+statistic is 0 if their means are equal (an exactly constant feature) and
+the +inf sentinel otherwise; the sentinel ranks above every finite statistic
+and falls inside every threshold region. A positive spread (above 2^-500 of
+the row's range) never gives a sentinel.
 
 A ``PValueSet`` is decided on as a ``StatisticSet`` (``estimators``) is:
 by its candidate thresholds, from the runs of ties in its sorted values
@@ -115,13 +116,11 @@ TILE = 2**18
 _MARGIN = 2.0**40
 
 
-def welch_abs_t(values: np.ndarray, pool, n_a: int, splits, rows=None) -> np.ndarray:
+def welch_abs_t(values: np.ndarray, pool, members, rows=None) -> np.ndarray:
     """Absolute Welch t of the rows ``rows`` (every row without) of
-    ``values[:, pool]`` for each split.
-
-    A split (row of ``splits``) is a permutation of the pool positions
-    ``0..n-1``: its first ``n_a`` entries form group A, the rest group B.
-    Returns shape (len(splits), len(rows)), from the splits' ``memberships``.
+    ``values[:, pool]`` for each split, as one (len(members), len(rows))
+    array from ``welch_tiles``: row s of ``members`` marks split s's group A
+    among the pool positions, and the rest form group B.
 
     Each row is centred on its midrange and split into hi and lo parts on
     fixed grids, so group A's sums are exact 0/1 matrix products on any BLAS
@@ -131,24 +130,11 @@ def welch_abs_t(values: np.ndarray, pool, n_a: int, splits, rows=None) -> np.nda
     determinism contract: the statistic of a split depends only on the row
     and on which values fall in each group.
     """
-    return welch_table(values, pool, memberships(np.asarray(splits, dtype=np.intp), n_a), rows)
-
-
-def welch_table(values: np.ndarray, pool, members, rows=None) -> np.ndarray:
-    """``welch_abs_t`` as one (len(members), len(rows)) array from
-    ``welch_tiles``: row s of ``members`` marks split s's group A."""
     rows = np.arange(values.shape[0]) if rows is None else rows
     out = np.empty((members.shape[0], len(rows)))
     for block, start, tile in welch_tiles(values, pool, members, rows):
         out[start : start + tile.shape[0], block] = tile
     return out
-
-
-def memberships(splits: np.ndarray, n_a: int) -> np.ndarray:
-    """``members[s, j]``: whether pool position j is among the first ``n_a`` entries of split s."""
-    members = np.zeros(splits.shape, dtype=bool)
-    np.put_along_axis(members, splits[:, :n_a], True, axis=1)
-    return members
 
 
 def welch_tiles(values: np.ndarray, pool, members, rows):

@@ -41,6 +41,8 @@ def test_one_set_class_and_one_decider_per_rule():
         assert gone not in dfdr.__all__
         assert not hasattr(dfdr.estimators, gone) and not hasattr(dfdr.decision, gone)
     assert not hasattr(dfdr.stats, "StatisticSet")
+    # one Welch kernel entry, taking group memberships
+    assert not hasattr(dfdr.stats, "memberships") and not hasattr(dfdr.stats, "welch_table")
 
 
 def test_unknown_name_is_an_attribute_error():

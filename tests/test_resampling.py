@@ -32,7 +32,7 @@ def test_identity_permutation_reproduces_observed():
     rng = np.random.default_rng(0)
     matrix = random_matrix(rng)
     observed = two_sample_abs_t(matrix, "A", "B")
-    nulls = welch_abs_t(matrix.values, np.arange(7), 4, [np.arange(7)])
+    nulls = welch_abs_t(matrix.values, np.arange(7), np.arange(7)[None, :] < 4)
     np.testing.assert_array_equal(nulls[0], observed)
 
 
@@ -72,7 +72,9 @@ def test_relabeling_matches_explicit_column_shuffle():
     rng = np.random.default_rng(4)
     matrix = random_matrix(rng, m=8, n_a=3, n_b=3)
     perm = np.array([4, 2, 0, 5, 1, 3])
-    nulls = welch_abs_t(matrix.values, np.arange(6), 3, [perm])[0]
+    members = np.zeros((1, 6), dtype=bool)
+    members[0, perm[:3]] = True
+    nulls = welch_abs_t(matrix.values, np.arange(6), members)[0]
     shuffled = DataMatrix(
         values=matrix.values[:, perm],
         feature_ids=matrix.feature_ids,
@@ -88,8 +90,9 @@ def test_ordering_is_permutation_major():
     plan = PermutationPlan(n_permutations=3, seed=7)
     nulls = permutation_null(matrix, "A", "B", plan)
     for b in range(3):
-        perm = permutation_indices(plan, b, 6)
-        block = welch_abs_t(matrix.values, np.arange(6), 3, [perm])[0]
+        members = np.zeros((1, 6), dtype=bool)
+        members[0, permutation_indices(plan, b, 6)[:3]] = True
+        block = welch_abs_t(matrix.values, np.arange(6), members)[0]
         np.testing.assert_array_equal(nulls[b * 4 : (b + 1) * 4], block)
 
 
@@ -215,8 +218,8 @@ def test_only_compared_groups_are_permuted():
     pool = np.arange(6)
     possible = set()
     for split in combinations(pool, 3):
-        rest = [c for c in pool if c not in split]
-        for row in welch_abs_t(values, pool, 3, [list(split) + rest])[0]:
+        members = np.isin(pool, split)[None, :]
+        for row in welch_abs_t(values, pool, members)[0]:
             possible.add(round(float(row), 12))
     for v in nulls:
         assert round(float(v), 12) in possible

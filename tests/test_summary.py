@@ -580,18 +580,13 @@ def test_memberships_are_built_once_per_comparison(cap, monkeypatch, cpus):
     # subset's observed statistics too, from the identity's row)
     cpus(1)  # every pass in this process, where the spy sees it
     monkeypatch.setattr(estimators, "CAP", cap or estimators.CAP)
-    built, memberships, draw = [], dfdr.stats.memberships, dfdr.resampling.permutation_memberships
-
-    def spy(splits, n_a):
-        built.append(len(splits))
-        return memberships(splits, n_a)
+    built, draw = [], dfdr.resampling.permutation_memberships
 
     def drawn(plan, n_a, size):
         members = draw(plan, n_a, size)
         built.append(len(members))
         return members
 
-    monkeypatch.setattr(dfdr.stats, "memberships", spy)
     monkeypatch.setattr(dfdr.resampling, "permutation_memberships", drawn)
     matrix = random_matrix(np.random.default_rng(77), 60, 5, 6)
     subsets = tuple(Subset(f"{a}{k}", tuple(range(k, 60, 2)), a, b, 1.0, 19.0)

@@ -105,6 +105,14 @@ def groups(values, n_a, split):
     return values[:, split[:n_a]], values[:, split[n_a:]]
 
 
+def marked(splits, n_a):
+    """Each split's group-A memberships, marked one split at a time."""
+    members = np.zeros(np.shape(splits), dtype=bool)
+    for s, split in enumerate(splits):
+        members[s, split[:n_a]] = True
+    return members
+
+
 def matrix_of(values, n_a):
     m, n = values.shape
     return DataMatrix(
@@ -141,7 +149,7 @@ class TestSentinels:
         assert np.isposinf(two_sample_abs_t(matrix, "A", "B")[0])
         # a relabeling that keeps each group's values together
         within = np.concatenate([np.arange(47)[::-1], 47 + np.arange(25)[::-1]])
-        null = welch_abs_t(matrix.values, np.arange(72), 47, [within, np.arange(72)])
+        null = welch_abs_t(matrix.values, np.arange(72), marked([within, np.arange(72)], 47))
         assert np.all(np.isposinf(null))
 
     @pytest.mark.parametrize("base", [0.1, 1e8])
@@ -162,7 +170,8 @@ class TestExactSums:
         # blocks of rows and splits per product
         values, n_a, splits = case
         pool = np.arange(values.shape[1])
-        reference = welch_abs_t(values, pool, n_a, splits)
+        members = marked(splits, n_a)
+        reference = welch_abs_t(values, pool, members)
         # blocks of `rows` rows (ROW_VALUES 0) and tiles of `chunk` splits
         names = ("ROWS", "ROW_VALUES", "CHUNK", "TILE")
         saved = [getattr(dfdr.stats, name) for name in names]
@@ -170,9 +179,9 @@ class TestExactSums:
             for name, value in zip(names, (rows, 0, chunk, rows * chunk)):
                 setattr(dfdr.stats, name, value)
             for count in range(1, len(splits) + 1):
-                again = welch_abs_t(values, pool, n_a, splits[:count])
+                again = welch_abs_t(values, pool, members[:count])
                 np.testing.assert_array_equal(again, reference[:count])
-            single = [welch_abs_t(values, pool, n_a, s[None, :])[0] for s in splits]
+            single = [welch_abs_t(values, pool, row[None, :])[0] for row in members]
             np.testing.assert_array_equal(np.stack(single), reference)
         finally:
             for name, value in zip(names, saved):
@@ -193,11 +202,9 @@ class TestExactSums:
     @given(comparisons())
     def test_swapping_groups_changes_no_bit(self, case):
         values, n_a, splits = case
-        n = values.shape[1]
-        pool = np.arange(n)
-        swapped = np.concatenate([splits[:, n_a:], splits[:, :n_a]], axis=1)
+        members, pool = marked(splits, n_a), np.arange(values.shape[1])
         np.testing.assert_array_equal(
-            welch_abs_t(values, pool, n_a, splits), welch_abs_t(values, pool, n - n_a, swapped)
+            welch_abs_t(values, pool, members), welch_abs_t(values, pool, ~members)
         )
         matrix = matrix_of(values, n_a)
         np.testing.assert_array_equal(
@@ -207,21 +214,19 @@ class TestExactSums:
     @PROPERTY
     @given(comparisons(), st.integers(0, 2**32 - 1))
     def test_order_within_groups_changes_no_bit(self, case, seed):
+        # the same groups, their members in another order in the products
         values, n_a, splits = case
-        rng = np.random.default_rng(seed)
-        shuffled = np.concatenate(
-            [rng.permuted(splits[:, :n_a], axis=1), rng.permuted(splits[:, n_a:], axis=1)], axis=1
-        )
-        pool = np.arange(values.shape[1])
+        members, pool = marked(splits, n_a), np.arange(values.shape[1])
+        order = np.random.default_rng(seed).permutation(pool.size)
         np.testing.assert_array_equal(
-            welch_abs_t(values, pool, n_a, splits), welch_abs_t(values, pool, n_a, shuffled)
+            welch_abs_t(values, pool, members), welch_abs_t(values, pool[order], members[:, order])
         )
 
     @PROPERTY
     @given(comparisons())
     def test_relabeling_matches_column_shuffle(self, case):
         values, n_a, splits = case
-        nulls = welch_abs_t(values, np.arange(values.shape[1]), n_a, splits)
+        nulls = welch_abs_t(values, np.arange(values.shape[1]), marked(splits, n_a))
         for perm, null in zip(splits, nulls):
             shuffled = matrix_of(values[:, perm], n_a)
             np.testing.assert_array_equal(null, two_sample_abs_t(shuffled, "A", "B"))
@@ -256,14 +261,6 @@ def tiles_of(values, pool, members, rows, ranges):
     return out
 
 
-def marked(splits, n_a):
-    """Each split's group-A memberships, marked one split at a time."""
-    members = np.zeros(splits.shape, dtype=bool)
-    for s, split in enumerate(splits):
-        members[s, split[:n_a]] = True
-    return members
-
-
 class TestMemberships:
     """The null passes hold a draw only as group-A memberships: the
     statistics read from them are the splits' own, bit for bit."""
@@ -278,7 +275,7 @@ class TestMemberships:
         cut = int(rng.integers(1, len(splits)))  # two passes, as two shares of the null
         np.testing.assert_array_equal(
             tiles_of(values, pool, marked(splits, n_a), rows, [(0, cut), (cut, len(splits))]),
-            welch_abs_t(values, pool, n_a, splits, rows),
+            welch_abs_t(values, pool, marked(splits, n_a), rows),
         )
 
     @pytest.mark.parametrize("n_a, n_b", [(3, 8), (8, 3), (2, 11)])
@@ -299,7 +296,7 @@ class TestMemberships:
 
         monkeypatch.setattr(dfdr.stats._Rows, "_two_pass", spy)
         pool = np.arange(n)
-        expected = welch_abs_t(values, pool, n_a, splits)
+        expected = welch_abs_t(values, pool, marked(splits, n_a))
         assert set(sizes) == {n_a, n_b}
         np.testing.assert_array_equal(
             tiles_of(values, pool, marked(splits, n_a), np.arange(values.shape[0]), [(0, len(splits))]),
@@ -319,7 +316,7 @@ class TestAccuracy:
         # difference is good to a few ulps of the row's scale, the spread to
         # 2^-40 relative (or it is recomputed with two passes)
         values, n_a, splits = case
-        t = welch_abs_t(values, np.arange(values.shape[1]), n_a, splits)
+        t = welch_abs_t(values, np.arange(values.shape[1]), marked(splits, n_a))
         for s, split in enumerate(splits):
             a, b = groups(values, n_a, split)
             for i in range(values.shape[0]):
@@ -336,12 +333,12 @@ class TestAccuracy:
         # a product big enough for BLAS to split it across threads
         rng = np.random.default_rng(8)
         values = rng.normal(size=(3000, 40)) + 100.0
-        splits = np.stack([rng.permutation(40) for _ in range(64)])
-        blocked = welch_abs_t(values, np.arange(40), 25, splits)
+        members = marked([rng.permutation(40) for _ in range(64)], 25)
+        blocked = welch_abs_t(values, np.arange(40), members)
         saved = dfdr.stats.ROWS, dfdr.stats.CHUNK
         try:
             dfdr.stats.ROWS, dfdr.stats.CHUNK = 4096, 64
-            whole = welch_abs_t(values, np.arange(40), 25, splits)
+            whole = welch_abs_t(values, np.arange(40), members)
         finally:
             dfdr.stats.ROWS, dfdr.stats.CHUNK = saved
         np.testing.assert_array_equal(whole, blocked)
@@ -350,7 +347,7 @@ class TestAccuracy:
         rng = np.random.default_rng(7)
         values = rng.normal(size=(200, 30)) * 3.0 + 5.0
         perms = [rng.permutation(30) for _ in range(20)]
-        t = welch_abs_t(values, np.arange(30), 12, np.stack(perms))
+        t = welch_abs_t(values, np.arange(30), marked(perms, 12))
         for row, perm in zip(t, perms):
             a, b = values[:, perm[:12]], values[:, perm[12:]]
             se = np.sqrt(a.var(axis=1, ddof=1) / 12 + b.var(axis=1, ddof=1) / 18)
